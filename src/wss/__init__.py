@@ -58,6 +58,7 @@ from .means import (
 from .sums import (
     DiagonalSumField,
     all_partial_sums_1d,
+    dyadic_square_sums,
     marginal_maximal_2,
     marginal_sum_1,
     marginal_sum_2,

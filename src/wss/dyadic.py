@@ -19,6 +19,7 @@ from .errors import UsageError
 
 MAX_BITS_1D = 24
 MAX_BITS_2D = 12
+MAX_MATRIX_BITS = 13  # a 2^13 square float64 Walsh matrix is 512 MiB
 
 
 def validate_bits(bits: int, *, dims: int = 1) -> int:
@@ -192,7 +193,7 @@ def walsh_row(k: int, bits: int) -> np.ndarray:
 def walsh_matrix(bits: int) -> np.ndarray:
     """Paley-ordered Walsh matrix W[k, i] = w_k(i 2^-bits), int8, cached."""
     validate_bits(bits)
-    if bits > 13:
+    if bits > MAX_MATRIX_BITS:
         raise UsageError(f"refusing to materialize a 2^{bits} square Walsh matrix")
     rev = bit_reverse_permutation(bits)
     ks = np.arange(1 << bits, dtype=np.int64)

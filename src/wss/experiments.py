@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dyadic import MAX_MATRIX_BITS
 from .errors import UsageError
-from .generators import FunctionSpec, generate_function
+from .generators import FunctionSpec, generate_function, parse_number
 from .maximal import (
     dyadic_maximal,
     hybrid_maximal_1,
@@ -27,7 +28,7 @@ from .maximal import (
     superlevel_measure,
 )
 from .means import PhiFunction, bmo_of_diagonal_sums, entropy_functional, phi_mean_sequence
-from .sums import all_partial_sums_1d, quadratic_sums
+from .sums import all_partial_sums_1d, dyadic_square_sums, quadratic_sums
 from .transform import DyadicGrid1D, DyadicGrid2D
 
 CSV_FIELDS = ("experiment", "spec", "B", "seed", "param", "lambda_or_m", "value")
@@ -170,7 +171,7 @@ def default_probes(spec: FunctionSpec) -> tuple[list[tuple[float, float]], float
                 crosses(e, y0, y1) for e in (ry0, ry1)
             )
         if spec.kind == "spike":
-            level = int(spec.option("level", "0"))
+            level = spec.number("level", "0", int)
             edge = 2.0**-level
             return crosses(edge, x0, x1) or crosses(edge, y0, y1)
         return False
@@ -240,6 +241,11 @@ def run_rodin_1d(
     spec = _as_spec(spec)
     if eps <= 0:
         raise UsageError(f"exceedance threshold must be positive, got {eps}")
+    if spec.bits > MAX_MATRIX_BITS:
+        raise UsageError(
+            f"rodin experiment needs B <= {MAX_MATRIX_BITS}: it builds the 2^B x 2^B "
+            f"partial-sum table, got B={spec.bits}"
+        )
     f = generate_function(spec, seed)
     if not isinstance(f, DyadicGrid1D):
         raise UsageError("rodin experiment needs a 1D function spec")
@@ -258,13 +264,18 @@ def run_rodin_1d(
 
 
 def sch_ratio_max(f: DyadicGrid1D) -> float:
-    """max over x and m of the strong-quadratic mean of S_l against V(x, f)."""
-    sums = all_partial_sums_1d(f)
-    csum = np.cumsum(sums[: f.size] ** 2, axis=0)
+    """max over x and m = 1..bits of sqrt(2^-m sum_{l<2^m} (S_l f)(x)^2) / V(x, f).
+
+    The strong quadratic means come from the scan `dyadic_square_sums` in
+    O(N log N) time and O(N) memory, with no partial-sum table or Walsh
+    matrix, so any depth the grid allows runs (the table route stopped at
+    B = 13).  Points where the mean is 0 count as ratio 0.
+    """
+    squares = dyadic_square_sums(f)
     v = schipp_v_max(f).values
     best = 0.0
     for m in range(1, f.bits + 1):
-        lhs = np.sqrt(csum[(1 << m) - 1] / (1 << m))
+        lhs = np.repeat(np.sqrt(squares[m] / (1 << m)), 1 << (f.bits - m))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(lhs == 0.0, 0.0, lhs / v)
         best = max(best, float(ratio.max()))
@@ -357,50 +368,60 @@ class ExperimentConfig:
             raise UsageError(f"experiment {self.name!r} is missing required key {key!r}")
         return value
 
+    def numbers(self, key: str, default: str | None = None, kind: type = float) -> list:
+        """The comma-separated numbers under `key`; empty items are skipped."""
+        what = f"{key!r} in section {self.name!r}"
+        return [parse_number(tok, kind, what) for tok in self.get(key, default).split(",") if tok]
+
+    def number(self, key: str, default: str | None = None, kind: type = float):
+        """The single number under `key`."""
+        return parse_number(self.get(key, default), kind, f"{key!r} in section {self.name!r}")
+
 
 def load_config(path) -> list[ExperimentConfig]:
     parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        detail = "; ".join(line.strip() for line in str(exc).splitlines())
+        raise UsageError(f"config file {path!r} is malformed: {detail}") from None
     if not read:
         raise UsageError(f"config file {path!r} not found or empty")
     return [ExperimentConfig(name, dict(parser.items(name))) for name in parser.sections()]
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
-
-
 def _parse_phi(text: str) -> PhiFunction:
     tag, _, param = text.partition(":")
+    what = f"phi parameter of {text!r}"
     if tag == "exp_minus_one":
-        return PhiFunction.exp_minus_one(float(param or 1.0))
+        return PhiFunction.exp_minus_one(parse_number(param or "1", what=what))
     if tag == "power":
-        return PhiFunction.power(float(param or 1.0))
+        return PhiFunction.power(parse_number(param or "1", what=what))
     raise UsageError(f"unknown phi spec {text!r} (expected exp_minus_one:<a> or power:<p>)")
 
 
 def run_configured(cfg: ExperimentConfig, default_seed: int = 0) -> SummabilityReport:
     """Dispatch one config section to its runner."""
     kind = cfg.get("experiment")
-    seed = int(cfg.options.get("seed", default_seed))
+    seed = cfg.number("seed", str(default_seed), int)
     if kind == "theorem1":
         report = run_theorem1(
             cfg.get("spec"),
-            _parse_floats(cfg.get("lambda")),
+            cfg.numbers("lambda"),
             seed=seed,
             mode=cfg.options.get("mode", "auto"),
         )
     elif kind == "theorem2":
         probes = None
         if "probes" in cfg.options:
-            vals = _parse_floats(cfg.get("probes"))
+            vals = cfg.numbers("probes")
             if len(vals) % 2:
                 raise UsageError("probes must be x,y pairs")
             probes = list(zip(vals[0::2], vals[1::2]))
         report = run_theorem2(
             cfg.get("spec"),
-            float(cfg.options.get("a", "1")),
-            [int(v) for v in _parse_floats(cfg.get("m"))],
+            cfg.number("a", "1"),
+            cfg.numbers("m", kind=int),
             probes=probes,
             seed=seed,
             mode=cfg.options.get("mode", "auto"),
@@ -409,14 +430,14 @@ def run_configured(cfg: ExperimentConfig, default_seed: int = 0) -> SummabilityR
         report = run_rodin_1d(
             cfg.get("spec"),
             _parse_phi(cfg.options.get("phi", "exp_minus_one:1")),
-            [int(v) for v in _parse_floats(cfg.get("m"))],
-            eps=float(cfg.options.get("eps", "0.01")),
+            cfg.numbers("m", kind=int),
+            eps=cfg.number("eps", "0.01"),
             seed=seed,
         )
     elif kind == "weak_type":
-        count = int(cfg.options.get("count", "1"))
+        count = cfg.number("count", "1", int)
         specs = [cfg.get("spec")] * count
-        lambdas = _parse_floats(cfg.get("lambda")) if "lambda" in cfg.options else None
+        lambdas = cfg.numbers("lambda") if "lambda" in cfg.options else None
         report = run_weak_type_suite(cfg.get("operator"), specs, lambdas, seed=seed)
     else:
         raise UsageError(f"unknown experiment kind {kind!r} in section {cfg.name!r}")

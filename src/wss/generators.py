@@ -35,8 +35,22 @@ class SpecParseError(UsageError):
         super().__init__(f"bad function spec at position {pos}: {message} (in {text!r})")
 
 
+def parse_number(text: str, kind: type = float, what: str = "value"):
+    """`text` as a finite int or float; anything else is a UsageError naming `what`."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or not math.isfinite(value):
+        noun = "an integer" if kind is int else "a finite number"
+        raise UsageError(f"{what} must be {noun}, got {text!r}")
+    return value
+
+
 def portable_uniforms(seed: int, count: int) -> np.ndarray:
     """count doubles in [0, 1): top 53 bits of the raw PCG64(seed) stream."""
+    if seed < 0:
+        raise UsageError(f"seed must be nonnegative, got {seed}")
     raw = np.random.PCG64(int(seed)).random_raw(int(count))
     return (raw >> np.uint64(11)) * 2.0**-53
 
@@ -83,8 +97,8 @@ class FunctionSpec:
                 options.append(("+group", item))
             else:
                 try:
-                    positional.append(float(item))
-                except ValueError:
+                    positional.append(parse_number(item))
+                except UsageError:
                     raise SpecParseError(text, cursor, f"bad number {item!r}") from None
             cursor += len(item) + 1
         return cls(kind, bits, tuple(positional), tuple(options), text)
@@ -95,6 +109,10 @@ class FunctionSpec:
                 return v
         return default
 
+    def number(self, key: str, default: str, kind: type = float):
+        """Option `key` as a finite int or float."""
+        return parse_number(self.option(key, default), kind, f"option {key} of {self.text!r}")
+
     @property
     def dims(self) -> int:
         if self.kind == "indicator-rect":
@@ -104,7 +122,7 @@ class FunctionSpec:
             return len(groups[0])
         if self.kind == "spike":
             return 2
-        return int(self.option("dim", "2"))
+        return self.number("dim", "2", int)
 
     def _index_groups(self) -> list[tuple[int, ...]]:
         """walsh-tensor index groups; "3,6" is one 2D group, "3+9" two 1D groups."""
@@ -122,12 +140,11 @@ class FunctionSpec:
 
 
 def _seed_for(spec: FunctionSpec, seed: int) -> int:
-    own = spec.option("seed")
-    return int(own) if own is not None else int(seed)
+    return spec.number("seed", str(seed), int)
 
 
 def _dims_option(spec: FunctionSpec) -> int:
-    dims = int(spec.option("dim", "2"))
+    dims = spec.number("dim", "2", int)
     if dims not in (1, 2):
         raise UsageError(f"dim must be 1 or 2, got {dims}")
     return dims
@@ -168,10 +185,10 @@ def _walsh_tensor(spec: FunctionSpec) -> DyadicGrid1D | DyadicGrid2D:
 
 
 def _random_step(spec: FunctionSpec, seed: int) -> DyadicGrid1D | DyadicGrid2D:
-    level = int(spec.option("level", "-1"))
+    level = spec.number("level", "-1", int)
     if not 0 <= level <= spec.bits:
         raise UsageError(f"random-step level {level} outside [0, {spec.bits}]")
-    amp = float(spec.option("amp", "1"))
+    amp = spec.number("amp", "1")
     dims = _dims_option(spec)
     cells = 1 << level
     width = 1 << (spec.bits - level)
@@ -185,10 +202,10 @@ def _random_step(spec: FunctionSpec, seed: int) -> DyadicGrid1D | DyadicGrid2D:
 
 def _random_spectrum(spec: FunctionSpec, seed: int) -> DyadicGrid1D | DyadicGrid2D:
     size = 1 << spec.bits
-    support = int(spec.option("support", "0"))
+    support = spec.number("support", "0", int)
     if not 1 <= support <= size:
         raise UsageError(f"random-spectrum support {support} outside [1, 2^{spec.bits}]")
-    amp = float(spec.option("amp", "1"))
+    amp = spec.number("amp", "1")
     dims = _dims_option(spec)
     u = portable_uniforms(_seed_for(spec, seed), support**dims)
     coeffs = amp * (2.0 * u - 1.0)
@@ -232,11 +249,11 @@ def spike_height(level: int, target: float, alpha: float = 2.0) -> float:
 
 
 def _spike(spec: FunctionSpec) -> DyadicGrid2D:
-    level = int(spec.option("level", "-1"))
+    level = spec.number("level", "-1", int)
     if not 0 <= level <= spec.bits:
         raise UsageError(f"spike level {level} outside [0, {spec.bits}]")
-    target = float(spec.option("target", "0"))
-    alpha = float(spec.option("alpha", "2"))
+    target = spec.number("target", "0")
+    alpha = spec.number("alpha", "2")
     h = spike_height(level, target, alpha)
     size = 1 << spec.bits
     width = 1 << (spec.bits - level)

@@ -3,7 +3,10 @@
 All suprema over scales truncate at the grid level: beyond it every cell
 average equals the sample value, so the truncation is exact for grid-resolved
 step functions.  The t-integral inside V_n is an exact finite sum, because the
-integrand is itself a dyadic step function at the grid resolution.
+integrand is itself a dyadic step function at the grid resolution.  No
+operator here takes a transform: V_n reads S_{2^n} f as level-n cell averages
+and runs on the 2^n coarse cells, batched along the last axis, so V costs
+O(N B) on N = 2^B samples and the hybrids V1, V2 are single batched calls.
 """
 from __future__ import annotations
 
@@ -12,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, UsageError
-from .sums import partial_sum_1d
 from .transform import DyadicGrid1D, DyadicGrid2D
 
 
@@ -72,30 +74,31 @@ def hybrid_maximal_2(f: DyadicGrid2D) -> OperatorField:
 
 
 def _schipp_v_values(samples: np.ndarray, bits: int, n: int) -> np.ndarray:
-    """V_n at every grid point.
+    """V_n along the last axis of `samples`, for any leading axes.
 
     V_n(x)^2 = 2^-n int_0^1 ( sum_{j<n} 2^(j-1) 1_{I_j}(t) g(x+t+e_j) )^2 dt
     with g = S_{2^n} f and + the dyadic sum.  For t in the shell
     [2^-(k+1), 2^-k) only the terms j <= min(k, n-1) are active, and
     {x + t : t in shell k} is exactly the sibling of x's dyadic block of size
-    2^(bits-k-1), so each shell contributes one block sum of the squared
-    running profile c_m(u) = sum_{j<=m} 2^(j-1) g(u + e_j).
+    2^-(k+1), so each shell contributes one block sum of the squared running
+    profile c_k(u) = sum_{j<=k} 2^(j-1) g(u + e_j).  By the martingale
+    identity g is the level-n cell average, and the shifts e_j, j < n, permute
+    level-n cells, so c and q = c^2 are constant on them: the sum runs on the
+    2^n coarse cells, and the shells k >= n together with x's own grid cell
+    fill x's level-n cell, adding the final q times its measure.  O(N + n 2^n).
     """
-    size = 1 << bits
-    g = partial_sum_1d(DyadicGrid1D(bits, samples), 1 << n).samples
-    idx = np.arange(size)
-    c = 0.5 * g[idx ^ (1 << (bits - 1))]
-    q = c * c
-    acc = np.zeros(size)
-    for k in range(bits):
-        if 1 <= k <= n - 1:
-            c = c + 2.0 ** (k - 1) * g[idx ^ (1 << (bits - 1 - k))]
-            q = c * c
-        block = 1 << (bits - k - 1)
-        block_sums = q.reshape(size // block, block).sum(axis=1)
-        acc += block_sums[(idx // block) ^ 1]
-    acc += q  # the cell [0, 2^-bits): all j < n active, profile taken at x itself
-    return np.sqrt(acc * 2.0 ** (-n - bits))
+    g = samples
+    for _ in range(bits - n):
+        g = 0.5 * (g[..., 0::2] + g[..., 1::2])
+    idx = np.arange(1 << n)
+    c = acc = 0.0
+    for k in range(n):
+        c = c + 2.0 ** (k - 1) * g[..., idx ^ (1 << (n - 1 - k))]
+        q = block_sums = c * c
+        for _ in range(n - 1 - k):  # a fixed pairwise tree: a row's sums ignore the batch
+            block_sums = block_sums[..., 0::2] + block_sums[..., 1::2]
+        acc = acc + block_sums[..., (idx >> (n - 1 - k)) ^ 1]
+    return np.repeat(np.sqrt(acc + q) * 2.0**-n, 1 << (bits - n), axis=-1)
 
 
 def schipp_v(f: DyadicGrid1D, n: int) -> OperatorField:
@@ -109,8 +112,9 @@ def schipp_v(f: DyadicGrid1D, n: int) -> OperatorField:
     return OperatorField(_schipp_v_values(f.samples, f.bits, n), f"V_{n}", f.bits)
 
 
-def schipp_v_max(f: DyadicGrid1D) -> OperatorField:
-    """V f = sup over n = 1..bits of V_n f."""
+def schipp_v_max(f: DyadicGrid1D | DyadicGrid2D) -> OperatorField:
+    """V f = sup over n = 1..bits of V_n f along the last axis of the samples:
+    the 1D operator on a 1D grid, V in y for every fixed x on a 2D grid."""
     best = _schipp_v_values(f.samples, f.bits, 1)
     for n in range(2, f.bits + 1):
         np.maximum(best, _schipp_v_values(f.samples, f.bits, n), out=best)
@@ -119,18 +123,13 @@ def schipp_v_max(f: DyadicGrid1D) -> OperatorField:
 
 def hybrid_v_1(f: DyadicGrid2D) -> OperatorField:
     """V_1: the 1D operator V applied in x to each slice f(., y)."""
-    out = np.empty_like(f.samples)
-    for iy in range(f.size):
-        out[:, iy] = schipp_v_max(DyadicGrid1D(f.bits, f.samples[:, iy])).values
-    return OperatorField(out, "V1", f.bits)
+    transposed = DyadicGrid2D(f.bits, np.ascontiguousarray(f.samples.T))
+    return OperatorField(schipp_v_max(transposed).values.T, "V1", f.bits)
 
 
 def hybrid_v_2(f: DyadicGrid2D) -> OperatorField:
     """V_2: the 1D operator V applied in y to each slice f(x, .)."""
-    out = np.empty_like(f.samples)
-    for ix in range(f.size):
-        out[ix, :] = schipp_v_max(DyadicGrid1D(f.bits, f.samples[ix, :])).values
-    return OperatorField(out, "V2", f.bits)
+    return OperatorField(schipp_v_max(f).values, "V2", f.bits)
 
 
 def superlevel_measure(field, lam: float) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 from .dyadic import walsh_matrix_f64
 from .errors import UsageError
 from .means import integer_dyadic_intervals
-from .sums import partial_sum_1d, rectangular_partial_sum
+from .sums import all_partial_sums_1d, partial_sum_1d, rectangular_partial_sum
 from .transform import DyadicGrid1D, DyadicGrid2D, naive_wht_2d
 
 
@@ -80,6 +80,13 @@ def diagonal_sums_brute(f: DyadicGrid2D) -> np.ndarray:
     for n in range(f.size + 1):
         out[n] = rectangular_partial_sum(f, n, n).samples
     return out
+
+
+def dyadic_square_sums_brute(f: DyadicGrid1D) -> np.ndarray:
+    """Q_k = sum_{l<2^k} (S_l f)^2 on the grid, row k for k = 0..bits, read off
+    the cumulative squares of the full partial-sum table."""
+    csum = np.cumsum(all_partial_sums_1d(f)[: f.size] ** 2, axis=0)
+    return csum[(1 << np.arange(f.bits + 1)) - 1]
 
 
 def marginal_maximal_2_brute(f: DyadicGrid2D) -> np.ndarray:

@@ -67,6 +67,46 @@ def all_partial_sums_1d(f: DyadicGrid1D) -> np.ndarray:
     return out
 
 
+def _split_by_digit(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cells of the next level: a + b where the new digit is 0, a - b where it is 1."""
+    return np.stack((a + b, a - b), axis=-1).reshape(a.shape[0], -1)
+
+
+def dyadic_square_sums(f: DyadicGrid1D) -> list[np.ndarray]:
+    """Q_k = sum_{l<2^k} (S_l f)^2 for k = 0..bits, each on its level-k cells.
+
+    Entry k has length 2^k: Q_k is constant on the level-k cells, because
+    every S_l with l < 2^k is.  The sequence l -> S_l f(x) is scanned
+    (Blelloch, "Prefix sums and their applications", 1990) over coefficient
+    blocks [j 2^s, (j+1) 2^s), merged level by level like the butterfly.
+    Relative to its first index a block's Walsh functions w_i, i < 2^s, live
+    on level-s cells, and the Paley split w_{(2j+1) 2^s + i} =
+    w_{j 2^(s+1)} r_s w_i joins two blocks through the Rademacher digit
+    rho = r_s(x).  Each block carries, per level-s cell, its total T, the
+    sum SP of its 2^s prefixes (the empty one included) and the sum SP2 of
+    their squares; a merge is
+
+        T   = T_L + rho T_R
+        SP  = SP_L + 2^s T_L + rho SP_R
+        SP2 = SP2_L + 2^s T_L^2 + 2 rho T_L SP_R + SP2_R
+
+    and Q_k is SP2 of block 0 at level k.  O(N log N) time, O(N) memory.
+    """
+    total = wht_1d(f).coeffs[:, None]
+    psum = np.zeros_like(total)
+    psq = np.zeros_like(total)
+    out = [psq[0].copy()]  # copies, so no level's full array stays alive
+    for s in range(f.bits):
+        tl, tr = total[0::2], total[1::2]
+        pl, pr = psum[0::2], psum[1::2]
+        width = float(1 << s)
+        psq = _split_by_digit(psq[0::2] + width * tl * tl + psq[1::2], 2.0 * tl * pr)
+        psum = _split_by_digit(pl + width * tl, pr)
+        total = _split_by_digit(tl, tr)
+        out.append(psq[0].copy())
+    return out
+
+
 def rectangular_partial_sum(f: DyadicGrid2D, m: int, n: int) -> DyadicGrid2D:
     """S_{M,N} f: synthesis of coefficients with row < M and column < N."""
     if not (0 <= m <= f.size and 0 <= n <= f.size):

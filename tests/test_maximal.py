@@ -141,6 +141,20 @@ def test_hybrid_v_tensor_reduction_and_constants():
     assert np.abs(hybrid_v_1(ones2d).values - expected).max() <= 1e-15
 
 
+def test_hybrid_v_on_non_tensor_grid_is_slicewise_v():
+    f = random_grid_2d(6, seed=16)
+    v1 = hybrid_v_1(f).values
+    v2 = hybrid_v_2(f).values
+    for i in range(f.size):
+        column = DyadicGrid1D(6, f.samples[:, i])
+        row = DyadicGrid1D(6, f.samples[i, :])
+        assert np.abs(v1[:, i] - schipp_v_max(column).values).max() == 0.0
+        assert np.abs(v2[i, :] - schipp_v_max(row).values).max() == 0.0
+        for got, g in ((v1[:, i], column), (v2[i, :], row)):
+            brute = np.max([oracles.schipp_v_brute(g, n) for n in range(1, 7)], axis=0)
+            assert np.abs(got - brute).max() <= 1e-12
+
+
 # --- superlevel measure ------------------------------------------------------
 
 

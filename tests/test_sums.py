@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wss import oracles
 from wss.dyadic import walsh_row
 from wss.errors import ResourceLimitError, UsageError
-from wss.generators import random_grid_1d, random_grid_2d
+from wss.generators import generate_function, random_grid_1d, random_grid_2d
 from wss.sums import (
     all_partial_sums_1d,
+    dyadic_square_sums,
     marginal_maximal_2,
     marginal_sum_1,
     marginal_sum_2,
@@ -189,3 +192,39 @@ def test_marginal_maximal_matches_brute():
     fast = marginal_maximal_2(f).samples
     brute = oracles.marginal_maximal_2_brute(f)
     assert np.abs(fast - brute).max() <= 1e-12
+
+
+# --- dyadic square sums (Paley prefix scan) ---------------------------------
+
+
+def _square_sums_gap(f: DyadicGrid1D) -> float:
+    """Largest gap of the scan to the table oracle, relative to max |Q_k| per k."""
+    fast = dyadic_square_sums(f)
+    brute = oracles.dyadic_square_sums_brute(f)
+    assert [q.shape for q in fast] == [(1 << k,) for k in range(f.bits + 1)]
+    worst = 0.0
+    for k, q in enumerate(fast):
+        gap = np.abs(np.repeat(q, 1 << (f.bits - k)) - brute[k]).max()
+        worst = max(worst, gap / max(np.abs(brute[k]).max(), np.finfo(float).tiny))
+    return worst
+
+
+@pytest.mark.parametrize("bits", range(1, 12))
+def test_dyadic_square_sums_match_table(bits):
+    assert _square_sums_gap(random_grid_1d(bits, seed=40 + bits)) <= 1e-12
+
+
+def test_dyadic_square_sums_closed_forms():
+    # f = w_3 at 4 bits: S_l = 0 for l <= 3 and w_3 after, so Q_k = 2^k - 4 for k >= 2.
+    squares = dyadic_square_sums(generate_function("walsh-tensor:3@B=4"))
+    assert [q.tolist() for q in squares] == [[0.0], [0.0] * 2, [0.0] * 4, [4.0] * 8, [12.0] * 16]
+    # f = 2: S_0 = 0 and S_l = 2 after, so Q_k = 4 (2^k - 1).
+    const = dyadic_square_sums(DyadicGrid1D(3, np.full(8, 2.0)))
+    assert [q.tolist() for q in const] == [[0.0], [4.0] * 2, [12.0] * 4, [28.0] * 8]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 8), st.integers(0, 10_000), st.floats(0.01, 100))
+def test_dyadic_square_sums_property_random_steps(bits, level, seed, amp):
+    f = generate_function(f"random-step:level={min(level, bits)},dim=1,amp={amp!r}@B={bits}", seed)
+    assert _square_sums_gap(f) <= 1e-12
