@@ -28,10 +28,8 @@ def main():
     for target in args.targets:
         constants = []
         for bits in args.bits:
-            mode = "streaming" if bits >= 7 else "auto"
             rep = run_theorem1(
-                f"spike:level={args.level},target={target:g}@B={bits}",
-                lam, seed=args.seed, mode=mode,
+                f"spike:level={args.level},target={target:g}@B={bits}", lam, seed=args.seed
             )
             reports.append(rep)
             constants.append(rep.value("empirical_constant"))

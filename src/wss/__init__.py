@@ -18,7 +18,7 @@ from .dyadic import (
     walsh_matrix,
     walsh_row,
 )
-from .errors import DataError, ResourceLimitError, UsageError
+from .errors import DataError, UsageError
 from .experiments import (
     SummabilityReport,
     run_rodin_1d,

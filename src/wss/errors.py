@@ -8,8 +8,3 @@ class UsageError(ValueError):
 class DataError(ValueError):
     """Input data is unusable (non-finite samples, wrong shape, ...)."""
 
-
-class ResourceLimitError(UsageError):
-    """A computation was refused because it would exceed the configured
-    memory/size guard.  Set the WSS_MAX_B environment variable to raise
-    the limit, or select streaming mode where available."""

@@ -123,7 +123,6 @@ def run_theorem1(
     spec: FunctionSpec | str,
     lambda_grid,
     seed: int = 0,
-    mode: str = "auto",
 ) -> SummabilityReport:
     """Superlevel sweep of the pointwise BMO norm of the diagonal sums,
     normalized by 1 + the alpha=2 entropy functional of the input."""
@@ -132,7 +131,7 @@ def run_theorem1(
     f = generate_function(spec, seed)
     if not isinstance(f, DyadicGrid2D):
         raise UsageError("theorem1 experiment needs a 2D function spec")
-    bmo = bmo_of_diagonal_sums(quadratic_sums(f, mode=mode))
+    bmo = bmo_of_diagonal_sums(quadratic_sums(f))
     report = SummabilityReport("theorem1", spec.text, spec.bits, seed)
     for alpha in (0, 1, 2):
         report.add("entropy", alpha, entropy_functional(f, alpha))
@@ -192,7 +191,6 @@ def run_theorem2(
     m_grid,
     probes: list[tuple[float, float]] | None = None,
     seed: int = 0,
-    mode: str = "auto",
 ) -> SummabilityReport:
     """Trajectories m -> (1/m) sum_{n<=m} (exp(a |S_nn - f|) - 1) at probe points."""
     spec = _as_spec(spec)
@@ -208,7 +206,7 @@ def run_theorem2(
     if not probes:
         raise UsageError("no probe points available for this spec")
     phi = PhiFunction.exp_minus_one(a)
-    fld = quadratic_sums(f, mode=mode)
+    fld = quadratic_sums(f)
     report = SummabilityReport("theorem2", spec.text, spec.bits, seed)
     report.add("exceptional_measure", 0.0, excluded)
     for x, y in probes:
@@ -405,12 +403,7 @@ def run_configured(cfg: ExperimentConfig, default_seed: int = 0) -> SummabilityR
     kind = cfg.get("experiment")
     seed = cfg.number("seed", str(default_seed), int)
     if kind == "theorem1":
-        report = run_theorem1(
-            cfg.get("spec"),
-            cfg.numbers("lambda"),
-            seed=seed,
-            mode=cfg.options.get("mode", "auto"),
-        )
+        report = run_theorem1(cfg.get("spec"), cfg.numbers("lambda"), seed=seed)
     elif kind == "theorem2":
         probes = None
         if "probes" in cfg.options:
@@ -424,7 +417,6 @@ def run_configured(cfg: ExperimentConfig, default_seed: int = 0) -> SummabilityR
             cfg.numbers("m", kind=int),
             probes=probes,
             seed=seed,
-            mode=cfg.options.get("mode", "auto"),
         )
     elif kind == "rodin":
         report = run_rodin_1d(

@@ -33,13 +33,21 @@ class OperatorField:
 
 
 def _axis_maximal(a: np.ndarray, bits: int, axis: int) -> np.ndarray:
-    """Running max of dyadic block averages of |a| along one axis."""
-    a = np.abs(np.moveaxis(a, axis, 0))
-    best = a.copy()
-    level = a
-    for n in range(bits - 1, -1, -1):
-        level = 0.5 * (level[0::2] + level[1::2])
-        np.maximum(best, np.repeat(level, 1 << (bits - n), axis=0), out=best)
+    """Running max of dyadic block averages of |a| along one axis.
+
+    The averages are built bottom-up; the max then runs top-down, each level
+    folding its coarser parent into its two children in place, so no level
+    is expanded to the full grid.
+    """
+    levels = [np.abs(np.moveaxis(a, axis, 0))]
+    for _ in range(bits):
+        levels.append(0.5 * (levels[-1][0::2] + levels[-1][1::2]))
+    best = levels.pop()
+    while levels:
+        finer = levels.pop()
+        for child in (finer[0::2], finer[1::2]):
+            np.maximum(child, best, out=child)
+        best = finer
     return np.moveaxis(best, 0, axis)
 
 
@@ -49,17 +57,21 @@ def dyadic_maximal_1d(f: DyadicGrid1D) -> OperatorField:
 
 
 def dyadic_maximal(f: DyadicGrid2D) -> OperatorField:
-    """Dyadic maximal function over squares I_n(x) x I_n(y), built bottom-up."""
-    a = np.abs(f.samples)
-    best = a.copy()
-    level = a
-    for n in range(f.bits - 1, -1, -1):
+    """Dyadic maximal function over squares I_n(x) x I_n(y): square averages
+    built bottom-up, their max taken top-down as in `_axis_maximal`."""
+    level = np.abs(f.samples)
+    levels = [level]
+    for _ in range(f.bits):
         level = 0.25 * (
             level[0::2, 0::2] + level[0::2, 1::2] + level[1::2, 0::2] + level[1::2, 1::2]
         )
-        scale = 1 << (f.bits - n)
-        expanded = np.repeat(np.repeat(level, scale, axis=0), scale, axis=1)
-        np.maximum(best, expanded, out=best)
+        levels.append(level)
+    best = levels.pop()
+    while levels:
+        finer = levels.pop()
+        for child in (finer[0::2, 0::2], finer[0::2, 1::2], finer[1::2, 0::2], finer[1::2, 1::2]):
+            np.maximum(child, best, out=child)
+        best = finer
     return OperatorField(best, "M", f.bits)
 
 

@@ -79,31 +79,48 @@ def _sequence_values(xi) -> np.ndarray:
     return SummandSequence(np.asarray(xi)).values
 
 
+def _max_mean_square_oscillation(a: np.ndarray) -> np.ndarray:
+    """Largest mean square deviation from the block mean over the integer dyadic
+    blocks of the last axis of `a`, for every leading index.
+
+    A pairwise pyramid with the merge of Chan, Golub and LeVeque ("Updating
+    formulae and a pairwise algorithm for computing sample variances", 1979):
+    a block carries its sum s and P, twice its sum of squared deviations, and
+    sibling blocks of length h merge as
+
+        s = s_L + s_R,    P = P_L + P_R + (s_L - s_R)^2 / h,
+
+    the merged block's mean square deviation being P / 4h.  Single terms
+    (deviation 0) are skipped.  There is no centring pass: the relative
+    rounding error is about eps max|a| over the result.  Every scale is a
+    power of two, so on dyadic rationals the result is exact.
+    """
+    if a.shape[-1] == 1:
+        return np.zeros(a.shape[:-1])
+    left, right = a[..., 0::2], a[..., 1::2]
+    total = left + right
+    spread = left - right
+    spread *= spread
+    best = spread.max(axis=-1) * 0.25
+    h = 2
+    while total.shape[-1] > 1:
+        left, right = total[..., 0::2], total[..., 1::2]
+        gap = left - right
+        gap *= gap
+        gap *= 1.0 / h
+        spread = spread[..., 0::2] + spread[..., 1::2]
+        spread += gap
+        total = left + right
+        best = np.maximum(best, spread.max(axis=-1) * (0.25 / h))
+        h *= 2
+    return best
+
+
 def bmo_sequence_norm(xi) -> float:
     """BMO norm of a sequence: sup over integer dyadic intervals J of the
-    root-mean-square deviation from the interval mean.
-
-    Per-level block sums of xi and xi^2 are merged pairwise bottom-up, so the
-    whole scan costs O(L log L).  The sequence is centered by its global mean
-    first; that leaves every interval deviation unchanged but keeps the
-    mean-of-squares minus squared-mean step well conditioned.
-    """
-    x = _sequence_values(xi)
-    x = x - x.mean()
-    s1 = x.copy()
-    s2 = x * x
-    best = 0.0
-    size = 1
-    while True:
-        mean = s1 / size
-        dev = s2 / size - mean * mean
-        best = max(best, float(dev.max()))
-        if s1.shape[0] == 1:
-            break
-        s1 = s1[0::2] + s1[1::2]
-        s2 = s2[0::2] + s2[1::2]
-        size *= 2
-    return math.sqrt(max(best, 0.0))
+    root-mean-square deviation from the interval mean, in O(L) by the
+    pairwise pyramid `_max_mean_square_oscillation`."""
+    return math.sqrt(float(_max_mean_square_oscillation(_sequence_values(xi))))
 
 
 def bmo_sequence_norm_function_form(xi) -> float:
@@ -125,49 +142,36 @@ def bmo_sequence_norm_function_form(xi) -> float:
 def bmo_function_norm(f: DyadicGrid1D) -> float:
     """Dyadic-BMO norm of a step function: sup over dyadic intervals of the
     L2 mean oscillation, plus the |integral of f| term."""
-    integral = float(f.samples.mean())
-    x = f.samples - integral  # oscillations are shift invariant
-    s1 = x.copy()
-    s2 = x * x
-    best = 0.0
-    size = 1
-    while True:
-        mean = s1 / size
-        dev = s2 / size - mean * mean
-        best = max(best, float(dev.max()))
-        if s1.shape[0] == 1:
-            break
-        s1 = s1[0::2] + s1[1::2]
-        s2 = s2[0::2] + s2[1::2]
-        size *= 2
-    return math.sqrt(max(best, 0.0)) + abs(integral)
+    oscillation = math.sqrt(float(_max_mean_square_oscillation(f.samples)))
+    return oscillation + abs(float(f.samples.mean()))
 
 
-def bmo_of_diagonal_sums(field: DiagonalSumField, max_rows: int = 16) -> DyadicGrid2D:
+def bmo_of_diagonal_sums(field: DiagonalSumField, max_rows: int | None = None) -> DyadicGrid2D:
     """At each grid point, the BMO norm of the sequence n -> S_nn(x, y),
-    n = 0..2^bits - 1."""
+    n = 0..2^bits - 1.
+
+    The field's (x, y, n) blocks go through one batched oscillation pyramid
+    with the Chan-Golub-LeVeque merge, `_max_mean_square_oscillation`: about
+    2 N^3 (interval, point) pairs in O(N^3) time and a few blocks of memory.
+    The norm is 1-homogeneous, so the profiles are first scaled by the power
+    of two 2^-e that brings their largest magnitude into [1/2, 1) and the
+    result by 2^e: squares of huge or tiny amplitudes neither overflow nor
+    underflow, and in-range results keep every bit.
+    """
     if field.size < 2:
         raise UsageError("diagonal field must cover at least 2 indices")
     n = field.size
+    peak = max(np.abs(field.row_profiles).max(), np.abs(field.col_profiles).max())
+    exponent = int(np.frexp(peak)[1])
+    scaled = DiagonalSumField(
+        field.bits,
+        np.ldexp(field.row_profiles, -exponent),
+        np.ldexp(field.col_profiles, -exponent),
+    )
     out = np.empty((n, n))
-    for sl, block in field.iter_sequence_blocks(max_rows=max_rows):
-        seq = block[..., :n]
-        seq = seq - seq.mean(axis=-1, keepdims=True)
-        s1 = seq.copy()
-        s2 = seq * seq
-        best = np.zeros(seq.shape[:2])
-        size = 1
-        while True:
-            mean = s1 / size
-            dev = s2 / size - mean * mean
-            np.maximum(best, dev.max(axis=-1), out=best)
-            if s1.shape[-1] == 1:
-                break
-            s1 = s1[..., 0::2] + s1[..., 1::2]
-            s2 = s2[..., 0::2] + s2[..., 1::2]
-            size *= 2
-        out[sl] = np.sqrt(np.maximum(best, 0.0))
-    return DyadicGrid2D(field.bits, out)
+    for sl, block in scaled.iter_sequence_blocks(max_rows=max_rows):
+        out[sl] = _max_mean_square_oscillation(block[..., :n])
+    return DyadicGrid2D(field.bits, np.ldexp(np.sqrt(out), exponent))
 
 
 _PHI_PROBE = np.concatenate(([0.0], np.geomspace(1e-6, 50.0, 40)))

@@ -13,7 +13,7 @@ import numpy as np
 from .dyadic import walsh_matrix_f64
 from .errors import UsageError
 from .means import integer_dyadic_intervals
-from .sums import all_partial_sums_1d, partial_sum_1d, rectangular_partial_sum
+from .sums import DiagonalSumField, all_partial_sums_1d, partial_sum_1d, rectangular_partial_sum
 from .transform import DyadicGrid1D, DyadicGrid2D, naive_wht_2d
 
 
@@ -79,6 +79,14 @@ def diagonal_sums_brute(f: DyadicGrid2D) -> np.ndarray:
     out = np.empty((f.size + 1, f.size, f.size))
     for n in range(f.size + 1):
         out[n] = rectangular_partial_sum(f, n, n).samples
+    return out
+
+
+def materialize(field: DiagonalSumField) -> np.ndarray:
+    """The (N+1, N, N) cube values[n] = S_nn, stacked from the field's blocks."""
+    out = np.empty((field.length, field.size, field.size))
+    for sl, block in field.iter_sequence_blocks():
+        out[:, sl, :] = np.moveaxis(block, -1, 0)
     return out
 
 

@@ -11,7 +11,7 @@ from . import oracles
 from .dyadic import walsh_matrix
 from .generators import random_grid_1d, random_grid_2d
 from .maximal import dyadic_maximal, schipp_v
-from .means import bmo_sequence_norm
+from .means import bmo_of_diagonal_sums, bmo_sequence_norm
 from .sums import partial_sum_1d, quadratic_sums
 from .transform import (
     inverse_wht_1d,
@@ -55,9 +55,9 @@ def _check_martingale() -> tuple[bool, str]:
 
 def _check_quadratic_sums() -> tuple[bool, str]:
     f = random_grid_2d(4, seed=404)
-    fast = quadratic_sums(f, mode="full")
+    fast = oracles.materialize(quadratic_sums(f))
     brute = oracles.diagonal_sums_brute(f)
-    gap = float(np.abs(fast.values - brute).max())
+    gap = float(np.abs(fast - brute).max())
     return gap <= 1e-10, f"incremental vs per-n synthesis gap {gap:.3g}"
 
 
@@ -68,6 +68,17 @@ def _check_bmo() -> tuple[bool, str]:
     fast = bmo_sequence_norm(xi)
     brute = oracles.bmo_sequence_brute(xi)
     return fast == brute, f"fast {fast!r} vs brute {brute!r}"
+
+
+def _check_bmo_diagonal() -> tuple[bool, str]:
+    f = random_grid_2d(4, seed=808)
+    field = quadratic_sums(f)
+    fast = bmo_of_diagonal_sums(field).samples
+    cube = oracles.materialize(field)[: f.size]
+    brute = np.array([[oracles.bmo_sequence_brute(cube[:, ix, iy]) for iy in range(f.size)]
+                      for ix in range(f.size)])
+    gap = float(np.abs(fast - brute).max() / brute.max())
+    return gap <= 1e-12, f"pyramid vs interval enumeration, relative gap {gap:.3g}"
 
 
 def _check_schipp_v() -> tuple[bool, str]:
@@ -89,6 +100,7 @@ CHECKS = [
     ("martingale", _check_martingale),
     ("quadratic-sums", _check_quadratic_sums),
     ("bmo-sequence", _check_bmo),
+    ("bmo-diagonal", _check_bmo_diagonal),
     ("schipp-v", _check_schipp_v),
     ("dyadic-maximal", _check_dyadic_maximal),
 ]

@@ -8,20 +8,20 @@ S_nn to S_{n+1,n+1} adds spectral row n (k <= n) and spectral column n
     v[v, x] = sum_{m<v}  c[m, v] w_m(x)    (column profiles)
 
 each step is the rank-two update w_v(x) u[v, y] + v[v, x] w_v(y), so the full
-field costs O(2^{3B}) and a single point's sequence costs O(2^B).  The field
-can be materialized (guarded by bits <= WSS_MAX_B, default 8) or streamed in
-blocks of x-rows.
+field costs O(2^{3B}) and a single point's sequence costs O(2^B).  Only the
+O(2^{2B}) profiles are stored: the field streams (x, y, n) blocks of whole
+per-point sequences, each built in place by one cumulative sum along n and
+sized to a fixed byte budget, and never holds the (2^B + 1) x 2^B x 2^B cube.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 from .dyadic import bit_reverse_permutation, walsh_matrix_f64
-from .errors import ResourceLimitError, UsageError
+from .errors import UsageError
 from .transform import (
     DyadicGrid1D,
     DyadicGrid2D,
@@ -34,18 +34,7 @@ from .transform import (
     wht_2d,
 )
 
-DEFAULT_MAX_FULL_BITS = 8
-
-
-def max_full_bits() -> int:
-    """Materialization guard; override with the WSS_MAX_B environment variable."""
-    raw = os.environ.get("WSS_MAX_B")
-    if raw is None:
-        return DEFAULT_MAX_FULL_BITS
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise UsageError(f"WSS_MAX_B must be an integer, got {raw!r}") from exc
+BLOCK_BYTES = 2 << 20  # one streamed sequence block: about an L2 cache
 
 
 def partial_sum_1d(f: DyadicGrid1D, n: int) -> DyadicGrid1D:
@@ -151,18 +140,21 @@ def marginal_maximal_2(f: DyadicGrid2D) -> DyadicGrid2D:
 
 @dataclass
 class DiagonalSumField:
-    """All quadratic partial sums S_nn(x, y; f), n = 0..2^bits.
+    """All quadratic partial sums S_nn(x, y; f), n = 0..2^bits, kept as the
+    O(N^2) row and column profiles and streamed on demand.
 
-    ``values`` (when materialized) has shape (2^bits + 1, N, N) with
-    values[n] = S_nn on the grid.  In streaming mode only the O(N^2) row and
-    column profiles are kept and sequences are produced on demand, in blocks
-    of x-rows, without materializing the (N+1, N, N) cube.
+    `iter_sequence_blocks` yields blocks of x-rows in (x, y, n) order, so each
+    grid point's whole sequence n -> S_nn(x, y) is contiguous; `slice_at` and
+    `sequence_at` give one n or one point.
     """
 
     bits: int
     row_profiles: np.ndarray = field(repr=False)
     col_profiles: np.ndarray = field(repr=False)
-    values: np.ndarray | None = field(default=None, repr=False)
+
+    # The cube is never materialized; perfbench's tracer still reads both names.
+    values = None
+    streaming = True
 
     @property
     def size(self) -> int:
@@ -173,16 +165,10 @@ class DiagonalSumField:
         """Number of diagonal indices produced (n = 0..2^bits inclusive)."""
         return self.size + 1
 
-    @property
-    def streaming(self) -> bool:
-        return self.values is None
-
     def slice_at(self, n: int) -> np.ndarray:
         """S_nn on the full grid, shape (N, N)."""
         if not 0 <= n <= self.size:
             raise UsageError(f"diagonal index {n} outside [0, 2^{self.bits}]")
-        if self.values is not None:
-            return self.values[n]
         w = walsh_matrix_f64(self.bits)
         acc = np.zeros((self.size, self.size))
         for v in range(n):
@@ -194,72 +180,57 @@ class DiagonalSumField:
         """The sequence n -> S_nn(x, y) at one grid point, length 2^bits + 1."""
         if not (0 <= ix < self.size and 0 <= iy < self.size):
             raise UsageError(f"grid point ({ix}, {iy}) outside the {self.bits}-bit grid")
-        if self.values is not None:
-            return self.values[:, ix, iy].copy()
         w = walsh_matrix_f64(self.bits)
         steps = w[:, ix] * self.row_profiles[:, iy] + self.col_profiles[:, ix] * w[:, iy]
         seq = np.zeros(self.size + 1)
         np.cumsum(steps, out=seq[1:])
         return seq
 
-    def iter_sequence_blocks(self, max_rows: int = 16) -> Iterator[tuple[slice, np.ndarray]]:
-        """Yield (x-slice, block) with block[xi, y, n] = S_nn(x, y).
+    def iter_sequence_blocks(self, max_rows: int | None = None) -> Iterator[tuple[slice, np.ndarray]]:
+        """Yield (x-slice, block) with block[xi, y, n] = S_nn(x, y), n = 0..2^bits.
 
-        Blocks cover the grid in row order; each block holds max_rows rows of
-        full per-point diagonal sequences (n = 0..2^bits).
+        Blocks cover the grid in row order.  By default each holds as many
+        x-rows as fit in BLOCK_BYTES (at least one): a block that stays in
+        cache beats a larger one.  The rank-two steps are formed from
+        transposed Walsh and profile tables directly in (x, y, n) order and
+        summed along n into the block, so no transpose or copy follows.
         """
+        n = self.size
+        if max_rows is None:
+            max_rows = max(1, BLOCK_BYTES // (8 * n * (n + 1)))
         if max_rows < 1:
             raise UsageError("max_rows must be >= 1")
-        n = self.size
-        w = walsh_matrix_f64(self.bits) if self.values is None else None
+        max_rows = min(max_rows, n)
+        w_t = np.ascontiguousarray(walsh_matrix_f64(self.bits).T)
+        u_t = np.ascontiguousarray(self.row_profiles.T)
+        v_t = np.ascontiguousarray(self.col_profiles.T)
+        steps = np.empty((max_rows, n, n))  # scratch reused by every block
+        cross = np.empty_like(steps)
         for x0 in range(0, n, max_rows):
             sl = slice(x0, min(x0 + max_rows, n))
-            if self.values is not None:
-                yield sl, np.ascontiguousarray(self.values[:, sl, :].transpose(1, 2, 0))
-                continue
-            steps = (
-                w[:, sl, None] * self.row_profiles[:, None, :]
-                + self.col_profiles[:, sl, None] * w[:, None, :]
-            )
-            seqs = np.zeros((n + 1, sl.stop - sl.start, n))
-            np.cumsum(steps, axis=0, out=seqs[1:])
-            yield sl, np.ascontiguousarray(seqs.transpose(1, 2, 0))
+            rows = sl.stop - sl.start
+            block = np.empty((rows, n, n + 1))
+            block[..., 0] = 0.0
+            np.multiply(w_t[sl, None, :], u_t, out=steps[:rows])
+            np.multiply(v_t[sl, None, :], w_t, out=cross[:rows])
+            steps[:rows] += cross[:rows]
+            np.cumsum(steps[:rows], axis=-1, out=block[..., 1:])
+            yield sl, block
 
 
 def quadratic_sums(f: DyadicGrid2D, mode: str = "auto") -> DiagonalSumField:
-    """Build the diagonal-sum field for f.
+    """Build the streamed diagonal-sum field of f from its row and column
+    profiles, O(N^2 log N).
 
-    mode "full" materializes all (2^bits + 1) slices (refused above the
-    WSS_MAX_B guard), "streaming" keeps only the O(N^2) profiles, "auto"
-    materializes when within the guard.
+    `mode` ("auto", "full" or "streaming") is accepted for callers written
+    when the cube could be materialized; every value builds the same field.
     """
     if mode not in ("auto", "full", "streaming"):
         raise UsageError(f"unknown mode {mode!r}")
-    limit = max_full_bits()
-    if mode == "auto":
-        mode = "full" if f.bits <= limit else "streaming"
-    if mode == "full" and f.bits > limit:
-        raise ResourceLimitError(
-            f"materializing 2^{3 * f.bits} diagonal sums exceeds the guard "
-            f"(bits {f.bits} > {limit}); use streaming mode or raise WSS_MAX_B"
-        )
-
-    n = f.size
     coeffs = wht_2d(f).coeffs
     rev = bit_reverse_permutation(f.bits)
     # Row profiles synthesize the lower triangle (k <= v) of each spectral row
     # along y; column profiles synthesize the strict upper triangle along x.
     row_profiles = _fwht(np.tril(coeffs)[:, rev], 1)
     col_profiles = _fwht(np.triu(coeffs, 1).T[:, rev], 1)
-
-    values = None
-    if mode == "full":
-        w = walsh_matrix_f64(f.bits)
-        values = np.empty((n + 1, n, n))
-        values[0] = 0.0
-        for v in range(n):
-            delta = np.multiply.outer(w[v], row_profiles[v]) + np.multiply.outer(
-                col_profiles[v], w[v]
-            )
-            values[v + 1] = values[v] + delta
-    return DiagonalSumField(f.bits, row_profiles, col_profiles, values)
+    return DiagonalSumField(f.bits, row_profiles, col_profiles)

@@ -119,8 +119,8 @@ def test_criterion_4_quadratic_incremental_oracle():
     worst = 0.0
     for i in range(50):
         f = random_grid_2d(5, seed=4000 + i)
-        field = quadratic_sums(f, mode="full")
-        worst = max(worst, float(np.abs(field.values - oracles.diagonal_sums_brute(f)).max()))
+        cube = oracles.materialize(quadratic_sums(f))
+        worst = max(worst, float(np.abs(cube - oracles.diagonal_sums_brute(f)).max()))
     _report(4, "quadratic-sum-oracle", worst <= 1e-10, f"50 grids at 5 bits, max gap {worst:.2e}")
 
 
@@ -176,8 +176,7 @@ def test_criterion_7_weak_type_stability():
     for target in (1, 10, 100):
         constants = []
         for bits in (5, 6, 7):
-            mode = "streaming" if bits == 7 else "auto"
-            rep = run_theorem1(f"spike:level=2,target={target}@B={bits}", lambdas, mode=mode)
+            rep = run_theorem1(f"spike:level=2,target={target}@B={bits}", lambdas)
             constants.append(rep.value("empirical_constant"))
         spread = max(constants) / min(constants)
         spreads.append(spread)

@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wss.cli import main
 from wss.generators import generate_function
@@ -156,3 +162,107 @@ def test_config_grammar_errors_exit_2(tmp_path, capsys, text):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("amp", ["1e200", "1e-200"])
+def test_theorem1_at_extreme_amplitudes(tmp_path, amp):
+    cfg = tmp_path / "amp.ini"
+    scale = float(amp)
+    cfg.write_text(
+        f"[amp]\nexperiment = theorem1\nspec = random-step:level=3,dim=2,amp={amp}@B=5\n"
+        f"lambda = {0.1 * scale:g},{scale:g}\n"
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "report.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    values = [float(r["value"]) for r in rows]
+    assert np.isfinite(values).all()
+    # a random step of amplitude A has pointwise BMO well above A / 10
+    assert [float(r["value"]) for r in rows if r["param"] == "measure"][0] > 0
+
+
+# --- fuzz of the config and spec grammar -----------------------------------
+# Sections start from a valid config of each experiment kind; up to two edits
+# then swap a value or one token of it for a malformed one, drop a line or add
+# a stray one, so runs reach the kernels as well as every parser.
+
+_JUNK = st.sampled_from(["", "x", "-1", "0", "7", "4.7", "nan", "inf", "1e200", "1e-200",
+                         "-0.25", "1,2", "q=1", "+", "@", "=", "3+", "[s]", "theorem3", "V3"])
+
+
+def _increasing(values, min_size=1):
+    return st.lists(values, min_size=min_size, max_size=4, unique=True).map(
+        lambda v: ",".join(repr(x) for x in sorted(v)))
+
+
+@st.composite
+def _spec(draw, bits, dims):
+    size = 1 << bits
+    level = f"level={draw(st.integers(0, bits))}"
+    kinds = ["random-step", "random-spectrum", "indicator-rect", "walsh-tensor"]
+    kind = draw(st.sampled_from(kinds + ["spike"] * (dims == 2)))
+    index = st.integers(0, size - 1).map(str)
+    params = {
+        "random-step": f"{level},dim={dims},amp={draw(st.sampled_from(['1', '1e200', '-3']))}",
+        "random-spectrum": f"support={draw(st.integers(1, size))},dim={dims}",
+        "spike": f"{level},target={draw(st.floats(0.1, 100.0))!r}",
+        "indicator-rect": ",".join(repr(draw(st.floats(0.0, 1.0))) for _ in range(2 * dims)),
+        "walsh-tensor": draw(st.lists(index, min_size=dims, max_size=dims).map(",".join)),
+    }[kind]
+    return f"{kind}:{params}@B={bits}"
+
+
+@st.composite
+def _section(draw, name):
+    bits = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["theorem1", "theorem2", "rodin", "weak_type"]))
+    lambdas = _increasing(st.floats(1e-3, 1e3))
+    ms = _increasing(st.integers(1, 1 << bits))
+    keys = {"experiment": st.just(kind), "seed": st.integers(0, 99).map(str),
+            "mode": st.sampled_from(["auto", "full", "streaming", "cube"])}
+    if kind == "theorem1":
+        keys.update(spec=_spec(bits, 2), **{"lambda": lambdas})
+    elif kind == "theorem2":
+        keys.update(spec=_spec(bits, 2), m=ms, a=st.floats(0.1, 4.0).map(repr),
+                    probes=st.lists(st.floats(0.0, 0.99).map(repr), min_size=2, max_size=4)
+                    .map(lambda v: ",".join(v[: len(v) // 2 * 2])))
+    elif kind == "rodin":
+        keys.update(spec=_spec(bits, 1), m=ms, eps=st.floats(1e-4, 1.0).map(repr),
+                    phi=st.sampled_from(["exp_minus_one:1", "power:2", "power:0.5"]))
+    else:
+        operator = draw(st.sampled_from(["M", "M1", "M2", "V", "V1", "V2", "Sch-ratio"]))
+        keys.update(operator=st.just(operator), count=st.integers(1, 3).map(str),
+                    spec=_spec(bits, 1 if operator in ("V", "Sch-ratio") else 2),
+                    **{"lambda": lambdas})
+    lines = [[key, draw(value)] for key, value in keys.items()]
+    for edit, at, junk in draw(st.lists(
+            st.tuples(st.sampled_from(["value", "token", "drop", "line"]),
+                      st.integers(0, len(lines) - 1), _JUNK), max_size=2)):
+        if edit in ("value", "token") and len(lines[at]) < 2:
+            continue  # that line is already dropped or replaced
+        if edit == "value":
+            lines[at][1] = junk
+        elif edit == "token":
+            tokens = re.split(r"([,:@=+])", lines[at][1])
+            tokens[draw(st.integers(0, len(tokens) - 1))] = junk
+            lines[at][1] = "".join(tokens)
+        elif edit == "drop":
+            lines[at] = []
+        else:
+            lines[at] = [draw(st.sampled_from(["junk", "[half", "", "  more", "k: v"]))]
+    return f"[{name}]\n" + "\n".join(" = ".join(line) for line in lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=2, unique=True).flatmap(
+    lambda names: st.tuples(*(_section(name) for name in names))).map("\n".join))
+def test_fuzzed_configs_run_or_exit_2_with_a_message(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.ini"
+        cfg.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", str(cfg), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2), text
+    if code == 2:
+        assert err.getvalue().startswith("error: "), text

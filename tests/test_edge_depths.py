@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from wss import oracles
 from wss.generators import random_grid_1d, random_grid_2d
 from wss.maximal import dyadic_maximal, hybrid_v_1, schipp_v_max, superlevel_measure
 from wss.means import bmo_of_diagonal_sums, entropy_functional, marcinkiewicz_mean
@@ -23,9 +24,10 @@ def test_one_dimensional_stack(bits):
 def test_two_dimensional_stack(bits):
     f = random_grid_2d(bits, seed=62)
     assert np.abs(inverse_wht_2d(wht_2d(f)).samples - f.samples).max() <= 1e-13
-    field = quadratic_sums(f, mode="full")
-    assert field.values.shape == (f.size + 1, f.size, f.size)
-    assert np.abs(field.values[f.size] - f.samples).max() <= 1e-12
+    field = quadratic_sums(f)
+    cube = oracles.materialize(field)
+    assert cube.shape == (f.size + 1, f.size, f.size)
+    assert np.abs(cube[f.size] - f.samples).max() <= 1e-12
     bmo = bmo_of_diagonal_sums(field)
     assert bmo.samples.shape == (f.size, f.size)
     assert np.all(bmo.samples >= 0)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dyadic_rationals
 from wss import oracles
 from wss.errors import DataError, UsageError
 from wss.generators import random_grid_1d, random_grid_2d
@@ -75,6 +76,20 @@ def test_hybrid_constant_and_pointwise():
     g = random_grid_2d(4, seed=8)
     assert np.all(hybrid_maximal_1(g).values >= np.abs(g.samples) - 1e-14)
     assert np.all(hybrid_maximal_2(g).values >= np.abs(g.samples) - 1e-14)
+
+
+def test_one_axis_maximals_match_cell_average_oracle():
+    # dyadic rationals: block means are exact in any order, so equality is exact
+    f = DyadicGrid2D(5, dyadic_rationals(10, 1024).reshape(32, 32))
+    a = DyadicGrid2D(5, np.abs(f.samples))
+    m1 = np.max([oracles.cell_averages_2d(a, n, 5) for n in range(6)], axis=0)
+    m2 = np.max([oracles.cell_averages_2d(a, 5, n) for n in range(6)], axis=0)
+    assert np.array_equal(hybrid_maximal_1(f).values, m1)
+    assert np.array_equal(hybrid_maximal_2(f).values, m2)
+    g = DyadicGrid1D(5, f.samples[3])
+    m = np.max([oracles.cell_averages_1d(DyadicGrid1D(5, np.abs(g.samples)), n)
+                for n in range(6)], axis=0)
+    assert np.array_equal(dyadic_maximal_1d(g).values, m)
 
 
 def test_hybrid_reduces_to_1d_on_tensor():

@@ -12,6 +12,7 @@ from wss.errors import DataError, UsageError
 from wss.generators import random_grid_2d
 from wss.means import (
     IndexInterval,
+    _max_mean_square_oscillation,
     PhiFunction,
     SummandSequence,
     bmo_function_norm,
@@ -57,6 +58,16 @@ def test_bmo_sequence_fast_equals_brute_exactly():
         length = 2 ** (1 + seed % 8)
         xi = dyadic_rationals(seed, length)
         assert bmo_sequence_norm(xi) == oracles.bmo_sequence_brute(xi)
+
+
+def test_oscillation_kernel_batched_equals_brute_exactly():
+    # one batched call over rows of every power-of-two length, each row exact
+    for log_len in range(9):
+        rows = np.stack([dyadic_rationals(100 * log_len + i, 1 << log_len) for i in range(6)])
+        got = _max_mean_square_oscillation(rows.reshape(2, 3, -1))
+        want = [oracles.bmo_sequence_brute(row) ** 2 for row in rows]
+        assert got.shape == (2, 3)
+        assert np.sqrt(got).ravel().tolist() == [math.sqrt(v) for v in want]
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,6 +156,28 @@ def test_bmo_of_diagonal_sums_matches_per_point():
         assert out.samples[ix, iy] == pytest.approx(bmo_sequence_norm(seq), abs=1e-10)
 
 
+@pytest.mark.parametrize("bits", range(1, 7))
+def test_bmo_of_diagonal_sums_matches_brute_everywhere(bits):
+    f = random_grid_2d(bits, seed=25 + bits)
+    field = quadratic_sums(f)
+    out = bmo_of_diagonal_sums(field).samples
+    cube = oracles.materialize(field)[: f.size]
+    brute = [[oracles.bmo_sequence_brute(cube[:, ix, iy]) for iy in range(f.size)]
+             for ix in range(f.size)]
+    np.testing.assert_allclose(out, brute, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("exponent", [600, -600])
+def test_bmo_of_diagonal_sums_huge_and_tiny_amplitudes_exact(exponent):
+    # the squares of 2^600 overflow and those of 2^-600 underflow; a power of
+    # two scales every step exactly, so the field must scale bit for bit
+    f = random_grid_2d(4, seed=26)
+    base = bmo_of_diagonal_sums(quadratic_sums(f)).samples
+    scaled = DyadicGrid2D(4, np.ldexp(f.samples, exponent))
+    out = bmo_of_diagonal_sums(quadratic_sums(scaled)).samples
+    assert np.array_equal(out, np.ldexp(base, exponent))
+
+
 def test_bmo_of_diagonal_sums_scale_equivariant():
     # Diagonal sums are linear in f, so the pointwise BMO field scales with |c|.
     f = random_grid_2d(4, seed=27)
@@ -175,10 +208,11 @@ def test_marcinkiewicz_mean_constant():
 
 def test_marcinkiewicz_mean_matches_brute_average():
     f = random_grid_2d(4, seed=31)
-    field = quadratic_sums(f, mode="full")
+    field = quadratic_sums(f)
+    cube = oracles.materialize(field)
     for n in (1, 3, 16):
         out = marcinkiewicz_mean(field, n)
-        brute = field.values[:n].mean(axis=0)
+        brute = cube[:n].mean(axis=0)
         assert np.abs(out.samples - brute).max() <= 1e-12
     with pytest.raises(UsageError):
         marcinkiewicz_mean(field, 0)
@@ -225,11 +259,11 @@ def test_phi_mean_spectrum_resolved_decay():
     # All coefficients below index 2: only the n=1 summand deviates, so the
     # mean is exactly C/m beyond the support.
     f = random_grid_2d(4, seed=41)
-    low = quadratic_sums(f, mode="full").values[2]  # S_22 has support below 2... use as input
+    low = oracles.materialize(quadratic_sums(f))[2]  # S_22 has support below 2... use as input
     g = DyadicGrid2D(4, low)
-    field = quadratic_sums(g, mode="full")
+    field = quadratic_sums(g)
     phi = PhiFunction.exp_minus_one(1.0)
-    s11 = field.values[1]
+    s11 = oracles.materialize(field)[1]
     c_grid = np.expm1(np.abs(s11 - g.samples))
     for m in (2, 4, 8, 16):
         out = phi_mean(field, g, m, phi)

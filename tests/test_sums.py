@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from wss import oracles
 from wss.dyadic import walsh_row
-from wss.errors import ResourceLimitError, UsageError
+from wss.errors import UsageError
 from wss.generators import generate_function, random_grid_1d, random_grid_2d
 from wss.sums import (
     all_partial_sums_1d,
@@ -91,68 +91,60 @@ def test_rectangular_against_definitional_synthesis():
 
 def test_quadratic_sums_match_per_n_oracle():
     f = random_grid_2d(4, seed=9)
-    field = quadratic_sums(f, mode="full")
+    cube = oracles.materialize(quadratic_sums(f))
     brute = oracles.diagonal_sums_brute(f)
-    assert np.abs(field.values - brute).max() <= 1e-10
+    assert np.abs(cube - brute).max() <= 1e-10
 
 
 def test_quadratic_sums_single_tensor_coefficient():
     bits = 3
     w3 = walsh_row(3, bits).astype(float)
     f = DyadicGrid2D(bits, np.outer(w3, w3))
-    field = quadratic_sums(f, mode="full")
+    cube = oracles.materialize(quadratic_sums(f))
     for n in range(4):
-        assert np.abs(field.values[n]).max() <= 1e-13
+        assert np.abs(cube[n]).max() <= 1e-13
     for n in range(4, 9):
-        assert np.abs(field.values[n] - f.samples).max() <= 1e-13
+        assert np.abs(cube[n] - f.samples).max() <= 1e-13
 
 
 def test_quadratic_sums_constant():
     f = DyadicGrid2D(3, np.full((8, 8), 1.75))
-    field = quadratic_sums(f)
+    cube = oracles.materialize(quadratic_sums(f))
     for n in range(1, 9):
-        assert np.abs(field.values[n] - 1.75).max() <= 1e-13
+        assert np.abs(cube[n] - 1.75).max() <= 1e-13
 
 
 def test_diagonal_consistency_with_rectangular():
     f = random_grid_2d(5, seed=10)
-    field = quadratic_sums(f, mode="full")
+    cube = oracles.materialize(quadratic_sums(f))
     for n in range(33):
         rect = rectangular_partial_sum(f, n, n).samples
-        assert np.abs(field.values[n] - rect).max() <= 1e-10
+        assert np.abs(cube[n] - rect).max() <= 1e-10
 
 
 def test_streaming_matches_full():
     f = random_grid_2d(4, seed=11)
-    full = quadratic_sums(f, mode="full")
-    lazy = quadratic_sums(f, mode="streaming")
-    assert lazy.streaming and not full.streaming
-    got = np.empty_like(full.values)
+    lazy = quadratic_sums(f)
+    full = oracles.materialize(lazy)
+    got = np.empty_like(full)
     for sl, block in lazy.iter_sequence_blocks(max_rows=5):
         got[:, sl, :] = block.transpose(2, 0, 1)
-    assert np.abs(got - full.values).max() <= 1e-12
+    assert np.abs(got - full).max() <= 1e-12
     seq = lazy.sequence_at(3, 12)
-    assert np.abs(seq - full.values[:, 3, 12]).max() <= 1e-12
-    assert np.abs(lazy.slice_at(7) - full.values[7]).max() <= 1e-12
+    assert np.abs(seq - full[:, 3, 12]).max() <= 1e-12
+    assert np.abs(lazy.slice_at(7) - full[7]).max() <= 1e-12
 
 
-def test_materialization_guard(monkeypatch):
-    from wss.sums import max_full_bits
-
-    f = DyadicGrid2D(9, np.zeros((512, 512)))
-    with pytest.raises(ResourceLimitError):
-        quadratic_sums(f, mode="full")
-    assert quadratic_sums(f, mode="auto").streaming
-    monkeypatch.setenv("WSS_MAX_B", "10")
-    assert max_full_bits() == 10
-    monkeypatch.setenv("WSS_MAX_B", "4")
-    g = random_grid_2d(5, seed=12)
-    with pytest.raises(ResourceLimitError):
-        quadratic_sums(g, mode="full")
-    assert quadratic_sums(g, mode="auto").streaming
-    monkeypatch.setenv("WSS_MAX_B", "not-a-number")
+def test_legacy_modes_build_the_same_field():
+    f = random_grid_2d(5, seed=12)
+    base = quadratic_sums(f)
+    assert base.values is None and base.streaming
+    for mode in ("auto", "full", "streaming"):
+        field = quadratic_sums(f, mode=mode)
+        assert np.array_equal(field.row_profiles, base.row_profiles)
+        assert np.array_equal(field.col_profiles, base.col_profiles)
     with pytest.raises(UsageError):
-        quadratic_sums(g, mode="auto")
+        quadratic_sums(f, mode="cube")
 
 
 def test_marginal_sums_basic():
