@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import MAX_MATRIX_BITS
-from .errors import UsageError
+from .errors import DataError, UsageError
 from .generators import FunctionSpec, generate_function, parse_number
 from .maximal import (
     dyadic_maximal,
@@ -66,6 +66,10 @@ class SummabilityReport:
 
     def validate(self) -> None:
         """Structural invariants every report must satisfy."""
+        for param, key, value in self.rows:
+            if not np.isfinite(value):
+                raise DataError(
+                    f"{param} at {_fmt(key)} overflowed float64; evaluate with log_phi_mean instead")
         for prefix in ("measure", "exceed"):
             for param in {p for (p, _, _) in self.rows if p.startswith(prefix)}:
                 keys, vals = self.series(param)

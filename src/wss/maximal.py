@@ -3,13 +3,15 @@
 All suprema over scales truncate at the grid level: beyond it every cell
 average equals the sample value, so the truncation is exact for grid-resolved
 step functions.  The t-integral inside V_n is an exact finite sum, because the
-integrand is itself a dyadic step function at the grid resolution.  No
+integrand is itself a dyadic step function at the grid resolution.  M, M1
+and M2 are one dyadic pyramid, `_dyadic_maximal`, over both axes or one.  No
 operator here takes a transform: V_n reads S_{2^n} f as level-n cell averages
 and runs on the 2^n coarse cells, batched along the last axis, so V costs
 O(N B) on N = 2^B samples and the hybrids V1, V2 are single batched calls.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,57 +34,53 @@ class OperatorField:
             raise DataError(f"operator field {self.label!r} has negative entries")
 
 
-def _axis_maximal(a: np.ndarray, bits: int, axis: int) -> np.ndarray:
-    """Running max of dyadic block averages of |a| along one axis.
+def _dyadic_maximal(a: np.ndarray, bits: int, axes: tuple[int, ...]) -> np.ndarray:
+    """Running max of the averages of |a| over dyadic cells of the given axes.
 
-    The averages are built bottom-up; the max then runs top-down, each level
-    folding its coarser parent into its two children in place, so no level
-    is expanded to the full grid.
+    The averages are built bottom-up, summing the children in
+    `itertools.product` order; the max then runs top-down, each level
+    folding its coarser parent into its children in place, so no level is
+    expanded to the full grid.  O(size of a).
     """
-    levels = [np.abs(np.moveaxis(a, axis, 0))]
+
+    def children(level):
+        for offsets in itertools.product((0, 1), repeat=len(axes)):
+            index = [slice(None)] * level.ndim
+            for axis, offset in zip(axes, offsets):
+                index[axis] = slice(offset, None, 2)
+            yield level[tuple(index)]
+
+    levels = [np.abs(a)]
     for _ in range(bits):
-        levels.append(0.5 * (levels[-1][0::2] + levels[-1][1::2]))
+        first, *rest = children(levels[-1])
+        levels.append(0.5 ** len(axes) * sum(rest, first))
     best = levels.pop()
     while levels:
         finer = levels.pop()
-        for child in (finer[0::2], finer[1::2]):
+        for child in children(finer):
             np.maximum(child, best, out=child)
         best = finer
-    return np.moveaxis(best, 0, axis)
+    return best
 
 
 def dyadic_maximal_1d(f: DyadicGrid1D) -> OperatorField:
     """1D dyadic maximal function: sup_n of the |f|-average over I_n(x)."""
-    return OperatorField(_axis_maximal(f.samples, f.bits, 0), "M", f.bits)
+    return OperatorField(_dyadic_maximal(f.samples, f.bits, (0,)), "M", f.bits)
 
 
 def dyadic_maximal(f: DyadicGrid2D) -> OperatorField:
-    """Dyadic maximal function over squares I_n(x) x I_n(y): square averages
-    built bottom-up, their max taken top-down as in `_axis_maximal`."""
-    level = np.abs(f.samples)
-    levels = [level]
-    for _ in range(f.bits):
-        level = 0.25 * (
-            level[0::2, 0::2] + level[0::2, 1::2] + level[1::2, 0::2] + level[1::2, 1::2]
-        )
-        levels.append(level)
-    best = levels.pop()
-    while levels:
-        finer = levels.pop()
-        for child in (finer[0::2, 0::2], finer[0::2, 1::2], finer[1::2, 0::2], finer[1::2, 1::2]):
-            np.maximum(child, best, out=child)
-        best = finer
-    return OperatorField(best, "M", f.bits)
+    """Dyadic maximal function over squares I_n(x) x I_n(y)."""
+    return OperatorField(_dyadic_maximal(f.samples, f.bits, (0, 1)), "M", f.bits)
 
 
 def hybrid_maximal_1(f: DyadicGrid2D) -> OperatorField:
     """M_1: the 1D dyadic maximal in x for each fixed y."""
-    return OperatorField(_axis_maximal(f.samples, f.bits, 0), "M1", f.bits)
+    return OperatorField(_dyadic_maximal(f.samples, f.bits, (0,)), "M1", f.bits)
 
 
 def hybrid_maximal_2(f: DyadicGrid2D) -> OperatorField:
     """M_2: the 1D dyadic maximal in y for each fixed x."""
-    return OperatorField(_axis_maximal(f.samples, f.bits, 1), "M2", f.bits)
+    return OperatorField(_dyadic_maximal(f.samples, f.bits, (1,)), "M2", f.bits)
 
 
 def _schipp_v_values(samples: np.ndarray, bits: int, n: int) -> np.ndarray:

@@ -92,8 +92,8 @@ def _max_mean_square_oscillation(a: np.ndarray) -> np.ndarray:
 
     the merged block's mean square deviation being P / 4h.  Single terms
     (deviation 0) are skipped.  There is no centring pass: the relative
-    rounding error is about eps max|a| over the result.  Every scale is a
-    power of two, so on dyadic rationals the result is exact.
+    rounding error is about eps max|a| over the result, so rows should start
+    near 0.  Every scale is a power of two: dyadic rationals stay exact.
     """
     if a.shape[-1] == 1:
         return np.zeros(a.shape[:-1])
@@ -119,8 +119,10 @@ def _max_mean_square_oscillation(a: np.ndarray) -> np.ndarray:
 def bmo_sequence_norm(xi) -> float:
     """BMO norm of a sequence: sup over integer dyadic intervals J of the
     root-mean-square deviation from the interval mean, in O(L) by the
-    pairwise pyramid `_max_mean_square_oscillation`."""
-    return math.sqrt(float(_max_mean_square_oscillation(_sequence_values(xi))))
+    pairwise pyramid `_max_mean_square_oscillation`, on the sequence less its
+    first term (a shift leaves every oscillation unchanged)."""
+    x = _sequence_values(xi)
+    return math.sqrt(float(_max_mean_square_oscillation(x - x[0])))
 
 
 def bmo_sequence_norm_function_form(xi) -> float:
@@ -142,7 +144,7 @@ def bmo_sequence_norm_function_form(xi) -> float:
 def bmo_function_norm(f: DyadicGrid1D) -> float:
     """Dyadic-BMO norm of a step function: sup over dyadic intervals of the
     L2 mean oscillation, plus the |integral of f| term."""
-    oscillation = math.sqrt(float(_max_mean_square_oscillation(f.samples)))
+    oscillation = math.sqrt(float(_max_mean_square_oscillation(f.samples - f.samples[0])))
     return oscillation + abs(float(f.samples.mean()))
 
 
@@ -211,10 +213,10 @@ class PhiFunction:
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
-        if self.tag == "power":
-            return t**self.param
-        if self.tag == "exp_minus_one":
-            with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):
+            if self.tag == "power":
+                return t**self.param
+            if self.tag == "exp_minus_one":
                 return np.expm1(self.param * t)
         return np.asarray(self.fn(t), dtype=np.float64)
 

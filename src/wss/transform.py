@@ -1,8 +1,9 @@
 """Walsh-Fourier analysis and synthesis in Paley order, 1D and 2D.
 
 Analysis carries the 2**-bits measure factor so coefficients equal the
-integrals int f w_k; synthesis carries no factor.  The fast paths are
-natural-order Hadamard butterflies composed with a bit-reversal permutation
+integrals int f w_k; synthesis carries no factor.  Every fast path, here and
+in `wss.sums`, is `_analysis` or the truncated synthesis `_synthesis`: a
+natural-order Hadamard butterfly composed with a bit-reversal permutation
 (Paley row k of the sampled Walsh matrix is natural row reverse(k)).  The
 naive transforms evaluate the defining sums directly with a fixed ascending
 summation order and serve as oracles for the fast paths.
@@ -142,16 +143,39 @@ def _fwht(values: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(a, -1, axis)
 
 
+def _analysis(samples: np.ndarray, bits: int, axes: tuple[int, ...]) -> np.ndarray:
+    """Paley coefficients along `axes`, transformed in the order given."""
+    rev = bit_reverse_permutation(bits)
+    t = samples
+    for axis in axes:
+        t = np.take(_fwht(t, axis), rev, axis=axis)
+    return t * 2.0 ** (-bits * len(axes))
+
+
+def _synthesis(coeffs: np.ndarray, bits: int, orders) -> np.ndarray:
+    """From the last axis to the first, each axis with an order (not None)
+    has its coefficients from that order on zeroed and is synthesized."""
+    rev = bit_reverse_permutation(bits)
+    t = coeffs
+    for axis, order in reversed(list(enumerate(orders))):
+        if order is None:
+            continue
+        if not 0 <= order <= 1 << bits:
+            raise UsageError(f"order {order} outside [0, 2^{bits}]")
+        t = np.take(t, rev, axis=axis)
+        np.moveaxis(t, axis, 0)[rev[order:]] = 0.0  # where Paley k >= order
+        t = _fwht(t, axis)
+    return t
+
+
 def wht_1d(f: DyadicGrid1D) -> Spectrum1D:
     """Fast Paley-ordered analysis: coeffs[k] = 2^-bits sum_i f_i w_k(i)."""
-    rev = bit_reverse_permutation(f.bits)
-    return Spectrum1D(f.bits, _fwht(f.samples, 0)[rev] * 2.0 ** -f.bits)
+    return Spectrum1D(f.bits, _analysis(f.samples, f.bits, (0,)))
 
 
 def inverse_wht_1d(c: Spectrum1D) -> DyadicGrid1D:
     """Synthesis f(x) = sum_k coeffs[k] w_k(x); exact inverse of wht_1d."""
-    rev = bit_reverse_permutation(c.bits)
-    return DyadicGrid1D(c.bits, _fwht(c.coeffs[rev], 0))
+    return DyadicGrid1D(c.bits, _synthesis(c.coeffs, c.bits, (1 << c.bits,)))
 
 
 def naive_wht_1d(f: DyadicGrid1D) -> Spectrum1D:
@@ -163,18 +187,12 @@ def naive_wht_1d(f: DyadicGrid1D) -> Spectrum1D:
 
 def wht_2d(f: DyadicGrid2D) -> Spectrum2D:
     """Fast 2D analysis: 1D pass along x (axis 0), then along y (axis 1)."""
-    rev = bit_reverse_permutation(f.bits)
-    t = _fwht(f.samples, 0)[rev, :]
-    t = _fwht(t, 1)[:, rev]
-    return Spectrum2D(f.bits, t * 4.0 ** -f.bits)
+    return Spectrum2D(f.bits, _analysis(f.samples, f.bits, (0, 1)))
 
 
 def inverse_wht_2d(c: Spectrum2D) -> DyadicGrid2D:
     """2D synthesis; column pass (axis 1) then row pass (axis 0)."""
-    rev = bit_reverse_permutation(c.bits)
-    t = _fwht(c.coeffs[:, rev], 1)
-    t = _fwht(t[rev, :], 0)
-    return DyadicGrid2D(c.bits, t)
+    return DyadicGrid2D(c.bits, _synthesis(c.coeffs, c.bits, (1 << c.bits,) * 2))
 
 
 def naive_wht_2d(f: DyadicGrid2D) -> Spectrum2D:

@@ -3,6 +3,7 @@ import csv
 import io
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,28 @@ def test_rodin_past_the_table_cap_names_its_limit(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "error: rodin experiment needs B <= 13" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[s]\nexperiment = rodin\nspec = random-step:level=3,dim=1,amp=1000@B=6\n"
+        "phi = exp_minus_one:1\nm = 4,8\n",
+        "[s]\nexperiment = rodin\nspec = random-step:level=3,dim=1,amp=1000@B=6\n"
+        "phi = power:400\nm = 4,8\n",
+        "[s]\nexperiment = theorem2\nspec = random-step:level=2,dim=2,amp=1000@B=5\nm = 4,8\n",
+    ],
+    ids=["rodin-exp", "rodin-power", "theorem2"],
+)
+def test_overflowed_phi_means_exit_2(tmp_path, capsys, text):
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning would be a leak too
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflowed float64" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "report.csv").exists()
 
 
 THEOREM2 = "[s]\nexperiment = theorem2\nspec = indicator-rect:0,0.5,0,0.5@B=4\nm = 4,8\n"

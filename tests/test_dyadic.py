@@ -92,6 +92,13 @@ def test_character_property_exhaustive():
     assert np.array_equal(w[:, xy], w[:, idx][:, :, None] * w[:, idx][:, None, :])
 
 
+@pytest.mark.parametrize("bits", range(1, 11))
+def test_walsh_matrix_is_symmetric(bits):
+    # popcount(k & rev i) = popcount(i & rev k): the field reads rows for columns
+    w = walsh_matrix(bits)
+    assert np.array_equal(w, w.T)
+
+
 def test_orthonormality_exhaustive():
     w = walsh_matrix(6).astype(np.int64)
     assert np.array_equal(w @ w.T, 64 * np.eye(64, dtype=np.int64))

@@ -57,6 +57,17 @@ def test_partial_sum_out_of_range():
         partial_sum_1d(f, -1)
 
 
+def test_two_dimensional_orders_out_of_range():
+    f = random_grid_2d(3, seed=5)
+    field = quadratic_sums(f)
+    for bad in (-1, 9):
+        for call in (lambda: rectangular_partial_sum(f, bad, 2), lambda: rectangular_partial_sum(f, 2, bad),
+                     lambda: marginal_sum_1(f, bad), lambda: marginal_sum_2(f, bad),
+                     lambda: field.slice_at(bad)):
+            with pytest.raises(UsageError):
+                call()
+
+
 def test_all_partial_sums_consistent():
     f = random_grid_1d(6, seed=5)
     table = all_partial_sums_1d(f)
@@ -180,10 +191,20 @@ def test_marginal_maximal_examples():
 
 
 def test_marginal_maximal_matches_brute():
-    f = random_grid_2d(5, seed=17)
-    fast = marginal_maximal_2(f).samples
-    brute = oracles.marginal_maximal_2_brute(f)
-    assert np.abs(fast - brute).max() <= 1e-12
+    for bits in range(1, 8):
+        f = random_grid_2d(bits, seed=12 + bits)  # B=5: seed 17, as before
+        fast = marginal_maximal_2(f).samples
+        brute = oracles.marginal_maximal_2_brute(f)
+        assert np.abs(fast - brute).max() <= 1e-12
+        np.testing.assert_allclose(fast, brute, rtol=1e-12, atol=0)
+
+
+def test_slice_at_matches_rectangular_partial_sum():
+    f = random_grid_2d(4, seed=18)
+    field = quadratic_sums(f)
+    for n in range(f.size + 1):
+        rect = rectangular_partial_sum(f, n, n).samples
+        assert np.abs(field.slice_at(n) - rect).max() <= 1e-12 * max(1.0, np.abs(rect).max())
 
 
 # --- dyadic square sums (Paley prefix scan) ---------------------------------
