@@ -12,10 +12,11 @@ import configparser
 import csv
 import io
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
-from .dyadic import MAX_MATRIX_BITS
+from .dyadic import walsh_row
 from .errors import DataError, UsageError
 from .generators import FunctionSpec, generate_function, parse_number
 from .maximal import (
@@ -28,8 +29,8 @@ from .maximal import (
     superlevel_measure,
 )
 from .means import PhiFunction, bmo_of_diagonal_sums, entropy_functional, phi_mean_sequence
-from .sums import all_partial_sums_1d, dyadic_square_sums, quadratic_sums
-from .transform import DyadicGrid1D, DyadicGrid2D
+from .sums import BLOCK_BYTES, _prefix_sums, dyadic_square_sums, quadratic_sums
+from .transform import DyadicGrid1D, DyadicGrid2D, wht_1d
 
 CSV_FIELDS = ("experiment", "spec", "B", "seed", "param", "lambda_or_m", "value")
 
@@ -68,8 +69,7 @@ class SummabilityReport:
         """Structural invariants every report must satisfy."""
         for param, key, value in self.rows:
             if not np.isfinite(value):
-                raise DataError(
-                    f"{param} at {_fmt(key)} overflowed float64; evaluate with log_phi_mean instead")
+                raise DataError(f"{param} at {_fmt(key)} overflowed float64")
         for prefix in ("measure", "exceed"):
             for param in {p for (p, _, _) in self.rows if p.startswith(prefix)}:
                 keys, vals = self.series(param)
@@ -225,6 +225,38 @@ def run_theorem2(
     return report
 
 
+def iter_rodin_means(f: DyadicGrid1D, phi: PhiFunction, ms) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (m, (1/m) sum_{k=1..m} Phi(|S_k f - f|) on the grid) for m in `ms`.
+
+    Paley blocks: for a = j 2^s and r = 1..2^s, S_{a+r} f = S_a f + w_a P_r,
+    where P_r = sum_{i<r} c_{a+i} w_i lives on level-s cells, so
+    |S_{a+r} f - f| = |P_r + w_a (S_a f - f)|.  A block holds 2^s N values
+    within BLOCK_BYTES (1 <= s <= B) and the last one ends at max(ms):
+    O(N max(ms)) time, O(2^s N) memory.  Overflow fails at its first block.
+    """
+    ms = _m_grid(ms, f.size)
+    s = min(f.bits, max(1, (BLOCK_BYTES // (8 * f.size)).bit_length() - 1))
+    width, c, i = 1 << s, wht_1d(f).coeffs, 0
+    target = f.samples.reshape(width, -1)  # x = (level-s cell, offset in it)
+    start, total = np.zeros_like(target), np.zeros_like(target)
+    for a in range(0, ms[-1], width):
+        prefix = _prefix_sums(c[a:a + width], s)[1:, :, None]  # P_r, r = 1..2^s
+        sign = walsh_row(a, f.bits).reshape(width, -1)
+        dev = prefix + sign * (start - target)  # w_a (S_{a+r} f - f)
+        start = start + sign * prefix[-1]
+        terms = phi(np.abs(dev, out=dev))
+        terms[0] += total
+        for r in range(1, width):  # the sum along k: row by row beats an axis-0 cumsum
+            np.add(terms[r - 1], terms[r], out=terms[r])
+        total = terms[-1]
+        if not np.isfinite(total).all():
+            raise DataError(f"rodin Phi-mean overflowed float64 by k = {a + width}; "
+                            "lower the phi parameter")
+        while i < len(ms) and ms[i] <= a + width:
+            yield ms[i], terms[ms[i] - a - 1].reshape(-1) / ms[i]
+            i += 1
+
+
 def run_rodin_1d(
     spec: FunctionSpec | str,
     phi: PhiFunction,
@@ -235,30 +267,21 @@ def run_rodin_1d(
     """1D Phi-mean trajectories of |S_k - f| and their exceedance measures.
 
     For each m in the grid (1 <= m <= 2^B) the mean is
-    (1/m) sum_{k=1..m} Phi(|S_k f - f|)(x) on the 2^B grid; the report holds
-    its maximum over x and the measure of {x : mean > eps}.  Rodin's theorem
-    only says the mean tends to 0 a.e. as m -> oo: it gives no rate, so no
-    finite m has a theoretical bound on the exceedance.
+    (1/m) sum_{k=1..m} Phi(|S_k f - f|)(x) on the 2^B grid, streamed in Paley
+    blocks by the identity S_{a+r} f = S_a f + w_a P_r (`iter_rodin_means`);
+    the report holds its maximum over x and the measure of {x : mean > eps}.
+    Rodin's theorem only says the mean tends to 0 a.e. as m -> oo: it gives
+    no rate, so no finite m has a theoretical bound on the exceedance.
     """
     spec = _as_spec(spec)
     if eps <= 0:
         raise UsageError(f"exceedance threshold must be positive, got {eps}")
-    if spec.bits > MAX_MATRIX_BITS:
-        raise UsageError(
-            f"rodin experiment needs B <= {MAX_MATRIX_BITS}: it builds the 2^B x 2^B "
-            f"partial-sum table, got B={spec.bits}"
-        )
     f = generate_function(spec, seed)
     if not isinstance(f, DyadicGrid1D):
         raise UsageError("rodin experiment needs a 1D function spec")
-    ms = _m_grid(m_grid, f.size)
-    sums = all_partial_sums_1d(f)
-    terms = phi(np.abs(sums[1:] - f.samples[None, :]))
-    csum = np.cumsum(terms, axis=0)
     report = SummabilityReport("rodin", spec.text, spec.bits, seed)
     exceed_label = f"exceed:eps={eps:g}:phi={phi.describe()}"
-    for m in ms:
-        means = csum[m - 1] / m
+    for m, means in iter_rodin_means(f, phi, m_grid):
         report.add(exceed_label, m, float((means > eps).mean()))
         report.add("mean_max", m, float(means.max()))
     report.validate()

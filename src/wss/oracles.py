@@ -97,6 +97,14 @@ def dyadic_square_sums_brute(f: DyadicGrid1D) -> np.ndarray:
     return csum[(1 << np.arange(f.bits + 1)) - 1]
 
 
+def rodin_means_brute(f: DyadicGrid1D, phi, ms) -> np.ndarray:
+    """Row i: (1/m) sum_{k=1..m} Phi(|S_k f - f|) on the grid at m = ms[i],
+    read off the cumulative Phi terms of the full partial-sum table."""
+    terms = phi(np.abs(all_partial_sums_1d(f)[1:] - f.samples))
+    ms = np.asarray(ms)
+    return np.cumsum(terms, axis=0)[ms - 1] / ms[:, None]
+
+
 def marginal_maximal_2_brute(f: DyadicGrid2D) -> np.ndarray:
     """Exhaustive sup over m of |S_m^(2) f| via per-m synthesis."""
     from .sums import marginal_sum_2

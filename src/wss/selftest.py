@@ -9,9 +9,10 @@ import numpy as np
 
 from . import oracles
 from .dyadic import walsh_matrix
+from .experiments import iter_rodin_means
 from .generators import random_grid_1d, random_grid_2d
 from .maximal import dyadic_maximal, schipp_v
-from .means import bmo_of_diagonal_sums, bmo_sequence_norm
+from .means import PhiFunction, bmo_of_diagonal_sums, bmo_sequence_norm
 from .sums import partial_sum_1d, quadratic_sums
 from .transform import (
     inverse_wht_1d,
@@ -93,6 +94,14 @@ def _check_dyadic_maximal() -> tuple[bool, str]:
     return gap <= 1e-12, f"pyramid vs block-scan gap {gap:.3g}"
 
 
+def _check_rodin_stream() -> tuple[bool, str]:
+    f, phi, ms = random_grid_1d(10, seed=909), PhiFunction.exp_minus_one(1.0), range(1, 1025)
+    fast = np.array([means for _, means in iter_rodin_means(f, phi, ms)])  # 4 blocks at B = 10
+    brute = oracles.rodin_means_brute(f, phi, ms)
+    gap = float(np.abs(fast - brute).max() / brute.max())
+    return gap <= 1e-12, f"Paley-block stream vs partial-sum table, relative gap {gap:.3g}"
+
+
 CHECKS = [
     ("transform-1d", _check_transform_1d),
     ("transform-2d", _check_transform_2d),
@@ -103,6 +112,7 @@ CHECKS = [
     ("bmo-diagonal", _check_bmo_diagonal),
     ("schipp-v", _check_schipp_v),
     ("dyadic-maximal", _check_dyadic_maximal),
+    ("rodin-stream", _check_rodin_stream),
 ]
 
 

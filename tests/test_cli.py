@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from wss.cli import main
 from wss.generators import generate_function
+from wss.sums import partial_sum_1d
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -118,12 +119,20 @@ def test_sch_ratio_runs_past_the_walsh_matrix_cap(tmp_path):
     assert float(rows[0]["value"]) > 0
 
 
-def test_rodin_past_the_table_cap_names_its_limit(tmp_path, capsys):
+def test_rodin_runs_past_the_old_table_cap(tmp_path):
+    spec = "random-step:level=3,dim=1@B=14"
     cfg = tmp_path / "deep.ini"
-    cfg.write_text("[deep]\nexperiment = rodin\nspec = random-step:level=3,dim=1@B=14\nm = 4\n")
-    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "error: rodin experiment needs B <= 13" in err and "Traceback" not in err
+    cfg.write_text(f"[deep]\nexperiment = rodin\nspec = {spec}\nm = 4,16\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "report.csv", newline="") as handle:
+        rows = [r for r in csv.DictReader(handle) if r["param"] == "mean_max"]
+    f = generate_function(spec, int(rows[0]["seed"]))
+    terms = [np.expm1(np.abs(partial_sum_1d(f, k).samples - f.samples)) for k in range(1, 17)]
+    assert [r["lambda_or_m"] for r in rows] == ["4", "16"]
+    for row in rows:
+        m = int(row["lambda_or_m"])
+        defining = float((sum(terms[:m]) / m).max())
+        np.testing.assert_allclose(float(row["value"]), defining, rtol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -133,9 +142,11 @@ def test_rodin_past_the_table_cap_names_its_limit(tmp_path, capsys):
         "phi = exp_minus_one:1\nm = 4,8\n",
         "[s]\nexperiment = rodin\nspec = random-step:level=3,dim=1,amp=1000@B=6\n"
         "phi = power:400\nm = 4,8\n",
+        "[s]\nexperiment = rodin\nspec = random-step:level=3,dim=1,amp=1000@B=14\n"
+        "phi = exp_minus_one:1\nm = 4,8\n",
         "[s]\nexperiment = theorem2\nspec = random-step:level=2,dim=2,amp=1000@B=5\nm = 4,8\n",
     ],
-    ids=["rodin-exp", "rodin-power", "theorem2"],
+    ids=["rodin-exp", "rodin-power", "rodin-past-old-cap", "theorem2"],
 )
 def test_overflowed_phi_means_exit_2(tmp_path, capsys, text):
     cfg = tmp_path / "huge.ini"

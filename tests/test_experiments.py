@@ -1,11 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wss import experiments, oracles
 from wss.errors import UsageError
 from wss.experiments import (
     ExperimentConfig,
     SummabilityReport,
     default_probes,
+    iter_rodin_means,
     load_config,
     reports_csv_bytes,
     run_configured,
@@ -14,7 +20,7 @@ from wss.experiments import (
     run_theorem2,
     run_weak_type_suite,
 )
-from wss.generators import FunctionSpec
+from wss.generators import FunctionSpec, generate_function, random_grid_1d
 from wss.means import PhiFunction
 
 LAMBDAS = [0.25, 0.5, 1.0, 2.0, 4.0]
@@ -103,6 +109,47 @@ def test_rodin_spectrum_resolved_decay():
     rep = run_rodin_1d("walsh-tensor:3@B=6", PhiFunction.exp_minus_one(1.0), [8, 16, 32, 64])
     ms, vals = rep.series("mean_max")
     np.testing.assert_allclose(vals * ms, vals[0] * ms[0], rtol=1e-12)
+
+
+def _assert_stream_matches_table(f, phi, ms):
+    stream = np.array([means for _, means in iter_rodin_means(f, phi, ms)])
+    table = oracles.rodin_means_brute(f, phi, ms)
+    np.testing.assert_allclose(stream, table, rtol=1e-12)
+    np.testing.assert_array_equal((stream > 0.01).mean(axis=1), (table > 0.01).mean(axis=1))
+
+
+@pytest.mark.parametrize("bits", range(1, 11), ids=lambda b: f"B={b}")
+def test_rodin_stream_matches_table(bits):
+    # Every m in 1..N, so m = 1, the block edges w - 1, w, w + 1, and N.  Up
+    # to B = 9 the default block is the whole table (s clipped to B); at
+    # B = 10 four blocks of 2^8 orders are chained.
+    f = random_grid_1d(bits, seed=1500 + bits)
+    _assert_stream_matches_table(f, PhiFunction.exp_minus_one(1.0), range(1, f.size + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 8), st.integers(1, 8), st.integers(0, 10_000),
+       st.booleans(), st.data())
+def test_rodin_stream_matches_table_at_any_block_width(bits, level, s, seed, power, data):
+    level, s = min(level, bits), min(s, bits)
+    f = generate_function(f"random-step:level={level},dim=1@B={bits}", seed)
+    phi = PhiFunction.power(2.0) if power else PhiFunction.exp_minus_one(1.0)
+    ms = sorted(data.draw(st.sets(st.integers(1, f.size), min_size=1)))
+    with mock.patch.object(experiments, "BLOCK_BYTES", 8 << (bits + s)):  # blocks of 2^s
+        _assert_stream_matches_table(f, phi, ms)
+
+
+def test_rodin_stream_with_grid_rows_past_the_block_budget():
+    # At B = 19 one grid row alone is 4 MiB, over BLOCK_BYTES: blocks of 2 orders.
+    from wss.sums import partial_sum_1d
+
+    spec = "random-step:level=4,dim=1@B=19"
+    f = generate_function(spec, 5)
+    phi = PhiFunction.exp_minus_one(1.0)
+    terms = [phi(np.abs(partial_sum_1d(f, k).samples - f.samples)) for k in (1, 2, 3)]
+    rep = run_rodin_1d(spec, phi, [1, 3], seed=5)
+    assert rep.value("mean_max", 1) == pytest.approx(terms[0].max(), rel=1e-12)
+    assert rep.value("mean_max", 3) == pytest.approx((sum(terms) / 3).max(), rel=1e-12)
 
 
 def test_weak_type_constant_function():
