@@ -35,16 +35,22 @@ def _cmd_run(args) -> int:
         raise UsageError(f"no experiment sections in {args.config!r}")
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
+    out_dir = Path(args.out)
+    try:  # before any section runs, so a bad --out costs nothing
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {args.out!r}: {exc.strerror}") from exc
     if args.threads == 1:
         reports = [run_configured(cfg, args.seed) for cfg in configs]
     else:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             futures = [pool.submit(run_configured, cfg, args.seed) for cfg in configs]
             reports = [fut.result() for fut in futures]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / "report.csv"
-    write_reports_csv(reports, target)
+    try:
+        write_reports_csv(reports, target)
+    except OSError as exc:
+        raise UsageError(f"cannot write {str(target)!r}: {exc.strerror}") from exc
     for report in reports:
         print(f"{report.experiment}: {len(report.rows)} rows (spec {report.spec}, B={report.bits})")
     print(f"wrote {target}")
@@ -65,7 +71,10 @@ def _cmd_gen(args) -> int:
                     ["gen", spec.text, str(spec.bits), str(args.seed), f"grid2d:row={i}", str(j),
                      format(grid.samples[i, j], ".17g")]
                 )
-    handle = open(args.out, "w", newline="") if args.out else sys.stdout
+    try:
+        handle = open(args.out, "w", newline="") if args.out else sys.stdout
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out!r}: {exc.strerror}") from exc
     try:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_FIELDS)

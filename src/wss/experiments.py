@@ -294,8 +294,12 @@ def sch_ratio_max(f: DyadicGrid1D) -> float:
     The strong quadratic means come from the scan `dyadic_square_sums` in
     O(N log N) time and O(N) memory, with no partial-sum table or Walsh
     matrix, so any depth the grid allows runs (the table route stopped at
-    B = 13).  Points where the mean is 0 count as ratio 0.
+    B = 13).  Points where the mean is 0 count as ratio 0.  The ratio is
+    scale-invariant, so f is first scaled by the power of two that brings
+    max|f| into [1/2, 1): the squared sums neither overflow nor underflow at
+    extreme amplitudes, and in-range inputs keep every bit.
     """
+    f = DyadicGrid1D(f.bits, np.ldexp(f.samples, -int(np.frexp(np.abs(f.samples).max())[1])))
     squares = dyadic_square_sums(f)
     v = schipp_v_max(f).values
     best = 0.0

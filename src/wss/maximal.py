@@ -83,8 +83,9 @@ def hybrid_maximal_2(f: DyadicGrid2D) -> OperatorField:
     return OperatorField(_dyadic_maximal(f.samples, f.bits, (1,)), "M2", f.bits)
 
 
-def _schipp_v_values(samples: np.ndarray, bits: int, n: int) -> np.ndarray:
-    """V_n along the last axis of `samples`, for any leading axes.
+def _schipp_v_values(samples: np.ndarray, bits: int, orders) -> np.ndarray:
+    """max over n in `orders` of V_n along the last axis of `samples`, for
+    any leading axes.
 
     V_n(x)^2 = 2^-n int_0^1 ( sum_{j<n} 2^(j-1) 1_{I_j}(t) g(x+t+e_j) )^2 dt
     with g = S_{2^n} f and + the dyadic sum.  For t in the shell
@@ -95,20 +96,31 @@ def _schipp_v_values(samples: np.ndarray, bits: int, n: int) -> np.ndarray:
     identity g is the level-n cell average, and the shifts e_j, j < n, permute
     level-n cells, so c and q = c^2 are constant on them: the sum runs on the
     2^n coarse cells, and the shells k >= n together with x's own grid cell
-    fill x's level-n cell, adding the final q times its measure.  O(N + n 2^n).
+    fill x's level-n cell, adding the final q times its measure.  O(N + n 2^n)
+    per order.
+
+    V_n is 1-homogeneous, so the samples are first scaled by the power of two
+    2^-e that brings their largest magnitude into [1/2, 1) and the result by
+    2^e: c * c neither overflows nor underflows at extreme amplitudes, and
+    in-range results keep every bit.
     """
-    g = samples
-    for _ in range(bits - n):
-        g = 0.5 * (g[..., 0::2] + g[..., 1::2])
-    idx = np.arange(1 << n)
-    c = acc = 0.0
-    for k in range(n):
-        c = c + 2.0 ** (k - 1) * g[..., idx ^ (1 << (n - 1 - k))]
-        q = block_sums = c * c
-        for _ in range(n - 1 - k):  # a fixed pairwise tree: a row's sums ignore the batch
-            block_sums = block_sums[..., 0::2] + block_sums[..., 1::2]
-        acc = acc + block_sums[..., (idx >> (n - 1 - k)) ^ 1]
-    return np.repeat(np.sqrt(acc + q) * 2.0**-n, 1 << (bits - n), axis=-1)
+    exponent = int(np.frexp(np.abs(samples).max())[1])
+    scaled = np.ldexp(samples, -exponent)
+    best = np.zeros(samples.shape)  # V_n >= 0
+    for n in orders:
+        g = scaled
+        for _ in range(bits - n):
+            g = 0.5 * (g[..., 0::2] + g[..., 1::2])
+        idx = np.arange(1 << n)
+        c = acc = 0.0
+        for k in range(n):
+            c = c + 2.0 ** (k - 1) * g[..., idx ^ (1 << (n - 1 - k))]
+            q = block_sums = c * c
+            for _ in range(n - 1 - k):  # a fixed pairwise tree: a row's sums ignore the batch
+                block_sums = block_sums[..., 0::2] + block_sums[..., 1::2]
+            acc = acc + block_sums[..., (idx >> (n - 1 - k)) ^ 1]
+        np.maximum(best, np.repeat(np.sqrt(acc + q) * 2.0**-n, 1 << (bits - n), axis=-1), out=best)
+    return np.ldexp(best, exponent)
 
 
 def schipp_v(f: DyadicGrid1D, n: int) -> OperatorField:
@@ -119,16 +131,13 @@ def schipp_v(f: DyadicGrid1D, n: int) -> OperatorField:
     """
     if not 1 <= n <= f.bits:
         raise UsageError(f"operator order {n} outside [1, {f.bits}]")
-    return OperatorField(_schipp_v_values(f.samples, f.bits, n), f"V_{n}", f.bits)
+    return OperatorField(_schipp_v_values(f.samples, f.bits, (n,)), f"V_{n}", f.bits)
 
 
 def schipp_v_max(f: DyadicGrid1D | DyadicGrid2D) -> OperatorField:
     """V f = sup over n = 1..bits of V_n f along the last axis of the samples:
     the 1D operator on a 1D grid, V in y for every fixed x on a 2D grid."""
-    best = _schipp_v_values(f.samples, f.bits, 1)
-    for n in range(2, f.bits + 1):
-        np.maximum(best, _schipp_v_values(f.samples, f.bits, n), out=best)
-    return OperatorField(best, "V", f.bits)
+    return OperatorField(_schipp_v_values(f.samples, f.bits, range(1, f.bits + 1)), "V", f.bits)
 
 
 def hybrid_v_1(f: DyadicGrid2D) -> OperatorField:

@@ -4,9 +4,14 @@ Analysis carries the 2**-bits measure factor so coefficients equal the
 integrals int f w_k; synthesis carries no factor.  Every fast path, here and
 in `wss.sums`, is `_analysis` or the truncated synthesis `_synthesis`: a
 natural-order Hadamard butterfly composed with a bit-reversal permutation
-(Paley row k of the sampled Walsh matrix is natural row reverse(k)).  The
-naive transforms evaluate the defining sums directly with a fixed ascending
-summation order and serve as oracles for the fast paths.
+(Paley row k of the sampled Walsh matrix is natural row reverse(k)).  Each
+pass copies its axis to the front of a fresh C-contiguous buffer (in
+synthesis that copy is the bit-reversal; analysis bit-reverses after the
+butterfly), and the butterfly runs in place on contiguous slabs of that
+buffer with one half-size scratch array, so a pass allocates nothing per
+stage and never writes to its input.  The naive transforms evaluate the
+defining sums directly with a fixed ascending summation order and serve as
+oracles for the fast paths.
 """
 from __future__ import annotations
 
@@ -124,23 +129,31 @@ class Spectrum2D:
         self.coeffs = arr
 
 
-def _fwht(values: np.ndarray, axis: int) -> np.ndarray:
-    """Natural-order fast Walsh-Hadamard butterfly along one axis.
+def _fwht(values: np.ndarray, axis: int) -> None:
+    """Natural-order fast Walsh-Hadamard butterfly, in place along axis 0 of
+    a C-contiguous float64 buffer.  `axis` must be 0; callers still pass it
+    because perfbench's tracer reads it to count the samples transformed.
 
-    The reduction tree is fixed (pairs at stride 1, 2, 4, ...) so the output
-    is bit-deterministic regardless of threading.
+    Stage h views the buffer as (n / 2h, 2, h, ...) and replaces each pair of
+    slabs (lo, hi) by (lo + hi, lo - hi) through one half-size scratch array.
+    The pairs and their order are fixed (stride 1, 2, 4, ...) and every entry
+    gets exactly one addition or subtraction per stage, elementwise, so the
+    output is bit-deterministic regardless of threading or of the layout the
+    caller's array had.
     """
-    a = np.moveaxis(np.array(values, dtype=np.float64, copy=True), axis, -1)
-    shape = a.shape
-    n = shape[-1]
+    if axis != 0 or values.dtype != np.float64 or not values.flags.c_contiguous:
+        raise ValueError("_fwht needs a C-contiguous float64 buffer and axis 0")
+    n, rest = values.shape[0], values.shape[1:]
+    scratch = np.empty((n // 2,) + rest)
     h = 1
     while h < n:
-        a = a.reshape(shape[:-1] + (n // (2 * h), 2, h))
-        top = a[..., 0, :] + a[..., 1, :]
-        bot = a[..., 0, :] - a[..., 1, :]
-        a = np.stack((top, bot), axis=-2).reshape(shape)
+        pairs = values.reshape((n // (2 * h), 2, h) + rest)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        total = scratch.reshape(lo.shape)
+        np.add(lo, hi, out=total)
+        np.subtract(lo, hi, out=hi)
+        lo[...] = total
         h *= 2
-    return np.moveaxis(a, -1, axis)
 
 
 def _analysis(samples: np.ndarray, bits: int, axes: tuple[int, ...]) -> np.ndarray:
@@ -148,8 +161,12 @@ def _analysis(samples: np.ndarray, bits: int, axes: tuple[int, ...]) -> np.ndarr
     rev = bit_reverse_permutation(bits)
     t = samples
     for axis in axes:
-        t = np.take(_fwht(t, axis), rev, axis=axis)
-    return t * 2.0 ** (-bits * len(axes))
+        # a fresh buffer even for C-contiguous float64 input: the butterfly writes in place
+        buf = np.array(np.moveaxis(t, axis, 0), dtype=np.float64, order="C")
+        _fwht(buf, 0)
+        t = np.moveaxis(np.take(buf, rev, axis=0), 0, axis)
+    t *= 2.0 ** (-bits * len(axes))
+    return t
 
 
 def _synthesis(coeffs: np.ndarray, bits: int, orders) -> np.ndarray:
@@ -162,9 +179,10 @@ def _synthesis(coeffs: np.ndarray, bits: int, orders) -> np.ndarray:
             continue
         if not 0 <= order <= 1 << bits:
             raise UsageError(f"order {order} outside [0, 2^{bits}]")
-        t = np.take(t, rev, axis=axis)
-        np.moveaxis(t, axis, 0)[rev[order:]] = 0.0  # where Paley k >= order
-        t = _fwht(t, axis)
+        buf = np.take(np.moveaxis(t, axis, 0), rev, axis=0).astype(np.float64, copy=False)
+        buf[rev[order:]] = 0.0  # where Paley k >= order
+        _fwht(buf, 0)
+        t = np.moveaxis(buf, 0, axis)
     return t
 
 

@@ -215,6 +215,70 @@ def test_theorem1_at_extreme_amplitudes(tmp_path, amp):
     assert [float(r["value"]) for r in rows if r["param"] == "measure"][0] > 0
 
 
+def _weak_type_extremes(amp):
+    scale = float(amp)
+    sections = [("v", "V", 1), ("v1", "V1", 2), ("v2", "V2", 2)]
+    text = "".join(
+        f"[{name}]\nexperiment = weak_type\noperator = {op}\n"
+        f"spec = random-step:level=3,dim={dim},amp={amp}@B=6\n"
+        f"lambda = {0.1 * scale!r},{0.3 * scale!r}\n"
+        for name, op, dim in sections
+    )
+    return text + (
+        "[sch]\nexperiment = weak_type\noperator = Sch-ratio\n"
+        f"spec = random-step:level=4,dim=1,amp={amp}@B=8\n"
+    )
+
+
+def _report_values(tmp_path, text, name, capsys):
+    cfg = tmp_path / f"{name}.ini"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--out", str(tmp_path / name)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(tmp_path / name / "report.csv", newline="") as handle:
+        return [(r["experiment"], r["param"], float(r["value"])) for r in csv.DictReader(handle)]
+
+
+@pytest.mark.parametrize("amp", ["1e200", "1e-200"])
+def test_schipp_operators_at_extreme_amplitudes(tmp_path, capsys, amp):
+    # lambda scales with the amplitude, so every reported value is scale-free
+    base = _report_values(tmp_path, _weak_type_extremes("1"), "base", capsys)
+    got = _report_values(tmp_path, _weak_type_extremes(amp), "amp", capsys)
+    assert [row[:2] for row in got] == [row[:2] for row in base]
+    values = np.array([row[2] for row in got])
+    assert np.isfinite(values).all() and values.max() > 0
+    np.testing.assert_allclose(values, [row[2] for row in base], rtol=1e-12, atol=0)
+
+
+def test_run_out_that_is_a_file_exits_2_before_any_section(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(CONFIG)
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    ran = []
+    monkeypatch.setattr("wss.cli.run_configured", lambda *a: ran.append(a))
+    assert main(["run", str(cfg), "--out", str(blocker)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert ran == []
+
+
+def test_run_out_with_report_path_taken_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(CONFIG)
+    (tmp_path / "out" / "report.csv").mkdir(parents=True)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_gen_out_in_a_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "dir" / "x.csv"
+    assert main(["gen", "walsh-tensor:3,6@B=3", "--dump", "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not target.parent.exists()
+
+
 # --- fuzz of the config and spec grammar -----------------------------------
 # Sections start from a valid config of each experiment kind; up to two edits
 # then swap a value or one token of it for a malformed one, drop a line or add

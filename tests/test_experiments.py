@@ -19,9 +19,11 @@ from wss.experiments import (
     run_theorem1,
     run_theorem2,
     run_weak_type_suite,
+    sch_ratio_max,
 )
 from wss.generators import FunctionSpec, generate_function, random_grid_1d
 from wss.means import PhiFunction
+from wss.transform import DyadicGrid1D
 
 LAMBDAS = [0.25, 0.5, 1.0, 2.0, 4.0]
 
@@ -248,3 +250,10 @@ def test_config_loading_and_dispatch(tmp_path):
         run_configured(ExperimentConfig("bad", {}))
     with pytest.raises(UsageError):
         load_config(tmp_path / "missing.ini")
+
+
+@pytest.mark.parametrize("shift", [600, -600])
+def test_sch_ratio_is_scale_invariant_at_extreme_amplitudes(shift):
+    f = random_grid_1d(8, seed=11)
+    scaled = DyadicGrid1D(f.bits, np.ldexp(f.samples, shift))
+    assert sch_ratio_max(scaled) == sch_ratio_max(f) > 0

@@ -206,6 +206,14 @@ def test_positive_homogeneity(seed, c):
     assert np.abs(m_lhs - m_rhs).max() <= 1e-12 * max(1.0, c)
 
 
+@pytest.mark.parametrize("shift", [600, -600])
+def test_schipp_v_is_exactly_homogeneous_at_extreme_amplitudes(shift):
+    # squares of 2^600-sized sums overflow and of 2^-600-sized ones underflow
+    for f in (random_grid_1d(8, seed=5), random_grid_2d(6, seed=6)):
+        scaled = type(f)(f.bits, np.ldexp(f.samples, shift))
+        assert np.array_equal(schipp_v_max(scaled).values, np.ldexp(schipp_v_max(f).values, shift))
+
+
 def test_schipp_v_translation_covariance():
     # V_n commutes with dyadic translation: V_n(. (+) a; f(. (+) a)) = V_n(.; f).
     from wss.transform import translate

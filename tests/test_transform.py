@@ -3,14 +3,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wss.dyadic import walsh_row
+from conftest import dyadic_rationals
+from wss.dyadic import bit_reverse_permutation, walsh_row
 from wss.errors import DataError, UsageError
 from wss.generators import random_grid_1d, random_grid_2d
+from wss.sums import (
+    marginal_sum_1,
+    marginal_sum_2,
+    partial_sum_1d,
+    quadratic_sums,
+    rectangular_partial_sum,
+)
 from wss.transform import (
     DyadicGrid1D,
     DyadicGrid2D,
     Spectrum1D,
     Spectrum2D,
+    _analysis,
+    _synthesis,
     inverse_wht_1d,
     inverse_wht_2d,
     naive_wht_1d,
@@ -161,3 +171,121 @@ def test_fast_matches_naive_on_arbitrary_data(values):
     assert gap <= 1e-12 * scale
     back = inverse_wht_1d(wht_1d(f)).samples
     assert np.abs(back - f.samples).max() <= 1e-12 * scale
+
+
+# --- the butterfly kernel, pinned bit for bit ------------------------------
+# A literal radix-2 butterfly: pairs (j, j + h) at stride h = 1, 2, 4, ...
+# become (a_j + a_{j+h}, a_j - a_{j+h}).  Any rewrite of the fast kernel must
+# keep these pairs in this order, so its floating-point results are pinned.
+
+def _reference_fwht(values, axis):
+    a = np.moveaxis(np.array(values, dtype=np.float64), axis, 0).copy()
+    n, h = a.shape[0], 1
+    while h < n:
+        for start in range(0, n, 2 * h):
+            for j in range(start, start + h):
+                a[j], a[j + h] = a[j] + a[j + h], a[j] - a[j + h]
+        h *= 2
+    return np.moveaxis(a, 0, axis)
+
+
+def _reference_analysis(values, bits, axes):
+    t = values
+    for axis in axes:
+        t = np.take(_reference_fwht(t, axis), bit_reverse_permutation(bits), axis=axis)
+    return t * 2.0 ** (-bits * len(axes))
+
+
+def _reference_synthesis(values, bits, orders):
+    rev = bit_reverse_permutation(bits)
+    t = values
+    for axis, order in reversed(list(enumerate(orders))):
+        if order is not None:
+            t = np.take(t, rev, axis=axis).astype(np.float64)
+            np.moveaxis(t, axis, 0)[rev[order:]] = 0.0
+            t = _reference_fwht(t, axis)
+    return t
+
+
+def _layouts():
+    """Arrays in the layouts callers pass, each with the axes of length 2^3."""
+    rng = np.random.default_rng(77)
+
+    def floats(*shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+
+    read_only = floats(8, 8)
+    read_only.setflags(write=False)
+    cases = {
+        "1d": (floats(8), (0,)),
+        "2d": (floats(8, 8), (0, 1)),
+        "2d-rect": (floats(8, 5), (0,)),
+        "3d": (floats(8, 3, 8), (0, 2)),
+        "3d-middle": (floats(2, 8, 3), (1,)),
+        "transposed": (floats(5, 8).T, (0,)),
+        "transposed-3d": (floats(8, 3, 8).transpose(2, 0, 1), (0, 1)),
+        "strided": (floats(16, 8)[::2], (0, 1)),
+        "strided-inner": (floats(8, 24)[:, 1::3], (0, 1)),
+        "fortran": (np.asfortranarray(floats(8, 8)), (0, 1)),
+        "read-only": (read_only, (0, 1)),
+        "integer": (rng.integers(-1000, 1000, (8, 8)), (0, 1)),
+    }
+    return [pytest.param(values, axes, id=label) for label, (values, axes) in cases.items()]
+
+
+LAYOUTS = _layouts()
+
+
+@pytest.mark.parametrize("values, axes", LAYOUTS)
+def test_analysis_is_the_reference_butterfly_bit_for_bit(values, axes):
+    for axis in axes:
+        got = _analysis(values, 3, (axis,))
+        assert np.array_equal(got, _reference_analysis(values, 3, (axis,)))
+    assert np.array_equal(_analysis(values, 3, axes), _reference_analysis(values, 3, axes))
+
+
+@pytest.mark.parametrize("values, axes", LAYOUTS)
+def test_synthesis_is_the_reference_butterfly_bit_for_bit(values, axes):
+    for order in (0, 1, 3, 5, 8):
+        for axis in axes:
+            orders = [None] * values.ndim
+            orders[axis] = order
+            got = _synthesis(values, 3, orders)
+            assert np.array_equal(got, _reference_synthesis(values, 3, orders))
+        orders = [order if axis in axes else None for axis in range(values.ndim)]
+        assert np.array_equal(_synthesis(values, 3, orders), _reference_synthesis(values, 3, orders))
+
+
+def test_synthesis_at_orders_zero_and_full():
+    for dims in (1, 2):
+        bits = 4
+        samples = dyadic_rationals(31 + dims, 16 ** dims).reshape((16,) * dims)
+        coeffs = _analysis(samples, bits, tuple(range(dims)))
+        assert np.array_equal(_synthesis(coeffs, bits, (0,) * dims), np.zeros_like(samples))
+        for axis in range(dims):
+            only = [None] * dims
+            only[axis] = 0
+            assert np.array_equal(_synthesis(coeffs, bits, only), np.zeros_like(samples))
+        # dyadic rationals keep every butterfly sum exact, so the inverse is exact
+        assert np.array_equal(_synthesis(coeffs, bits, (16,) * dims), samples)
+
+
+def test_transforms_leave_their_inputs_untouched():
+    f1 = random_grid_1d(6, seed=3)
+    f2 = random_grid_2d(5, seed=4)
+    before1, before2 = f1.samples.copy(), f2.samples.copy()
+    c1, c2 = wht_1d(f1), wht_2d(f2)
+    partial_sum_1d(f1, 11)
+    rectangular_partial_sum(f2, 5, 9)
+    marginal_sum_1(f2, 7)
+    marginal_sum_2(f2, 13)
+    assert np.array_equal(f1.samples, before1) and np.array_equal(f2.samples, before2)
+    coeffs1, coeffs2 = c1.coeffs.copy(), c2.coeffs.copy()
+    inverse_wht_1d(c1)
+    inverse_wht_2d(c2)
+    assert np.array_equal(c1.coeffs, coeffs1) and np.array_equal(c2.coeffs, coeffs2)
+    field = quadratic_sums(f2)
+    rows, cols = field.row_profiles.copy(), field.col_profiles.copy()
+    for n in (0, 5, 32):
+        field.slice_at(n)
+    assert np.array_equal(field.row_profiles, rows) and np.array_equal(field.col_profiles, cols)
