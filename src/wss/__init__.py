@@ -29,7 +29,6 @@ from .experiments import (
 )
 from .generators import FunctionSpec, generate_function, portable_uniforms, spike_height
 from .maximal import (
-    OperatorField,
     dyadic_maximal,
     dyadic_maximal_1d,
     hybrid_maximal_1,
@@ -67,10 +66,9 @@ from .sums import (
     rectangular_partial_sum,
 )
 from .transform import (
+    DyadicGrid,
     DyadicGrid1D,
     DyadicGrid2D,
-    Spectrum1D,
-    Spectrum2D,
     inverse_wht_1d,
     inverse_wht_2d,
     naive_wht_1d,

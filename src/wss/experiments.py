@@ -30,7 +30,7 @@ from .maximal import (
 )
 from .means import PhiFunction, bmo_of_diagonal_sums, entropy_functional, phi_mean_sequence
 from .sums import BLOCK_BYTES, _prefix_sums, dyadic_square_sums, quadratic_sums
-from .transform import DyadicGrid1D, DyadicGrid2D, wht_1d
+from .transform import DyadicGrid1D, DyadicGrid2D, _pow2_scaled, wht_1d
 
 CSV_FIELDS = ("experiment", "spec", "B", "seed", "param", "lambda_or_m", "value")
 
@@ -139,7 +139,7 @@ def run_theorem1(
     report = SummabilityReport("theorem1", spec.text, spec.bits, seed)
     for alpha in (0, 1, 2):
         report.add("entropy", alpha, entropy_functional(f, alpha))
-    denom = 1.0 + entropy_functional(f, 2)
+    denom = 1.0 + report.value("entropy", 2)
     best = 0.0
     for lam in grid:
         mu = superlevel_measure(bmo, lam)
@@ -236,7 +236,7 @@ def iter_rodin_means(f: DyadicGrid1D, phi: PhiFunction, ms) -> Iterator[tuple[in
     """
     ms = _m_grid(ms, f.size)
     s = min(f.bits, max(1, (BLOCK_BYTES // (8 * f.size)).bit_length() - 1))
-    width, c, i = 1 << s, wht_1d(f).coeffs, 0
+    width, c, i = 1 << s, wht_1d(f).samples, 0
     target = f.samples.reshape(width, -1)  # x = (level-s cell, offset in it)
     start, total = np.zeros_like(target), np.zeros_like(target)
     for a in range(0, ms[-1], width):
@@ -295,13 +295,13 @@ def sch_ratio_max(f: DyadicGrid1D) -> float:
     O(N log N) time and O(N) memory, with no partial-sum table or Walsh
     matrix, so any depth the grid allows runs (the table route stopped at
     B = 13).  Points where the mean is 0 count as ratio 0.  The ratio is
-    scale-invariant, so f is first scaled by the power of two that brings
-    max|f| into [1/2, 1): the squared sums neither overflow nor underflow at
-    extreme amplitudes, and in-range inputs keep every bit.
+    scale-invariant, so it runs on `_pow2_scaled` samples: the squared sums
+    neither overflow nor underflow at extreme amplitudes, and in-range inputs
+    keep every bit.
     """
-    f = DyadicGrid1D(f.bits, np.ldexp(f.samples, -int(np.frexp(np.abs(f.samples).max())[1])))
+    f = type(f)(f.bits, _pow2_scaled(f.samples)[1][0])
     squares = dyadic_square_sums(f)
-    v = schipp_v_max(f).values
+    v = schipp_v_max(f).samples
     best = 0.0
     for m in range(1, f.bits + 1):
         lhs = np.repeat(np.sqrt(squares[m] / (1 << m)), 1 << (f.bits - m))
@@ -347,7 +347,8 @@ def run_weak_type_suite(
             continue
         if operator in ("M1", "M2"):
             op = hybrid_maximal_1(f) if operator == "M1" else hybrid_maximal_2(f)
-            value = float(op.values.mean()) / (1.0 + entropy_functional(f, 1))
+            exponent, (scaled,) = _pow2_scaled(op.samples)
+            value = float(np.ldexp(scaled.mean(), exponent)) / (1.0 + entropy_functional(f, 1))
             report.add("integral_ratio", i, value)
             suite_best = max(suite_best, value)
             continue

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dyadic import validate_bits, walsh_row
 from .errors import UsageError
-from .transform import DyadicGrid1D, DyadicGrid2D, Spectrum1D, Spectrum2D, inverse_wht_1d, inverse_wht_2d
+from .transform import DyadicGrid, DyadicGrid1D, DyadicGrid2D, inverse_wht_1d, inverse_wht_2d
 
 KINDS = ("indicator-rect", "walsh-tensor", "random-step", "random-spectrum", "spike")
 
@@ -150,7 +150,7 @@ def _dims_option(spec: FunctionSpec) -> int:
     return dims
 
 
-def _indicator_rect(spec: FunctionSpec) -> DyadicGrid1D | DyadicGrid2D:
+def _indicator_rect(spec: FunctionSpec) -> DyadicGrid:
     size = 1 << spec.bits
     xs = np.arange(size) / size
     if len(spec.positional) == 2:
@@ -164,7 +164,7 @@ def _indicator_rect(spec: FunctionSpec) -> DyadicGrid1D | DyadicGrid2D:
     return DyadicGrid2D(spec.bits, np.multiply.outer(fx, fy).astype(np.float64))
 
 
-def _walsh_tensor(spec: FunctionSpec) -> DyadicGrid1D | DyadicGrid2D:
+def _walsh_tensor(spec: FunctionSpec) -> DyadicGrid:
     groups = spec._index_groups()
     size = 1 << spec.bits
     for g in groups:
@@ -184,7 +184,7 @@ def _walsh_tensor(spec: FunctionSpec) -> DyadicGrid1D | DyadicGrid2D:
     return DyadicGrid2D(spec.bits, samples)
 
 
-def _random_step(spec: FunctionSpec, seed: int) -> DyadicGrid1D | DyadicGrid2D:
+def _random_step(spec: FunctionSpec, seed: int) -> DyadicGrid:
     level = spec.number("level", "-1", int)
     if not 0 <= level <= spec.bits:
         raise UsageError(f"random-step level {level} outside [0, {spec.bits}]")
@@ -200,7 +200,7 @@ def _random_step(spec: FunctionSpec, seed: int) -> DyadicGrid1D | DyadicGrid2D:
     return DyadicGrid2D(spec.bits, grid)
 
 
-def _random_spectrum(spec: FunctionSpec, seed: int) -> DyadicGrid1D | DyadicGrid2D:
+def _random_spectrum(spec: FunctionSpec, seed: int) -> DyadicGrid:
     size = 1 << spec.bits
     support = spec.number("support", "0", int)
     if not 1 <= support <= size:
@@ -212,10 +212,10 @@ def _random_spectrum(spec: FunctionSpec, seed: int) -> DyadicGrid1D | DyadicGrid
     if dims == 1:
         full = np.zeros(size)
         full[:support] = coeffs
-        return inverse_wht_1d(Spectrum1D(spec.bits, full))
+        return inverse_wht_1d(DyadicGrid1D(spec.bits, full))
     full = np.zeros((size, size))
     full[:support, :support] = coeffs.reshape(support, support)
-    return inverse_wht_2d(Spectrum2D(spec.bits, full))
+    return inverse_wht_2d(DyadicGrid2D(spec.bits, full))
 
 
 def spike_height(level: int, target: float, alpha: float = 2.0) -> float:
@@ -262,7 +262,7 @@ def _spike(spec: FunctionSpec) -> DyadicGrid2D:
     return DyadicGrid2D(spec.bits, grid)
 
 
-def generate_function(spec: FunctionSpec | str, seed: int = 0) -> DyadicGrid1D | DyadicGrid2D:
+def generate_function(spec: FunctionSpec | str, seed: int = 0) -> DyadicGrid:
     """Build the deterministic grid a spec describes."""
     if isinstance(spec, str):
         spec = FunctionSpec.parse(spec)

@@ -8,30 +8,17 @@ and M2 are one dyadic pyramid, `_dyadic_maximal`, over both axes or one.  No
 operator here takes a transform: V_n reads S_{2^n} f as level-n cell averages
 and runs on the 2^n coarse cells, batched along the last axis, so V costs
 O(N B) on N = 2^B samples and the hybrids V1, V2 are single batched calls.
+Operators return their input's grid class.  Both pyramids run on
+`_pow2_scaled` inputs, so no sum or square overflows at extreme amplitudes.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, UsageError
-from .transform import DyadicGrid1D, DyadicGrid2D
-
-
-@dataclass
-class OperatorField:
-    """Pointwise output of a (nonnegative) operator, with its label."""
-
-    values: np.ndarray
-    label: str
-    bits: int
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.min() < 0:
-            raise DataError(f"operator field {self.label!r} has negative entries")
+from .errors import UsageError
+from .transform import DyadicGrid, _pow2_scaled
 
 
 def _dyadic_maximal(a: np.ndarray, bits: int, axes: tuple[int, ...]) -> np.ndarray:
@@ -50,7 +37,8 @@ def _dyadic_maximal(a: np.ndarray, bits: int, axes: tuple[int, ...]) -> np.ndarr
                 index[axis] = slice(offset, None, 2)
             yield level[tuple(index)]
 
-    levels = [np.abs(a)]
+    exponent, (scaled,) = _pow2_scaled(a)
+    levels = [np.abs(scaled)]
     for _ in range(bits):
         first, *rest = children(levels[-1])
         levels.append(0.5 ** len(axes) * sum(rest, first))
@@ -60,27 +48,27 @@ def _dyadic_maximal(a: np.ndarray, bits: int, axes: tuple[int, ...]) -> np.ndarr
         for child in children(finer):
             np.maximum(child, best, out=child)
         best = finer
-    return best
+    return np.ldexp(best, exponent, out=best)
 
 
-def dyadic_maximal_1d(f: DyadicGrid1D) -> OperatorField:
+def dyadic_maximal_1d(f: DyadicGrid) -> DyadicGrid:
     """1D dyadic maximal function: sup_n of the |f|-average over I_n(x)."""
-    return OperatorField(_dyadic_maximal(f.samples, f.bits, (0,)), "M", f.bits)
+    return type(f)(f.bits, _dyadic_maximal(f.samples, f.bits, (0,)))
 
 
-def dyadic_maximal(f: DyadicGrid2D) -> OperatorField:
+def dyadic_maximal(f: DyadicGrid) -> DyadicGrid:
     """Dyadic maximal function over squares I_n(x) x I_n(y)."""
-    return OperatorField(_dyadic_maximal(f.samples, f.bits, (0, 1)), "M", f.bits)
+    return type(f)(f.bits, _dyadic_maximal(f.samples, f.bits, (0, 1)))
 
 
-def hybrid_maximal_1(f: DyadicGrid2D) -> OperatorField:
+def hybrid_maximal_1(f: DyadicGrid) -> DyadicGrid:
     """M_1: the 1D dyadic maximal in x for each fixed y."""
-    return OperatorField(_dyadic_maximal(f.samples, f.bits, (0,)), "M1", f.bits)
+    return type(f)(f.bits, _dyadic_maximal(f.samples, f.bits, (0,)))
 
 
-def hybrid_maximal_2(f: DyadicGrid2D) -> OperatorField:
+def hybrid_maximal_2(f: DyadicGrid) -> DyadicGrid:
     """M_2: the 1D dyadic maximal in y for each fixed x."""
-    return OperatorField(_dyadic_maximal(f.samples, f.bits, (1,)), "M2", f.bits)
+    return type(f)(f.bits, _dyadic_maximal(f.samples, f.bits, (1,)))
 
 
 def _schipp_v_values(samples: np.ndarray, bits: int, orders) -> np.ndarray:
@@ -99,13 +87,11 @@ def _schipp_v_values(samples: np.ndarray, bits: int, orders) -> np.ndarray:
     fill x's level-n cell, adding the final q times its measure.  O(N + n 2^n)
     per order.
 
-    V_n is 1-homogeneous, so the samples are first scaled by the power of two
-    2^-e that brings their largest magnitude into [1/2, 1) and the result by
-    2^e: c * c neither overflows nor underflows at extreme amplitudes, and
-    in-range results keep every bit.
+    V_n is 1-homogeneous, so it runs on `_pow2_scaled` samples and the
+    result is scaled back: c * c neither overflows nor underflows at extreme
+    amplitudes, and in-range results keep every bit.
     """
-    exponent = int(np.frexp(np.abs(samples).max())[1])
-    scaled = np.ldexp(samples, -exponent)
+    exponent, (scaled,) = _pow2_scaled(samples)
     best = np.zeros(samples.shape)  # V_n >= 0
     for n in orders:
         g = scaled
@@ -123,7 +109,7 @@ def _schipp_v_values(samples: np.ndarray, bits: int, orders) -> np.ndarray:
     return np.ldexp(best, exponent)
 
 
-def schipp_v(f: DyadicGrid1D, n: int) -> OperatorField:
+def schipp_v(f: DyadicGrid, n: int) -> DyadicGrid:
     """Schipp operator V_n: quadratic average of shifted smooth partial sums.
 
     The 2^(j-1) weights are taken literally (the j = 0 term carries 1/2) and
@@ -131,33 +117,29 @@ def schipp_v(f: DyadicGrid1D, n: int) -> OperatorField:
     """
     if not 1 <= n <= f.bits:
         raise UsageError(f"operator order {n} outside [1, {f.bits}]")
-    return OperatorField(_schipp_v_values(f.samples, f.bits, (n,)), f"V_{n}", f.bits)
+    return type(f)(f.bits, _schipp_v_values(f.samples, f.bits, (n,)))
 
 
-def schipp_v_max(f: DyadicGrid1D | DyadicGrid2D) -> OperatorField:
+def schipp_v_max(f: DyadicGrid) -> DyadicGrid:
     """V f = sup over n = 1..bits of V_n f along the last axis of the samples:
     the 1D operator on a 1D grid, V in y for every fixed x on a 2D grid."""
-    return OperatorField(_schipp_v_values(f.samples, f.bits, range(1, f.bits + 1)), "V", f.bits)
+    return type(f)(f.bits, _schipp_v_values(f.samples, f.bits, range(1, f.bits + 1)))
 
 
-def hybrid_v_1(f: DyadicGrid2D) -> OperatorField:
+def hybrid_v_1(f: DyadicGrid) -> DyadicGrid:
     """V_1: the 1D operator V applied in x to each slice f(., y)."""
-    transposed = DyadicGrid2D(f.bits, np.ascontiguousarray(f.samples.T))
-    return OperatorField(schipp_v_max(transposed).values.T, "V1", f.bits)
+    transposed = type(f)(f.bits, np.ascontiguousarray(f.samples.T))
+    return type(f)(f.bits, schipp_v_max(transposed).samples.T)
 
 
-def hybrid_v_2(f: DyadicGrid2D) -> OperatorField:
+def hybrid_v_2(f: DyadicGrid) -> DyadicGrid:
     """V_2: the 1D operator V applied in y to each slice f(x, .)."""
-    return OperatorField(schipp_v_max(f).values, "V2", f.bits)
+    return schipp_v_max(f)
 
 
 def superlevel_measure(field, lam: float) -> float:
-    """Normalized counting measure of {field > lam}, lam > 0."""
+    """Normalized counting measure of {field > lam}, lam > 0, for a grid or an array."""
     if not lam > 0:
         raise UsageError(f"superlevel threshold must be positive, got {lam}")
-    values = getattr(field, "values", None)
-    if values is None:
-        values = getattr(field, "samples", None)
-    if values is None:
-        values = np.asarray(field, dtype=np.float64)
+    values = field.samples if isinstance(field, DyadicGrid) else np.asarray(field, dtype=np.float64)
     return float((values > lam).mean())

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .sums import DiagonalSumField
-from .transform import DyadicGrid1D, DyadicGrid2D
+from .transform import DyadicGrid, DyadicGrid1D, DyadicGrid2D, _pow2_scaled
 
 
 @dataclass(frozen=True)
@@ -155,21 +155,15 @@ def bmo_of_diagonal_sums(field: DiagonalSumField, max_rows: int | None = None) -
     The field's (x, y, n) blocks go through one batched oscillation pyramid
     with the Chan-Golub-LeVeque merge, `_max_mean_square_oscillation`: about
     2 N^3 (interval, point) pairs in O(N^3) time and a few blocks of memory.
-    The norm is 1-homogeneous, so the profiles are first scaled by the power
-    of two 2^-e that brings their largest magnitude into [1/2, 1) and the
-    result by 2^e: squares of huge or tiny amplitudes neither overflow nor
-    underflow, and in-range results keep every bit.
+    The norm is 1-homogeneous, so it runs on `_pow2_scaled` profiles and the
+    result is scaled back: squares of huge or tiny amplitudes neither
+    overflow nor underflow, and in-range results keep every bit.
     """
     if field.size < 2:
         raise UsageError("diagonal field must cover at least 2 indices")
     n = field.size
-    peak = max(np.abs(field.row_profiles).max(), np.abs(field.col_profiles).max())
-    exponent = int(np.frexp(peak)[1])
-    scaled = DiagonalSumField(
-        field.bits,
-        np.ldexp(field.row_profiles, -exponent),
-        np.ldexp(field.col_profiles, -exponent),
-    )
+    exponent, profiles = _pow2_scaled(field.row_profiles, field.col_profiles)
+    scaled = DiagonalSumField(field.bits, *profiles)
     out = np.empty((n, n))
     for sl, block in scaled.iter_sequence_blocks(max_rows=max_rows):
         out[sl] = _max_mean_square_oscillation(block[..., :n])
@@ -362,13 +356,19 @@ def phi_mean_sequence(seq: np.ndarray, f_value: float, m: int, phi: PhiFunction,
     return float(phi(dev).mean())
 
 
-def entropy_functional(f: DyadicGrid1D | DyadicGrid2D, alpha: float) -> float:
+def entropy_functional(f: DyadicGrid, alpha: float) -> float:
     """Zygmund-class gauge: the mean of |f| (log+ |f|)^alpha over the grid.
 
-    alpha = 0 gives the L1 norm.  log+ u = log(max(u, 1)).
+    alpha = 0 gives the L1 norm.  log+ u = log(max(u, 1)).  The mean of the
+    `_pow2_scaled` terms cannot overflow; terms beyond float64 raise DataError.
     """
     if alpha < 0:
         raise UsageError(f"entropy exponent must be >= 0, got {alpha}")
     a = np.abs(f.samples)
-    logplus = np.log(np.maximum(a, 1.0))
-    return float((a * logplus**alpha).mean())
+    with np.errstate(over="ignore"):
+        terms = a * np.log(np.maximum(a, 1.0)) ** alpha if alpha else a
+    exponent, (scaled,) = _pow2_scaled(terms)
+    mean = float(np.ldexp(scaled.mean(), exponent))
+    if mean == np.inf:  # only an infinite term makes the mean of scaled terms infinite
+        raise DataError(f"entropy gauge at alpha={alpha:g} overflows float64")
+    return mean

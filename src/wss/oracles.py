@@ -69,7 +69,7 @@ def bmo_function_brute(f: DyadicGrid1D) -> float:
 
 def rectangular_sum_brute(f: DyadicGrid2D, m: int, n: int) -> np.ndarray:
     """Definitional synthesis from naive coefficients."""
-    c = naive_wht_2d(f).coeffs
+    c = naive_wht_2d(f).samples
     w = walsh_matrix_f64(f.bits)
     return np.einsum("mn,mx,ny->xy", c[:m, :n], w[:m], w[:n], optimize=False)
 

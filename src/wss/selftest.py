@@ -26,14 +26,14 @@ from .transform import (
 
 def _check_transform_1d() -> tuple[bool, str]:
     f = random_grid_1d(8, seed=101)
-    gap = np.abs(wht_1d(f).coeffs - naive_wht_1d(f).coeffs).max()
+    gap = np.abs(wht_1d(f).samples - naive_wht_1d(f).samples).max()
     loop = np.abs(inverse_wht_1d(wht_1d(f)).samples - f.samples).max()
     return gap <= 1e-10 and loop <= 1e-12, f"fast-naive gap {gap:.3g}, round trip {loop:.3g}"
 
 
 def _check_transform_2d() -> tuple[bool, str]:
     f = random_grid_2d(4, seed=202)
-    gap = np.abs(wht_2d(f).coeffs - naive_wht_2d(f).coeffs).max()
+    gap = np.abs(wht_2d(f).samples - naive_wht_2d(f).samples).max()
     loop = np.abs(inverse_wht_2d(wht_2d(f)).samples - f.samples).max()
     return gap <= 1e-10 and loop <= 1e-12, f"fast-naive gap {gap:.3g}, round trip {loop:.3g}"
 
@@ -84,13 +84,13 @@ def _check_bmo_diagonal() -> tuple[bool, str]:
 
 def _check_schipp_v() -> tuple[bool, str]:
     f = random_grid_1d(5, seed=606)
-    gap = float(np.abs(schipp_v(f, 3).values - oracles.schipp_v_brute(f, 3)).max())
+    gap = float(np.abs(schipp_v(f, 3).samples - oracles.schipp_v_brute(f, 3)).max())
     return gap <= 1e-12, f"shell-sum vs direct t-sum gap {gap:.3g}"
 
 
 def _check_dyadic_maximal() -> tuple[bool, str]:
     f = random_grid_2d(3, seed=707)
-    gap = float(np.abs(dyadic_maximal(f).values - oracles.dyadic_maximal_brute(f)).max())
+    gap = float(np.abs(dyadic_maximal(f).samples - oracles.dyadic_maximal_brute(f)).max())
     return gap <= 1e-12, f"pyramid vs block-scan gap {gap:.3g}"
 
 

@@ -32,7 +32,7 @@ BLOCK_BYTES = 2 << 20  # one streamed sequence block: about an L2 cache
 
 def partial_sum_1d(f: DyadicGrid1D, n: int) -> DyadicGrid1D:
     """Partial sum S_n f = sum_{k<n} f_hat(k) w_k; S_0 is identically 0."""
-    return DyadicGrid1D(f.bits, _synthesis(_analysis(f.samples, f.bits, (0,)), f.bits, (n,)))
+    return type(f)(f.bits, _synthesis(_analysis(f.samples, f.bits, (0,)), f.bits, (n,)))
 
 
 def all_partial_sums_1d(f: DyadicGrid1D) -> np.ndarray:
@@ -92,17 +92,17 @@ def dyadic_square_sums(f: DyadicGrid1D) -> list[np.ndarray]:
 
 def rectangular_partial_sum(f: DyadicGrid2D, m: int, n: int) -> DyadicGrid2D:
     """S_{M,N} f: synthesis of coefficients with row < M and column < N."""
-    return DyadicGrid2D(f.bits, _synthesis(_analysis(f.samples, f.bits, (0, 1)), f.bits, (m, n)))
+    return type(f)(f.bits, _synthesis(_analysis(f.samples, f.bits, (0, 1)), f.bits, (m, n)))
 
 
 def marginal_sum_1(f: DyadicGrid2D, n: int) -> DyadicGrid2D:
     """S_n^(1): the order-n 1D partial sum applied in x for each fixed y."""
-    return DyadicGrid2D(f.bits, _synthesis(_analysis(f.samples, f.bits, (0,)), f.bits, (n, None)))
+    return type(f)(f.bits, _synthesis(_analysis(f.samples, f.bits, (0,)), f.bits, (n, None)))
 
 
 def marginal_sum_2(f: DyadicGrid2D, m: int) -> DyadicGrid2D:
     """S_m^(2): the order-m 1D partial sum applied in y for each fixed x."""
-    return DyadicGrid2D(f.bits, _synthesis(_analysis(f.samples, f.bits, (1,)), f.bits, (None, m)))
+    return type(f)(f.bits, _synthesis(_analysis(f.samples, f.bits, (1,)), f.bits, (None, m)))
 
 
 def _range_merge(left, right, width):
@@ -119,7 +119,7 @@ def marginal_maximal_2(f: DyadicGrid2D) -> DyadicGrid2D:
     c = _analysis(f.samples, f.bits, (1,))[..., None]
     for _, high, low in _paley_scan((c, c, c), f.bits, _range_merge):
         pass  # only the last level, one block of N cells per x, is needed
-    return DyadicGrid2D(f.bits, np.maximum(high, -low)[:, 0, :])
+    return type(f)(f.bits, np.maximum(high, -low)[:, 0, :])
 
 
 @dataclass

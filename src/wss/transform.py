@@ -1,5 +1,7 @@
-"""Walsh-Fourier analysis and synthesis in Paley order, 1D and 2D.
+"""`DyadicGrid`, and Walsh-Fourier analysis and synthesis in Paley order.
 
+A `DyadicGrid` holds a step function, its coefficients or any pointwise
+field at resolution 2^-bits; the transforms return their input's class.
 Analysis carries the 2**-bits measure factor so coefficients equal the
 integrals int f w_k; synthesis carries no factor.  Every fast path, here and
 in `wss.sums`, is `_analysis` or the truncated synthesis `_synthesis`: a
@@ -23,110 +25,71 @@ from .dyadic import bit_reverse_permutation, validate_bits, walsh_matrix_f64
 from .errors import DataError, UsageError
 
 
-def _as_grid_array(values, dims: int) -> tuple[int, np.ndarray]:
-    a = np.asarray(values, dtype=np.float64)
-    if a.ndim != dims:
-        raise DataError(f"expected a {dims}D array, got shape {a.shape}")
-    n = a.shape[0]
-    if n < 2 or n & (n - 1):
-        raise DataError(f"grid length {n} is not a power of two >= 2")
-    if any(s != n for s in a.shape):
-        raise DataError(f"grid must be square, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise DataError("grid contains non-finite samples")
-    bits = n.bit_length() - 1
-    validate_bits(bits, dims=dims)
-    return bits, a
-
-
 @dataclass
-class DyadicGrid1D:
-    """Step function on [0, 1), constant on cells of length 2**-bits.
-
-    samples[i] is the value on [i 2^-bits, (i+1) 2^-bits).
+class DyadicGrid:
+    """Values on the cells of side 2^-bits of [0, 1) or the unit square:
+    samples[i] is the value on [i 2^-bits, (i+1) 2^-bits), samples[i, j] on
+    the product cell.  Subclasses fix the dimension; the base takes 1D or 2D.
     """
 
     bits: int
     samples: np.ndarray
+    dims = None
 
     def __post_init__(self):
-        got, arr = _as_grid_array(self.samples, 1)
+        a = np.asarray(self.samples, dtype=np.float64)
+        dims = self.dims or a.ndim
+        if a.ndim != dims or dims not in (1, 2):
+            raise DataError(f"expected a {self.dims or '1D or 2'}D array, got shape {a.shape}")
+        n = a.shape[0]
+        if n < 2 or n & (n - 1):
+            raise DataError(f"grid length {n} is not a power of two >= 2")
+        if any(s != n for s in a.shape):
+            raise DataError(f"grid must be square, got shape {a.shape}")
+        if not (np.isfinite(a.max()) and np.isfinite(a.min())):  # both propagate NaN; no mask array
+            raise DataError("grid contains non-finite samples")
+        got = validate_bits(n.bit_length() - 1, dims=dims)
         if got != self.bits:
-            raise UsageError(f"declared {self.bits} bits but got 2^{got} samples")
-        self.samples = arr
+            raise UsageError(f"declared {self.bits} bits but got a 2^{got} grid")
+        self.samples = a
+
+    # read-only aliases for perfbench/checks.py and tracer.py; wss reads .samples
+    coeffs = values = property(lambda self: self.samples)
 
     @classmethod
-    def from_samples(cls, values) -> "DyadicGrid1D":
-        bits, arr = _as_grid_array(values, 1)
-        return cls(bits, arr)
+    def from_samples(cls, values) -> "DyadicGrid":
+        shape = np.shape(values)
+        return cls(shape[0].bit_length() - 1 if shape else 0, values)
 
     @property
     def size(self) -> int:
         return 1 << self.bits
 
-    def index_of(self, x: float) -> int:
-        if not 0.0 <= x < 1.0:
-            raise UsageError(f"point {x} outside [0, 1)")
-        return int(x * self.size)
-
-    def value_at(self, x: float) -> float:
-        return float(self.samples[self.index_of(x)])
+    def value_at(self, *point: float) -> float:
+        """The value on the cell holding `point`, one coordinate per axis."""
+        if len(point) != self.samples.ndim or not all(0.0 <= p < 1.0 for p in point):
+            raise UsageError(f"point {point} outside [0, 1)^{self.samples.ndim}")
+        return float(self.samples[tuple(int(p * self.size) for p in point)])
 
 
-@dataclass
-class DyadicGrid2D:
-    """Step function on the unit square; samples[i, j] = f(i 2^-bits, j 2^-bits)."""
+class DyadicGrid1D(DyadicGrid):
+    """A grid on [0, 1)."""
 
-    bits: int
-    samples: np.ndarray
-
-    def __post_init__(self):
-        got, arr = _as_grid_array(self.samples, 2)
-        if got != self.bits:
-            raise UsageError(f"declared {self.bits} bits but got a 2^{got} grid")
-        self.samples = arr
-
-    @classmethod
-    def from_samples(cls, values) -> "DyadicGrid2D":
-        bits, arr = _as_grid_array(values, 2)
-        return cls(bits, arr)
-
-    @property
-    def size(self) -> int:
-        return 1 << self.bits
-
-    def value_at(self, x: float, y: float) -> float:
-        if not (0.0 <= x < 1.0 and 0.0 <= y < 1.0):
-            raise UsageError(f"point ({x}, {y}) outside the unit square")
-        return float(self.samples[int(x * self.size), int(y * self.size)])
+    dims = 1
 
 
-@dataclass
-class Spectrum1D:
-    """Walsh-Fourier coefficients in Paley order; coeffs[k] = f_hat(k)."""
+class DyadicGrid2D(DyadicGrid):
+    """A grid on the unit square; samples[i, j] = f(i 2^-bits, j 2^-bits)."""
 
-    bits: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        got, arr = _as_grid_array(self.coeffs, 1)
-        if got != self.bits:
-            raise UsageError(f"declared {self.bits} bits but got 2^{got} coefficients")
-        self.coeffs = arr
+    dims = 2
 
 
-@dataclass
-class Spectrum2D:
-    """2D Walsh-Fourier coefficients; coeffs[m, n] = f_hat(m, n)."""
-
-    bits: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        got, arr = _as_grid_array(self.coeffs, 2)
-        if got != self.bits:
-            raise UsageError(f"declared {self.bits} bits but got a 2^{got} grid")
-        self.coeffs = arr
+def _pow2_scaled(*arrays: np.ndarray) -> tuple[int, list[np.ndarray]]:
+    """(e, [a 2^-e for a in arrays]), e putting the largest magnitude in
+    [1/2, 1) (at e = 0 the arrays themselves, to be read only): exact, so sums
+    and squares stay in range and results scaled back keep every bit."""
+    e = int(np.frexp(max(max(a.max(), -a.min()) for a in arrays))[1])
+    return e, [np.ldexp(a, -e) if e else a for a in arrays]
 
 
 def _fwht(values: np.ndarray, axis: int) -> None:
@@ -186,42 +149,42 @@ def _synthesis(coeffs: np.ndarray, bits: int, orders) -> np.ndarray:
     return t
 
 
-def wht_1d(f: DyadicGrid1D) -> Spectrum1D:
+def wht_1d(f: DyadicGrid) -> DyadicGrid:
     """Fast Paley-ordered analysis: coeffs[k] = 2^-bits sum_i f_i w_k(i)."""
-    return Spectrum1D(f.bits, _analysis(f.samples, f.bits, (0,)))
+    return type(f)(f.bits, _analysis(f.samples, f.bits, (0,)))
 
 
-def inverse_wht_1d(c: Spectrum1D) -> DyadicGrid1D:
+def inverse_wht_1d(c: DyadicGrid) -> DyadicGrid:
     """Synthesis f(x) = sum_k coeffs[k] w_k(x); exact inverse of wht_1d."""
-    return DyadicGrid1D(c.bits, _synthesis(c.coeffs, c.bits, (1 << c.bits,)))
+    return type(c)(c.bits, _synthesis(c.samples, c.bits, (1 << c.bits,)))
 
 
-def naive_wht_1d(f: DyadicGrid1D) -> Spectrum1D:
+def naive_wht_1d(f: DyadicGrid) -> DyadicGrid:
     """Definitional analysis oracle: direct double sum, ascending index."""
     w = walsh_matrix_f64(f.bits)
     coeffs = np.einsum("i,ki->k", f.samples, w, optimize=False)
-    return Spectrum1D(f.bits, coeffs * 2.0 ** -f.bits)
+    return type(f)(f.bits, coeffs * 2.0 ** -f.bits)
 
 
-def wht_2d(f: DyadicGrid2D) -> Spectrum2D:
+def wht_2d(f: DyadicGrid) -> DyadicGrid:
     """Fast 2D analysis: 1D pass along x (axis 0), then along y (axis 1)."""
-    return Spectrum2D(f.bits, _analysis(f.samples, f.bits, (0, 1)))
+    return type(f)(f.bits, _analysis(f.samples, f.bits, (0, 1)))
 
 
-def inverse_wht_2d(c: Spectrum2D) -> DyadicGrid2D:
+def inverse_wht_2d(c: DyadicGrid) -> DyadicGrid:
     """2D synthesis; column pass (axis 1) then row pass (axis 0)."""
-    return DyadicGrid2D(c.bits, _synthesis(c.coeffs, c.bits, (1 << c.bits,) * 2))
+    return type(c)(c.bits, _synthesis(c.samples, c.bits, (1 << c.bits,) * 2))
 
 
-def naive_wht_2d(f: DyadicGrid2D) -> Spectrum2D:
+def naive_wht_2d(f: DyadicGrid) -> DyadicGrid:
     """Definitional 2D analysis oracle: literal quadruple sum."""
     w = walsh_matrix_f64(f.bits)
     coeffs = np.einsum("xy,mx,ny->mn", f.samples, w, w, optimize=False)
-    return Spectrum2D(f.bits, coeffs * 4.0 ** -f.bits)
+    return type(f)(f.bits, coeffs * 4.0 ** -f.bits)
 
 
-def translate(f: DyadicGrid1D, a_idx: int) -> DyadicGrid1D:
+def translate(f: DyadicGrid, a_idx: int) -> DyadicGrid:
     """The grid of x -> f(x (+) a) where a = a_idx * 2**-bits."""
     if not 0 <= a_idx < f.size:
         raise UsageError(f"translation index {a_idx} outside [0, 2^{f.bits})")
-    return DyadicGrid1D(f.bits, f.samples[np.arange(f.size) ^ a_idx])
+    return type(f)(f.bits, f.samples[np.arange(f.size) ^ a_idx])

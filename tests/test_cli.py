@@ -82,7 +82,7 @@ def test_bad_spec_reports_usage_error(capsys):
 def test_bad_config_reports_usage_error(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[x]\nexperiment = theorem1\nspec = walsh-tensor:3@B=4\nlambda = 1,2\n")
-    assert main(["run", str(cfg)]) == 2
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -248,6 +248,50 @@ def test_schipp_operators_at_extreme_amplitudes(tmp_path, capsys, amp):
     values = np.array([row[2] for row in got])
     assert np.isfinite(values).all() and values.max() > 0
     np.testing.assert_allclose(values, [row[2] for row in base], rtol=1e-12, atol=0)
+
+
+def _run_quietly(tmp_path, text):
+    """Exit code of `wss run` on `text`, with any numpy warning raised as an error."""
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(["run", str(cfg), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        "operator = M\nspec = random-step:level=4,amp=1e300@B=10\nlambda = 1e295,1e299\n",
+        "operator = M1\nspec = random-step:level=4,amp=1e302@B=10\n",
+        "operator = V\nspec = random-step:level=6,dim=1,amp=1e305@B=16\nlambda = 1e300,1e304\n",
+    ],
+    ids=["M", "M1", "V"],
+)
+def test_weak_type_constants_at_huge_amplitudes(tmp_path, capsys, section):
+    # each gauge is a mean that fits in float64 although the sum behind it does not
+    assert _run_quietly(tmp_path, "[s]\nexperiment = weak_type\n" + section) == 0
+    assert capsys.readouterr().err == ""
+    with open(tmp_path / "out" / "report.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    constants = [float(r["value"]) for r in rows if r["param"] != "normalized_max"]
+    assert constants and all(0 < c < np.inf for c in constants)
+
+
+@pytest.mark.parametrize(
+    "text, gauge",
+    [
+        ("[s]\nexperiment = weak_type\noperator = M\n"
+         "spec = random-step:level=4,amp=1e308@B=6\nlambda = 1e300\n", "alpha=1"),
+        ("[s]\nexperiment = theorem1\nspec = random-step:level=3,dim=2,amp=1e305@B=5\n"
+         "lambda = 1e300\n", "alpha=2"),
+    ],
+    ids=["M-1e308", "theorem1-1e305"],
+)
+def test_gauge_beyond_float64_exits_2_naming_it(tmp_path, capsys, text, gauge):
+    assert _run_quietly(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: entropy gauge") and gauge in err and "Traceback" not in err
 
 
 def test_run_out_that_is_a_file_exits_2_before_any_section(tmp_path, capsys, monkeypatch):

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from conftest import dyadic_rationals
 from wss import oracles
-from wss.errors import DataError, UsageError
+from wss.errors import UsageError
 from wss.generators import random_grid_1d, random_grid_2d
 from wss.maximal import (
-    OperatorField,
     dyadic_maximal,
     dyadic_maximal_1d,
     hybrid_maximal_1,
@@ -22,9 +21,12 @@ from wss.maximal import (
 from wss.transform import DyadicGrid1D, DyadicGrid2D
 
 
-def test_operator_field_rejects_negative():
-    with pytest.raises(DataError):
-        OperatorField(np.array([-0.1, 1.0]), "bad", 1)
+def test_operator_outputs_are_nonnegative():
+    f, g = random_grid_2d(4, seed=8), random_grid_1d(5, seed=9)
+    for op in (dyadic_maximal, hybrid_maximal_1, hybrid_maximal_2, hybrid_v_1, hybrid_v_2, schipp_v_max):
+        assert op(f).samples.min() >= 0.0
+    for out in (dyadic_maximal_1d(g), schipp_v_max(g), schipp_v(g, 3)):
+        assert out.samples.min() >= 0.0
 
 
 # --- dyadic maximal ----------------------------------------------------------
@@ -174,12 +176,12 @@ def test_hybrid_v_on_non_tensor_grid_is_slicewise_v():
 
 
 def test_superlevel_examples():
-    const = OperatorField(np.full((8, 8), 2.0), "c", 3)
+    const = DyadicGrid2D(3, np.full((8, 8), 2.0))
     assert superlevel_measure(const, 3.0) == 0.0
     assert superlevel_measure(const, 1.0) == 1.0
     g = np.zeros((8, 8))
     g[:4, :4] = 5.0
-    assert superlevel_measure(OperatorField(g, "block", 3), 1.0) == 0.25
+    assert superlevel_measure(DyadicGrid2D(3, g), 1.0) == 0.25
     with pytest.raises(UsageError):
         superlevel_measure(const, 0.0)
 
@@ -212,6 +214,15 @@ def test_schipp_v_is_exactly_homogeneous_at_extreme_amplitudes(shift):
     for f in (random_grid_1d(8, seed=5), random_grid_2d(6, seed=6)):
         scaled = type(f)(f.bits, np.ldexp(f.samples, shift))
         assert np.array_equal(schipp_v_max(scaled).values, np.ldexp(schipp_v_max(f).values, shift))
+
+
+@pytest.mark.parametrize("shift", [600, -600, 1023])
+def test_maximal_operators_are_exactly_homogeneous_at_extreme_amplitudes(shift):
+    # at 2^1023 the sum of four children overflows unless it is scaled first
+    f = random_grid_2d(6, seed=7)
+    scaled = DyadicGrid2D(f.bits, np.ldexp(f.samples, shift))
+    for op in (dyadic_maximal, hybrid_maximal_1, hybrid_maximal_2):
+        assert np.array_equal(op(scaled).samples, np.ldexp(op(f).samples, shift))
 
 
 def test_schipp_v_translation_covariance():

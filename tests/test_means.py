@@ -9,7 +9,7 @@ from conftest import dyadic_rationals
 from wss import oracles
 from wss.dyadic import walsh_row
 from wss.errors import DataError, UsageError
-from wss.generators import random_grid_2d
+from wss.generators import random_grid_1d, random_grid_2d
 from wss.means import (
     IndexInterval,
     _max_mean_square_oscillation,
@@ -352,3 +352,18 @@ def test_entropy_examples():
         assert entropy_functional(f, alpha) == pytest.approx(expected, rel=1e-14)
     with pytest.raises(UsageError):
         entropy_functional(ones, -1.0)
+
+
+@pytest.mark.parametrize("shift", [600, -600, 1023])
+def test_l1_gauge_is_exactly_homogeneous_at_extreme_amplitudes(shift):
+    # at 2^1023 the sum of the samples overflows although their mean fits
+    for f in (random_grid_1d(8, seed=3), random_grid_2d(5, seed=4)):
+        scaled = type(f)(f.bits, np.ldexp(f.samples, shift))
+        assert entropy_functional(scaled, 0) == np.ldexp(entropy_functional(f, 0), shift)
+
+
+def test_entropy_terms_beyond_float64_raise_data_error():
+    f = DyadicGrid1D(2, np.array([1e308, -1e308, 2.0, 0.5]))
+    assert entropy_functional(f, 0) == pytest.approx(0.5e308, rel=1e-15)
+    with pytest.raises(DataError, match="alpha=1"):
+        entropy_functional(f, 1)

@@ -7,7 +7,18 @@ from conftest import dyadic_rationals
 from wss.dyadic import bit_reverse_permutation, walsh_row
 from wss.errors import DataError, UsageError
 from wss.generators import random_grid_1d, random_grid_2d
+from wss.maximal import (
+    dyadic_maximal,
+    dyadic_maximal_1d,
+    hybrid_maximal_1,
+    hybrid_maximal_2,
+    hybrid_v_1,
+    hybrid_v_2,
+    schipp_v,
+    schipp_v_max,
+)
 from wss.sums import (
+    marginal_maximal_2,
     marginal_sum_1,
     marginal_sum_2,
     partial_sum_1d,
@@ -15,10 +26,9 @@ from wss.sums import (
     rectangular_partial_sum,
 )
 from wss.transform import (
+    DyadicGrid,
     DyadicGrid1D,
     DyadicGrid2D,
-    Spectrum1D,
-    Spectrum2D,
     _analysis,
     _synthesis,
     inverse_wht_1d,
@@ -70,9 +80,9 @@ def test_round_trip_identity():
 
 
 def test_synthesis_of_single_character():
-    g = inverse_wht_1d(Spectrum1D(3, unit(8, 5)))
+    g = inverse_wht_1d(DyadicGrid1D(3, unit(8, 5)))
     np.testing.assert_array_equal(g.samples, walsh_row(5, 3).astype(float))
-    const = inverse_wht_1d(Spectrum1D(3, unit(8, 0)))
+    const = inverse_wht_1d(DyadicGrid1D(3, unit(8, 0)))
     np.testing.assert_array_equal(const.samples, np.ones(8))
 
 
@@ -141,7 +151,7 @@ def test_non_finite_input_rejected():
     with pytest.raises(DataError):
         DyadicGrid1D(3, bad)
     with pytest.raises(DataError):
-        Spectrum2D(2, np.full((4, 4), np.inf))
+        DyadicGrid2D(2, np.full((4, 4), np.inf))
 
 
 def test_shape_validation():
@@ -289,3 +299,82 @@ def test_transforms_leave_their_inputs_untouched():
     for n in (0, 5, 32):
         field.slice_at(n)
     assert np.array_equal(field.row_profiles, rows) and np.array_equal(field.col_profiles, cols)
+
+
+# --- the grid contract -------------------------------------------------------
+
+GRID = {1: DyadicGrid1D, 2: DyadicGrid2D}
+
+
+def _with(value, shape):
+    a = np.ones(shape)
+    a.flat[3] = value
+    return a
+
+
+MALFORMED = {
+    "1d-non-power-of-two": (1, np.ones(12)),
+    "2d-non-power-of-two": (2, np.ones((12, 12))),
+    "1d-too-short": (1, np.ones(1)),
+    "2d-too-short": (2, np.ones((1, 1))),
+    "2d-non-square": (2, np.ones((8, 4))),
+    "1d-nan": (1, _with(np.nan, 8)),
+    "2d-nan": (2, _with(np.nan, (8, 8))),
+    "1d-inf": (1, _with(-np.inf, 8)),
+    "2d-inf": (2, _with(np.inf, (8, 8))),
+    "1d-given-2d": (1, np.ones((8, 8))),
+    "2d-given-1d": (2, np.ones(8)),
+    "1d-given-scalar": (1, np.float64(1.0)),
+}
+
+
+@pytest.mark.parametrize("dims, array", MALFORMED.values(), ids=MALFORMED.keys())
+def test_grid_rejects_malformed_arrays(dims, array):
+    with pytest.raises(DataError):
+        GRID[dims].from_samples(array)
+    with pytest.raises(DataError):
+        GRID[dims](3, array)
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_grid_rejects_a_wrong_declared_depth(dims):
+    with pytest.raises(UsageError):
+        GRID[dims](4, np.ones((8,) * dims))
+    with pytest.raises(UsageError):
+        GRID[dims]("3", np.ones((8,) * dims))
+
+
+def test_base_grid_takes_either_dimension_only():
+    assert DyadicGrid(3, np.ones(8)).samples.shape == (8,)
+    assert DyadicGrid.from_samples(np.ones((4, 4))).bits == 2
+    with pytest.raises(DataError):
+        DyadicGrid(1, np.ones((2, 2, 2)))
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_from_samples_and_value_at(dims):
+    samples = np.arange(8.0**dims).reshape((8,) * dims)
+    g = GRID[dims].from_samples(samples.tolist())
+    assert type(g) is GRID[dims] and (g.bits, g.size) == (3, 8)
+    assert g.samples.dtype == np.float64 and np.array_equal(g.samples, samples)
+    assert g.value_at(*(0.5, 0.3)[:dims]) == samples[(4, 2)[:dims]]
+    assert g.value_at(*(0.999,) * dims) == samples[(7,) * dims]
+    for point in ((1.0, 0.0)[:dims], (0.5, -0.1)[-dims:], (0.5,) * (3 - dims)):
+        with pytest.raises(UsageError):
+            g.value_at(*point)
+
+
+def test_every_transform_sum_and_operator_returns_its_inputs_class():
+    f1, f2 = random_grid_1d(4, seed=1), random_grid_2d(3, seed=2)
+    outs1 = [wht_1d(f1), naive_wht_1d(f1), inverse_wht_1d(f1), translate(f1, 3),
+             partial_sum_1d(f1, 5), dyadic_maximal_1d(f1), schipp_v(f1, 2), schipp_v_max(f1)]
+    outs2 = [wht_2d(f2), naive_wht_2d(f2), inverse_wht_2d(f2), rectangular_partial_sum(f2, 3, 5),
+             marginal_sum_1(f2, 3), marginal_sum_2(f2, 3), marginal_maximal_2(f2),
+             dyadic_maximal(f2), hybrid_maximal_1(f2), hybrid_maximal_2(f2),
+             hybrid_v_1(f2), hybrid_v_2(f2), schipp_v_max(f2)]
+    for grid, outs in ((f1, outs1), (f2, outs2)):
+        for out in outs:
+            assert type(out) is type(grid) and out.bits == grid.bits
+            assert out.coeffs is out.samples and out.values is out.samples
+    base = DyadicGrid(f1.bits, f1.samples)
+    assert type(wht_1d(base)) is DyadicGrid and type(dyadic_maximal_1d(base)) is DyadicGrid
