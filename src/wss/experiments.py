@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import csv
 import io
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -29,7 +30,7 @@ from .maximal import (
     superlevel_measure,
 )
 from .means import PhiFunction, bmo_of_diagonal_sums, entropy_functional, phi_mean_sequence
-from .sums import BLOCK_BYTES, _prefix_sums, dyadic_square_sums, quadratic_sums
+from .sums import BLOCK_BYTES, _prefix_sums, _support, dyadic_square_sums, quadratic_sums
 from .transform import DyadicGrid1D, DyadicGrid2D, _pow2_scaled, wht_1d
 
 CSV_FIELDS = ("experiment", "spec", "B", "seed", "param", "lambda_or_m", "value")
@@ -231,30 +232,38 @@ def iter_rodin_means(f: DyadicGrid1D, phi: PhiFunction, ms) -> Iterator[tuple[in
     Paley blocks: for a = j 2^s and r = 1..2^s, S_{a+r} f = S_a f + w_a P_r,
     where P_r = sum_{i<r} c_{a+i} w_i lives on level-s cells, so
     |S_{a+r} f - f| = |P_r + w_a (S_a f - f)|.  A block holds 2^s N values
-    within BLOCK_BYTES (1 <= s <= B) and the last one ends at max(ms):
-    O(N max(ms)) time, O(2^s N) memory.  Overflow fails at its first block.
+    within BLOCK_BYTES (1 <= s <= B) and the last one ends at max(ms).  Past
+    the support of f_hat (1 plus its last exactly nonzero index) every P_r is
+    0, so a block there evaluates Phi once, on |S_a f - f|: Phi runs on the
+    orders of the blocks that start below the support and once per block
+    after, the running sums take O(N max(ms)) adds, and memory is O(2^s N).
+    Overflow fails at its first block.
     """
     ms = _m_grid(ms, f.size)
     s = min(f.bits, max(1, (BLOCK_BYTES // (8 * f.size)).bit_length() - 1))
     width, c, i = 1 << s, wht_1d(f).samples, 0
+    support = _support(c)
     target = f.samples.reshape(width, -1)  # x = (level-s cell, offset in it)
     start, total = np.zeros_like(target), np.zeros_like(target)
     for a in range(0, ms[-1], width):
-        prefix = _prefix_sums(c[a:a + width], s)[1:, :, None]  # P_r, r = 1..2^s
-        sign = walsh_row(a, f.bits).reshape(width, -1)
-        dev = prefix + sign * (start - target)  # w_a (S_{a+r} f - f)
-        start = start + sign * prefix[-1]
-        terms = phi(np.abs(dev, out=dev))
-        terms[0] += total
-        for r in range(1, width):  # the sum along k: row by row beats an axis-0 cumsum
-            np.add(terms[r - 1], terms[r], out=terms[r])
-        total = terms[-1]
+        if a < support:
+            prefix = _prefix_sums(c[a:a + width], s)[1:, :, None]  # P_r, r = 1..2^s
+            sign = walsh_row(a, f.bits).reshape(width, -1)
+            dev = prefix + sign * (start - target)  # w_a (S_{a+r} f - f)
+            start = start + sign * prefix[-1]
+            terms = phi(np.abs(dev, out=dev))
+        else:
+            terms = itertools.repeat(phi(np.abs(start - target)), width)
+        done = []
+        for k, term in enumerate(terms, a + 1):  # row by row beats an axis-0 cumsum
+            total += term
+            if i < len(ms) and ms[i] == k:
+                done.append((k, total.reshape(-1) / k))
+                i += 1
         if not np.isfinite(total).all():
             raise DataError(f"rodin Phi-mean overflowed float64 by k = {a + width}; "
                             "lower the phi parameter")
-        while i < len(ms) and ms[i] <= a + width:
-            yield ms[i], terms[ms[i] - a - 1].reshape(-1) / ms[i]
-            i += 1
+        yield from done
 
 
 def run_rodin_1d(

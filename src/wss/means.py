@@ -79,7 +79,8 @@ def _sequence_values(xi) -> np.ndarray:
     return SummandSequence(np.asarray(xi)).values
 
 
-def _max_mean_square_oscillation(a: np.ndarray) -> np.ndarray:
+def _max_mean_square_oscillation(a: np.ndarray, tail: np.ndarray | None = None,
+                                 length: int = 0) -> np.ndarray:
     """Largest mean square deviation from the block mean over the integer dyadic
     blocks of the last axis of `a`, for every leading index.
 
@@ -94,24 +95,40 @@ def _max_mean_square_oscillation(a: np.ndarray) -> np.ndarray:
     (deviation 0) are skipped.  There is no centring pass: the relative
     rounding error is about eps max|a| over the result, so rows should start
     near 0.  Every scale is a power of two: dyadic rationals stay exact.
+
+    With `tail` (one value per leading index) the sequence goes on as `tail`
+    up to `length` terms, a power of two.  A tail block of length h has P = 0
+    and s = h * tail, both exact, so each level above a's length is one merge
+    of the root block, with the same operations as on the whole sequence.
     """
     if a.shape[-1] == 1:
-        return np.zeros(a.shape[:-1])
-    left, right = a[..., 0::2], a[..., 1::2]
-    total = left + right
-    spread = left - right
-    spread *= spread
-    best = spread.max(axis=-1) * 0.25
-    h = 2
-    while total.shape[-1] > 1:
-        left, right = total[..., 0::2], total[..., 1::2]
-        gap = left - right
+        total, spread, best, h = a[..., 0], 0.0, np.zeros(a.shape[:-1]), 1
+    else:
+        left, right = a[..., 0::2], a[..., 1::2]
+        total = left + right
+        spread = left - right
+        spread *= spread
+        best = spread.max(axis=-1) * 0.25
+        h = 2
+        while total.shape[-1] > 1:
+            left, right = total[..., 0::2], total[..., 1::2]
+            gap = left - right
+            gap *= gap
+            gap *= 1.0 / h
+            spread = spread[..., 0::2] + spread[..., 1::2]
+            spread += gap
+            total = left + right
+            best = np.maximum(best, spread.max(axis=-1) * (0.25 / h))
+            h *= 2
+        total, spread = total[..., 0], spread[..., 0]
+    while h < length:
+        right = h * tail
+        gap = total - right
         gap *= gap
         gap *= 1.0 / h
-        spread = spread[..., 0::2] + spread[..., 1::2]
-        spread += gap
-        total = left + right
-        best = np.maximum(best, spread.max(axis=-1) * (0.25 / h))
+        spread = spread + gap
+        total = total + right
+        best = np.maximum(best, spread * (0.25 / h))
         h *= 2
     return best
 
@@ -153,20 +170,25 @@ def bmo_of_diagonal_sums(field: DiagonalSumField, max_rows: int | None = None) -
     n = 0..2^bits - 1.
 
     The field's (x, y, n) blocks go through one batched oscillation pyramid
-    with the Chan-Golub-LeVeque merge, `_max_mean_square_oscillation`: about
-    2 N^3 (interval, point) pairs in O(N^3) time and a few blocks of memory.
-    The norm is 1-homogeneous, so it runs on `_pow2_scaled` profiles and the
-    result is scaled back: squares of huge or tiny amplitudes neither
-    overflow nor underflow, and in-range results keep every bit.
+    with the Chan-Golub-LeVeque merge, `_max_mean_square_oscillation`.
+    S_nn = S_KK for n >= K, the field's support, so the pyramid reads each
+    sequence up to n = K2, the power of two >= K (at most N), and continues
+    it as S_K2 up to N: O(K N^2 + N^2 log N) arithmetic (K = N: about 2 N^3
+    (interval, point) pairs), besides the blocks' O(N^3) copy of S_KK past
+    K, and a few blocks of memory.  The norm is
+    1-homogeneous, so it runs on `_pow2_scaled` profiles and the result is
+    scaled back: squares of huge or tiny amplitudes neither overflow nor
+    underflow, and in-range results keep every bit.
     """
     if field.size < 2:
         raise UsageError("diagonal field must cover at least 2 indices")
     n = field.size
     exponent, profiles = _pow2_scaled(field.row_profiles, field.col_profiles)
     scaled = DiagonalSumField(field.bits, *profiles)
+    top = min(n, 1 << (scaled.support - 1).bit_length())
     out = np.empty((n, n))
     for sl, block in scaled.iter_sequence_blocks(max_rows=max_rows):
-        out[sl] = _max_mean_square_oscillation(block[..., :n])
+        out[sl] = _max_mean_square_oscillation(block[..., :top], block[..., top], n)
     return DyadicGrid2D(field.bits, np.ldexp(np.sqrt(out), exponent))
 
 

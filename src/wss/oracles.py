@@ -12,7 +12,7 @@ import numpy as np
 
 from .dyadic import walsh_matrix_f64
 from .errors import UsageError
-from .means import integer_dyadic_intervals
+from .means import _max_mean_square_oscillation, integer_dyadic_intervals
 from .sums import DiagonalSumField, all_partial_sums_1d, partial_sum_1d, rectangular_partial_sum
 from .transform import DyadicGrid1D, DyadicGrid2D, naive_wht_2d
 
@@ -88,6 +88,13 @@ def materialize(field: DiagonalSumField) -> np.ndarray:
     for sl, block in field.iter_sequence_blocks():
         out[:, sl, :] = np.moveaxis(block, -1, 0)
     return out
+
+
+def bmo_of_all_diagonal_orders(field: DiagonalSumField) -> np.ndarray:
+    """The BMO pyramid over every order n = 0..N-1 of the materialized field,
+    with no stop at the field's support."""
+    cube = materialize(field)[: field.size]
+    return np.sqrt(_max_mean_square_oscillation(np.moveaxis(cube, 0, -1)))
 
 
 def dyadic_square_sums_brute(f: DyadicGrid1D) -> np.ndarray:

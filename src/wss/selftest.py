@@ -10,7 +10,7 @@ import numpy as np
 from . import oracles
 from .dyadic import walsh_matrix
 from .experiments import iter_rodin_means
-from .generators import random_grid_1d, random_grid_2d
+from .generators import generate_function, random_grid_1d, random_grid_2d
 from .maximal import dyadic_maximal, schipp_v
 from .means import PhiFunction, bmo_of_diagonal_sums, bmo_sequence_norm
 from .sums import partial_sum_1d, quadratic_sums
@@ -82,6 +82,13 @@ def _check_bmo_diagonal() -> tuple[bool, str]:
     return gap <= 1e-12, f"pyramid vs interval enumeration, relative gap {gap:.3g}"
 
 
+def _check_bmo_support() -> tuple[bool, str]:
+    field = quadratic_sums(generate_function("spike:level=2,target=10@B=7"))
+    stopped = bmo_of_diagonal_sums(field).samples
+    gap = float(np.abs(stopped - oracles.bmo_of_all_diagonal_orders(field)).max())
+    return gap == 0.0, f"stopped at support {field.support} vs all 128 orders, gap {gap:.3g}"
+
+
 def _check_schipp_v() -> tuple[bool, str]:
     f = random_grid_1d(5, seed=606)
     gap = float(np.abs(schipp_v(f, 3).samples - oracles.schipp_v_brute(f, 3)).max())
@@ -110,6 +117,7 @@ CHECKS = [
     ("quadratic-sums", _check_quadratic_sums),
     ("bmo-sequence", _check_bmo),
     ("bmo-diagonal", _check_bmo_diagonal),
+    ("bmo-support", _check_bmo_support),
     ("schipp-v", _check_schipp_v),
     ("dyadic-maximal", _check_dyadic_maximal),
     ("rodin-stream", _check_rodin_stream),

@@ -12,6 +12,8 @@ field costs O(2^{3B}) and a single point's sequence costs O(2^B).  Only the
 O(2^{2B}) profiles are stored: the field streams (x, y, n) blocks of whole
 per-point sequences, each built in place by one cumulative sum along n and
 sized to a fixed byte budget, and never holds the (2^B + 1) x 2^B x 2^B cube.
+From the field's `support` K (1 plus the last nonzero row of either profile
+table) on, every step is 0 and S_nn = S_KK: a block forms steps below K only.
 Every partial sum and profile is one truncated synthesis,
 `wss.transform._synthesis`; statistics of all partial sums at every point
 come from one Paley prefix scan, `_paley_scan`.
@@ -122,6 +124,15 @@ def marginal_maximal_2(f: DyadicGrid2D) -> DyadicGrid2D:
     return type(f)(f.bits, np.maximum(high, -low)[:, 0, :])
 
 
+def _support(*tables: np.ndarray) -> int:
+    """1 plus the last index along axis 0 at which any table has a nonzero
+    entry (1 if none has): the terms from there on are exact zeros, with no
+    tolerance."""
+    live = np.flatnonzero(np.logical_or.reduce([t.reshape(len(t), -1).any(axis=1)
+                                                for t in tables]))
+    return int(live[-1]) + 1 if live.size else 1
+
+
 @dataclass
 class DiagonalSumField:
     """All quadratic partial sums S_nn(x, y; f), n = 0..2^bits, kept as the
@@ -135,10 +146,16 @@ class DiagonalSumField:
     bits: int
     row_profiles: np.ndarray = field(repr=False)
     col_profiles: np.ndarray = field(repr=False)
+    support: int = field(init=False)
 
     # The cube is never materialized; perfbench's tracer still reads both names.
     values = None
     streaming = True
+
+    def __post_init__(self):
+        # Step n is w_n(x) u[n, y] + v[n, x] w_n(y): exactly 0 once both profile
+        # rows are, so S_nn = S_KK for every n >= K.
+        self.support = _support(self.row_profiles, self.col_profiles)
 
     @property
     def size(self) -> int:
@@ -169,30 +186,34 @@ class DiagonalSumField:
 
         Blocks cover the grid in row order.  By default each holds as many
         x-rows as fit in BLOCK_BYTES (at least one): a block that stays in
-        cache beats a larger one.  The rank-two steps are formed from the
-        (symmetric) Walsh matrix and transposed profile tables directly in
-        (x, y, n) order and summed along n into the block, with no copy after.
+        cache beats a larger one.  The rank-two steps below the support K are
+        formed from the (symmetric) Walsh matrix and transposed profile tables
+        directly in (x, y, n) order and summed along n into the block, with no
+        copy after; from n = K on every step is 0, so the rest of each
+        sequence is S_KK, copied.
         """
-        n = self.size
+        n, k = self.size, self.support
         if max_rows is None:
             max_rows = max(1, BLOCK_BYTES // (8 * n * (n + 1)))
         if max_rows < 1:
             raise UsageError("max_rows must be >= 1")
         max_rows = min(max_rows, n)
-        w = walsh_matrix_f64(self.bits)
-        u_t = np.ascontiguousarray(self.row_profiles.T)
-        v_t = np.ascontiguousarray(self.col_profiles.T)
-        steps = np.empty((max_rows, n, n))  # scratch reused by every block
+        # the Walsh matrix is symmetric: row x holds w_m(x), m < K
+        w_t = np.ascontiguousarray(walsh_matrix_f64(self.bits)[:, :k])
+        u_t = np.ascontiguousarray(self.row_profiles[:k].T)
+        v_t = np.ascontiguousarray(self.col_profiles[:k].T)
+        steps = np.empty((max_rows, n, k))  # scratch reused by every block
         cross = np.empty_like(steps)
         for x0 in range(0, n, max_rows):
             sl = slice(x0, min(x0 + max_rows, n))
             rows = sl.stop - sl.start
             block = np.empty((rows, n, n + 1))
             block[..., 0] = 0.0
-            np.multiply(w[sl, None, :], u_t, out=steps[:rows])
-            np.multiply(v_t[sl, None, :], w, out=cross[:rows])
+            np.multiply(w_t[sl, None, :], u_t, out=steps[:rows])
+            np.multiply(v_t[sl, None, :], w_t, out=cross[:rows])
             steps[:rows] += cross[:rows]
-            np.cumsum(steps[:rows], axis=-1, out=block[..., 1:])
+            np.cumsum(steps[:rows], axis=-1, out=block[..., 1:k + 1])
+            block[..., k + 1:] = block[..., k, None]
             yield sl, block
 
 

@@ -141,6 +141,34 @@ def test_rodin_stream_matches_table_at_any_block_width(bits, level, s, seed, pow
         _assert_stream_matches_table(f, phi, ms)
 
 
+@pytest.mark.parametrize("s", [2, 3, 8], ids=lambda s: f"width={1 << s}")
+def test_rodin_stream_past_the_support(s):
+    # f_hat of w_5 + w_2 ends at order 5, so the support is 6: inside the
+    # second block of 4 orders, the first block of 8, or the only block of 256.
+    f = generate_function("walsh-tensor:5+2@B=10")
+    phi = PhiFunction.exp_minus_one(1.0)
+    ms = [1, 4, 5, 6, 7, 8, 9, 12, 13, 100, 256, 1024]
+    with mock.patch.object(experiments, "BLOCK_BYTES", 8 << (f.bits + s)):
+        _assert_stream_matches_table(f, phi, ms)
+
+
+def test_rodin_stream_evaluates_phi_once_per_block_past_the_support():
+    calls = []
+
+    def counted(t):
+        calls.append(t.size)
+        return np.expm1(t)
+
+    f = generate_function("walsh-tensor:5@B=10")  # support 6, inside the second block
+    phi = PhiFunction.custom(counted)
+    calls.clear()
+    with mock.patch.object(experiments, "BLOCK_BYTES", 8 << (f.bits + 2)):  # blocks of 4
+        stream = np.array([means for _, means in iter_rodin_means(f, phi, [3, 6, 7, 1024])])
+    assert calls == [4 * f.size] * 2 + [f.size] * 254
+    np.testing.assert_allclose(stream, oracles.rodin_means_brute(f, phi, [3, 6, 7, 1024]),
+                               rtol=1e-12)
+
+
 def test_rodin_stream_with_grid_rows_past_the_block_budget():
     # At B = 19 one grid row alone is 4 MiB, over BLOCK_BYTES: blocks of 2 orders.
     from wss.sums import partial_sum_1d

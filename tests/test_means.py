@@ -9,7 +9,7 @@ from conftest import dyadic_rationals
 from wss import oracles
 from wss.dyadic import walsh_row
 from wss.errors import DataError, UsageError
-from wss.generators import random_grid_1d, random_grid_2d
+from wss.generators import generate_function, random_grid_1d, random_grid_2d
 from wss.means import (
     IndexInterval,
     _max_mean_square_oscillation,
@@ -68,6 +68,19 @@ def test_oscillation_kernel_batched_equals_brute_exactly():
         want = [oracles.bmo_sequence_brute(row) ** 2 for row in rows]
         assert got.shape == (2, 3)
         assert np.sqrt(got).ravel().tolist() == [math.sqrt(v) for v in want]
+
+
+def test_oscillation_kernel_constant_tail_equals_the_whole_sequence():
+    # a head of 2^h terms, then its next term repeated up to 2^L: bit for bit
+    # the kernel over the whole sequence, for random (inexact) values too
+    rng = np.random.default_rng(31)
+    for log_len in range(1, 8):
+        for head in range(log_len + 1):
+            rows = rng.normal(size=(3, 2, (1 << head) + 1))
+            whole = np.concatenate(
+                [rows[..., :-1], np.repeat(rows[..., -1:], (1 << log_len) - (1 << head), -1)], -1)
+            got = _max_mean_square_oscillation(rows[..., :-1], rows[..., -1], 1 << log_len)
+            assert np.array_equal(got, _max_mean_square_oscillation(whole))
 
 
 @settings(max_examples=60, deadline=None)
@@ -202,6 +215,48 @@ def test_bmo_of_diagonal_sums_streaming_agrees():
     base = bmo_of_diagonal_sums(field).samples
     for max_rows in (1, 3, 5):
         assert np.array_equal(bmo_of_diagonal_sums(field, max_rows=max_rows).samples, base)
+
+
+def _band_limited(kind, bits):
+    n = 1 << bits
+    specs = {
+        "spike": f"spike:level={min(bits, 2)},target=10@B={bits}",
+        "random-step": f"random-step:level={bits - 1},dim=2@B={bits}",
+        "walsh-tensor": f"walsh-tensor:1,{max(n // 2 - 1, 0)}@B={bits}",
+        "indicator-rect": f"indicator-rect:0.5,1,0,0.5@B={bits}",
+    }
+    if kind == "zero":
+        return DyadicGrid2D(bits, np.zeros((n, n)))
+    if kind == "random":
+        return random_grid_2d(bits, seed=60 + bits)
+    return generate_function(specs[kind], 60 + bits)
+
+
+@pytest.mark.parametrize("bits", range(1, 8))
+@pytest.mark.parametrize("kind", ["spike", "random-step", "walsh-tensor", "indicator-rect",
+                                  "zero", "random"])
+def test_bmo_stopped_at_the_support_equals_all_orders(kind, bits):
+    field = quadratic_sums(_band_limited(kind, bits))
+    full = oracles.bmo_of_all_diagonal_orders(field)
+    assert np.array_equal(bmo_of_diagonal_sums(field).samples, full)
+    if kind in ("spike", "walsh-tensor") and bits >= 3:
+        for max_rows in (1, 3, 5):
+            assert np.array_equal(bmo_of_diagonal_sums(field, max_rows=max_rows).samples, full)
+
+
+def test_diagonal_field_support_from_exact_zeros():
+    assert quadratic_sums(_band_limited("spike", 5)).support == 4
+    assert quadratic_sums(_band_limited("zero", 5)).support == 1
+    assert quadratic_sums(_band_limited("random", 5)).support == 32
+    assert quadratic_sums(generate_function("walsh-tensor:2,9@B=5")).support == 10
+    for level in range(6):
+        f = generate_function(f"random-step:level={level},dim=2@B=5", level)
+        assert quadratic_sums(f).support == 1 << level
+    # f_hat is 0 at order 3, but the round trip leaves noise of about 1e-17
+    # there: no tolerance hides it.  Above 4 the samples are constant on
+    # level-2 cells, so the analysis gives exact zeros.
+    f = generate_function("random-spectrum:support=3,dim=2@B=5", 1)
+    assert quadratic_sums(f).support == 4
 
 
 # --- means ------------------------------------------------------------------
