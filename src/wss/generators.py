@@ -22,7 +22,7 @@ import numpy as np
 
 from .dyadic import validate_bits, walsh_row
 from .errors import UsageError
-from .transform import DyadicGrid, DyadicGrid1D, DyadicGrid2D, inverse_wht_1d, inverse_wht_2d
+from .transform import DyadicGrid, DyadicGrid1D, DyadicGrid2D, _synthesis
 
 KINDS = ("indicator-rect", "walsh-tensor", "random-step", "random-spectrum", "spike")
 
@@ -208,14 +208,9 @@ def _random_spectrum(spec: FunctionSpec, seed: int) -> DyadicGrid:
     amp = spec.number("amp", "1")
     dims = _dims_option(spec)
     u = portable_uniforms(_seed_for(spec, seed), support**dims)
-    coeffs = amp * (2.0 * u - 1.0)
-    if dims == 1:
-        full = np.zeros(size)
-        full[:support] = coeffs
-        return inverse_wht_1d(DyadicGrid1D(spec.bits, full))
-    full = np.zeros((size, size))
-    full[:support, :support] = coeffs.reshape(support, support)
-    return inverse_wht_2d(DyadicGrid2D(spec.bits, full))
+    coeffs = (amp * (2.0 * u - 1.0)).reshape((support,) * dims)
+    grid = DyadicGrid1D if dims == 1 else DyadicGrid2D  # synthesis zero-pads the block
+    return grid(spec.bits, _synthesis(coeffs, spec.bits, (size,) * dims))
 
 
 def spike_height(level: int, target: float, alpha: float = 2.0) -> float:

@@ -89,6 +89,13 @@ def _check_bmo_support() -> tuple[bool, str]:
     return gap == 0.0, f"stopped at support {field.support} vs all 128 orders, gap {gap:.3g}"
 
 
+def _check_profile_support() -> tuple[bool, str]:
+    f = generate_function("random-spectrum:support=5,dim=2@B=7")
+    field, full = quadratic_sums(f), oracles.full_profile_field(f)
+    gap = float(np.abs(oracles.materialize(field) - oracles.materialize(full)).max())
+    return gap == 0.0, f"{field.support}-row profiles vs 128-row tables, gap {gap:.3g}"
+
+
 def _check_schipp_v() -> tuple[bool, str]:
     f = random_grid_1d(5, seed=606)
     gap = float(np.abs(schipp_v(f, 3).samples - oracles.schipp_v_brute(f, 3)).max())
@@ -118,6 +125,7 @@ CHECKS = [
     ("bmo-sequence", _check_bmo),
     ("bmo-diagonal", _check_bmo_diagonal),
     ("bmo-support", _check_bmo_support),
+    ("profile-support", _check_profile_support),
     ("schipp-v", _check_schipp_v),
     ("dyadic-maximal", _check_dyadic_maximal),
     ("rodin-stream", _check_rodin_stream),

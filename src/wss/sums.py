@@ -8,12 +8,12 @@ S_nn to S_{n+1,n+1} adds spectral row n (k <= n) and spectral column n
     v[v, x] = sum_{m<v}  c[m, v] w_m(x)    (column profiles)
 
 each step is the rank-two update w_v(x) u[v, y] + v[v, x] w_v(y), so the full
-field costs O(2^{3B}) and a single point's sequence costs O(2^B).  Only the
-O(2^{2B}) profiles are stored: the field streams (x, y, n) blocks of whole
-per-point sequences, each built in place by one cumulative sum along n and
-sized to a fixed byte budget, and never holds the (2^B + 1) x 2^B x 2^B cube.
-From the field's `support` K (1 plus the last nonzero row of either profile
-table) on, every step is 0 and S_nn = S_KK: a block forms steps below K only.
+field costs O(2^{3B}) and a single point's sequence costs O(2^B).  Both tables
+are exact zeros from row K, the support (1 plus the largest index of a nonzero
+c[m, k]), on, so every step from n = K is 0 and S_nn = S_KK.  Only the (K, 2^B)
+profiles are stored, synthesized from the K x K coefficient corner; the field
+streams (x, y, n) blocks of whole per-point sequences, each one cumulative sum
+of the steps below K in a fixed byte budget, never the (2^B + 1) x 2^B x 2^B cube.
 Every partial sum and profile is one truncated synthesis,
 `wss.transform._synthesis`; statistics of all partial sums at every point
 come from one Paley prefix scan, `_paley_scan`.
@@ -25,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .dyadic import walsh_matrix, walsh_matrix_f64
+from .dyadic import walsh_matrix, walsh_matrix_f64, walsh_row
 from .errors import UsageError
 from .transform import DyadicGrid1D, DyadicGrid2D, _analysis, _synthesis
 
@@ -136,7 +136,7 @@ def _support(*tables: np.ndarray) -> int:
 @dataclass
 class DiagonalSumField:
     """All quadratic partial sums S_nn(x, y; f), n = 0..2^bits, kept as the
-    O(N^2) row and column profiles and streamed on demand.
+    (K, N) row and column profiles (rows past K are zeros), streamed on demand.
 
     `iter_sequence_blocks` yields blocks of x-rows in (x, y, n) order, so each
     grid point's whole sequence n -> S_nn(x, y) is contiguous; `slice_at` and
@@ -154,7 +154,7 @@ class DiagonalSumField:
 
     def __post_init__(self):
         # Step n is w_n(x) u[n, y] + v[n, x] w_n(y): exactly 0 once both profile
-        # rows are, so S_nn = S_KK for every n >= K.
+        # rows are, so S_nn = S_KK for every n >= K; rows past a table are 0.
         self.support = _support(self.row_profiles, self.col_profiles)
 
     @property
@@ -175,10 +175,11 @@ class DiagonalSumField:
         """The sequence n -> S_nn(x, y) at one grid point, length 2^bits + 1."""
         if not (0 <= ix < self.size and 0 <= iy < self.size):
             raise UsageError(f"grid point ({ix}, {iy}) outside the {self.bits}-bit grid")
-        w = walsh_matrix_f64(self.bits)  # symmetric: W[k, i] = W[i, k]
-        steps = w[ix] * self.row_profiles[:, iy] + self.col_profiles[:, ix] * w[iy]
+        k = self.support  # the Walsh matrix is symmetric: row x holds w_m(x)
+        wx, wy = walsh_row(ix, self.bits)[:k], walsh_row(iy, self.bits)[:k]
         seq = np.zeros(self.size + 1)
-        np.cumsum(steps, out=seq[1:])
+        np.cumsum(wx * self.row_profiles[:k, iy] + self.col_profiles[:k, ix] * wy, out=seq[1:k + 1])
+        seq[k + 1:] = seq[k]
         return seq
 
     def iter_sequence_blocks(self, max_rows: int | None = None) -> Iterator[tuple[slice, np.ndarray]]:
@@ -219,7 +220,7 @@ class DiagonalSumField:
 
 def quadratic_sums(f: DyadicGrid2D, mode: str = "auto") -> DiagonalSumField:
     """Build the streamed diagonal-sum field of f from its row and column
-    profiles, O(N^2 log N).
+    profiles: O(N^2 log N) analysis, then O(K N log N) synthesis.
 
     `mode` ("auto", "full" or "streaming") is accepted for callers written
     when the cube could be materialized; every value builds the same field.
@@ -227,8 +228,10 @@ def quadratic_sums(f: DyadicGrid2D, mode: str = "auto") -> DiagonalSumField:
     if mode not in ("auto", "full", "streaming"):
         raise UsageError(f"unknown mode {mode!r}")
     coeffs = _analysis(f.samples, f.bits, (0, 1))
+    k = _support(coeffs, coeffs.T)  # 1 plus the largest index of a nonzero c[m, k]
+    corner = coeffs[:k, :k]
     # Row profiles synthesize the lower triangle (k <= v) of each spectral row
     # along y; column profiles synthesize the strict upper triangle along x.
-    row_profiles = _synthesis(np.tril(coeffs), f.bits, (None, f.size))
-    col_profiles = _synthesis(np.triu(coeffs, 1).T, f.bits, (None, f.size))
+    row_profiles = _synthesis(np.tril(corner), f.bits, (None, f.size))
+    col_profiles = _synthesis(np.triu(corner, 1).T, f.bits, (None, f.size))
     return DiagonalSumField(f.bits, row_profiles, col_profiles)

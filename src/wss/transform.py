@@ -7,13 +7,14 @@ integrals int f w_k; synthesis carries no factor.  Every fast path, here and
 in `wss.sums`, is `_analysis` or the truncated synthesis `_synthesis`: a
 natural-order Hadamard butterfly composed with a bit-reversal permutation
 (Paley row k of the sampled Walsh matrix is natural row reverse(k)).  Each
-pass copies its axis to the front of a fresh C-contiguous buffer (in
-synthesis that copy is the bit-reversal; analysis bit-reverses after the
-butterfly), and the butterfly runs in place on contiguous slabs of that
-buffer with one half-size scratch array, so a pass allocates nothing per
-stage and never writes to its input.  The naive transforms evaluate the
-defining sums directly with a fixed ascending summation order and serve as
-oracles for the fast paths.
+pass copies its axis to the front of a fresh C-contiguous buffer (analysis
+bit-reverses after the butterfly; synthesis cuts every axis to its order first
+and scatters Paley k to row rev[k] of a zeroed buffer, so an axis may be
+shorter than 2^bits and a pass skips the rows other orders cut), and the
+butterfly runs in place on contiguous slabs of that buffer with one half-size
+scratch array, so a pass allocates nothing per stage and never writes to its
+input.  The naive transforms evaluate the defining sums directly with a fixed
+ascending summation order and serve as oracles for the fast paths.
 """
 from __future__ import annotations
 
@@ -134,16 +135,16 @@ def _analysis(samples: np.ndarray, bits: int, axes: tuple[int, ...]) -> np.ndarr
 
 def _synthesis(coeffs: np.ndarray, bits: int, orders) -> np.ndarray:
     """From the last axis to the first, each axis with an order (not None)
-    has its coefficients from that order on zeroed and is synthesized."""
+    keeps its coefficients below that order and is synthesized; all are cut
+    before any pass, and an axis shorter than 2^bits is zero-padded."""
+    if any(o is not None and not 0 <= o <= 1 << bits for o in orders):
+        raise UsageError(f"orders {tuple(orders)} outside [0, 2^{bits}]")
     rev = bit_reverse_permutation(bits)
-    t = coeffs
-    for axis, order in reversed(list(enumerate(orders))):
-        if order is None:
-            continue
-        if not 0 <= order <= 1 << bits:
-            raise UsageError(f"order {order} outside [0, 2^{bits}]")
-        buf = np.take(np.moveaxis(t, axis, 0), rev, axis=0).astype(np.float64, copy=False)
-        buf[rev[order:]] = 0.0  # where Paley k >= order
+    t = coeffs[tuple(slice(None) if o is None else slice(o) for o in orders)]
+    for axis in reversed([a for a, o in enumerate(orders) if o is not None]):
+        kept = np.moveaxis(t, axis, 0)
+        buf = np.zeros((1 << bits,) + kept.shape[1:])
+        buf[rev[: len(kept)]] = kept
         _fwht(buf, 0)
         t = np.moveaxis(buf, 0, axis)
     return t

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wss import experiments, oracles
+from wss.dyadic import walsh_matrix_f64
 from wss.errors import UsageError
 from wss.experiments import (
     ExperimentConfig,
@@ -76,6 +77,13 @@ def test_theorem2_decay_on_quadrant():
     ms, vals = rep.series("phi_mean:window=B:probe=0.25;0.25")
     c = np.expm1(0.75)  # only S_11 = 1/4 deviates from f = 1 at the probe
     np.testing.assert_allclose(vals, c / ms, rtol=1e-12)
+
+
+def test_theorem2_materializes_no_walsh_matrix():
+    # probe sequences read Walsh rows, never the cached N x N float matrix
+    walsh_matrix_f64.cache_clear()
+    run_theorem2("random-spectrum:support=64,dim=2@B=10", 1.0, [4, 1024])
+    assert walsh_matrix_f64.cache_info().currsize == 0
 
 
 def test_rodin_zero_and_validation():

@@ -11,7 +11,7 @@ from wss.generators import (
     spike_height,
 )
 from wss.means import entropy_functional
-from wss.transform import DyadicGrid1D, DyadicGrid2D, wht_1d, wht_2d
+from wss.transform import DyadicGrid1D, DyadicGrid2D, inverse_wht_1d, inverse_wht_2d, wht_1d, wht_2d
 
 
 def test_parse_round_trip_fields():
@@ -89,6 +89,18 @@ def test_random_spectrum_support():
     assert np.abs(c[:, 4:]).max() <= 1e-13
     g = generate_function("random-spectrum:support=8,dim=1@B=6", seed=4)
     assert np.abs(wht_1d(g).coeffs[8:]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("support", [1, 3, 32])
+def test_random_spectrum_is_the_inverse_of_its_zero_padded_table(dims, support):
+    # the support block is synthesized directly: bit for bit the full inverse
+    f = generate_function(f"random-spectrum:support={support},dim={dims},amp=3@B=5", seed=8)
+    coeffs = 3.0 * (2.0 * portable_uniforms(8, support**dims) - 1.0)
+    table = np.zeros((32,) * dims)
+    table[(slice(support),) * dims] = coeffs.reshape((support,) * dims)
+    inverse = inverse_wht_1d(DyadicGrid1D(5, table)) if dims == 1 else inverse_wht_2d(DyadicGrid2D(5, table))
+    assert type(f) is type(inverse) and np.array_equal(f.samples, inverse.samples)
 
 
 def test_spike_hits_entropy_target():

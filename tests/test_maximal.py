@@ -192,6 +192,16 @@ def test_superlevel_accepts_grids_and_arrays():
     assert superlevel_measure(np.array([0.0, 2.0]), 1.0) == 0.5
 
 
+@pytest.mark.parametrize("shape", [(7,), (1000,), (16, 16), (33, 3)])
+def test_superlevel_is_the_bool_mean_bit_for_bit(shape):
+    # values on a coarse lattice put many ties exactly at lam
+    values = np.random.default_rng(sum(shape)).integers(0, 5, shape) * 0.75
+    for lam in (0.75, 1.5, 1.6, 3.0, 10.0):
+        assert superlevel_measure(values, lam) == (values > lam).mean()
+    if len(shape) == 2 and shape[0] == shape[1]:
+        assert superlevel_measure(DyadicGrid2D(4, values), 1.5) == (values > 1.5).mean()
+
+
 # --- shared properties -------------------------------------------------------
 
 

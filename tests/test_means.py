@@ -224,6 +224,7 @@ def _band_limited(kind, bits):
         "random-step": f"random-step:level={bits - 1},dim=2@B={bits}",
         "walsh-tensor": f"walsh-tensor:1,{max(n // 2 - 1, 0)}@B={bits}",
         "indicator-rect": f"indicator-rect:0.5,1,0,0.5@B={bits}",
+        "random-spectrum": f"random-spectrum:support={min(n, 3)},dim=2@B={bits}",
     }
     if kind == "zero":
         return DyadicGrid2D(bits, np.zeros((n, n)))
@@ -242,6 +243,29 @@ def test_bmo_stopped_at_the_support_equals_all_orders(kind, bits):
     if kind in ("spike", "walsh-tensor") and bits >= 3:
         for max_rows in (1, 3, 5):
             assert np.array_equal(bmo_of_diagonal_sums(field, max_rows=max_rows).samples, full)
+
+
+@pytest.mark.parametrize("bits", range(1, 8))
+@pytest.mark.parametrize("kind", ["spike", "random-step", "walsh-tensor", "indicator-rect",
+                                  "random-spectrum", "zero", "random"])
+def test_k_row_field_equals_the_full_table_field(kind, bits):
+    # (K, N) profiles from the K x K coefficient corner against (N, N) tables
+    # whose rows from K on are exact zeros: every read agrees bit for bit
+    f = _band_limited(kind, bits)
+    field, full = quadratic_sums(f), oracles.full_profile_field(f)
+    n, k = f.size, full.support
+    assert field.support == k == {"zero": 1, "random": n}.get(kind, k)
+    assert field.row_profiles.shape == field.col_profiles.shape == (k, n)
+    # each point's sequence against the full-table field's materialized cube
+    sequences = [[field.sequence_at(ix, iy) for iy in range(n)] for ix in range(n)]
+    assert np.array_equal(np.moveaxis(sequences, -1, 0), oracles.materialize(full))
+    for order in range(n + 1):
+        assert np.array_equal(field.slice_at(order), full.slice_at(order))
+    for max_rows in (1, 3, None):
+        pairs = zip(field.iter_sequence_blocks(max_rows), full.iter_sequence_blocks(max_rows), strict=True)
+        for (sl, block), (full_sl, full_block) in pairs:
+            assert sl == full_sl and np.array_equal(block, full_block)
+    assert np.array_equal(bmo_of_diagonal_sums(field).samples, bmo_of_diagonal_sums(full).samples)
 
 
 def test_diagonal_field_support_from_exact_zeros():

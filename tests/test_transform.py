@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -264,6 +266,26 @@ def test_synthesis_is_the_reference_butterfly_bit_for_bit(values, axes):
             assert np.array_equal(got, _reference_synthesis(values, 3, orders))
         orders = [order if axis in axes else None for axis in range(values.ndim)]
         assert np.array_equal(_synthesis(values, 3, orders), _reference_synthesis(values, 3, orders))
+
+
+@pytest.mark.parametrize("shape", [(3,), (8,), (5, 8), (8, 3), (2, 6), (1, 1)])
+def test_synthesis_of_short_and_cut_axes_is_the_zero_padded_one(shape):
+    # a synthesized axis shorter than 2^3 holds the leading coefficients; orders
+    # 0, 1, K (the input length) and 2^3 cut the other axis before any pass
+    rng = np.random.default_rng(len(shape) * 10 + shape[0])
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    choices = [(None, 0, 1, n, 8) for n in shape]
+    for orders in itertools.product(*choices):
+        padded = np.zeros([n if o is None else 8 for n, o in zip(shape, orders)])
+        padded[tuple(slice(n) for n in shape)] = values
+        want = _reference_synthesis(padded, 3, orders)
+        assert np.array_equal(_synthesis(values, 3, orders), want)
+        assert np.array_equal(_synthesis(np.asfortranarray(values), 3, orders), want)
+    for bad in (-1, 9):
+        with pytest.raises(UsageError):
+            _synthesis(values, 3, (bad,) + (None,) * (len(shape) - 1))
+        with pytest.raises(UsageError):
+            _synthesis(values, 3, (8,) * (len(shape) - 1) + (bad,))
 
 
 def test_synthesis_at_orders_zero_and_full():
