@@ -356,7 +356,7 @@ def run_weak_type_suite(
             continue
         if operator in ("M1", "M2"):
             op = hybrid_maximal_1(f) if operator == "M1" else hybrid_maximal_2(f)
-            exponent, (scaled,) = _pow2_scaled(op.samples)
+            exponent, (scaled,) = _pow2_scaled(op.samples, inplace=True)  # op is ours
             value = float(np.ldexp(scaled.mean(), exponent)) / (1.0 + entropy_functional(f, 1))
             report.add("integral_ratio", i, value)
             suite_best = max(suite_best, value)

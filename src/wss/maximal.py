@@ -8,7 +8,8 @@ and M2 are one dyadic pyramid, `_dyadic_maximal`, over both axes or one.  No
 operator here takes a transform: V_n reads S_{2^n} f as level-n cell averages
 and runs on the 2^n coarse cells, batched along the last axis, so V costs
 O(N B) on N = 2^B samples and the hybrids V1, V2 are single batched calls.
-Operators return their input's grid class.  Both pyramids run on
+Operators return a new grid of their input's class and never write their
+input; M, M1 and M2 hold one private copy of it.  Both pyramids run on
 `_pow2_scaled` inputs, so no sum or square overflows at extreme amplitudes.
 """
 from __future__ import annotations
@@ -24,10 +25,10 @@ from .transform import DyadicGrid, _pow2_scaled
 def _dyadic_maximal(a: np.ndarray, bits: int, axes: tuple[int, ...]) -> np.ndarray:
     """Running max of the averages of |a| over dyadic cells of the given axes.
 
-    The averages are built bottom-up, summing the children in
-    `itertools.product` order; the max then runs top-down, each level
-    folding its coarser parent into its children in place, so no level is
-    expanded to the full grid.  O(size of a).
+    The averages are built bottom-up from one private copy, |a| 2^-e scaled
+    in place (== |a 2^-e|), each level's children summed into one array in
+    `itertools.product` order; the max runs top-down, each level folding its
+    coarser parent into its children in place.  O(size of a).
     """
 
     def children(level):
@@ -37,11 +38,14 @@ def _dyadic_maximal(a: np.ndarray, bits: int, axes: tuple[int, ...]) -> np.ndarr
                 index[axis] = slice(offset, None, 2)
             yield level[tuple(index)]
 
-    exponent, (scaled,) = _pow2_scaled(a)
-    levels = [np.abs(scaled)]
+    levels = [np.abs(a)]
+    exponent, _ = _pow2_scaled(levels[0], inplace=True)
     for _ in range(bits):
-        first, *rest = children(levels[-1])
-        levels.append(0.5 ** len(axes) * sum(rest, first))
+        first, second, *rest = children(levels[-1])
+        total = first + second
+        for child in rest:
+            total += child
+        levels.append(np.multiply(total, 0.5 ** len(axes), out=total))
     best = levels.pop()
     while levels:
         finer = levels.pop()
@@ -89,24 +93,28 @@ def _schipp_v_values(samples: np.ndarray, bits: int, orders) -> np.ndarray:
 
     V_n is 1-homogeneous, so it runs on `_pow2_scaled` samples and the
     result is scaled back: c * c neither overflows nor underflows at extreme
-    amplitudes, and in-range results keep every bit.
+    amplitudes, and in-range results keep every bit.  Orders run downward,
+    so each g is one halving of the last.
     """
-    exponent, (scaled,) = _pow2_scaled(samples)
+    exponent, (g,) = _pow2_scaled(samples)
     best = np.zeros(samples.shape)  # V_n >= 0
-    for n in orders:
-        g = scaled
-        for _ in range(bits - n):
+    for n in sorted(orders, reverse=True):
+        while g.shape[-1] > 1 << n:
             g = 0.5 * (g[..., 0::2] + g[..., 1::2])
-        idx = np.arange(1 << n)
-        c = acc = 0.0
+        c, acc, q = np.zeros(g.shape), np.zeros(g.shape), np.empty(g.shape)
         for k in range(n):
-            c = c + 2.0 ** (k - 1) * g[..., idx ^ (1 << (n - 1 - k))]
-            q = block_sums = c * c
+            pairs = g.shape[:-1] + (-1, 2, 1 << (n - 1 - k))  # [..., ::-1, :] reads u ^ 2^(n-1-k)
+            np.multiply(g.reshape(pairs)[..., ::-1, :], 2.0 ** (k - 1), out=q.reshape(pairs))
+            c += q
+            block_sums = np.multiply(c, c, out=q)
             for _ in range(n - 1 - k):  # a fixed pairwise tree: a row's sums ignore the batch
                 block_sums = block_sums[..., 0::2] + block_sums[..., 1::2]
-            acc = acc + block_sums[..., (idx >> (n - 1 - k)) ^ 1]
-        np.maximum(best, np.repeat(np.sqrt(acc + q) * 2.0**-n, 1 << (bits - n), axis=-1), out=best)
-    return np.ldexp(best, exponent)
+            shells = acc.reshape(pairs)
+            shells += block_sums.reshape(pairs[:-1] + (1,))[..., ::-1, :]
+        np.sqrt(np.add(acc, q, out=acc), out=acc)
+        cells = best.reshape(best.shape[:-1] + (1 << n, -1))  # x's level-n cell
+        np.maximum(cells, np.multiply(acc, 2.0**-n, out=acc)[..., None], out=cells)
+    return np.ldexp(best, exponent, out=best)
 
 
 def schipp_v(f: DyadicGrid, n: int) -> DyadicGrid:

@@ -381,15 +381,22 @@ def phi_mean_sequence(seq: np.ndarray, f_value: float, m: int, phi: PhiFunction,
 def entropy_functional(f: DyadicGrid, alpha: float) -> float:
     """Zygmund-class gauge: the mean of |f| (log+ |f|)^alpha over the grid.
 
-    alpha = 0 gives the L1 norm.  log+ u = log(max(u, 1)).  The mean of the
-    `_pow2_scaled` terms cannot overflow; terms beyond float64 raise DataError.
+    alpha = 0 gives the L1 norm.  log+ u = log(max(u, 1)).  The terms are
+    formed and `_pow2_scaled` in place in one private copy of |f| beside a
+    log+ array; their scaled mean cannot overflow, and terms beyond float64
+    raise DataError.
     """
     if alpha < 0:
         raise UsageError(f"entropy exponent must be >= 0, got {alpha}")
-    a = np.abs(f.samples)
-    with np.errstate(over="ignore"):
-        terms = a * np.log(np.maximum(a, 1.0)) ** alpha if alpha else a
-    exponent, (scaled,) = _pow2_scaled(terms)
+    terms = np.abs(f.samples)
+    if alpha:
+        logs = np.maximum(terms, 1.0)
+        np.log(logs, out=logs)
+        with np.errstate(over="ignore"):
+            if alpha != 1:  # u ** 1 == u
+                logs **= alpha
+            terms *= logs
+    exponent, (scaled,) = _pow2_scaled(terms, inplace=True)
     mean = float(np.ldexp(scaled.mean(), exponent))
     if mean == np.inf:  # only an infinite term makes the mean of scaled terms infinite
         raise DataError(f"entropy gauge at alpha={alpha:g} overflows float64")

@@ -146,6 +146,12 @@ def dyadic_maximal_brute(f: DyadicGrid2D) -> np.ndarray:
     return out
 
 
+def entropy_brute(f, alpha: float) -> float:
+    """Mean of |v| (log+ |v|)^alpha over the samples, summed exactly by math.fsum."""
+    terms = [abs(v) * math.log(max(abs(v), 1.0)) ** alpha for v in f.samples.ravel().tolist()]
+    return math.fsum(terms) / f.samples.size
+
+
 def schipp_v_brute(f: DyadicGrid1D, n: int) -> np.ndarray:
     """V_n by direct summation over every t grid point."""
     if not 1 <= n <= f.bits:

@@ -12,7 +12,7 @@ from .dyadic import walsh_matrix
 from .experiments import iter_rodin_means
 from .generators import generate_function, random_grid_1d, random_grid_2d
 from .maximal import dyadic_maximal, schipp_v
-from .means import PhiFunction, bmo_of_diagonal_sums, bmo_sequence_norm
+from .means import PhiFunction, bmo_of_diagonal_sums, bmo_sequence_norm, entropy_functional
 from .sums import partial_sum_1d, quadratic_sums
 from .transform import (
     inverse_wht_1d,
@@ -108,6 +108,12 @@ def _check_dyadic_maximal() -> tuple[bool, str]:
     return gap <= 1e-12, f"pyramid vs block-scan gap {gap:.3g}"
 
 
+def _check_entropy_gauge() -> tuple[bool, str]:
+    f = random_grid_2d(6, seed=1010, amp=4.0)  # log+ is live on 3/4 of the grid
+    gap = max(abs(entropy_functional(f, a) / oracles.entropy_brute(f, a) - 1.0) for a in (0, 0.5, 1, 2))
+    return gap <= 1e-12, f"in-place gauge vs fsum, relative gap {gap:.3g}"
+
+
 def _check_rodin_stream() -> tuple[bool, str]:
     f, phi, ms = random_grid_1d(10, seed=909), PhiFunction.exp_minus_one(1.0), range(1, 1025)
     fast = np.array([means for _, means in iter_rodin_means(f, phi, ms)])  # 4 blocks at B = 10
@@ -128,6 +134,7 @@ CHECKS = [
     ("profile-support", _check_profile_support),
     ("schipp-v", _check_schipp_v),
     ("dyadic-maximal", _check_dyadic_maximal),
+    ("entropy-gauge", _check_entropy_gauge),
     ("rodin-stream", _check_rodin_stream),
 ]
 

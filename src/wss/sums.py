@@ -191,7 +191,8 @@ class DiagonalSumField:
         formed from the (symmetric) Walsh matrix and transposed profile tables
         directly in (x, y, n) order and summed along n into the block, with no
         copy after; from n = K on every step is 0, so the rest of each
-        sequence is S_KK, copied.
+        sequence is S_KK, copied.  Every block is a view of one buffer: it is
+        valid only until the next block is yielded, and must not be written.
         """
         n, k = self.size, self.support
         if max_rows is None:
@@ -205,11 +206,11 @@ class DiagonalSumField:
         v_t = np.ascontiguousarray(self.col_profiles[:k].T)
         steps = np.empty((max_rows, n, k))  # scratch reused by every block
         cross = np.empty_like(steps)
+        buf = np.zeros((max_rows, n, n + 1))  # column 0 stays 0; fresh blocks would fault pages in
         for x0 in range(0, n, max_rows):
             sl = slice(x0, min(x0 + max_rows, n))
             rows = sl.stop - sl.start
-            block = np.empty((rows, n, n + 1))
-            block[..., 0] = 0.0
+            block = buf[:rows]
             np.multiply(w_t[sl, None, :], u_t, out=steps[:rows])
             np.multiply(v_t[sl, None, :], w_t, out=cross[:rows])
             steps[:rows] += cross[:rows]

@@ -85,12 +85,13 @@ class DyadicGrid2D(DyadicGrid):
     dims = 2
 
 
-def _pow2_scaled(*arrays: np.ndarray) -> tuple[int, list[np.ndarray]]:
+def _pow2_scaled(*arrays: np.ndarray, inplace: bool = False) -> tuple[int, list[np.ndarray]]:
     """(e, [a 2^-e for a in arrays]), e putting the largest magnitude in
-    [1/2, 1) (at e = 0 the arrays themselves, to be read only): exact, so sums
-    and squares stay in range and results scaled back keep every bit."""
+    [1/2, 1) (at e = 0 the arrays themselves, to be read only; `inplace`
+    scales the caller's own arrays): exact, so sums and squares stay in range
+    and results scaled back keep every bit."""
     e = int(np.frexp(max(max(a.max(), -a.min()) for a in arrays))[1])
-    return e, [np.ldexp(a, -e) if e else a for a in arrays]
+    return e, [np.ldexp(a, -e, out=a if inplace else None) if e else a for a in arrays]
 
 
 def _fwht(values: np.ndarray, axis: int) -> None:

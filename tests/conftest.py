@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,17 @@ def dyadic_rationals(seed: int, count: int, scale_bits: int = 6, value_bits: int
     u = portable_uniforms(seed, count)
     m = np.floor(u * (1 << (value_bits + 1))) - (1 << value_bits)
     return m / float(1 << scale_bits)
+
+
+def traced_peak_ratio(fn, grid) -> float:
+    """tracemalloc peak while fn(grid) runs, as a multiple of the grid's bytes."""
+    tracemalloc.start()
+    try:
+        fn(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / grid.samples.nbytes
 
 
 @pytest.fixture

@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dyadic_rationals
+from conftest import dyadic_rationals, traced_peak_ratio
 from wss import oracles
 from wss.errors import UsageError
 from wss.generators import random_grid_1d, random_grid_2d
 from wss.maximal import (
+    _schipp_v_values,
     dyadic_maximal,
     dyadic_maximal_1d,
     hybrid_maximal_1,
@@ -18,7 +21,7 @@ from wss.maximal import (
     schipp_v_max,
     superlevel_measure,
 )
-from wss.transform import DyadicGrid1D, DyadicGrid2D
+from wss.transform import DyadicGrid1D, DyadicGrid2D, _pow2_scaled
 
 
 def test_operator_outputs_are_nonnegative():
@@ -256,3 +259,51 @@ def test_maximal_dominates_cell_averages():
             DyadicGrid2D(4, np.abs(f.samples)), level, level
         )
         assert np.all(out >= cells - 1e-13)
+
+
+def _schipp_v_by_gathers(samples, bits, n):
+    # V_n with fancy-index gathers, every order halved from the samples and no in-place step
+    exponent, (scaled,) = _pow2_scaled(samples)
+    g = scaled
+    for _ in range(bits - n):
+        g = 0.5 * (g[..., 0::2] + g[..., 1::2])
+    idx = np.arange(1 << n)
+    c = acc = 0.0
+    for k in range(n):
+        c = c + 2.0 ** (k - 1) * g[..., idx ^ (1 << (n - 1 - k))]
+        q = block_sums = c * c
+        for _ in range(n - 1 - k):
+            block_sums = block_sums[..., 0::2] + block_sums[..., 1::2]
+        acc = acc + block_sums[..., (idx >> (n - 1 - k)) ^ 1]
+    return np.ldexp(np.repeat(np.sqrt(acc + q) * 2.0**-n, 1 << (bits - n), axis=-1), exponent)
+
+
+@pytest.mark.parametrize("shape", [(256,), (3, 256)])
+def test_schipp_v_is_bit_identical_to_the_gather_form(shape):
+    samples = 3.7 * random_grid_1d(10, seed=21).samples[: math.prod(shape)].reshape(shape)
+    before = samples.copy()
+    orders = [_schipp_v_by_gathers(samples, 8, n) for n in range(1, 9)]
+    for n in range(1, 9):
+        assert np.array_equal(_schipp_v_values(samples, 8, (n,)), orders[n - 1])
+    assert np.array_equal(_schipp_v_values(samples, 8, range(1, 9)), np.maximum.reduce(orders))
+    assert np.array_equal(samples, before)
+
+
+@pytest.mark.parametrize("amp", [0.75, 4.0])
+def test_operators_never_write_their_input(amp):
+    # at amp 0.75 the scaling exponent is 0: `_pow2_scaled` hands back the array itself
+    f, g = random_grid_2d(5, seed=22, amp=amp), random_grid_1d(7, seed=23, amp=amp)
+    assert (np.frexp(np.abs(f.samples).max())[1] == 0) == (amp < 1)
+    before, before_1d = f.samples.copy(), g.samples.copy()
+    for op in (dyadic_maximal, hybrid_maximal_1, hybrid_maximal_2, hybrid_v_1, hybrid_v_2, schipp_v_max):
+        assert not np.shares_memory(op(f).samples, f.samples)
+    for out in (dyadic_maximal_1d(g), schipp_v_max(g), schipp_v(g, 4), schipp_v(g, 7)):
+        assert not np.shares_memory(out.samples, g.samples)
+    assert np.array_equal(f.samples, before) and np.array_equal(g.samples, before_1d)
+
+
+@pytest.mark.parametrize("op, bound", [(dyadic_maximal, 1.5), (hybrid_maximal_1, 2.1), (hybrid_maximal_2, 2.1)])
+def test_maximal_pyramids_hold_one_working_copy(op, bound):
+    # amp=4: the scaling exponent is nonzero; the result is the one private copy,
+    # and the coarser levels add 1/3 (squares) or 1 (one axis) of the grid
+    assert traced_peak_ratio(op, random_grid_2d(9, seed=24, amp=4.0)) <= bound

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dyadic_rationals
+from conftest import dyadic_rationals, traced_peak_ratio
 from wss import oracles
 from wss.dyadic import walsh_row
 from wss.errors import DataError, UsageError
@@ -28,7 +28,7 @@ from wss.means import (
     strong_mean,
 )
 from wss.sums import quadratic_sums
-from wss.transform import DyadicGrid1D, DyadicGrid2D
+from wss.transform import DyadicGrid1D, DyadicGrid2D, _pow2_scaled
 
 
 def constant_field(bits, c):
@@ -446,3 +446,38 @@ def test_entropy_terms_beyond_float64_raise_data_error():
     assert entropy_functional(f, 0) == pytest.approx(0.5e308, rel=1e-15)
     with pytest.raises(DataError, match="alpha=1"):
         entropy_functional(f, 1)
+
+
+def _entropy_full_grid(f, alpha):
+    # the gauge as one full-grid expression per step, with no in-place work
+    a = np.abs(f.samples)
+    with np.errstate(over="ignore"):
+        terms = a * np.log(np.maximum(a, 1.0)) ** alpha if alpha else a
+    exponent, (scaled,) = _pow2_scaled(terms)
+    return float(np.ldexp(scaled.mean(), exponent))
+
+
+@pytest.mark.parametrize("alpha", [0, 0.5, 1, 2, 3])
+@pytest.mark.parametrize("kind", ["below-one", "above-one", "mixed", "huge", "tiny"])
+def test_entropy_is_bit_identical_to_the_full_grid_expression(kind, alpha):
+    u = random_grid_2d(5, seed=17).samples  # uniform in (-1, 1)
+    samples = {"below-one": u, "above-one": np.copysign(1.0 + 3.0 * np.abs(u), u), "mixed": 4.0 * u,
+               "huge": 1e200 * u, "tiny": 1e-200 * u}[kind]
+    f = DyadicGrid2D(5, samples)
+    before = f.samples.copy()
+    assert entropy_functional(f, alpha) == _entropy_full_grid(f, alpha)
+    # below one the scaling exponent is 0, and `_pow2_scaled` hands back the array itself
+    assert (np.frexp(np.abs(u).max())[1] == 0) and np.array_equal(f.samples, before)
+
+
+@pytest.mark.parametrize("alpha", [0, 0.5, 1, 2])
+def test_entropy_matches_the_fsum_oracle(alpha):
+    f = random_grid_2d(5, seed=19, amp=4.0)
+    assert entropy_functional(f, alpha) == pytest.approx(oracles.entropy_brute(f, alpha), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2])
+def test_entropy_holds_one_working_copy_beside_the_log(alpha):
+    # amp=4: the scaling exponent is nonzero and log+ is live on 3/4 of the grid
+    f = random_grid_2d(9, seed=20, amp=4.0)
+    assert traced_peak_ratio(lambda g: entropy_functional(g, alpha), f) <= 2.25

@@ -164,6 +164,18 @@ def test_sequence_blocks_past_the_support_equal_each_point_sequence(spec):
     assert zero.support == 1 and not any(block.any() for _, block in zero.iter_sequence_blocks())
 
 
+def test_sequence_blocks_reuse_one_buffer():
+    field = quadratic_sums(random_grid_2d(4, seed=14))
+    blocks = field.iter_sequence_blocks(max_rows=5)
+    (_, first), (_, second) = next(blocks), next(blocks)
+    assert np.shares_memory(first, second)  # the first block is now overwritten
+    assert np.array_equal(second[0, 3], field.sequence_at(5, 3))
+    # the last, shorter block is a prefix of the same buffer, column 0 still zero
+    *_, (_, last) = blocks
+    assert last.shape == (1, 16, 17) and np.shares_memory(last, second) and not last[..., 0].any()
+    assert np.array_equal(last[0, 9], field.sequence_at(15, 9))
+
+
 def test_legacy_modes_build_the_same_field():
     f = random_grid_2d(5, seed=12)
     base = quadratic_sums(f)
