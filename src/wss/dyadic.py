@@ -83,55 +83,6 @@ class DyadicPoint:
         return (self.idx >> (self.bits - 1 - k)) & 1
 
 
-@dataclass(frozen=True)
-class DyadicInterval:
-    """Half-open dyadic interval [k 2^-n, (k+1) 2^-n) of level n."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise UsageError(f"interval level {self.n} must be >= 0")
-        if not 0 <= self.k < (1 << self.n):
-            raise UsageError(f"interval offset {self.k} outside [0, 2^{self.n})")
-
-    @property
-    def measure(self) -> float:
-        return 2.0 ** -self.n
-
-    @property
-    def left(self) -> float:
-        return self.k * 2.0 ** -self.n
-
-    def contains(self, x: DyadicPoint) -> bool:
-        if x.bits < self.n:
-            raise UsageError("point resolution too coarse for this interval")
-        return (x.idx >> (x.bits - self.n)) == self.k
-
-    @classmethod
-    def around(cls, x: DyadicPoint, n: int) -> "DyadicInterval":
-        """The level-n interval containing x (the set x + [0, 2^-n))."""
-        if not 0 <= n <= x.bits:
-            raise UsageError(f"level {n} outside [0, {x.bits}]")
-        return cls(n, x.idx >> (x.bits - n) if n else 0)
-
-
-def dyadic_add(x: DyadicPoint, y: DyadicPoint) -> DyadicPoint:
-    """Dyadic sum: digit-wise addition mod 2, i.e. XOR of grid indices."""
-    if x.bits != y.bits:
-        raise UsageError(f"mismatched bit depths {x.bits} and {y.bits}")
-    return DyadicPoint(x.idx ^ y.idx, x.bits)
-
-
-def unit_point(j: int, bits: int) -> DyadicPoint:
-    """Group generator e_j = 2^-(j+1): the point whose expansion digit j is set."""
-    validate_bits(bits)
-    if not 0 <= j < bits:
-        raise UsageError(f"generator index {j} not resolved at {bits} bits")
-    return DyadicPoint(1 << (bits - 1 - j), bits)
-
-
 def rademacher(n: int, x: DyadicPoint) -> int:
     """r_n(x) = +1 if digit x_n is 0, -1 if it is 1.  Requires n < bits."""
     if not 0 <= n < x.bits:
@@ -151,32 +102,6 @@ def walsh(k: int, x: DyadicPoint) -> int:
         raise UsageError(f"walsh index {k} outside [0, 2^{x.bits})")
     masked = k & bit_reverse_int(x.idx, x.bits)
     return -1 if masked.bit_count() & 1 else 1
-
-
-def _dirichlet_pow2(j: int, x: DyadicPoint) -> int:
-    # D_{2^j}(x) = 2^j on [0, 2^-j), 0 elsewhere.
-    return (1 << j) if (x.idx >> (x.bits - j)) == 0 else 0
-
-
-def dirichlet_kernel(n: int, x: DyadicPoint) -> int:
-    """Walsh-Dirichlet kernel D_n(x) = sum_{k<n} w_k(x), exact integer.
-
-    Uses the splitting D_{2^j + r} = D_{2^j} + w_{2^j} D_r, peeling the
-    binary digits of n from the top.
-    """
-    if not 1 <= n <= (1 << x.bits):
-        raise UsageError(f"kernel order {n} outside [1, 2^{x.bits}]")
-    total = 0
-    prefix = 0
-    remaining = n
-    while remaining:
-        j = remaining.bit_length() - 1
-        term = _dirichlet_pow2(j, x)
-        if term:
-            total += walsh(prefix, x) * term
-        prefix |= 1 << j
-        remaining -= 1 << j
-    return total
 
 
 def walsh_row(k: int, bits: int) -> np.ndarray:
@@ -210,18 +135,3 @@ def walsh_matrix_f64(bits: int) -> np.ndarray:
     w.setflags(write=False)
     return w
 
-
-def paley_from_sequency(s):
-    """Paley index of the Walsh function with s sign changes (Gray code)."""
-    s = np.asarray(s)
-    return s ^ (s >> 1)
-
-
-def sequency_from_paley(p, bits: int):
-    """Sign-change count of the Paley-indexed Walsh function (inverse Gray code)."""
-    p = np.asarray(p).copy()
-    shift = 1
-    while shift < bits:
-        p = p ^ (p >> shift)
-        shift *= 2
-    return p

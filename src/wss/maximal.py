@@ -55,18 +55,14 @@ def _dyadic_maximal(a: np.ndarray, bits: int, axes: tuple[int, ...]) -> np.ndarr
     return np.ldexp(best, exponent, out=best)
 
 
-def dyadic_maximal_1d(f: DyadicGrid) -> DyadicGrid:
-    """1D dyadic maximal function: sup_n of the |f|-average over I_n(x)."""
-    return type(f)(f.bits, _dyadic_maximal(f.samples, f.bits, (0,)))
-
-
 def dyadic_maximal(f: DyadicGrid) -> DyadicGrid:
     """Dyadic maximal function over squares I_n(x) x I_n(y)."""
     return type(f)(f.bits, _dyadic_maximal(f.samples, f.bits, (0, 1)))
 
 
 def hybrid_maximal_1(f: DyadicGrid) -> DyadicGrid:
-    """M_1: the 1D dyadic maximal in x for each fixed y."""
+    """M_1: the 1D dyadic maximal in x for each fixed y; on a 1D grid, the
+    1D dyadic maximal function."""
     return type(f)(f.bits, _dyadic_maximal(f.samples, f.bits, (0,)))
 
 

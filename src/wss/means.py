@@ -1,22 +1,21 @@
-"""Marcinkiewicz means, strong p-means, Phi-means, and BMO norms.
+"""Sequence-BMO norms, the BMO of the diagonal sums, Phi-means and the
+entropy gauge.
 
-Window conventions for averages over diagonal sums: convention "A" averages
-indices k = 0..n-1 (the strong-mean normalization over a dyadic block),
-convention "B" averages k = 1..n (the exponential-summability normalization).
-Strong means default to A, Phi-means to B; every report row produced by the
-experiment harness records which window was used.
+A Phi-mean of a diagonal sequence averages Phi(|S_nn - f|) over n = 1..m, the
+exponential-summability normalization of Theorem 2; report rows label it
+window B.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .errors import DataError, UsageError
 from .sums import DiagonalSumField
-from .transform import DyadicGrid, DyadicGrid1D, DyadicGrid2D, _pow2_scaled
+from .transform import DyadicGrid, DyadicGrid2D, _pow2_scaled
 
 
 @dataclass(frozen=True)
@@ -142,29 +141,6 @@ def bmo_sequence_norm(xi) -> float:
     return math.sqrt(float(_max_mean_square_oscillation(x - x[0])))
 
 
-def bmo_sequence_norm_function_form(xi) -> float:
-    """Sequence-BMO via step functions: sup over n of the function-BMO norm
-    of the step function carrying the first 2^n terms on level-n cells.
-
-    Unlike bmo_sequence_norm this inherits the |integral| term of the
-    function norm, so the two displays need not coincide; tests report
-    their ratio rather than asserting equality.
-    """
-    x = _sequence_values(xi)
-    levels = len(x).bit_length() - 1
-    best = abs(float(x[0]))  # n = 0: the constant step function xi_0
-    for n in range(1, levels + 1):
-        best = max(best, bmo_function_norm(DyadicGrid1D(n, x[: 1 << n])))
-    return best
-
-
-def bmo_function_norm(f: DyadicGrid1D) -> float:
-    """Dyadic-BMO norm of a step function: sup over dyadic intervals of the
-    L2 mean oscillation, plus the |integral of f| term."""
-    oscillation = math.sqrt(float(_max_mean_square_oscillation(f.samples - f.samples[0])))
-    return oscillation + abs(float(f.samples.mean()))
-
-
 def bmo_of_diagonal_sums(field: DiagonalSumField, max_rows: int | None = None) -> DyadicGrid2D:
     """At each grid point, the BMO norm of the sequence n -> S_nn(x, y),
     n = 0..2^bits - 1.
@@ -192,22 +168,13 @@ def bmo_of_diagonal_sums(field: DiagonalSumField, max_rows: int | None = None) -
     return DyadicGrid2D(field.bits, np.ldexp(np.sqrt(out), exponent))
 
 
-_PHI_PROBE = np.concatenate(([0.0], np.geomspace(1e-6, 50.0, 40)))
-
-
 @dataclass(frozen=True)
 class PhiFunction:
-    """Increasing continuous gauge with Phi(0) = 0, used for Phi-means.
-
-    Built-in tags: power(p) for t^p and exp_minus_one(a) for exp(a t) - 1.
-    Custom gauges supply a callable (and optionally its log for overflow-safe
-    evaluation).
-    """
+    """Increasing continuous gauge with Phi(0) = 0, used for Phi-means:
+    power(p) for t^p or exp_minus_one(a) for exp(a t) - 1."""
 
     tag: str
-    param: float | None = None
-    fn: Callable[[np.ndarray], np.ndarray] | None = None
-    log_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    param: float
 
     @classmethod
     def power(cls, p: float) -> "PhiFunction":
@@ -221,160 +188,23 @@ class PhiFunction:
             raise UsageError(f"exponential rate must be positive, got {a}")
         return cls("exp_minus_one", float(a))
 
-    @classmethod
-    def custom(cls, fn, log_fn=None) -> "PhiFunction":
-        phi = cls("custom", None, fn, log_fn)
-        phi.validate()
-        return phi
-
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
         with np.errstate(over="ignore"):
             if self.tag == "power":
                 return t**self.param
-            if self.tag == "exp_minus_one":
-                return np.expm1(self.param * t)
-        return np.asarray(self.fn(t), dtype=np.float64)
-
-    def log_value(self, t) -> np.ndarray:
-        """log Phi(t), stable for arguments where Phi overflows float64."""
-        t = np.asarray(t, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            if self.tag == "power":
-                return self.param * np.log(t)
-            if self.tag == "exp_minus_one":
-                a_t = self.param * t
-                small = np.minimum(a_t, 700.0)
-                with np.errstate(invalid="ignore"):
-                    out = np.where(a_t > 700.0, a_t, np.log(np.expm1(small)))
-                return out
-            if self.log_fn is not None:
-                return np.asarray(self.log_fn(t), dtype=np.float64)
-            return np.log(self(t))
-
-    def validate(self, probe: np.ndarray = _PHI_PROBE) -> None:
-        vals = self(probe)
-        if vals[0] != 0.0:
-            raise UsageError(f"gauge must vanish at 0, got {vals[0]}")
-        finite = vals[np.isfinite(vals)]
-        if np.any(np.diff(finite) < 0):
-            raise UsageError("gauge must be nondecreasing")
+            return np.expm1(self.param * t)
 
     def describe(self) -> str:
-        if self.param is not None:
-            return f"{self.tag}:{self.param:g}"
-        return self.tag
+        return f"{self.tag}:{self.param:g}"
 
 
-def _window_indices(n: int, window: str) -> tuple[int, int]:
-    if window == "A":
-        return 0, n
-    if window == "B":
-        return 1, n + 1
-    raise UsageError(f"unknown window convention {window!r}")
-
-
-def _check_mean_order(field: DiagonalSumField, n: int) -> None:
-    if not 1 <= n <= field.size:
-        raise UsageError(f"mean order {n} outside [1, 2^{field.bits}]")
-
-
-def marcinkiewicz_mean(field: DiagonalSumField, n: int) -> DyadicGrid2D:
-    """Arithmetic mean of S_kk over k = 0..n-1 (window A; S_00 = 0)."""
-    _check_mean_order(field, n)
-    out = np.empty((field.size, field.size))
-    for sl, block in field.iter_sequence_blocks():
-        out[sl] = block[..., :n].mean(axis=-1)
-    return DyadicGrid2D(field.bits, out)
-
-
-def strong_mean(
-    field: DiagonalSumField,
-    f: DyadicGrid2D,
-    n: int,
-    p: float,
-    deviation: bool = False,
-    window: str = "A",
-) -> DyadicGrid2D:
-    """Strong p-mean: (1/n sum_k |S_kk|^p)^(1/p) over the chosen window.
-
-    With deviation=True the summands are |S_kk - f| instead of |S_kk|.
-    """
-    if p <= 0:
-        raise UsageError(f"strong-mean exponent must be positive, got {p}")
-    _check_mean_order(field, n)
-    lo, hi = _window_indices(n, window)
-    out = np.empty((field.size, field.size))
-    for sl, block in field.iter_sequence_blocks():
-        terms = block[..., lo:hi]
-        if deviation:
-            terms = terms - f.samples[sl][..., None]
-        out[sl] = (np.abs(terms) ** p).mean(axis=-1) ** (1.0 / p)
-    return DyadicGrid2D(field.bits, out)
-
-
-def phi_mean(
-    field: DiagonalSumField,
-    f: DyadicGrid2D,
-    m: int,
-    phi: PhiFunction,
-    window: str = "B",
-) -> DyadicGrid2D:
-    """Phi-mean (1/m) sum_{n=1}^{m} Phi(|S_nn - f|) (window B by default).
-
-    Raises DataError if any mean overflows float64; in that regime use
-    log_phi_mean and compare against log-scale thresholds instead.
-    """
-    _check_mean_order(field, m)
-    lo, hi = _window_indices(m, window)
-    out = np.empty((field.size, field.size))
-    for sl, block in field.iter_sequence_blocks():
-        dev = np.abs(block[..., lo:hi] - f.samples[sl][..., None])
-        out[sl] = phi(dev).mean(axis=-1)
-    if not np.isfinite(out).all():
-        raise DataError(
-            "Phi-mean overflowed float64; evaluate with log_phi_mean instead"
-        )
-    return DyadicGrid2D(field.bits, out)
-
-
-def log_phi_mean(
-    field: DiagonalSumField,
-    f: DyadicGrid2D,
-    m: int,
-    phi: PhiFunction,
-    window: str = "B",
-) -> np.ndarray:
-    """log of the Phi-mean, by a shifted log-sum-exp of log Phi.
-
-    Stays finite (or -inf for an exactly-zero mean) even when individual
-    summands exceed 1e300, so superlevel sweeps can compare against
-    log(lambda) without ever forming the raw values.
-    """
-    _check_mean_order(field, m)
-    lo, hi = _window_indices(m, window)
-    out = np.empty((field.size, field.size))
-    for sl, block in field.iter_sequence_blocks():
-        dev = np.abs(block[..., lo:hi] - f.samples[sl][..., None])
-        logs = phi.log_value(dev)
-        peak = logs.max(axis=-1, keepdims=True)
-        safe_peak = np.where(np.isfinite(peak), peak, 0.0)
-        with np.errstate(divide="ignore"):
-            out[sl] = (
-                np.log(np.exp(logs - safe_peak).sum(axis=-1))
-                + safe_peak[..., 0]
-                - math.log(m)
-            )
-    return out
-
-
-def phi_mean_sequence(seq: np.ndarray, f_value: float, m: int, phi: PhiFunction,
-                      window: str = "B") -> float:
-    """Phi-mean of a single per-point diagonal sequence (length >= m + 1)."""
+def phi_mean_sequence(seq: np.ndarray, f_value: float, m: int, phi: PhiFunction) -> float:
+    """Phi-mean (1/m) sum_{n=1}^{m} Phi(|seq[n] - f_value|) of a single
+    per-point diagonal sequence (length >= m + 1)."""
     if m < 1 or m + 1 > seq.shape[0]:
         raise UsageError(f"mean order {m} outside the sequence range")
-    lo, hi = _window_indices(m, window)
-    dev = np.abs(np.asarray(seq, dtype=np.float64)[lo:hi] - f_value)
+    dev = np.abs(np.asarray(seq, dtype=np.float64)[1:m + 1] - f_value)
     return float(phi(dev).mean())
 
 

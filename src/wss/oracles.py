@@ -55,18 +55,6 @@ def bmo_sequence_brute(values) -> float:
     return best
 
 
-def bmo_function_brute(f: DyadicGrid1D) -> float:
-    """Dyadic-BMO norm by direct interval enumeration."""
-    best = 0.0
-    for level in range(f.bits + 1):
-        width = 1 << (f.bits - level)
-        for j in range(1 << level):
-            block = f.samples[j * width : (j + 1) * width]
-            mean = block.mean()
-            best = max(best, float(((block - mean) ** 2).mean()))
-    return math.sqrt(best) + abs(float(f.samples.mean()))
-
-
 def rectangular_sum_brute(f: DyadicGrid2D, m: int, n: int) -> np.ndarray:
     """Definitional synthesis from naive coefficients."""
     c = naive_wht_2d(f).samples
@@ -118,16 +106,6 @@ def rodin_means_brute(f: DyadicGrid1D, phi, ms) -> np.ndarray:
     terms = phi(np.abs(all_partial_sums_1d(f)[1:] - f.samples))
     ms = np.asarray(ms)
     return np.cumsum(terms, axis=0)[ms - 1] / ms[:, None]
-
-
-def marginal_maximal_2_brute(f: DyadicGrid2D) -> np.ndarray:
-    """Exhaustive sup over m of |S_m^(2) f| via per-m synthesis."""
-    from .sums import marginal_sum_2
-
-    best = np.abs(marginal_sum_2(f, 1).samples)
-    for m in range(2, f.size + 1):
-        np.maximum(best, np.abs(marginal_sum_2(f, m).samples), out=best)
-    return best
 
 
 def dyadic_maximal_brute(f: DyadicGrid2D) -> np.ndarray:

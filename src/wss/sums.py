@@ -1,4 +1,4 @@
-"""Rectangular, quadratic and marginal partial sums of Walsh-Fourier series.
+"""Rectangular and quadratic partial sums of Walsh-Fourier series.
 
 The diagonal (quadratic) sums S_nn are produced incrementally: moving from
 S_nn to S_{n+1,n+1} adds spectral row n (k <= n) and spectral column n
@@ -15,8 +15,8 @@ profiles are stored, synthesized from the K x K coefficient corner; the field
 streams (x, y, n) blocks of whole per-point sequences, each one cumulative sum
 of the steps below K in a fixed byte budget, never the (2^B + 1) x 2^B x 2^B cube.
 Every partial sum and profile is one truncated synthesis,
-`wss.transform._synthesis`; statistics of all partial sums at every point
-come from one Paley prefix scan, `_paley_scan`.
+`wss.transform._synthesis`; the sums of (S_l f)^2 over the dyadic blocks
+of orders at every point come from one Paley prefix scan, `_paley_scan`.
 """
 from __future__ import annotations
 
@@ -95,33 +95,6 @@ def dyadic_square_sums(f: DyadicGrid1D) -> list[np.ndarray]:
 def rectangular_partial_sum(f: DyadicGrid2D, m: int, n: int) -> DyadicGrid2D:
     """S_{M,N} f: synthesis of coefficients with row < M and column < N."""
     return type(f)(f.bits, _synthesis(_analysis(f.samples, f.bits, (0, 1)), f.bits, (m, n)))
-
-
-def marginal_sum_1(f: DyadicGrid2D, n: int) -> DyadicGrid2D:
-    """S_n^(1): the order-n 1D partial sum applied in x for each fixed y."""
-    return type(f)(f.bits, _synthesis(_analysis(f.samples, f.bits, (0,)), f.bits, (n, None)))
-
-
-def marginal_sum_2(f: DyadicGrid2D, m: int) -> DyadicGrid2D:
-    """S_m^(2): the order-m 1D partial sum applied in y for each fixed x."""
-    return type(f)(f.bits, _synthesis(_analysis(f.samples, f.bits, (1,)), f.bits, (None, m)))
-
-
-def _range_merge(left, right, width):
-    """(T, max, min) over the nonempty prefixes of a block."""
-    (tl, hl, ll), (tr, hr, lr) = left, right
-    high = np.maximum(hl, tl + hr), np.maximum(hl, tl - lr)
-    low = np.minimum(ll, tl + lr), np.minimum(ll, tl - hr)
-    return (tl + tr, tl - tr), high, low
-
-
-def marginal_maximal_2(f: DyadicGrid2D) -> DyadicGrid2D:
-    """Pointwise sup over m = 1..2^bits of |S_m^(2) f|: `_paley_scan` along y
-    with a (total, max prefix, min prefix) merge, O(N^2 log N)."""
-    c = _analysis(f.samples, f.bits, (1,))[..., None]
-    for _, high, low in _paley_scan((c, c, c), f.bits, _range_merge):
-        pass  # only the last level, one block of N cells per x, is needed
-    return type(f)(f.bits, np.maximum(high, -low)[:, 0, :])
 
 
 def _support(*tables: np.ndarray) -> int:

@@ -66,12 +66,6 @@ class DyadicGrid:
     def size(self) -> int:
         return 1 << self.bits
 
-    def value_at(self, *point: float) -> float:
-        """The value on the cell holding `point`, one coordinate per axis."""
-        if len(point) != self.samples.ndim or not all(0.0 <= p < 1.0 for p in point):
-            raise UsageError(f"point {point} outside [0, 1)^{self.samples.ndim}")
-        return float(self.samples[tuple(int(p * self.size) for p in point)])
-
 
 class DyadicGrid1D(DyadicGrid):
     """A grid on [0, 1)."""
@@ -184,9 +178,3 @@ def naive_wht_2d(f: DyadicGrid) -> DyadicGrid:
     coeffs = np.einsum("xy,mx,ny->mn", f.samples, w, w, optimize=False)
     return type(f)(f.bits, coeffs * 4.0 ** -f.bits)
 
-
-def translate(f: DyadicGrid, a_idx: int) -> DyadicGrid:
-    """The grid of x -> f(x (+) a) where a = a_idx * 2**-bits."""
-    if not 0 <= a_idx < f.size:
-        raise UsageError(f"translation index {a_idx} outside [0, 2^{f.bits})")
-    return type(f)(f.bits, f.samples[np.arange(f.size) ^ a_idx])

@@ -12,7 +12,6 @@ from wss.generators import random_grid_1d, random_grid_2d
 from wss.maximal import (
     _schipp_v_values,
     dyadic_maximal,
-    dyadic_maximal_1d,
     hybrid_maximal_1,
     hybrid_maximal_2,
     hybrid_v_1,
@@ -28,7 +27,7 @@ def test_operator_outputs_are_nonnegative():
     f, g = random_grid_2d(4, seed=8), random_grid_1d(5, seed=9)
     for op in (dyadic_maximal, hybrid_maximal_1, hybrid_maximal_2, hybrid_v_1, hybrid_v_2, schipp_v_max):
         assert op(f).samples.min() >= 0.0
-    for out in (dyadic_maximal_1d(g), schipp_v_max(g), schipp_v(g, 3)):
+    for out in (hybrid_maximal_1(g), schipp_v_max(g), schipp_v(g, 3)):
         assert out.samples.min() >= 0.0
 
 
@@ -67,7 +66,7 @@ def test_maximal_matches_brute_random():
 
 def test_maximal_1d_matches_slicewise():
     f = random_grid_1d(5, seed=7)
-    out = dyadic_maximal_1d(f).values
+    out = hybrid_maximal_1(f).values
     assert np.all(out >= np.abs(f.samples) - 1e-15)
     assert np.all(out >= np.abs(f.samples.mean()) - 1e-15)
 
@@ -94,14 +93,14 @@ def test_one_axis_maximals_match_cell_average_oracle():
     g = DyadicGrid1D(5, f.samples[3])
     m = np.max([oracles.cell_averages_1d(DyadicGrid1D(5, np.abs(g.samples)), n)
                 for n in range(6)], axis=0)
-    assert np.array_equal(dyadic_maximal_1d(g).values, m)
+    assert np.array_equal(hybrid_maximal_1(g).values, m)
 
 
 def test_hybrid_reduces_to_1d_on_tensor():
     g = random_grid_1d(4, seed=9)
     f1 = DyadicGrid2D(4, np.repeat(g.samples[:, None], 16, axis=1))
     out1 = hybrid_maximal_1(f1).values
-    ref = dyadic_maximal_1d(g).values
+    ref = hybrid_maximal_1(g).values
     assert np.abs(out1 - ref[:, None]).max() == 0.0
     f2 = DyadicGrid2D(4, np.repeat(g.samples[None, :], 16, axis=0))
     out2 = hybrid_maximal_2(f2).values
@@ -216,8 +215,8 @@ def test_positive_homogeneity(seed, c):
     lhs = schipp_v_max(scaled).values
     rhs = c * schipp_v_max(f).values
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, c)
-    m_lhs = dyadic_maximal_1d(scaled).values
-    m_rhs = c * dyadic_maximal_1d(f).values
+    m_lhs = hybrid_maximal_1(scaled).values
+    m_rhs = c * hybrid_maximal_1(f).values
     assert np.abs(m_lhs - m_rhs).max() <= 1e-12 * max(1.0, c)
 
 
@@ -240,11 +239,9 @@ def test_maximal_operators_are_exactly_homogeneous_at_extreme_amplitudes(shift):
 
 def test_schipp_v_translation_covariance():
     # V_n commutes with dyadic translation: V_n(. (+) a; f(. (+) a)) = V_n(.; f).
-    from wss.transform import translate
-
     f = random_grid_1d(5, seed=19)
     for a_idx in (1, 7, 22):
-        shifted = translate(f, a_idx)
+        shifted = DyadicGrid1D(5, f.samples[np.arange(32) ^ a_idx])
         for n in (1, 3, 5):
             lhs = schipp_v(shifted, n).values
             rhs = schipp_v(f, n).values[np.arange(32) ^ a_idx]
@@ -297,7 +294,7 @@ def test_operators_never_write_their_input(amp):
     before, before_1d = f.samples.copy(), g.samples.copy()
     for op in (dyadic_maximal, hybrid_maximal_1, hybrid_maximal_2, hybrid_v_1, hybrid_v_2, schipp_v_max):
         assert not np.shares_memory(op(f).samples, f.samples)
-    for out in (dyadic_maximal_1d(g), schipp_v_max(g), schipp_v(g, 4), schipp_v(g, 7)):
+    for out in (hybrid_maximal_1(g), schipp_v_max(g), schipp_v(g, 4), schipp_v(g, 7)):
         assert not np.shares_memory(out.samples, g.samples)
     assert np.array_equal(f.samples, before) and np.array_equal(g.samples, before_1d)
 

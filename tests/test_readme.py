@@ -1,0 +1,29 @@
+"""The README's "Library layout" table names only code that exists."""
+import importlib
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def _layout_rows():
+    text = README.read_text()
+    table = text.split("## Library layout", 1)[1].split("\n\n", 2)[1]
+    for line in table.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        module = re.fullmatch(r"`(wss\.\w+)`", cells[0])
+        if module:
+            yield module.group(1), re.findall(r"`([^`]+)`", cells[1])
+
+
+def test_library_layout_table_names_existing_attributes():
+    rows = list(_layout_rows())
+    assert len(rows) >= 8, "the Library layout table was not found"
+    missing = []
+    for module_name, names in rows:
+        module = importlib.import_module(module_name)
+        # entries that are not plain identifiers, such as `wht_1d/2d`, are skipped
+        missing += [f"{module_name}.{name}" for name in names
+                    if IDENTIFIER.fullmatch(name) and not hasattr(module, name)]
+    assert not missing, f"README names code that does not exist: {missing}"

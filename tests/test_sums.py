@@ -10,9 +10,6 @@ from wss.generators import generate_function, random_grid_1d, random_grid_2d
 from wss.sums import (
     all_partial_sums_1d,
     dyadic_square_sums,
-    marginal_maximal_2,
-    marginal_sum_1,
-    marginal_sum_2,
     partial_sum_1d,
     quadratic_sums,
     rectangular_partial_sum,
@@ -62,7 +59,6 @@ def test_two_dimensional_orders_out_of_range():
     field = quadratic_sums(f)
     for bad in (-1, 9):
         for call in (lambda: rectangular_partial_sum(f, bad, 2), lambda: rectangular_partial_sum(f, 2, bad),
-                     lambda: marginal_sum_1(f, bad), lambda: marginal_sum_2(f, bad),
                      lambda: field.slice_at(bad)):
             with pytest.raises(UsageError):
                 call()
@@ -186,47 +182,6 @@ def test_legacy_modes_build_the_same_field():
         assert np.array_equal(field.col_profiles, base.col_profiles)
     with pytest.raises(UsageError):
         quadratic_sums(f, mode="cube")
-
-
-def test_marginal_sums_basic():
-    f = random_grid_2d(4, seed=13)
-    assert np.abs(marginal_sum_1(f, 16).samples - f.samples).max() <= 1e-12
-    assert np.abs(marginal_sum_2(f, 16).samples - f.samples).max() <= 1e-12
-
-
-def test_marginal_sum_single_x_frequency():
-    bits = 4
-    g = random_grid_1d(bits, seed=14).samples
-    f = DyadicGrid2D(bits, np.outer(walsh_row(2, bits).astype(float), g))
-    assert np.abs(marginal_sum_1(f, 2).samples).max() <= 1e-13
-    assert np.abs(marginal_sum_1(f, 3).samples - f.samples).max() <= 1e-13
-
-
-def test_marginal_composition_equals_rectangular():
-    f = random_grid_2d(4, seed=15)
-    for m, n in ((3, 11), (8, 8), (1, 16)):
-        lhs = rectangular_partial_sum(f, m, n).samples
-        rhs = marginal_sum_1(marginal_sum_2(f, n), m).samples
-        assert np.abs(lhs - rhs).max() <= 1e-12
-
-
-def test_marginal_maximal_examples():
-    c = -2.5
-    f = DyadicGrid2D(3, np.full((8, 8), c))
-    assert np.abs(marginal_maximal_2(f).samples - abs(c)).max() <= 1e-13
-    g = random_grid_2d(4, seed=16)
-    g = DyadicGrid2D(4, np.abs(g.samples))
-    row_means = g.samples.mean(axis=1, keepdims=True)
-    assert np.all(marginal_maximal_2(g).samples >= row_means - 1e-13)
-
-
-def test_marginal_maximal_matches_brute():
-    for bits in range(1, 8):
-        f = random_grid_2d(bits, seed=12 + bits)  # B=5: seed 17, as before
-        fast = marginal_maximal_2(f).samples
-        brute = oracles.marginal_maximal_2_brute(f)
-        assert np.abs(fast - brute).max() <= 1e-12
-        np.testing.assert_allclose(fast, brute, rtol=1e-12, atol=0)
 
 
 def test_slice_at_matches_rectangular_partial_sum():

@@ -11,7 +11,6 @@ from wss.errors import DataError, UsageError
 from wss.generators import random_grid_1d, random_grid_2d
 from wss.maximal import (
     dyadic_maximal,
-    dyadic_maximal_1d,
     hybrid_maximal_1,
     hybrid_maximal_2,
     hybrid_v_1,
@@ -19,14 +18,7 @@ from wss.maximal import (
     schipp_v,
     schipp_v_max,
 )
-from wss.sums import (
-    marginal_maximal_2,
-    marginal_sum_1,
-    marginal_sum_2,
-    partial_sum_1d,
-    quadratic_sums,
-    rectangular_partial_sum,
-)
+from wss.sums import partial_sum_1d, quadratic_sums, rectangular_partial_sum
 from wss.transform import (
     DyadicGrid,
     DyadicGrid1D,
@@ -37,7 +29,6 @@ from wss.transform import (
     inverse_wht_2d,
     naive_wht_1d,
     naive_wht_2d,
-    translate,
     wht_1d,
     wht_2d,
 )
@@ -134,7 +125,8 @@ def test_translation_covariance_exact():
     f = random_grid_1d(bits, seed=21)
     base = wht_1d(f).coeffs
     for a_idx in (1, 13, 37, 63):
-        shifted = wht_1d(translate(f, a_idx)).coeffs
+        translated = DyadicGrid1D(bits, f.samples[np.arange(64) ^ a_idx])  # x -> f(x (+) a)
+        shifted = wht_1d(translated).coeffs
         signs = np.array(
             [walsh_row(k, bits)[a_idx] for k in range(64)], dtype=np.float64
         )
@@ -163,13 +155,6 @@ def test_shape_validation():
         DyadicGrid2D.from_samples(np.ones((8, 4)))
     with pytest.raises(UsageError):
         DyadicGrid1D(4, np.ones(8))
-
-
-def test_value_at():
-    f = DyadicGrid1D(3, np.arange(8.0))
-    assert f.value_at(0.5) == 4.0
-    with pytest.raises(UsageError):
-        f.value_at(1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -309,8 +294,6 @@ def test_transforms_leave_their_inputs_untouched():
     c1, c2 = wht_1d(f1), wht_2d(f2)
     partial_sum_1d(f1, 11)
     rectangular_partial_sum(f2, 5, 9)
-    marginal_sum_1(f2, 7)
-    marginal_sum_2(f2, 13)
     assert np.array_equal(f1.samples, before1) and np.array_equal(f2.samples, before2)
     coeffs1, coeffs2 = c1.coeffs.copy(), c2.coeffs.copy()
     inverse_wht_1d(c1)
@@ -374,24 +357,18 @@ def test_base_grid_takes_either_dimension_only():
 
 
 @pytest.mark.parametrize("dims", [1, 2])
-def test_from_samples_and_value_at(dims):
+def test_from_samples_builds_its_class(dims):
     samples = np.arange(8.0**dims).reshape((8,) * dims)
     g = GRID[dims].from_samples(samples.tolist())
     assert type(g) is GRID[dims] and (g.bits, g.size) == (3, 8)
     assert g.samples.dtype == np.float64 and np.array_equal(g.samples, samples)
-    assert g.value_at(*(0.5, 0.3)[:dims]) == samples[(4, 2)[:dims]]
-    assert g.value_at(*(0.999,) * dims) == samples[(7,) * dims]
-    for point in ((1.0, 0.0)[:dims], (0.5, -0.1)[-dims:], (0.5,) * (3 - dims)):
-        with pytest.raises(UsageError):
-            g.value_at(*point)
 
 
 def test_every_transform_sum_and_operator_returns_its_inputs_class():
     f1, f2 = random_grid_1d(4, seed=1), random_grid_2d(3, seed=2)
-    outs1 = [wht_1d(f1), naive_wht_1d(f1), inverse_wht_1d(f1), translate(f1, 3),
-             partial_sum_1d(f1, 5), dyadic_maximal_1d(f1), schipp_v(f1, 2), schipp_v_max(f1)]
+    outs1 = [wht_1d(f1), naive_wht_1d(f1), inverse_wht_1d(f1),
+             partial_sum_1d(f1, 5), hybrid_maximal_1(f1), schipp_v(f1, 2), schipp_v_max(f1)]
     outs2 = [wht_2d(f2), naive_wht_2d(f2), inverse_wht_2d(f2), rectangular_partial_sum(f2, 3, 5),
-             marginal_sum_1(f2, 3), marginal_sum_2(f2, 3), marginal_maximal_2(f2),
              dyadic_maximal(f2), hybrid_maximal_1(f2), hybrid_maximal_2(f2),
              hybrid_v_1(f2), hybrid_v_2(f2), schipp_v_max(f2)]
     for grid, outs in ((f1, outs1), (f2, outs2)):
@@ -399,4 +376,4 @@ def test_every_transform_sum_and_operator_returns_its_inputs_class():
             assert type(out) is type(grid) and out.bits == grid.bits
             assert out.coeffs is out.samples and out.values is out.samples
     base = DyadicGrid(f1.bits, f1.samples)
-    assert type(wht_1d(base)) is DyadicGrid and type(dyadic_maximal_1d(base)) is DyadicGrid
+    assert type(wht_1d(base)) is DyadicGrid and type(hybrid_maximal_1(base)) is DyadicGrid
