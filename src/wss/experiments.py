@@ -30,8 +30,8 @@ from .maximal import (
     superlevel_measure,
 )
 from .means import PhiFunction, bmo_of_diagonal_sums, entropy_functional, phi_mean_sequence
-from .sums import BLOCK_BYTES, _prefix_sums, _support, dyadic_square_sums, quadratic_sums
-from .transform import DyadicGrid1D, DyadicGrid2D, _pow2_scaled, wht_1d
+from .sums import _prefix_sums, _support, dyadic_square_sums, quadratic_sums
+from .transform import BLOCK_BYTES, DyadicGrid1D, DyadicGrid2D, _pow2_scaled, wht_1d
 
 CSV_FIELDS = ("experiment", "spec", "B", "seed", "param", "lambda_or_m", "value")
 
@@ -320,6 +320,39 @@ def sch_ratio_max(f: DyadicGrid1D) -> float:
     return best
 
 
+def _weak_type_instance(operator: str, f, grid) -> tuple[str, float, np.ndarray | None]:
+    """One instance of `run_weak_type_suite`: (row param, value, normalized
+    sweep or None).  The gauge is taken before the operator, so its copy of
+    |f| is gone before the operator's arrays exist (M1, M2: f, the result and
+    one block), and every grid dies at return: no instance overlaps the next."""
+    if operator == "Sch-ratio":
+        if not isinstance(f, DyadicGrid1D):
+            raise UsageError("Sch-ratio needs 1D specs")
+        return "sch_ratio", sch_ratio_max(f), None
+    if operator in ("M1", "M2"):
+        denom = 1.0 + entropy_functional(f, 1)
+        op = hybrid_maximal_1(f) if operator == "M1" else hybrid_maximal_2(f)
+        exponent, (scaled,) = _pow2_scaled(op.samples, inplace=True)  # op is ours
+        return "integral_ratio", float(np.ldexp(scaled.mean(), exponent)) / denom, None
+    if grid is None:
+        raise UsageError(f"operator {operator} needs a lambda grid")
+    if operator == "M":
+        denom = 1.0 + entropy_functional(f, 1)
+        op = dyadic_maximal(f)
+    elif operator == "V":
+        if not isinstance(f, DyadicGrid1D):
+            raise UsageError("operator V needs 1D specs")
+        denom = entropy_functional(f, 0)
+        op = schipp_v_max(f)
+    else:
+        denom = entropy_functional(f, 0)
+        op = hybrid_v_1(f) if operator == "V1" else hybrid_v_2(f)
+    if denom == 0.0:
+        denom = np.finfo(np.float64).tiny
+    normalized = np.array([lam * superlevel_measure(op, lam) / denom for lam in grid])
+    return "empirical_constant", float(normalized.max()), normalized
+
+
 def run_weak_type_suite(
     operator: str,
     specs: list[FunctionSpec | str],
@@ -331,7 +364,8 @@ def run_weak_type_suite(
     Weak-type operators (M, V, V1, V2) record lambda mu{T f > lambda} against
     their gauges (1 + entropy for M, the L1 norm for the V family); M1/M2
     record the integral ratio; Sch-ratio records the pointwise strong-sum to
-    V-operator ratio.
+    V-operator ratio.  Instance i runs on its own (`_weak_type_instance`),
+    on the function of spec i at seed + i, and keeps only its row.
     """
     if operator not in WEAK_TYPE_OPERATORS:
         raise UsageError(f"unknown operator {operator!r} (expected one of {WEAK_TYPE_OPERATORS})")
@@ -346,44 +380,12 @@ def run_weak_type_suite(
     suite_best = 0.0
     sweep_max = None
     for i, spec in enumerate(parsed):
-        f = generate_function(spec, seed + i)
-        if operator == "Sch-ratio":
-            if not isinstance(f, DyadicGrid1D):
-                raise UsageError("Sch-ratio needs 1D specs")
-            value = sch_ratio_max(f)
-            report.add("sch_ratio", i, value)
-            suite_best = max(suite_best, value)
-            continue
-        if operator in ("M1", "M2"):
-            op = hybrid_maximal_1(f) if operator == "M1" else hybrid_maximal_2(f)
-            exponent, (scaled,) = _pow2_scaled(op.samples, inplace=True)  # op is ours
-            value = float(np.ldexp(scaled.mean(), exponent)) / (1.0 + entropy_functional(f, 1))
-            report.add("integral_ratio", i, value)
-            suite_best = max(suite_best, value)
-            continue
-        if grid is None:
-            raise UsageError(f"operator {operator} needs a lambda grid")
-        if operator == "M":
-            op = dyadic_maximal(f)
-            denom = 1.0 + entropy_functional(f, 1)
-        elif operator == "V":
-            if not isinstance(f, DyadicGrid1D):
-                raise UsageError("operator V needs 1D specs")
-            op = schipp_v_max(f)
-            denom = entropy_functional(f, 0)
-        else:
-            op = hybrid_v_1(f) if operator == "V1" else hybrid_v_2(f)
-            denom = entropy_functional(f, 0)
-        if denom == 0.0:
-            denom = np.finfo(np.float64).tiny
-        normalized = np.array([lam * superlevel_measure(op, lam) / denom for lam in grid])
-        if sweep_max is None:
-            sweep_max = normalized
-        else:
-            sweep_max = np.maximum(sweep_max, normalized)
-        best = float(normalized.max())
-        report.add("empirical_constant", i, best)
-        suite_best = max(suite_best, best)
+        # f is held by the instance alone, so it dies with the instance's grids
+        param, value, normalized = _weak_type_instance(operator, generate_function(spec, seed + i), grid)
+        report.add(param, i, value)
+        suite_best = max(suite_best, value)
+        if normalized is not None:
+            sweep_max = normalized if sweep_max is None else np.maximum(sweep_max, normalized)
     if sweep_max is not None:
         for lam, val in zip(grid, sweep_max):
             report.add("normalized_max", lam, val)

@@ -9,8 +9,9 @@ operator here takes a transform: V_n reads S_{2^n} f as level-n cell averages
 and runs on the 2^n coarse cells, batched along the last axis, so V costs
 O(N B) on N = 2^B samples and the hybrids V1, V2 are single batched calls.
 Operators return a new grid of their input's class and never write their
-input; M, M1 and M2 hold one private copy of it.  Both pyramids run on
-`_pow2_scaled` inputs, so no sum or square overflows at extreme amplitudes.
+input; M, M1 and M2 hold one private copy of it, which becomes the result.
+Both pyramids run on `_pow2_scaled` inputs, so no sum or square overflows at
+extreme amplitudes.
 """
 from __future__ import annotations
 
@@ -19,16 +20,20 @@ import itertools
 import numpy as np
 
 from .errors import UsageError
-from .transform import DyadicGrid, _pow2_scaled
+from .transform import BLOCK_BYTES, DyadicGrid, _pow2_scaled
 
 
 def _dyadic_maximal(a: np.ndarray, bits: int, axes: tuple[int, ...]) -> np.ndarray:
     """Running max of the averages of |a| over dyadic cells of the given axes.
 
-    The averages are built bottom-up from one private copy, |a| 2^-e scaled
-    in place (== |a 2^-e|), each level's children summed into one array in
-    `itertools.product` order; the max runs top-down, each level folding its
-    coarser parent into its children in place.  O(size of a).
+    The result starts as |a| 2^-e scaled in place (== |a 2^-e|), one exponent
+    for the whole grid.  A one-axis pyramid (M1, M2) never crosses the other
+    axis, so it runs in slabs of it within BLOCK_BYTES; otherwise the grid is
+    one slab.  In a slab the averages are built bottom-up, each level's
+    children summed into one array in `itertools.product` order; the max runs
+    top-down, each level folding its coarser parent into its children in
+    place.  O(size of a) time; memory: the result and one slab's coarser
+    levels (M1, M2: one grid and one block; M: 4/3 grid).
     """
 
     def children(level):
@@ -38,21 +43,25 @@ def _dyadic_maximal(a: np.ndarray, bits: int, axes: tuple[int, ...]) -> np.ndarr
                 index[axis] = slice(offset, None, 2)
             yield level[tuple(index)]
 
-    levels = [np.abs(a)]
-    exponent, _ = _pow2_scaled(levels[0], inplace=True)
-    for _ in range(bits):
-        first, second, *rest = children(levels[-1])
-        total = first + second
-        for child in rest:
-            total += child
-        levels.append(np.multiply(total, 0.5 ** len(axes), out=total))
-    best = levels.pop()
-    while levels:
-        finer = levels.pop()
-        for child in children(finer):
-            np.maximum(child, best, out=child)
-        best = finer
-    return np.ldexp(best, exponent, out=best)
+    result = np.abs(a)
+    exponent, _ = _pow2_scaled(result, inplace=True)
+    free = [axis for axis in range(a.ndim) if axis not in axes]
+    pieces = -(-result.nbytes // BLOCK_BYTES)
+    for slab in np.array_split(result, pieces, axis=free[0]) if free else [result]:
+        levels = [slab]
+        for _ in range(bits):
+            first, second, *rest = children(levels[-1])
+            total = first + second
+            for child in rest:
+                total += child
+            levels.append(np.multiply(total, 0.5 ** len(axes), out=total))
+        best = levels.pop()
+        while levels:
+            finer = levels.pop()
+            for child in children(finer):
+                np.maximum(child, best, out=child)
+            best = finer
+    return np.ldexp(result, exponent, out=result)
 
 
 def dyadic_maximal(f: DyadicGrid) -> DyadicGrid:
@@ -97,7 +106,7 @@ def _schipp_v_values(samples: np.ndarray, bits: int, orders) -> np.ndarray:
     for n in sorted(orders, reverse=True):
         while g.shape[-1] > 1 << n:
             g = 0.5 * (g[..., 0::2] + g[..., 1::2])
-        c, acc, q = np.zeros(g.shape), np.zeros(g.shape), np.empty(g.shape)
+        c, acc, q = np.zeros(g.shape), np.zeros(g.shape[:-1] + (1,)), np.empty(g.shape)
         for k in range(n):
             pairs = g.shape[:-1] + (-1, 2, 1 << (n - 1 - k))  # [..., ::-1, :] reads u ^ 2^(n-1-k)
             np.multiply(g.reshape(pairs)[..., ::-1, :], 2.0 ** (k - 1), out=q.reshape(pairs))
@@ -105,8 +114,9 @@ def _schipp_v_values(samples: np.ndarray, bits: int, orders) -> np.ndarray:
             block_sums = np.multiply(c, c, out=q)
             for _ in range(n - 1 - k):  # a fixed pairwise tree: a row's sums ignore the batch
                 block_sums = block_sums[..., 0::2] + block_sums[..., 1::2]
-            shells = acc.reshape(pairs)
-            shells += block_sums.reshape(pairs[:-1] + (1,))[..., ::-1, :]
+            acc = np.repeat(acc, 2, axis=-1)  # the shells so far, on the 2^(k+1) blocks of shell k
+            shells = acc.reshape(pairs[:-1])
+            shells += block_sums.reshape(pairs[:-1])[..., ::-1]
         np.sqrt(np.add(acc, q, out=acc), out=acc)
         cells = best.reshape(best.shape[:-1] + (1 << n, -1))  # x's level-n cell
         np.maximum(cells, np.multiply(acc, 2.0**-n, out=acc)[..., None], out=cells)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .sums import DiagonalSumField
-from .transform import DyadicGrid, DyadicGrid2D, _pow2_scaled
+from .transform import BLOCK_BYTES, DyadicGrid, DyadicGrid2D, _pow2_scaled
 
 
 @dataclass(frozen=True)
@@ -212,20 +212,23 @@ def entropy_functional(f: DyadicGrid, alpha: float) -> float:
     """Zygmund-class gauge: the mean of |f| (log+ |f|)^alpha over the grid.
 
     alpha = 0 gives the L1 norm.  log+ u = log(max(u, 1)).  The terms are
-    formed and `_pow2_scaled` in place in one private copy of |f| beside a
-    log+ array; their scaled mean cannot overflow, and terms beyond float64
+    formed and `_pow2_scaled` in place in one private copy of |f|, each piece
+    of BLOCK_BYTES beside its own log+ block (one grid and one block in
+    memory); their scaled mean cannot overflow, and terms beyond float64
     raise DataError.
     """
     if alpha < 0:
         raise UsageError(f"entropy exponent must be >= 0, got {alpha}")
     terms = np.abs(f.samples)
     if alpha:
-        logs = np.maximum(terms, 1.0)
-        np.log(logs, out=logs)
-        with np.errstate(over="ignore"):
-            if alpha != 1:  # u ** 1 == u
-                logs **= alpha
-            terms *= logs
+        for piece in np.array_split(terms, -(-terms.nbytes // BLOCK_BYTES)):
+            logs = np.maximum(piece, 1.0)
+            np.log(logs, out=logs)
+            with np.errstate(over="ignore"):
+                if alpha != 1:  # u ** 1 == u
+                    logs **= alpha
+                piece *= logs
+            del logs  # before the next piece allocates its own
     exponent, (scaled,) = _pow2_scaled(terms, inplace=True)
     mean = float(np.ldexp(scaled.mean(), exponent))
     if mean == np.inf:  # only an infinite term makes the mean of scaled terms infinite

@@ -27,9 +27,7 @@ import numpy as np
 
 from .dyadic import walsh_matrix, walsh_matrix_f64, walsh_row
 from .errors import UsageError
-from .transform import DyadicGrid1D, DyadicGrid2D, _analysis, _synthesis
-
-BLOCK_BYTES = 2 << 20  # one streamed sequence block: about an L2 cache
+from .transform import BLOCK_BYTES, DyadicGrid1D, DyadicGrid2D, _analysis, _synthesis
 
 
 def partial_sum_1d(f: DyadicGrid1D, n: int) -> DyadicGrid1D:

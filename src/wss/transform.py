@@ -25,6 +25,8 @@ import numpy as np
 from .dyadic import bit_reverse_permutation, validate_bits, walsh_matrix_f64
 from .errors import DataError, UsageError
 
+BLOCK_BYTES = 2 << 20  # one streamed block or slab of working memory: about an L2 cache
+
 
 @dataclass
 class DyadicGrid:
@@ -116,14 +118,18 @@ def _fwht(values: np.ndarray, axis: int) -> None:
 
 
 def _analysis(samples: np.ndarray, bits: int, axes: tuple[int, ...]) -> np.ndarray:
-    """Paley coefficients along `axes`, transformed in the order given."""
+    """Paley coefficients along `axes`, transformed in the order given.  A pass
+    drops the last pass's output once copied and its buffer once bit-reversed,
+    so it holds two arrays of the input's size beyond the input."""
     rev = bit_reverse_permutation(bits)
     t = samples
     for axis in axes:
         # a fresh buffer even for C-contiguous float64 input: the butterfly writes in place
         buf = np.array(np.moveaxis(t, axis, 0), dtype=np.float64, order="C")
+        del t
         _fwht(buf, 0)
         t = np.moveaxis(np.take(buf, rev, axis=0), 0, axis)
+        del buf
     t *= 2.0 ** (-bits * len(axes))
     return t
 

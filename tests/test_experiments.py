@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak_ratio
 from wss import experiments, oracles
 from wss.dyadic import walsh_matrix_f64
 from wss.errors import UsageError
@@ -218,6 +219,19 @@ def test_weak_type_integral_ratios():
     rep2 = run_weak_type_suite("Sch-ratio", ["random-step:level=4,dim=1@B=5"] * 3, seed=6)
     _, ratios = rep2.series("sch_ratio")
     assert np.all(np.isfinite(ratios)) and rep2.value("suite_max") == ratios.max()
+
+
+@pytest.mark.parametrize("operator", ["M", "M1", "M2"])
+def test_weak_type_instances_do_not_overlap(operator):
+    # f, the operator and one block per instance (M: 4/3 grid of levels); the
+    # next instance's f comes after the last one's grids are gone
+    spec = "random-step:level=4,dim=2@B=10"
+    lambdas = LAMBDAS if operator == "M" else None
+
+    def run(_):
+        return run_weak_type_suite(operator, [spec] * 2, lambdas, seed=11)
+
+    assert traced_peak_ratio(run, generate_function(spec, 11)) <= 2.6
 
 
 def test_weak_type_constants_stable_across_bits():

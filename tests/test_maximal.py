@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dyadic_rationals, traced_peak_ratio
-from wss import oracles
+from wss import maximal, oracles
 from wss.errors import UsageError
 from wss.generators import random_grid_1d, random_grid_2d
 from wss.maximal import (
@@ -304,3 +305,18 @@ def test_maximal_pyramids_hold_one_working_copy(op, bound):
     # amp=4: the scaling exponent is nonzero; the result is the one private copy,
     # and the coarser levels add 1/3 (squares) or 1 (one axis) of the grid
     assert traced_peak_ratio(op, random_grid_2d(9, seed=24, amp=4.0)) <= bound
+
+
+@pytest.mark.parametrize("op", [hybrid_maximal_1, hybrid_maximal_2])
+def test_one_axis_pyramids_hold_the_result_and_one_block(op):
+    # a B=10 grid is four blocks: the result plus one slab's coarser levels (1.25 grids)
+    assert traced_peak_ratio(op, random_grid_2d(10, seed=24, amp=4.0)) <= 1.3
+
+
+@pytest.mark.parametrize("amp", [0.75, 4.0, 1e200, 1e-200])
+def test_one_axis_pyramids_in_slabs_equal_the_one_slab_result(amp):
+    f = random_grid_2d(6, seed=25, amp=amp)
+    whole = [hybrid_maximal_1(f).samples, hybrid_maximal_2(f).samples]
+    with mock.patch.object(maximal, "BLOCK_BYTES", f.samples.nbytes // 8):  # eight slabs
+        assert np.array_equal(hybrid_maximal_1(f).samples, whole[0])
+        assert np.array_equal(hybrid_maximal_2(f).samples, whole[1])

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dyadic_rationals, traced_peak_ratio
-from wss import oracles
+from wss import means, oracles
 from wss.errors import DataError, UsageError
 from wss.generators import generate_function, random_grid_1d, random_grid_2d
 from wss.means import (
@@ -332,6 +333,8 @@ def test_entropy_is_bit_identical_to_the_full_grid_expression(kind, alpha):
     f = DyadicGrid2D(5, samples)
     before = f.samples.copy()
     assert entropy_functional(f, alpha) == _entropy_full_grid(f, alpha)
+    with mock.patch.object(means, "BLOCK_BYTES", f.samples.nbytes // 8):  # log+ in eight pieces
+        assert entropy_functional(f, alpha) == _entropy_full_grid(f, alpha)
     # below one the scaling exponent is 0, and `_pow2_scaled` hands back the array itself
     assert (np.frexp(np.abs(u).max())[1] == 0) and np.array_equal(f.samples, before)
 
@@ -347,3 +350,10 @@ def test_entropy_holds_one_working_copy_beside_the_log(alpha):
     # amp=4: the scaling exponent is nonzero and log+ is live on 3/4 of the grid
     f = random_grid_2d(9, seed=20, amp=4.0)
     assert traced_peak_ratio(lambda g: entropy_functional(g, alpha), f) <= 2.25
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_entropy_holds_the_copy_and_one_log_block(alpha):
+    # a B=10 grid is four blocks: log+ is formed one block at a time (1.25 grids)
+    f = random_grid_2d(10, seed=20, amp=4.0)
+    assert traced_peak_ratio(lambda g: entropy_functional(g, alpha), f) <= 1.3

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dyadic_rationals
+from conftest import dyadic_rationals, traced_peak_ratio
 from wss.dyadic import bit_reverse_permutation, walsh_row
 from wss.errors import DataError, UsageError
 from wss.generators import random_grid_1d, random_grid_2d
@@ -239,6 +239,13 @@ def test_analysis_is_the_reference_butterfly_bit_for_bit(values, axes):
         got = _analysis(values, 3, (axis,))
         assert np.array_equal(got, _reference_analysis(values, 3, (axis,)))
     assert np.array_equal(_analysis(values, 3, axes), _reference_analysis(values, 3, axes))
+
+
+def test_2d_analysis_holds_two_grids_beyond_its_input():
+    # the second pass's buffer replaces the first pass's output, and each
+    # buffer goes once its bit-reversed copy exists
+    f = random_grid_2d(10, seed=27)
+    assert traced_peak_ratio(lambda g: _analysis(g.samples, g.bits, (0, 1)), f) <= 2.1
 
 
 @pytest.mark.parametrize("values, axes", LAYOUTS)
