@@ -11,19 +11,13 @@ not depend on --threads.
 from __future__ import annotations
 
 import argparse
-import csv
 import signal
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .errors import DataError, UsageError
-from .experiments import (
-    CSV_FIELDS,
-    load_config,
-    run_configured,
-    write_reports_csv,
-)
+from .experiments import SummabilityReport, load_config, run_configured, write_reports_csv
 from .generators import FunctionSpec, generate_function
 from .selftest import run_selftest
 from .transform import DyadicGrid1D
@@ -60,28 +54,18 @@ def _cmd_run(args) -> int:
 def _cmd_gen(args) -> int:
     spec = FunctionSpec.parse(args.spec)
     grid = generate_function(spec, args.seed)
-    rows = []
+    report = SummabilityReport("gen", spec.text, spec.bits, args.seed)
     if isinstance(grid, DyadicGrid1D):
         for i, v in enumerate(grid.samples):
-            rows.append(["gen", spec.text, str(spec.bits), str(args.seed), "grid1d", str(i), format(v, ".17g")])
+            report.add("grid1d", i, v)
     else:
-        for i in range(grid.size):
-            for j in range(grid.size):
-                rows.append(
-                    ["gen", spec.text, str(spec.bits), str(args.seed), f"grid2d:row={i}", str(j),
-                     format(grid.samples[i, j], ".17g")]
-                )
+        for i, row in enumerate(grid.samples):
+            for j, v in enumerate(row):
+                report.add(f"grid2d:row={i}", j, v)
     try:
-        handle = open(args.out, "w", newline="") if args.out else sys.stdout
+        write_reports_csv([report], args.out)
     except OSError as exc:
         raise UsageError(f"cannot write {args.out!r}: {exc.strerror}") from exc
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_FIELDS)
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            handle.close()
     return 0
 
 

@@ -9,9 +9,10 @@ across runs and thread counts.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
-import io
 import itertools
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -86,22 +87,14 @@ class SummabilityReport:
         return [head + [param, _fmt(key), _fmt(value)] for param, key, value in self.rows]
 
 
-def write_reports_csv(reports: list[SummabilityReport], path) -> None:
-    with open(path, "w", newline="") as handle:
-        _write_reports(reports, handle)
-
-
-def reports_csv_bytes(reports: list[SummabilityReport]) -> bytes:
-    buf = io.StringIO(newline="")
-    _write_reports(reports, buf)
-    return buf.getvalue().encode()
-
-
-def _write_reports(reports, handle) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(CSV_FIELDS)
-    for report in reports:
-        writer.writerows(report.csv_rows())
+def write_reports_csv(reports: list[SummabilityReport], path=None) -> None:
+    """The header and every report's rows, to the file at `path` (stdout if None)."""
+    target = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
+    with target as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(CSV_FIELDS)
+        for report in reports:
+            writer.writerows(report.csv_rows())
 
 
 def _as_spec(spec: FunctionSpec | str) -> FunctionSpec:
@@ -160,34 +153,15 @@ def default_probes(spec: FunctionSpec) -> tuple[list[tuple[float, float]], float
     boundary are excluded and their total measure reported; other generator
     kinds are resolved on their own cells, so nothing is excluded.
     """
-    edges = [i / 4 for i in range(5)]
-    cells = [(edges[i], edges[i + 1], edges[j], edges[j + 1]) for i in range(4) for j in range(4)]
-
-    def cut_by(bounds: tuple[float, float, float, float]) -> bool:
-        x0, x1, y0, y1 = bounds
-
-        def crosses(edge: float, lo: float, hi: float) -> bool:
-            return lo < edge < hi
-
-        if spec.kind == "indicator-rect" and len(spec.positional) == 4:
-            rx0, rx1, ry0, ry1 = spec.positional
-            return any(crosses(e, x0, x1) for e in (rx0, rx1)) or any(
-                crosses(e, y0, y1) for e in (ry0, ry1)
-            )
-        if spec.kind == "spike":
-            level = spec.number("level", "0", int)
-            edge = 2.0**-level
-            return crosses(edge, x0, x1) or crosses(edge, y0, y1)
-        return False
-
-    probes = []
-    excluded = 0
-    for bounds in cells:
-        if cut_by(bounds):
-            excluded += 1
-        else:
-            probes.append((0.5 * (bounds[0] + bounds[1]), 0.5 * (bounds[2] + bounds[3])))
-    return probes, excluded / len(cells)
+    xs = ys = ()  # edge coordinates along x and along y
+    if spec.kind == "indicator-rect" and len(spec.positional) == 4:
+        xs, ys = spec.positional[:2], spec.positional[2:]
+    elif spec.kind == "spike":
+        xs = ys = (2.0 ** -spec.number("level", "0", int),)
+    corners = [(i / 4, j / 4) for i in range(4) for j in range(4)]
+    probes = [(x + 0.125, y + 0.125) for x, y in corners
+              if not any(x < e < x + 0.25 for e in xs) and not any(y < e < y + 0.25 for e in ys)]
+    return probes, (len(corners) - len(probes)) / len(corners)
 
 
 def run_theorem2(

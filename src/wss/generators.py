@@ -1,7 +1,8 @@
 """Deterministic test-function generators and their one-token spec grammar.
 
 A spec reads  kind:params@B=<bits>  with comma-separated params that are
-either positional numbers or key=value pairs, e.g.
+either positional numbers or key=value pairs with a key of the kind (`KINDS`;
+any other key is a SpecParseError), e.g.
 
     indicator-rect:0,0.5,0,0.5@B=4      1 on [0,1/2) x [0,1/2)
     walsh-tensor:3,6@B=4                w_3(x) w_6(y); "3+9" sums characters
@@ -24,7 +25,14 @@ from .dyadic import validate_bits, walsh_row
 from .errors import UsageError
 from .transform import DyadicGrid, DyadicGrid1D, DyadicGrid2D, _synthesis
 
-KINDS = ("indicator-rect", "walsh-tensor", "random-step", "random-spectrum", "spike")
+# each kind with the option keys it takes
+KINDS = {
+    "indicator-rect": (),
+    "walsh-tensor": (),
+    "random-step": ("level", "amp", "dim", "seed"),
+    "random-spectrum": ("support", "amp", "dim", "seed"),
+    "spike": ("level", "target"),
+}
 
 
 class SpecParseError(UsageError):
@@ -78,7 +86,7 @@ class FunctionSpec:
             raise SpecParseError(text, len(body) + 3, f"bad bit depth {tail[2:]!r}") from None
         kind, sep, params = body.partition(":")
         if kind not in KINDS:
-            raise SpecParseError(text, 0, f"unknown kind {kind!r} (expected one of {KINDS})")
+            raise SpecParseError(text, 0, f"unknown kind {kind!r} (expected one of {tuple(KINDS)})")
         if not sep or not params:
             raise SpecParseError(text, len(kind), "missing parameter list after kind")
         positional: list[float] = []
@@ -91,6 +99,9 @@ class FunctionSpec:
                 key, _, value = item.partition("=")
                 if not key or not value:
                     raise SpecParseError(text, cursor, f"bad key=value item {item!r}")
+                if key not in KINDS[kind]:
+                    keys = ", ".join(KINDS[kind]) or "none"
+                    raise SpecParseError(text, cursor, f"unknown key {key!r} for {kind} (keys: {keys})")
                 options.append((key, value))
             elif "+" in item:
                 # walsh-tensor group boundary; groups are re-read from `text`
@@ -213,8 +224,8 @@ def _random_spectrum(spec: FunctionSpec, seed: int) -> DyadicGrid:
     return grid(spec.bits, _synthesis(coeffs, spec.bits, (size,) * dims))
 
 
-def spike_height(level: int, target: float, alpha: float = 2.0) -> float:
-    """Solve h (log h)^alpha 4^-level = target for h > 1 by bisection.
+def spike_height(level: int, target: float) -> float:
+    """Solve h (log h)^2 4^-level = target for h > 1 by bisection.
 
     The left side vanishes at h = 1 and increases without bound, so the root
     exists and is unique; iteration stops when the equation residual is
@@ -225,7 +236,7 @@ def spike_height(level: int, target: float, alpha: float = 2.0) -> float:
     cell = 4.0**-level
 
     def residual(h: float) -> float:
-        return h * math.log(h) ** alpha * cell - target
+        return h * math.log(h) ** 2 * cell - target
 
     lo, hi = 1.0, 2.0
     while residual(hi) < 0:
@@ -248,8 +259,7 @@ def _spike(spec: FunctionSpec) -> DyadicGrid2D:
     if not 0 <= level <= spec.bits:
         raise UsageError(f"spike level {level} outside [0, {spec.bits}]")
     target = spec.number("target", "0")
-    alpha = spec.number("alpha", "2")
-    h = spike_height(level, target, alpha)
+    h = spike_height(level, target)
     size = 1 << spec.bits
     width = 1 << (spec.bits - level)
     grid = np.zeros((size, size))

@@ -9,73 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .errors import DataError, UsageError
 from .sums import DiagonalSumField
 from .transform import BLOCK_BYTES, DyadicGrid, DyadicGrid2D, _pow2_scaled
-
-
-@dataclass(frozen=True)
-class IndexInterval:
-    """Integer dyadic interval J = [j 2^m, (j+1) 2^m) of natural numbers."""
-
-    j: int
-    m: int
-
-    def __post_init__(self):
-        if self.j < 0 or self.m < 0:
-            raise UsageError(f"interval parameters ({self.j}, {self.m}) must be >= 0")
-
-    @property
-    def start(self) -> int:
-        return self.j << self.m
-
-    @property
-    def stop(self) -> int:
-        return (self.j + 1) << self.m
-
-    def __len__(self) -> int:
-        return 1 << self.m
-
-
-def integer_dyadic_intervals(length: int) -> Iterator[IndexInterval]:
-    """All integer dyadic intervals contained in [0, length), length = 2^M."""
-    if length < 1 or length & (length - 1):
-        raise UsageError(f"length {length} is not a power of two")
-    levels = length.bit_length() - 1
-    for m in range(levels + 1):
-        for j in range(length >> m):
-            yield IndexInterval(j, m)
-
-
-@dataclass
-class SummandSequence:
-    """A finite real sequence of power-of-two length (e.g. n -> S_nn at a point)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.values, dtype=np.float64)
-        if a.ndim != 1:
-            raise DataError(f"sequence must be 1D, got shape {a.shape}")
-        n = a.shape[0]
-        if n < 1 or n & (n - 1):
-            raise DataError(f"sequence length {n} is not a power of two")
-        if not np.isfinite(a).all():
-            raise DataError("sequence contains non-finite values")
-        self.values = a
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def _sequence_values(xi) -> np.ndarray:
-    if isinstance(xi, SummandSequence):
-        return xi.values
-    return SummandSequence(np.asarray(xi)).values
 
 
 def _max_mean_square_oscillation(a: np.ndarray, tail: np.ndarray | None = None,
@@ -136,12 +75,20 @@ def bmo_sequence_norm(xi) -> float:
     """BMO norm of a sequence: sup over integer dyadic intervals J of the
     root-mean-square deviation from the interval mean, in O(L) by the
     pairwise pyramid `_max_mean_square_oscillation`, on the sequence less its
-    first term (a shift leaves every oscillation unchanged)."""
-    x = _sequence_values(xi)
+    first term (a shift leaves every oscillation unchanged).  The sequence
+    must be 1D, finite and of power-of-two length (DataError otherwise)."""
+    x = np.asarray(xi, dtype=np.float64)
+    if x.ndim != 1:
+        raise DataError(f"sequence must be 1D, got shape {x.shape}")
+    n = len(x)
+    if n < 1 or n & (n - 1):
+        raise DataError(f"sequence length {n} is not a power of two")
+    if not np.isfinite(x).all():
+        raise DataError("sequence contains non-finite values")
     return math.sqrt(float(_max_mean_square_oscillation(x - x[0])))
 
 
-def bmo_of_diagonal_sums(field: DiagonalSumField, max_rows: int | None = None) -> DyadicGrid2D:
+def bmo_of_diagonal_sums(field: DiagonalSumField) -> DyadicGrid2D:
     """At each grid point, the BMO norm of the sequence n -> S_nn(x, y),
     n = 0..2^bits - 1.
 
@@ -163,7 +110,7 @@ def bmo_of_diagonal_sums(field: DiagonalSumField, max_rows: int | None = None) -
     scaled = DiagonalSumField(field.bits, *profiles)
     top = min(n, 1 << (scaled.support - 1).bit_length())
     out = np.empty((n, n))
-    for sl, block in scaled.iter_sequence_blocks(max_rows=max_rows):
+    for sl, block in scaled.iter_sequence_blocks():
         out[sl] = _max_mean_square_oscillation(block[..., :top], block[..., top], n)
     return DyadicGrid2D(field.bits, np.ldexp(np.sqrt(out), exponent))
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .dyadic import walsh_matrix_f64
 from .errors import UsageError
-from .means import _max_mean_square_oscillation, integer_dyadic_intervals
+from .means import _max_mean_square_oscillation
 from .sums import DiagonalSumField, all_partial_sums_1d, partial_sum_1d, rectangular_partial_sum
 from .transform import DyadicGrid1D, DyadicGrid2D, _analysis, _synthesis, naive_wht_2d
 
@@ -38,20 +38,25 @@ def cell_averages_2d(f: DyadicGrid2D, xlevel: int, ylevel: int) -> np.ndarray:
 
 
 def bmo_sequence_brute(values) -> float:
-    """Literal enumeration of every integer dyadic interval J in [0, L)."""
+    """Literal enumeration of every integer dyadic interval J = [j w, (j+1) w)
+    in [0, L), L a power of two: widths w = 1, 2, 4, ..., starts 0, w, 2w, ..."""
     x = [float(v) for v in np.asarray(values).ravel()]
     length = len(x)
+    if length < 1 or length & (length - 1):
+        raise UsageError(f"length {length} is not a power of two")
     best = 0.0
-    for interval in integer_dyadic_intervals(length):
-        count = len(interval)
-        total = 0.0
-        for k in range(interval.start, interval.stop):
-            total += x[k]
-        mean = total / count
-        dev = 0.0
-        for k in range(interval.start, interval.stop):
-            dev += (x[k] - mean) ** 2
-        best = max(best, math.sqrt(dev / count))
+    width = 1
+    while width <= length:
+        for start in range(0, length, width):
+            total = 0.0
+            for k in range(start, start + width):
+                total += x[k]
+            mean = total / width
+            dev = 0.0
+            for k in range(start, start + width):
+                dev += (x[k] - mean) ** 2
+            best = max(best, math.sqrt(dev / width))
+        width *= 2
     return best
 
 
@@ -72,7 +77,7 @@ def diagonal_sums_brute(f: DyadicGrid2D) -> np.ndarray:
 
 def materialize(field: DiagonalSumField) -> np.ndarray:
     """The (N+1, N, N) cube values[n] = S_nn, stacked from the field's blocks."""
-    out = np.empty((field.length, field.size, field.size))
+    out = np.empty((field.size + 1, field.size, field.size))
     for sl, block in field.iter_sequence_blocks():
         out[:, sl, :] = np.moveaxis(block, -1, 0)
     return out

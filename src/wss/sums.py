@@ -110,8 +110,8 @@ class DiagonalSumField:
     (K, N) row and column profiles (rows past K are zeros), streamed on demand.
 
     `iter_sequence_blocks` yields blocks of x-rows in (x, y, n) order, so each
-    grid point's whole sequence n -> S_nn(x, y) is contiguous; `slice_at` and
-    `sequence_at` give one n or one point.
+    grid point's whole sequence n -> S_nn(x, y) is contiguous; `sequence_at`
+    gives one point.
     """
 
     bits: int
@@ -132,16 +132,6 @@ class DiagonalSumField:
     def size(self) -> int:
         return 1 << self.bits
 
-    @property
-    def length(self) -> int:
-        """Number of diagonal indices produced (n = 0..2^bits inclusive)."""
-        return self.size + 1
-
-    def slice_at(self, n: int) -> np.ndarray:
-        """S_nn on the full grid, shape (N, N)."""
-        rows = _synthesis(self.row_profiles, self.bits, (n, None))
-        return rows + _synthesis(self.col_profiles, self.bits, (n, None)).T
-
     def sequence_at(self, ix: int, iy: int) -> np.ndarray:
         """The sequence n -> S_nn(x, y) at one grid point, length 2^bits + 1."""
         if not (0 <= ix < self.size and 0 <= iy < self.size):
@@ -153,11 +143,11 @@ class DiagonalSumField:
         seq[k + 1:] = seq[k]
         return seq
 
-    def iter_sequence_blocks(self, max_rows: int | None = None) -> Iterator[tuple[slice, np.ndarray]]:
+    def iter_sequence_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
         """Yield (x-slice, block) with block[xi, y, n] = S_nn(x, y), n = 0..2^bits.
 
-        Blocks cover the grid in row order.  By default each holds as many
-        x-rows as fit in BLOCK_BYTES (at least one): a block that stays in
+        Blocks cover the grid in row order.  Each holds as many x-rows as fit
+        in BLOCK_BYTES (at least one, at most N): a block that stays in
         cache beats a larger one.  The rank-two steps below the support K are
         formed from the (symmetric) Walsh matrix and transposed profile tables
         directly in (x, y, n) order and summed along n into the block, with no
@@ -166,20 +156,16 @@ class DiagonalSumField:
         valid only until the next block is yielded, and must not be written.
         """
         n, k = self.size, self.support
-        if max_rows is None:
-            max_rows = max(1, BLOCK_BYTES // (8 * n * (n + 1)))
-        if max_rows < 1:
-            raise UsageError("max_rows must be >= 1")
-        max_rows = min(max_rows, n)
+        per_block = min(n, max(1, BLOCK_BYTES // (8 * n * (n + 1))))
         # the Walsh matrix is symmetric: row x holds w_m(x), m < K
         w_t = np.ascontiguousarray(walsh_matrix_f64(self.bits)[:, :k])
         u_t = np.ascontiguousarray(self.row_profiles[:k].T)
         v_t = np.ascontiguousarray(self.col_profiles[:k].T)
-        steps = np.empty((max_rows, n, k))  # scratch reused by every block
+        steps = np.empty((per_block, n, k))  # scratch reused by every block
         cross = np.empty_like(steps)
-        buf = np.zeros((max_rows, n, n + 1))  # column 0 stays 0; fresh blocks would fault pages in
-        for x0 in range(0, n, max_rows):
-            sl = slice(x0, min(x0 + max_rows, n))
+        buf = np.zeros((per_block, n, n + 1))  # column 0 stays 0; fresh blocks would fault pages in
+        for x0 in range(0, n, per_block):
+            sl = slice(x0, min(x0 + per_block, n))
             rows = sl.stop - sl.start
             block = buf[:rows]
             np.multiply(w_t[sl, None, :], u_t, out=steps[:rows])

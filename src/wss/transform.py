@@ -90,45 +90,56 @@ def _pow2_scaled(*arrays: np.ndarray, inplace: bool = False) -> tuple[int, list[
     return e, [np.ldexp(a, -e, out=a if inplace else None) if e else a for a in arrays]
 
 
-def _fwht(values: np.ndarray, axis: int) -> None:
+def _fwht(values: np.ndarray, axis: int, spare: np.ndarray | None = None) -> None:
     """Natural-order fast Walsh-Hadamard butterfly, in place along axis 0 of
     a C-contiguous float64 buffer.  `axis` must be 0; callers still pass it
     because perfbench's tracer reads it to count the samples transformed.
 
     Stage h views the buffer as (n / 2h, 2, h, ...) and replaces each pair of
-    slabs (lo, hi) by (lo + hi, lo - hi) through one half-size scratch array.
+    slabs (lo, hi) by (lo + hi, lo - hi) through one half-size scratch array:
+    the front of `spare` (a C-contiguous float64 array of at least half the
+    buffer's size, whose contents are lost) if given, else a fresh one.
     The pairs and their order are fixed (stride 1, 2, 4, ...) and every entry
     gets exactly one addition or subtraction per stage, elementwise, so the
     output is bit-deterministic regardless of threading or of the layout the
-    caller's array had.
+    caller's array had.  A sum beyond float64 raises DataError.
     """
     if axis != 0 or values.dtype != np.float64 or not values.flags.c_contiguous:
         raise ValueError("_fwht needs a C-contiguous float64 buffer and axis 0")
     n, rest = values.shape[0], values.shape[1:]
-    scratch = np.empty((n // 2,) + rest)
-    h = 1
-    while h < n:
-        pairs = values.reshape((n // (2 * h), 2, h) + rest)
-        lo, hi = pairs[:, 0], pairs[:, 1]
-        total = scratch.reshape(lo.shape)
-        np.add(lo, hi, out=total)
-        np.subtract(lo, hi, out=hi)
-        lo[...] = total
-        h *= 2
+    scratch = np.empty((n // 2,) + rest) if spare is None else spare.reshape(-1)[: values.size // 2]
+    try:
+        with np.errstate(over="raise"):
+            h = 1
+            while h < n:
+                pairs = values.reshape((n // (2 * h), 2, h) + rest)
+                lo, hi = pairs[:, 0], pairs[:, 1]
+                total = scratch.reshape(lo.shape)
+                np.add(lo, hi, out=total)
+                np.subtract(lo, hi, out=hi)
+                lo[...] = total
+                h *= 2
+    except FloatingPointError:
+        raise DataError("Walsh transform overflows float64: the samples are too large") from None
 
 
 def _analysis(samples: np.ndarray, bits: int, axes: tuple[int, ...]) -> np.ndarray:
-    """Paley coefficients along `axes`, transformed in the order given.  A pass
-    drops the last pass's output once copied and its buffer once bit-reversed,
-    so it holds two arrays of the input's size beyond the input."""
+    """Paley coefficients along `axes`, transformed in the order given.
+
+    The output is allocated first and serves every pass, as the butterfly's
+    scratch and then as the target of the bit reversal: two arrays of the
+    input's size beyond the input, and each pass's buffer is freed above the
+    result, not into a heap hole below it that a small allocation could split."""
     rev = bit_reverse_permutation(bits)
+    out = np.empty(np.shape(samples))
     t = samples
     for axis in axes:
         # a fresh buffer even for C-contiguous float64 input: the butterfly writes in place
         buf = np.array(np.moveaxis(t, axis, 0), dtype=np.float64, order="C")
-        del t
-        _fwht(buf, 0)
-        t = np.moveaxis(np.take(buf, rev, axis=0), 0, axis)
+        _fwht(buf, 0, out)  # t, a view of out after the first pass, is copied already
+        # the indices are in range; mode "raise" would stage a full copy before out
+        t = np.take(buf, rev, axis=0, out=out.reshape(buf.shape), mode="clip")
+        t = np.moveaxis(t, 0, axis)
         del buf
     t *= 2.0 ** (-bits * len(axes))
     return t

@@ -1,8 +1,11 @@
+import contextlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from wss import sums
 from wss.generators import portable_uniforms
 
 
@@ -27,6 +30,15 @@ def traced_peak_ratio(fn, grid) -> float:
     finally:
         tracemalloc.stop()
     return peak / grid.samples.nbytes
+
+
+def block_rows(field, rows):
+    """Patch `wss.sums.BLOCK_BYTES` so that the field's sequence blocks hold
+    `rows` x-rows (None: leave the default budget)."""
+    if rows is None:
+        return contextlib.nullcontext()
+    n = field.size
+    return mock.patch.object(sums, "BLOCK_BYTES", rows * 8 * n * (n + 1))
 
 
 @pytest.fixture

@@ -294,6 +294,37 @@ def test_gauge_beyond_float64_exits_2_naming_it(tmp_path, capsys, text, gauge):
     assert err.startswith("error: entropy gauge") and gauge in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("random-step:level=2,sead=7,dim=2@B=3", "unknown key 'sead'"),
+        ("indicator-rect:0,0.5,0,0.5,color=3@B=3", "unknown key 'color'"),
+        ("random-step:level=3,dim=2,amp=1e308@B=5", "Walsh transform overflows float64"),
+    ],
+    ids=["misspelt-seed", "indicator-key", "butterfly-overflow"],
+)
+def test_bad_spec_exits_2_with_one_error_line(tmp_path, capsys, spec, message):
+    text = f"[s]\nexperiment = theorem1\nspec = {spec}\nlambda = 1\n"
+    gen_spec = spec.replace("random-step:level=3,dim=2", "random-spectrum:support=4,dim=1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would be a leak
+        assert _run_quietly(tmp_path, text) == 2
+        run_err = capsys.readouterr().err
+        assert main(["gen", gen_spec, "--dump", "--out", str(tmp_path / "g.csv")]) == 2
+        gen_err = capsys.readouterr().err
+    for err in (run_err, gen_err):
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not (tmp_path / "out" / "report.csv").exists() and not (tmp_path / "g.csv").exists()
+
+
+def test_gen_dump_to_stdout_equals_the_file(tmp_path, capsys):
+    for spec in ("walsh-tensor:3,6@B=3", "indicator-rect:0,0.5@B=3"):
+        assert main(["gen", spec, "--dump", "--seed", "4", "--out", str(tmp_path / "g.csv")]) == 0
+        capsys.readouterr()
+        assert main(["gen", spec, "--dump", "--seed", "4"]) == 0
+        assert capsys.readouterr().out == (tmp_path / "g.csv").read_text()
+
+
 def test_run_out_that_is_a_file_exits_2_before_any_section(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(CONFIG)

@@ -15,13 +15,13 @@ from wss.experiments import (
     default_probes,
     iter_rodin_means,
     load_config,
-    reports_csv_bytes,
     run_configured,
     run_rodin_1d,
     run_theorem1,
     run_theorem2,
     run_weak_type_suite,
     sch_ratio_max,
+    write_reports_csv,
 )
 from wss.generators import FunctionSpec, generate_function, random_grid_1d
 from wss.means import PhiFunction
@@ -262,11 +262,13 @@ def test_report_invariant_validation():
         rep2.validate()
 
 
-def test_csv_format_stability():
+def test_csv_format_stability(tmp_path):
     rep = SummabilityReport("demo", "spike:level=2,target=10@B=5", 5, 7)
     rep.add("measure", 0.5, 1.0)
     rep.add("value", 3.0, 1.0 / 3.0)
-    got = reports_csv_bytes([rep]).decode()
+    write_reports_csv([rep], tmp_path / "report.csv")
+    got = (tmp_path / "report.csv").read_bytes().decode()
+    assert got.endswith("\n") and "\r" not in got
     lines = got.splitlines()
     assert lines[0] == "experiment,spec,B,seed,param,lambda_or_m,value"
     assert lines[1] == 'demo,"spike:level=2,target=10@B=5",5,7,measure,0.5,1'

@@ -47,6 +47,31 @@ def test_parse_errors_carry_position(text):
     assert "position" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("random-step:level=2,sead=7,dim=1@B=3", "sead"),
+        ("random-spectrum:support=2,level=1@B=3", "level"),
+        ("indicator-rect:0,0.5,color=3@B=3", "color"),
+        ("walsh-tensor:3,seed=1@B=3", "seed"),
+        ("spike:level=1,target=2,alpha=3@B=3", "alpha"),
+        ("spike:level=1,dim=2,target=2@B=3", "dim"),
+    ],
+)
+def test_unknown_option_keys_are_rejected_at_their_position(text, key):
+    with pytest.raises(SpecParseError, match=f"unknown key {key!r}") as err:
+        FunctionSpec.parse(text)
+    assert err.value.pos == text.index(f",{key}=") + 1
+
+
+def test_each_kind_takes_its_documented_keys():
+    for text in ("random-step:level=1,amp=2,dim=1,seed=3@B=3",
+                 "random-spectrum:support=2,amp=2,dim=1,seed=3@B=3",
+                 "spike:level=1,target=2@B=3"):
+        assert FunctionSpec.parse(text).options
+        generate_function(text)
+
+
 def test_indicator_quadrant():
     f = generate_function("indicator-rect:0,0.5,0,0.5@B=4")
     assert isinstance(f, DyadicGrid2D)

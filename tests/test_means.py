@@ -6,19 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dyadic_rationals, traced_peak_ratio
+from conftest import block_rows, dyadic_rationals, traced_peak_ratio
 from wss import means, oracles
 from wss.errors import DataError, UsageError
 from wss.generators import generate_function, random_grid_1d, random_grid_2d
 from wss.means import (
-    IndexInterval,
     _max_mean_square_oscillation,
     PhiFunction,
-    SummandSequence,
     bmo_of_diagonal_sums,
     bmo_sequence_norm,
     entropy_functional,
-    integer_dyadic_intervals,
     phi_mean_sequence,
 )
 from wss.sums import quadratic_sums
@@ -30,15 +27,6 @@ def constant_field(bits, c):
 
 
 # --- sequence BMO -----------------------------------------------------------
-
-
-def test_index_interval_family():
-    family = list(integer_dyadic_intervals(8))
-    assert len(family) == 8 + 4 + 2 + 1
-    assert IndexInterval(1, 2) in family
-    assert family[0].start == 0 and len(family[0]) == 1
-    with pytest.raises(UsageError):
-        list(integer_dyadic_intervals(6))
 
 
 def test_bmo_sequence_examples():
@@ -104,10 +92,16 @@ def test_bmo_sequence_monotone_under_extension():
 
 
 def test_bmo_sequence_rejects_bad_input():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="power of two"):
         bmo_sequence_norm([1.0, 2.0, 3.0])
-    with pytest.raises(DataError):
-        SummandSequence(np.array([np.nan, 1.0]))
+    with pytest.raises(DataError, match="power of two"):
+        bmo_sequence_norm([])
+    with pytest.raises(DataError, match="non-finite"):
+        bmo_sequence_norm([np.nan, 1.0])
+    with pytest.raises(DataError, match="1D"):
+        bmo_sequence_norm(np.zeros((2, 2)))
+    with pytest.raises(UsageError, match="power of two"):
+        oracles.bmo_sequence_brute([1, 2, 3])
 
 
 # --- BMO of the diagonal sums ----------------------------------------------
@@ -174,8 +168,9 @@ def test_bmo_of_diagonal_sums_streaming_agrees():
     # each point's sequence is reduced on its own, so the blocking cannot matter
     field = quadratic_sums(random_grid_2d(4, seed=24))
     base = bmo_of_diagonal_sums(field).samples
-    for max_rows in (1, 3, 5):
-        assert np.array_equal(bmo_of_diagonal_sums(field, max_rows=max_rows).samples, base)
+    for rows in (1, 3, 5):
+        with block_rows(field, rows):
+            assert np.array_equal(bmo_of_diagonal_sums(field).samples, base)
 
 
 def _band_limited(kind, bits):
@@ -202,8 +197,9 @@ def test_bmo_stopped_at_the_support_equals_all_orders(kind, bits):
     full = oracles.bmo_of_all_diagonal_orders(field)
     assert np.array_equal(bmo_of_diagonal_sums(field).samples, full)
     if kind in ("spike", "walsh-tensor") and bits >= 3:
-        for max_rows in (1, 3, 5):
-            assert np.array_equal(bmo_of_diagonal_sums(field, max_rows=max_rows).samples, full)
+        for rows in (1, 3, 5):
+            with block_rows(field, rows):
+                assert np.array_equal(bmo_of_diagonal_sums(field).samples, full)
 
 
 @pytest.mark.parametrize("bits", range(1, 8))
@@ -220,12 +216,12 @@ def test_k_row_field_equals_the_full_table_field(kind, bits):
     # each point's sequence against the full-table field's materialized cube
     sequences = [[field.sequence_at(ix, iy) for iy in range(n)] for ix in range(n)]
     assert np.array_equal(np.moveaxis(sequences, -1, 0), oracles.materialize(full))
-    for order in range(n + 1):
-        assert np.array_equal(field.slice_at(order), full.slice_at(order))
-    for max_rows in (1, 3, None):
-        pairs = zip(field.iter_sequence_blocks(max_rows), full.iter_sequence_blocks(max_rows), strict=True)
-        for (sl, block), (full_sl, full_block) in pairs:
-            assert sl == full_sl and np.array_equal(block, full_block)
+    assert np.array_equal(oracles.materialize(field), oracles.materialize(full))
+    for rows in (1, 3, None):
+        with block_rows(field, rows):
+            pairs = zip(field.iter_sequence_blocks(), full.iter_sequence_blocks(), strict=True)
+            for (sl, block), (full_sl, full_block) in pairs:
+                assert sl == full_sl and np.array_equal(block, full_block)
     assert np.array_equal(bmo_of_diagonal_sums(field).samples, bmo_of_diagonal_sums(full).samples)
 
 

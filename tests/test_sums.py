@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import block_rows
 from wss import oracles
 from wss.dyadic import walsh_row
 from wss.errors import UsageError
@@ -59,7 +60,7 @@ def test_two_dimensional_orders_out_of_range():
     field = quadratic_sums(f)
     for bad in (-1, 9):
         for call in (lambda: rectangular_partial_sum(f, bad, 2), lambda: rectangular_partial_sum(f, 2, bad),
-                     lambda: field.slice_at(bad)):
+                     lambda: field.sequence_at(bad, 2), lambda: field.sequence_at(2, bad)):
             with pytest.raises(UsageError):
                 call()
 
@@ -134,12 +135,12 @@ def test_streaming_matches_full():
     lazy = quadratic_sums(f)
     full = oracles.materialize(lazy)
     got = np.empty_like(full)
-    for sl, block in lazy.iter_sequence_blocks(max_rows=5):
-        got[:, sl, :] = block.transpose(2, 0, 1)
+    with block_rows(lazy, 5):
+        for sl, block in lazy.iter_sequence_blocks():
+            got[:, sl, :] = block.transpose(2, 0, 1)
     assert np.abs(got - full).max() <= 1e-12
     seq = lazy.sequence_at(3, 12)
     assert np.abs(seq - full[:, 3, 12]).max() <= 1e-12
-    assert np.abs(lazy.slice_at(7) - full[7]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("spec", ["spike:level=2,target=10@B=4", "random-step:level=2,dim=2@B=4",
@@ -150,20 +151,22 @@ def test_sequence_blocks_past_the_support_equal_each_point_sequence(spec):
     f = random_grid_2d(4, seed=13) if spec == "random" else generate_function(spec, 13)
     field = quadratic_sums(f)
     assert field.support == {"random": 16}.get(spec, 4)
-    for max_rows in (None, 1, 5):
-        for sl, block in field.iter_sequence_blocks(max_rows=max_rows):
-            assert block.shape == (sl.stop - sl.start, 16, 17)
-            for xi, ix in enumerate(range(sl.start, sl.stop)):
-                for iy in range(16):
-                    assert np.array_equal(block[xi, iy], field.sequence_at(ix, iy))
+    for rows in (None, 1, 5):
+        with block_rows(field, rows):
+            for sl, block in field.iter_sequence_blocks():
+                assert block.shape == (sl.stop - sl.start, 16, 17)
+                for xi, ix in enumerate(range(sl.start, sl.stop)):
+                    for iy in range(16):
+                        assert np.array_equal(block[xi, iy], field.sequence_at(ix, iy))
     zero = quadratic_sums(DyadicGrid2D(4, np.zeros((16, 16))))
     assert zero.support == 1 and not any(block.any() for _, block in zero.iter_sequence_blocks())
 
 
 def test_sequence_blocks_reuse_one_buffer():
     field = quadratic_sums(random_grid_2d(4, seed=14))
-    blocks = field.iter_sequence_blocks(max_rows=5)
-    (_, first), (_, second) = next(blocks), next(blocks)
+    with block_rows(field, 5):
+        blocks = field.iter_sequence_blocks()
+        (_, first), (_, second) = next(blocks), next(blocks)
     assert np.shares_memory(first, second)  # the first block is now overwritten
     assert np.array_equal(second[0, 3], field.sequence_at(5, 3))
     # the last, shorter block is a prefix of the same buffer, column 0 still zero
@@ -184,12 +187,12 @@ def test_legacy_modes_build_the_same_field():
         quadratic_sums(f, mode="cube")
 
 
-def test_slice_at_matches_rectangular_partial_sum():
+def test_materialized_field_matches_rectangular_partial_sum():
     f = random_grid_2d(4, seed=18)
-    field = quadratic_sums(f)
+    cube = oracles.materialize(quadratic_sums(f))
     for n in range(f.size + 1):
         rect = rectangular_partial_sum(f, n, n).samples
-        assert np.abs(field.slice_at(n) - rect).max() <= 1e-12 * max(1.0, np.abs(rect).max())
+        assert np.abs(cube[n] - rect).max() <= 1e-12 * max(1.0, np.abs(rect).max())
 
 
 # --- dyadic square sums (Paley prefix scan) ---------------------------------
