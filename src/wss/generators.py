@@ -103,7 +103,9 @@ class FunctionSpec:
                     keys = ", ".join(KINDS[kind]) or "none"
                     raise SpecParseError(text, cursor, f"unknown key {key!r} for {kind} (keys: {keys})")
                 options.append((key, value))
-            elif "+" in item:
+            elif KINDS[kind]:  # a kind with option keys reads no positional item
+                raise SpecParseError(text, cursor, f"{kind} takes key=value items only, got {item!r}")
+            elif "+" in item and kind == "walsh-tensor":
                 # walsh-tensor group boundary; groups are re-read from `text`
                 options.append(("+group", item))
             else:

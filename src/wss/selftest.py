@@ -38,6 +38,16 @@ def _check_transform_2d() -> tuple[bool, str]:
     return gap <= 1e-10 and loop <= 1e-12, f"fast-naive gap {gap:.3g}, round trip {loop:.3g}"
 
 
+def _check_transform_resolution() -> tuple[bool, str]:
+    f = generate_function("random-step:level=3,dim=2@B=7")  # spectrum inside [0, 8)^2
+    c = wht_2d(f).samples
+    gap = np.abs(c - naive_wht_2d(f).samples).max()
+    outside = np.count_nonzero(c) - np.count_nonzero(c[:8, :8])
+    loop = np.abs(inverse_wht_2d(wht_2d(f)).samples - f.samples).max()
+    ok = gap <= 1e-10 and outside == 0 and loop <= 1e-12
+    return ok, f"fast-naive gap {gap:.3g}, {outside} nonzero outside [0, 8)^2, round trip {loop:.3g}"
+
+
 def _check_orthonormality() -> tuple[bool, str]:
     w = walsh_matrix(6).astype(np.int64)
     gram = w @ w.T
@@ -125,6 +135,7 @@ def _check_rodin_stream() -> tuple[bool, str]:
 CHECKS = [
     ("transform-1d", _check_transform_1d),
     ("transform-2d", _check_transform_2d),
+    ("transform-resolution", _check_transform_resolution),
     ("orthonormality", _check_orthonormality),
     ("martingale", _check_martingale),
     ("quadratic-sums", _check_quadratic_sums),

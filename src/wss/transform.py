@@ -6,18 +6,20 @@ Analysis carries the 2**-bits measure factor so coefficients equal the
 integrals int f w_k; synthesis carries no factor.  Every fast path, here and
 in `wss.sums`, is `_analysis` or the truncated synthesis `_synthesis`: a
 natural-order Hadamard butterfly composed with a bit-reversal permutation
-(Paley row k of the sampled Walsh matrix is natural row reverse(k)).  Each
-pass copies its axis to the front of a fresh C-contiguous buffer (analysis
-bit-reverses after the butterfly; synthesis cuts every axis to its order first
-and scatters Paley k to row rev[k] of a zeroed buffer, so an axis may be
-shorter than 2^bits and a pass skips the rows other orders cut), and the
-butterfly runs in place on contiguous slabs of that buffer with one half-size
-scratch array, so a pass allocates nothing per stage and never writes to its
-input.  The naive transforms evaluate the defining sums directly with a fixed
-ascending summation order and serve as oracles for the fast paths.
+(Paley row k of the sampled Walsh matrix is natural row reverse(k)), run on
+the 2^L rows of each axis's own dyadic resolution with the full result's
+every bit.  Each pass copies its axis to the front of a fresh C-contiguous
+buffer (analysis bit-reverses after the butterfly; synthesis cuts every axis
+to its order first and scatters Paley k to row rev[k] of a zeroed buffer, so
+an axis may be shorter than 2^bits and a pass skips the rows other orders
+cut), and the butterfly runs in place on contiguous slabs of that buffer with
+one half-size scratch array, so a pass allocates nothing per stage and never
+writes to its input.  The naive transforms evaluate the defining sums directly
+with a fixed ascending summation order and serve as oracles for the fast paths.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,38 +128,71 @@ def _fwht(values: np.ndarray, axis: int, spare: np.ndarray | None = None) -> Non
 def _analysis(samples: np.ndarray, bits: int, axes: tuple[int, ...]) -> np.ndarray:
     """Paley coefficients along `axes`, transformed in the order given.
 
-    The output is allocated first and serves every pass, as the butterfly's
-    scratch and then as the target of the bit reversal: two arrays of the
-    input's size beyond the input, and each pass's buffer is freed above the
-    result, not into a heap hole below it that a small allocation could split."""
+    Each axis halves while its even and odd cells agree bit for bit (-0.0 is
+    not +0.0), to the coarsest level L on whose dyadic blocks the input is
+    constant.  The passes run on those 2^L representatives and fill the
+    [0, 2^L) corner of a zeroed output with the full butterfly's every bit:
+    its first bits - L stages turn a constant block v into
+    (2^(bits-L) v, +0, ..., +0), and magnitudes never fall from stage to
+    stage, so it overflows exactly when the coarse peak times 2^shift does.
+    The work array serves every pass as the butterfly's scratch and then as
+    the bit reversal's target; at full resolution it is the output, so the
+    passes hold two arrays of the input's size beyond the input, and each
+    pass's buffer is freed above the result, not into a heap hole below it
+    that a small allocation could split."""
     rev = bit_reverse_permutation(bits)
-    out = np.empty(np.shape(samples))
-    t = samples
+    a = np.asarray(samples, dtype=np.float64)
+    coarse, levels = a, []
     for axis in axes:
-        # a fresh buffer even for C-contiguous float64 input: the butterfly writes in place
-        buf = np.array(np.moveaxis(t, axis, 0), dtype=np.float64, order="C")
-        _fwht(buf, 0, out)  # t, a view of out after the first pass, is copied already
-        # the indices are in range; mode "raise" would stage a full copy before out
-        t = np.take(buf, rev, axis=0, out=out.reshape(buf.shape), mode="clip")
+        t, level = np.moveaxis(coarse.view(np.int64), axis, 0), bits
+        # the first pair settles full-resolution input without a pass over it
+        while level and np.array_equal(t[0], t[1]) and np.array_equal(t[0::2], t[1::2]):
+            t, level = t[0::2], level - 1
+        coarse = np.moveaxis(t, 0, axis).view(np.float64)
+        levels.append(level)
+    shift = sum(bits - level for level in levels)
+    work = np.empty(coarse.shape)  # at full resolution, the output
+    t = coarse
+    for axis, level in zip(axes, levels):
+        # a fresh buffer even for C-contiguous input: the butterfly writes in place
+        buf = np.array(np.moveaxis(t, axis, 0), order="C")
+        _fwht(buf, 0, work)  # t, a view of work after the first pass, is copied already
+        paley = rev[: 1 << level] >> (bits - level)  # = bit_reverse_permutation(level)
+        # the indices are in range; mode "raise" would stage a full copy before work
+        t = np.take(buf, paley, axis=0, out=work.reshape(buf.shape), mode="clip")
         t = np.moveaxis(t, 0, axis)
         del buf
-    t *= 2.0 ** (-bits * len(axes))
-    return t
+    if shift and math.frexp(max(t.max(), -t.min()))[1] + shift > 1024:
+        raise DataError("Walsh transform overflows float64: the samples are too large")
+    t *= 2.0 ** (shift - bits * len(axes))
+    if not shift:
+        return t
+    out = np.zeros(a.shape)
+    out[tuple(map(slice, t.shape))] = t
+    return out
 
 
 def _synthesis(coeffs: np.ndarray, bits: int, orders) -> np.ndarray:
     """From the last axis to the first, each axis with an order (not None)
     keeps its coefficients below that order and is synthesized; all are cut
-    before any pass, and an axis shorter than 2^bits is zero-padded."""
+    before any pass, and an axis shorter than 2^bits is zero-padded.
+
+    An axis keeping m coefficients is synthesized at level
+    L = (m - 1).bit_length() and each value repeated on its 2^(bits-L) cells:
+    the full butterfly's first bits - L stages only copy them by adding +0,
+    so this is its every bit but the sign of a zero from a kept -0.0."""
     if any(o is not None and not 0 <= o <= 1 << bits for o in orders):
         raise UsageError(f"orders {tuple(orders)} outside [0, 2^{bits}]")
     rev = bit_reverse_permutation(bits)
     t = coeffs[tuple(slice(None) if o is None else slice(o) for o in orders)]
     for axis in reversed([a for a, o in enumerate(orders) if o is not None]):
         kept = np.moveaxis(t, axis, 0)
-        buf = np.zeros((1 << bits,) + kept.shape[1:])
-        buf[rev[: len(kept)]] = kept
+        level = max(len(kept) - 1, 0).bit_length()
+        buf = np.zeros((1 << level,) + kept.shape[1:])
+        buf[rev[: len(kept)] >> (bits - level)] = kept  # rev at level L
         _fwht(buf, 0)
+        if level < bits:
+            buf = np.repeat(buf, 1 << (bits - level), axis=0)
         t = np.moveaxis(buf, 0, axis)
     return t
 

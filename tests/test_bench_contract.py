@@ -6,9 +6,11 @@ spot checks here makes a refactor that breaks one of those names fail the
 test suite, not only the benchmark.  checks.py is imported by path and used
 as it is.  The tracer's own tests pin the wss names and block counts it
 reads (`walsh_matrix_f64`, `iter_sequence_blocks`, the whole-stream count),
-so they run here too, in a child pytest.
+so they run here too, in a child pytest, and the tracer's `transform.points`
+count of a small theorem2 run is pinned from the shapes of its transforms.
 """
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -43,11 +45,37 @@ def test_spot_checks_pass_on_the_reference_report(config):
     assert {name: found for name, found in problems.items() if found} == {}
 
 
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PERFBENCH.parent / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_tracer_pins_pass():
     root = PERFBENCH.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    env = _env()
     result = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                              "perfbench/tests/test_tracer.py"],
                             cwd=root, env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-4000:]
+
+
+def test_theorem2_transforms_run_at_the_spectrum_level(tmp_path):
+    # random-spectrum:support=4 at B=6 is constant on level-2 cells (k = 4 of
+    # them per axis, n = 64 samples per axis) and its profile support is
+    # K = 4: generation synthesizes k x k then k x n, the analysis runs both
+    # passes on the k x k representatives, and the row and column profiles
+    # each synthesize one k x K table.  A full-grid butterfly anywhere
+    # (n x n per pass) breaks the count.
+    bits, support = 6, 4
+    n, k = 1 << bits, 1 << (support - 1).bit_length()
+    config = tmp_path / "theorem2.ini"
+    config.write_text("[t]\nexperiment = theorem2\n"
+                      f"spec = random-spectrum:support={support},dim=2@B={bits}\nm = 4,16,64\n")
+    spans = tmp_path / "spans.json"
+    result = subprocess.run([sys.executable, str(PERFBENCH / "tracer.py"), "--spans", str(spans), "--",
+                             "run", str(config), "--seed", "7", "--out", str(tmp_path / "out")],
+                            env=_env(), capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-4000:]
+    counters = json.loads(spans.read_text())["counters"]
+    assert counters["transform.points"] == (k * k + k * n) + 2 * k * k + 2 * k * support

@@ -300,8 +300,9 @@ def test_gauge_beyond_float64_exits_2_naming_it(tmp_path, capsys, text, gauge):
         ("random-step:level=2,sead=7,dim=2@B=3", "unknown key 'sead'"),
         ("indicator-rect:0,0.5,0,0.5,color=3@B=3", "unknown key 'color'"),
         ("random-step:level=3,dim=2,amp=1e308@B=5", "Walsh transform overflows float64"),
+        ("random-step:level=3,dim=2,7@B=5", "takes key=value items only, got '7'"),
     ],
-    ids=["misspelt-seed", "indicator-key", "butterfly-overflow"],
+    ids=["misspelt-seed", "indicator-key", "butterfly-overflow", "stray-positional"],
 )
 def test_bad_spec_exits_2_with_one_error_line(tmp_path, capsys, spec, message):
     text = f"[s]\nexperiment = theorem1\nspec = {spec}\nlambda = 1\n"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,24 @@ def test_unknown_option_keys_are_rejected_at_their_position(text, key):
     with pytest.raises(SpecParseError, match=f"unknown key {key!r}") as err:
         FunctionSpec.parse(text)
     assert err.value.pos == text.index(f",{key}=") + 1
+
+
+@pytest.mark.parametrize(
+    "text, item",
+    [
+        ("random-step:level=1,7,dim=1@B=2", "7"),
+        ("random-step:level=1,1+2,dim=1@B=2", "1+2"),
+        ("random-spectrum:support=2,5,dim=1@B=2", "5"),
+        ("spike:level=1,target=2,3@B=2", "3"),
+        ("spike:0.5,level=1,target=2@B=2", "0.5"),
+        ("indicator-rect:0,0.5,1+2@B=2", "1+2"),
+    ],
+)
+def test_stray_positional_items_are_rejected_at_their_position(text, item):
+    # only indicator-rect reads numbers and only walsh-tensor reads "+" groups
+    with pytest.raises(SpecParseError, match=re.escape(repr(item))) as err:
+        FunctionSpec.parse(text)
+    assert err.value.pos == text.index(item, text.index(":"))
 
 
 def test_each_kind_takes_its_documented_keys():

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dyadic_rationals, traced_peak_ratio
-from wss import oracles
+from wss import oracles, transform
 from wss.dyadic import bit_reverse_permutation, walsh_row
 from wss.errors import DataError, UsageError
-from wss.generators import random_grid_1d, random_grid_2d
+from wss.generators import generate_function, portable_uniforms, random_grid_1d, random_grid_2d
 from wss.maximal import (
     dyadic_maximal,
     hybrid_maximal_1,
@@ -215,41 +216,152 @@ def _reference_synthesis(values, bits, orders):
     return t
 
 
+def _strided(shape, cut):
+    """Lay an array out as the `cut` view of a larger zeroed one."""
+    def lay(a):
+        base = np.zeros(shape)
+        base[cut] = a
+        return base[cut]
+    return lay
+
+
+def _read_only(a):
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+# label: (shape, axes, lay), `lay` putting a C-ordered array of that shape
+# into a layout callers pass; the transformed axes have length 2^3
+LAYOUT_CASES = {
+    "1d": ((8,), (0,), np.asarray),
+    "2d": ((8, 8), (0, 1), np.asarray),
+    "2d-rect": ((8, 5), (0,), np.asarray),
+    "3d": ((8, 3, 8), (0, 2), np.asarray),
+    "3d-middle": ((2, 8, 3), (1,), np.asarray),
+    "transposed": ((8, 5), (0,), lambda a: a.T.copy().T),
+    "transposed-3d": ((8, 8, 3), (0, 1), lambda a: a.transpose(1, 2, 0).copy().transpose(2, 0, 1)),
+    "strided": ((8, 8), (0, 1), _strided((16, 8), np.s_[::2])),
+    "strided-inner": ((8, 8), (0, 1), _strided((8, 24), np.s_[:, 1::3])),
+    "fortran": ((8, 8), (0, 1), np.asfortranarray),
+    "read-only": ((8, 8), (0, 1), _read_only),
+    "integer": ((8, 8), (0, 1), lambda a: np.round(a * 100).astype(np.int64)),
+}
+
+
+def _floats(rng, shape):
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+
+
 def _layouts():
     """Arrays in the layouts callers pass, each with the axes of length 2^3."""
     rng = np.random.default_rng(77)
-
-    def floats(*shape):
-        return rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
-
-    read_only = floats(8, 8)
-    read_only.setflags(write=False)
-    cases = {
-        "1d": (floats(8), (0,)),
-        "2d": (floats(8, 8), (0, 1)),
-        "2d-rect": (floats(8, 5), (0,)),
-        "3d": (floats(8, 3, 8), (0, 2)),
-        "3d-middle": (floats(2, 8, 3), (1,)),
-        "transposed": (floats(5, 8).T, (0,)),
-        "transposed-3d": (floats(8, 3, 8).transpose(2, 0, 1), (0, 1)),
-        "strided": (floats(16, 8)[::2], (0, 1)),
-        "strided-inner": (floats(8, 24)[:, 1::3], (0, 1)),
-        "fortran": (np.asfortranarray(floats(8, 8)), (0, 1)),
-        "read-only": (read_only, (0, 1)),
-        "integer": (rng.integers(-1000, 1000, (8, 8)), (0, 1)),
-    }
-    return [pytest.param(values, axes, id=label) for label, (values, axes) in cases.items()]
+    return [pytest.param(lay(_floats(rng, shape)), axes, id=label)
+            for label, (shape, axes, lay) in LAYOUT_CASES.items()]
 
 
 LAYOUTS = _layouts()
+
+
+def _bits(a):
+    """The int64 view of an array's float64 values: the sign of a zero counts."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(_bits(a), _bits(b))
 
 
 @pytest.mark.parametrize("values, axes", LAYOUTS)
 def test_analysis_is_the_reference_butterfly_bit_for_bit(values, axes):
     for axis in axes:
         got = _analysis(values, 3, (axis,))
-        assert np.array_equal(got, _reference_analysis(values, 3, (axis,)))
-    assert np.array_equal(_analysis(values, 3, axes), _reference_analysis(values, 3, axes))
+        assert _same_bits(got, _reference_analysis(values, 3, (axis,)))
+    assert _same_bits(_analysis(values, 3, axes), _reference_analysis(values, 3, axes))
+
+
+@pytest.mark.parametrize("label", LAYOUT_CASES)
+def test_analysis_of_step_inputs_is_the_reference_bit_for_bit(label):
+    # constant on the level-L cells of each transformed axis, L = 0..3 per
+    # axis: the passes run on the 2^L representatives and must still give
+    # the full butterfly's every bit, in either order of the axes
+    shape, axes, lay = LAYOUT_CASES[label]
+    rng = np.random.default_rng(len(label))
+    for levels in itertools.product(range(4), repeat=len(axes)):
+        cells = list(shape)
+        for axis, level in zip(axes, levels):
+            cells[axis] = 1 << level
+        values = _floats(rng, cells)
+        for axis, level in zip(axes, levels):
+            values = np.repeat(values, 1 << (3 - level), axis=axis)
+        values = lay(values)
+        for order in (axes, axes[::-1]):
+            assert _same_bits(_analysis(values, 3, order), _reference_analysis(values, 3, order))
+
+
+def test_a_cell_mixing_signed_zeros_is_not_constant():
+    # -0.0 and +0.0 are equal numbers but not equal bits: the butterfly gives
+    # them different results, so a cell holding both keeps the full route
+    line = np.repeat([1.5, 0.0, -2.0, 4.0], 2)
+    line[3] = -0.0
+    square = np.repeat(np.repeat(_floats(np.random.default_rng(3), (4, 4)), 2, 0), 2, 1)
+    square[2:4, 2:4] = 0.0
+    square[3, 3] = -0.0
+    for values, axes in ((line, (0,)), (square, (0, 1)), (square, (1, 0)), (np.full((8, 8), -0.0), (0, 1))):
+        assert _same_bits(_analysis(values, 3, axes), _reference_analysis(values, 3, axes))
+    assert _bits(_analysis(np.full(8, -0.0), 3, (0,)))[0] == _bits(np.float64(-0.0))
+    # synthesis repeats a kept -0.0 over its block, where the full butterfly's
+    # +0 additions leave it on the block's last cell only: the values agree
+    coeffs = np.array([-0.0, 1.5, -0.0])
+    want = _reference_synthesis(np.r_[coeffs, np.zeros(5)], 3, (3,))
+    assert np.array_equal(_synthesis(coeffs, 3, (3,)), want)
+
+
+def test_step_input_overflows_exactly_where_the_full_butterfly_does():
+    # 4 (2e307 + 1e307) = 1.2e308 stays finite; 4 (5e307 + 1e307) does not
+    finite = np.repeat([2e307, 1e307], 4)
+    coeffs = _analysis(finite, 3, (0,))
+    assert _same_bits(coeffs, _reference_analysis(finite, 3, (0,)))
+    assert coeffs[:2].tolist() == [1.5e307, 5e306] and not coeffs[2:].any()
+    with pytest.raises(DataError, match="Walsh transform overflows float64"):
+        _analysis(np.repeat([5e307, 1e307], 4), 3, (0,))
+    with pytest.raises(DataError, match="Walsh transform overflows float64"):
+        wht_2d(DyadicGrid2D(3, np.repeat(np.repeat([[5e307, 1e307]], 4, 1), 8, 0)))
+
+
+def _fwht_points(fn, *args):
+    """Samples `fn(*args)` hands to the butterfly, summed over its calls."""
+    sizes, butterfly = [], transform._fwht
+
+    def counting(values, axis, spare=None):
+        sizes.append(values.size)
+        return butterfly(values, axis, spare)
+
+    with mock.patch.object(transform, "_fwht", counting):
+        fn(*args)
+    return sum(sizes)
+
+
+@pytest.mark.parametrize("levels", [(0, 0), (4, 4), (6, 6), (4, 10), (10, 6), (10, 10)])
+def test_2d_analysis_transforms_only_the_representatives(levels):
+    # a grid constant on level-(L0, L1) cells: both passes run on the
+    # 2^L0 x 2^L1 representatives
+    cells = portable_uniforms(41, 1 << sum(levels)).reshape([1 << level for level in levels])
+    samples = np.repeat(np.repeat(cells, 1 << (10 - levels[0]), 0), 1 << (10 - levels[1]), 1)
+    assert _fwht_points(_analysis, samples, 10, (0, 1)) == 2 << sum(levels)
+
+
+def test_spectral_generation_synthesizes_at_the_support_level():
+    # support 64 = 2^6: the y pass runs on 64 x 64 coefficients, the x pass on
+    # 64 x 1024 profiles, and each result is repeated onto the 2^10 cells
+    spec = "random-spectrum:support=64,dim=2@B=10"
+    assert _fwht_points(generate_function, spec) == 4**6 + 2**6 * 2**10
+
+
+def test_step_analysis_holds_one_grid_beyond_its_input():
+    # the zeroed output, and the representatives' small work arrays
+    f = generate_function("random-step:level=4,dim=2@B=10")
+    assert traced_peak_ratio(lambda g: _analysis(g.samples, g.bits, (0, 1)), f) <= 1.1
 
 
 def test_2d_analysis_holds_two_grids_beyond_its_input():
@@ -261,14 +373,15 @@ def test_2d_analysis_holds_two_grids_beyond_its_input():
 
 @pytest.mark.parametrize("values, axes", LAYOUTS)
 def test_synthesis_is_the_reference_butterfly_bit_for_bit(values, axes):
-    for order in (0, 1, 3, 5, 8):
+    # order m synthesizes at level (m - 1).bit_length() = 0..3 and repeats
+    for order in range(9):
         for axis in axes:
             orders = [None] * values.ndim
             orders[axis] = order
             got = _synthesis(values, 3, orders)
-            assert np.array_equal(got, _reference_synthesis(values, 3, orders))
+            assert _same_bits(got, _reference_synthesis(values, 3, orders))
         orders = [order if axis in axes else None for axis in range(values.ndim)]
-        assert np.array_equal(_synthesis(values, 3, orders), _reference_synthesis(values, 3, orders))
+        assert _same_bits(_synthesis(values, 3, orders), _reference_synthesis(values, 3, orders))
 
 
 @pytest.mark.parametrize("shape", [(3,), (8,), (5, 8), (8, 3), (2, 6), (1, 1)])
@@ -282,8 +395,8 @@ def test_synthesis_of_short_and_cut_axes_is_the_zero_padded_one(shape):
         padded = np.zeros([n if o is None else 8 for n, o in zip(shape, orders)])
         padded[tuple(slice(n) for n in shape)] = values
         want = _reference_synthesis(padded, 3, orders)
-        assert np.array_equal(_synthesis(values, 3, orders), want)
-        assert np.array_equal(_synthesis(np.asfortranarray(values), 3, orders), want)
+        assert _same_bits(_synthesis(values, 3, orders), want)
+        assert _same_bits(_synthesis(np.asfortranarray(values), 3, orders), want)
     for bad in (-1, 9):
         with pytest.raises(UsageError):
             _synthesis(values, 3, (bad,) + (None,) * (len(shape) - 1))
