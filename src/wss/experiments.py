@@ -31,8 +31,8 @@ from .maximal import (
     superlevel_measure,
 )
 from .means import PhiFunction, bmo_of_diagonal_sums, entropy_functional, phi_mean_sequence
-from .sums import _prefix_sums, _support, dyadic_square_sums, quadratic_sums
-from .transform import BLOCK_BYTES, DyadicGrid1D, DyadicGrid2D, _pow2_scaled, wht_1d
+from .sums import _prefix_sums, dyadic_square_sums, quadratic_sums
+from .transform import BLOCK_BYTES, DyadicGrid1D, DyadicGrid2D, _analysis, _pow2_scaled, _zero_padded
 
 CSV_FIELDS = ("experiment", "spec", "B", "seed", "param", "lambda_or_m", "value")
 
@@ -207,20 +207,20 @@ def iter_rodin_means(f: DyadicGrid1D, phi: PhiFunction, ms) -> Iterator[tuple[in
     where P_r = sum_{i<r} c_{a+i} w_i lives on level-s cells, so
     |S_{a+r} f - f| = |P_r + w_a (S_a f - f)|.  A block holds 2^s N values
     within BLOCK_BYTES (1 <= s <= B) and the last one ends at max(ms).  Past
-    the support of f_hat (1 plus its last exactly nonzero index) every P_r is
-    0, so a block there evaluates Phi once, on |S_a f - f|: Phi runs on the
-    orders of the blocks that start below the support and once per block
-    after, the running sums take O(N max(ms)) adds, and memory is O(2^s N).
+    the band of f_hat from `_analysis`, zero-padded to a whole block, every
+    P_r is 0, so a block there evaluates Phi once, on |S_a f - f|: Phi runs
+    on the orders of the blocks inside the band and once per block after,
+    the running sums take O(N max(ms)) adds, and memory is O(2^s N).
     Overflow fails at its first block.
     """
     ms = _m_grid(ms, f.size)
     s = min(f.bits, max(1, (BLOCK_BYTES // (8 * f.size)).bit_length() - 1))
-    width, c, i = 1 << s, wht_1d(f).samples, 0
-    support = _support(c)
+    width, c, i = 1 << s, _analysis(f.samples, f.bits, (0,)), 0
+    c = _zero_padded(c, max(len(c), width))
     target = f.samples.reshape(width, -1)  # x = (level-s cell, offset in it)
     start, total = np.zeros_like(target), np.zeros_like(target)
     for a in range(0, ms[-1], width):
-        if a < support:
+        if a < len(c):
             prefix = _prefix_sums(c[a:a + width], s)[1:, :, None]  # P_r, r = 1..2^s
             sign = walsh_row(a, f.bits).reshape(width, -1)
             dev = prefix + sign * (start - target)  # w_a (S_{a+r} f - f)
@@ -374,8 +374,23 @@ def run_weak_type_suite(
 
 @dataclass
 class ExperimentConfig:
+    """One config section: experiment, seed and the keys its kind reads."""
+
     name: str
     options: dict[str, str]
+
+    def __post_init__(self):
+        kind = self.get("experiment")
+        # theorem1's `mode` selects nothing; it goes with ROADMAP item 1
+        keys = {"theorem1": "spec lambda mode", "theorem2": "spec a m probes",
+                "rodin": "spec phi m eps", "weak_type": "spec operator count lambda"}.get(kind)
+        if keys is None:
+            raise UsageError(f"unknown experiment kind {kind!r} in section {self.name!r}")
+        keys = ["experiment", "seed", *keys.split()]
+        for key in self.options:  # a misspelled key would leave its default in force
+            if key not in keys:
+                raise UsageError(f"unknown key {key!r} in section {self.name!r}: "
+                                 f"a {kind} section takes {', '.join(keys)}")
 
     def get(self, key: str, default: str | None = None) -> str:
         value = self.options.get(key, default)
@@ -443,12 +458,10 @@ def run_configured(cfg: ExperimentConfig, default_seed: int = 0) -> SummabilityR
             eps=cfg.number("eps", "0.01"),
             seed=seed,
         )
-    elif kind == "weak_type":
+    else:  # weak_type, the one kind left that ExperimentConfig admits
         count = cfg.number("count", "1", int)
         specs = [cfg.get("spec")] * count
         lambdas = cfg.numbers("lambda") if "lambda" in cfg.options else None
         report = run_weak_type_suite(cfg.get("operator"), specs, lambdas, seed=seed)
-    else:
-        raise UsageError(f"unknown experiment kind {kind!r} in section {cfg.name!r}")
     report.experiment = cfg.name
     return report

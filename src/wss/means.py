@@ -94,24 +94,23 @@ def bmo_of_diagonal_sums(field: DiagonalSumField) -> DyadicGrid2D:
 
     The field's (x, y, n) blocks go through one batched oscillation pyramid
     with the Chan-Golub-LeVeque merge, `_max_mean_square_oscillation`.
-    S_nn = S_KK for n >= K, the field's support, so the pyramid reads each
-    sequence up to n = K2, the power of two >= K (at most N), and continues
-    it as S_K2 up to N: O(K N^2 + N^2 log N) arithmetic (K = N: about 2 N^3
-    (interval, point) pairs), besides the blocks' O(N^3) copy of S_KK past
-    K, and a few blocks of memory.  The norm is
-    1-homogeneous, so it runs on `_pow2_scaled` profiles and the result is
-    scaled back: squares of huge or tiny amplitudes neither overflow nor
-    underflow, and in-range results keep every bit.
+    S_nn = S_KK for n >= K, the field's band (a power of two, at most N), so
+    the pyramid reads each sequence up to n = K and continues it as S_KK up
+    to N: O(K N^2 + N^2 log N) arithmetic (K = N: about 2 N^3 (interval,
+    point) pairs), besides the blocks' O(N^3) copy of S_KK past K, and a few
+    blocks of memory.  The norm is 1-homogeneous, so it runs on
+    `_pow2_scaled` profiles and the result is scaled back: squares of huge or
+    tiny amplitudes neither overflow nor underflow, and in-range results keep
+    every bit.
     """
     if field.size < 2:
         raise UsageError("diagonal field must cover at least 2 indices")
-    n = field.size
+    n, k = field.size, len(field.row_profiles)
     exponent, profiles = _pow2_scaled(field.row_profiles, field.col_profiles)
     scaled = DiagonalSumField(field.bits, *profiles)
-    top = min(n, 1 << (scaled.support - 1).bit_length())
     out = np.empty((n, n))
     for sl, block in scaled.iter_sequence_blocks():
-        out[sl] = _max_mean_square_oscillation(block[..., :top], block[..., top], n)
+        out[sl] = _max_mean_square_oscillation(block[..., :k], block[..., k], n)
     return DyadicGrid2D(field.bits, np.ldexp(np.sqrt(out), exponent))
 
 

@@ -14,7 +14,7 @@ from .dyadic import walsh_matrix_f64
 from .errors import UsageError
 from .means import _max_mean_square_oscillation
 from .sums import DiagonalSumField, all_partial_sums_1d, partial_sum_1d, rectangular_partial_sum
-from .transform import DyadicGrid1D, DyadicGrid2D, _analysis, _synthesis, naive_wht_2d
+from .transform import DyadicGrid1D, DyadicGrid2D, _synthesis, naive_wht_2d, wht_2d
 
 
 def cell_averages_1d(f: DyadicGrid1D, level: int) -> np.ndarray:
@@ -85,15 +85,15 @@ def materialize(field: DiagonalSumField) -> np.ndarray:
 
 def full_profile_field(f: DyadicGrid2D) -> DiagonalSumField:
     """The diagonal-sum field on (N, N) profile tables, synthesized from the
-    whole triangles of the coefficient table with no cut at the support."""
-    coeffs = _analysis(f.samples, f.bits, (0, 1))
+    whole triangles of `wht_2d`'s table: band N, with no cut at f's own band."""
+    coeffs = wht_2d(f).samples
     rows = _synthesis(np.tril(coeffs), f.bits, (None, f.size))
     return DiagonalSumField(f.bits, rows, _synthesis(np.triu(coeffs, 1).T, f.bits, (None, f.size)))
 
 
 def bmo_of_all_diagonal_orders(field: DiagonalSumField) -> np.ndarray:
     """The BMO pyramid over every order n = 0..N-1 of the materialized field,
-    with no stop at the field's support."""
+    with no stop at the field's band."""
     cube = materialize(field)[: field.size]
     return np.sqrt(_max_mean_square_oscillation(np.moveaxis(cube, 0, -1)))
 

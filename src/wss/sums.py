@@ -8,12 +8,11 @@ S_nn to S_{n+1,n+1} adds spectral row n (k <= n) and spectral column n
     v[v, x] = sum_{m<v}  c[m, v] w_m(x)    (column profiles)
 
 each step is the rank-two update w_v(x) u[v, y] + v[v, x] w_v(y), so the full
-field costs O(2^{3B}) and a single point's sequence costs O(2^B).  Both tables
-are exact zeros from row K, the support (1 plus the largest index of a nonzero
-c[m, k]), on, so every step from n = K is 0 and S_nn = S_KK.  Only the (K, 2^B)
-profiles are stored, synthesized from the K x K coefficient corner; the field
-streams (x, y, n) blocks of whole per-point sequences, each one cumulative sum
-of the steps below K in a fixed byte budget, never the (2^B + 1) x 2^B x 2^B cube.
+field costs O(2^{3B}) and a single point's sequence costs O(2^B).  f_hat lives
+on the K x K band `_analysis` returns, so every step from n = K is 0 and
+S_nn = S_KK.  Only the (K, 2^B) profiles are stored; the field streams
+(x, y, n) blocks of whole per-point sequences, each one cumulative sum of the
+steps below K in a fixed byte budget, never the (2^B + 1) x 2^B x 2^B cube.
 Every partial sum and profile is one truncated synthesis,
 `wss.transform._synthesis`; the sums of (S_l f)^2 over the dyadic blocks
 of orders at every point come from one Paley prefix scan, `_paley_scan`.
@@ -27,7 +26,7 @@ import numpy as np
 
 from .dyadic import walsh_matrix, walsh_matrix_f64, walsh_row
 from .errors import UsageError
-from .transform import BLOCK_BYTES, DyadicGrid1D, DyadicGrid2D, _analysis, _synthesis
+from .transform import BLOCK_BYTES, DyadicGrid1D, DyadicGrid2D, _analysis, _synthesis, _zero_padded
 
 
 def partial_sum_1d(f: DyadicGrid1D, n: int) -> DyadicGrid1D:
@@ -37,7 +36,7 @@ def partial_sum_1d(f: DyadicGrid1D, n: int) -> DyadicGrid1D:
 
 def all_partial_sums_1d(f: DyadicGrid1D) -> np.ndarray:
     """Array of shape (2^bits + 1, 2^bits): row l holds S_l f on the grid."""
-    return _prefix_sums(_analysis(f.samples, f.bits, (0,)), f.bits)
+    return _prefix_sums(_zero_padded(_analysis(f.samples, f.bits, (0,)), f.size), f.bits)
 
 
 def _prefix_sums(c: np.ndarray, bits: int) -> np.ndarray:
@@ -84,7 +83,7 @@ def dyadic_square_sums(f: DyadicGrid1D) -> list[np.ndarray]:
     every S_l with l < 2^k is.  It is `_paley_scan` with `_square_merge`, and
     Q_k is SP2 of block 0 at level k.  O(N log N) time, O(N) memory.
     """
-    total = _analysis(f.samples, f.bits, (0,))[:, None]
+    total = _zero_padded(_analysis(f.samples, f.bits, (0,)), f.size)[:, None]
     zero = np.zeros_like(total)
     states = _paley_scan((total, zero, zero), f.bits, _square_merge)
     return [zero[0].copy()] + [psq[0].copy() for _, _, psq in states]  # copies free each level
@@ -95,19 +94,10 @@ def rectangular_partial_sum(f: DyadicGrid2D, m: int, n: int) -> DyadicGrid2D:
     return type(f)(f.bits, _synthesis(_analysis(f.samples, f.bits, (0, 1)), f.bits, (m, n)))
 
 
-def _support(*tables: np.ndarray) -> int:
-    """1 plus the last index along axis 0 at which any table has a nonzero
-    entry (1 if none has): the terms from there on are exact zeros, with no
-    tolerance."""
-    live = np.flatnonzero(np.logical_or.reduce([t.reshape(len(t), -1).any(axis=1)
-                                                for t in tables]))
-    return int(live[-1]) + 1 if live.size else 1
-
-
 @dataclass
 class DiagonalSumField:
     """All quadratic partial sums S_nn(x, y; f), n = 0..2^bits, kept as the
-    (K, N) row and column profiles (rows past K are zeros), streamed on demand.
+    (K, N) row and column profiles, K the band: S_nn = S_KK for n >= K.
 
     `iter_sequence_blocks` yields blocks of x-rows in (x, y, n) order, so each
     grid point's whole sequence n -> S_nn(x, y) is contiguous; `sequence_at`
@@ -117,16 +107,10 @@ class DiagonalSumField:
     bits: int
     row_profiles: np.ndarray = field(repr=False)
     col_profiles: np.ndarray = field(repr=False)
-    support: int = field(init=False)
 
     # The cube is never materialized; perfbench's tracer still reads both names.
     values = None
     streaming = True
-
-    def __post_init__(self):
-        # Step n is w_n(x) u[n, y] + v[n, x] w_n(y): exactly 0 once both profile
-        # rows are, so S_nn = S_KK for every n >= K; rows past a table are 0.
-        self.support = _support(self.row_profiles, self.col_profiles)
 
     @property
     def size(self) -> int:
@@ -136,10 +120,10 @@ class DiagonalSumField:
         """The sequence n -> S_nn(x, y) at one grid point, length 2^bits + 1."""
         if not (0 <= ix < self.size and 0 <= iy < self.size):
             raise UsageError(f"grid point ({ix}, {iy}) outside the {self.bits}-bit grid")
-        k = self.support  # the Walsh matrix is symmetric: row x holds w_m(x)
+        k = len(self.row_profiles)  # the Walsh matrix is symmetric: row x holds w_m(x)
         wx, wy = walsh_row(ix, self.bits)[:k], walsh_row(iy, self.bits)[:k]
         seq = np.zeros(self.size + 1)
-        np.cumsum(wx * self.row_profiles[:k, iy] + self.col_profiles[:k, ix] * wy, out=seq[1:k + 1])
+        np.cumsum(wx * self.row_profiles[:, iy] + self.col_profiles[:, ix] * wy, out=seq[1:k + 1])
         seq[k + 1:] = seq[k]
         return seq
 
@@ -148,19 +132,19 @@ class DiagonalSumField:
 
         Blocks cover the grid in row order.  Each holds as many x-rows as fit
         in BLOCK_BYTES (at least one, at most N): a block that stays in
-        cache beats a larger one.  The rank-two steps below the support K are
+        cache beats a larger one.  The rank-two steps below the band K are
         formed from the (symmetric) Walsh matrix and transposed profile tables
         directly in (x, y, n) order and summed along n into the block, with no
         copy after; from n = K on every step is 0, so the rest of each
         sequence is S_KK, copied.  Every block is a view of one buffer: it is
         valid only until the next block is yielded, and must not be written.
         """
-        n, k = self.size, self.support
+        n, k = self.size, len(self.row_profiles)
         per_block = min(n, max(1, BLOCK_BYTES // (8 * n * (n + 1))))
         # the Walsh matrix is symmetric: row x holds w_m(x), m < K
         w_t = np.ascontiguousarray(walsh_matrix_f64(self.bits)[:, :k])
-        u_t = np.ascontiguousarray(self.row_profiles[:k].T)
-        v_t = np.ascontiguousarray(self.col_profiles[:k].T)
+        u_t = np.ascontiguousarray(self.row_profiles.T)
+        v_t = np.ascontiguousarray(self.col_profiles.T)
         steps = np.empty((per_block, n, k))  # scratch reused by every block
         cross = np.empty_like(steps)
         buf = np.zeros((per_block, n, n + 1))  # column 0 stays 0; fresh blocks would fault pages in
@@ -178,16 +162,16 @@ class DiagonalSumField:
 
 def quadratic_sums(f: DyadicGrid2D, mode: str = "auto") -> DiagonalSumField:
     """Build the streamed diagonal-sum field of f from its row and column
-    profiles: O(N^2 log N) analysis, then O(K N log N) synthesis.
+    profiles: the O(N^2) level scan, the band's analysis zero-padded to
+    K x K (K its larger side), then O(K N log N) synthesis.
 
     `mode` ("auto", "full" or "streaming") is accepted for callers written
     when the cube could be materialized; every value builds the same field.
     """
     if mode not in ("auto", "full", "streaming"):
         raise UsageError(f"unknown mode {mode!r}")
-    coeffs = _analysis(f.samples, f.bits, (0, 1))
-    k = _support(coeffs, coeffs.T)  # 1 plus the largest index of a nonzero c[m, k]
-    corner = coeffs[:k, :k]
+    band = _analysis(f.samples, f.bits, (0, 1))
+    corner = _zero_padded(band, max(band.shape))
     # Row profiles synthesize the lower triangle (k <= v) of each spectral row
     # along y; column profiles synthesize the strict upper triangle along x.
     row_profiles = _synthesis(np.tril(corner), f.bits, (None, f.size))

@@ -8,14 +8,16 @@ in `wss.sums`, is `_analysis` or the truncated synthesis `_synthesis`: a
 natural-order Hadamard butterfly composed with a bit-reversal permutation
 (Paley row k of the sampled Walsh matrix is natural row reverse(k)), run on
 the 2^L rows of each axis's own dyadic resolution with the full result's
-every bit.  Each pass copies its axis to the front of a fresh C-contiguous
-buffer (analysis bit-reverses after the butterfly; synthesis cuts every axis
-to its order first and scatters Paley k to row rev[k] of a zeroed buffer, so
-an axis may be shorter than 2^bits and a pass skips the rows other orders
-cut), and the butterfly runs in place on contiguous slabs of that buffer with
-one half-size scratch array, so a pass allocates nothing per stage and never
-writes to its input.  The naive transforms evaluate the defining sums directly
-with a fixed ascending summation order and serve as oracles for the fast paths.
+every bit: `_analysis` returns f_hat on its band [0, 2^L) per axis, and
+`wht_1d/2d` zero-pad it.  Each pass copies its axis to the front of a fresh
+C-contiguous buffer (analysis bit-reverses after the butterfly; synthesis
+cuts every axis to its order first and scatters Paley k to row rev[k] of a
+zeroed buffer, so an axis may be shorter than 2^bits and a pass skips the
+rows other orders cut), and the butterfly runs in place on contiguous slabs
+of that buffer with one half-size scratch array, so a pass allocates nothing
+per stage and never writes to its input.  The naive transforms evaluate the
+defining sums directly with a fixed ascending summation order and serve as
+oracles for the fast paths.
 """
 from __future__ import annotations
 
@@ -126,23 +128,19 @@ def _fwht(values: np.ndarray, axis: int, spare: np.ndarray | None = None) -> Non
 
 
 def _analysis(samples: np.ndarray, bits: int, axes: tuple[int, ...]) -> np.ndarray:
-    """Paley coefficients along `axes`, transformed in the order given.
+    """Paley coefficients along `axes`, transformed in the order given, on
+    the band [0, 2^L) of each: f_hat is 0 past it.
 
     Each axis halves while its even and odd cells agree bit for bit (-0.0 is
     not +0.0), to the coarsest level L on whose dyadic blocks the input is
-    constant.  The passes run on those 2^L representatives and fill the
-    [0, 2^L) corner of a zeroed output with the full butterfly's every bit:
-    its first bits - L stages turn a constant block v into
-    (2^(bits-L) v, +0, ..., +0), and magnitudes never fall from stage to
-    stage, so it overflows exactly when the coarse peak times 2^shift does.
-    The work array serves every pass as the butterfly's scratch and then as
-    the bit reversal's target; at full resolution it is the output, so the
-    passes hold two arrays of the input's size beyond the input, and each
-    pass's buffer is freed above the result, not into a heap hole below it
-    that a small allocation could split."""
-    rev = bit_reverse_permutation(bits)
-    a = np.asarray(samples, dtype=np.float64)
-    coarse, levels = a, []
+    constant.  The passes run on those 2^L representatives with the full
+    butterfly's every bit: its first bits - L stages turn a constant block v
+    into (2^(bits-L) v, +0, ..., +0), and magnitudes never fall from stage
+    to stage, so it overflows exactly when the coarse peak times 2^shift
+    does.  The work array is every pass's scratch, then its bit-reversal
+    target, and the result: two band-sized arrays beyond the input, each
+    pass's buffer freed above the result, not into a heap hole below it."""
+    coarse, levels = np.asarray(samples, dtype=np.float64), []
     for axis in axes:
         t, level = np.moveaxis(coarse.view(np.int64), axis, 0), bits
         # the first pair settles full-resolution input without a pass over it
@@ -151,13 +149,12 @@ def _analysis(samples: np.ndarray, bits: int, axes: tuple[int, ...]) -> np.ndarr
         coarse = np.moveaxis(t, 0, axis).view(np.float64)
         levels.append(level)
     shift = sum(bits - level for level in levels)
-    work = np.empty(coarse.shape)  # at full resolution, the output
-    t = coarse
+    work, t = np.empty(coarse.shape), coarse
     for axis, level in zip(axes, levels):
         # a fresh buffer even for C-contiguous input: the butterfly writes in place
         buf = np.array(np.moveaxis(t, axis, 0), order="C")
         _fwht(buf, 0, work)  # t, a view of work after the first pass, is copied already
-        paley = rev[: 1 << level] >> (bits - level)  # = bit_reverse_permutation(level)
+        paley = bit_reverse_permutation(level)
         # the indices are in range; mode "raise" would stage a full copy before work
         t = np.take(buf, paley, axis=0, out=work.reshape(buf.shape), mode="clip")
         t = np.moveaxis(t, 0, axis)
@@ -165,10 +162,15 @@ def _analysis(samples: np.ndarray, bits: int, axes: tuple[int, ...]) -> np.ndarr
     if shift and math.frexp(max(t.max(), -t.min()))[1] + shift > 1024:
         raise DataError("Walsh transform overflows float64: the samples are too large")
     t *= 2.0 ** (shift - bits * len(axes))
-    if not shift:
-        return t
-    out = np.zeros(a.shape)
-    out[tuple(map(slice, t.shape))] = t
+    return t
+
+
+def _zero_padded(c: np.ndarray, n: int) -> np.ndarray:
+    """A band from `_analysis` zero-padded to length n along every axis."""
+    if c.shape == (n,) * c.ndim:
+        return c
+    out = np.zeros((n,) * c.ndim)  # pages the band does not reach stay untouched
+    out[tuple(map(slice, c.shape))] = c
     return out
 
 
@@ -183,13 +185,12 @@ def _synthesis(coeffs: np.ndarray, bits: int, orders) -> np.ndarray:
     so this is its every bit but the sign of a zero from a kept -0.0."""
     if any(o is not None and not 0 <= o <= 1 << bits for o in orders):
         raise UsageError(f"orders {tuple(orders)} outside [0, 2^{bits}]")
-    rev = bit_reverse_permutation(bits)
     t = coeffs[tuple(slice(None) if o is None else slice(o) for o in orders)]
     for axis in reversed([a for a, o in enumerate(orders) if o is not None]):
         kept = np.moveaxis(t, axis, 0)
         level = max(len(kept) - 1, 0).bit_length()
         buf = np.zeros((1 << level,) + kept.shape[1:])
-        buf[rev[: len(kept)] >> (bits - level)] = kept  # rev at level L
+        buf[bit_reverse_permutation(level)[: len(kept)]] = kept
         _fwht(buf, 0)
         if level < bits:
             buf = np.repeat(buf, 1 << (bits - level), axis=0)
@@ -199,7 +200,7 @@ def _synthesis(coeffs: np.ndarray, bits: int, orders) -> np.ndarray:
 
 def wht_1d(f: DyadicGrid) -> DyadicGrid:
     """Fast Paley-ordered analysis: coeffs[k] = 2^-bits sum_i f_i w_k(i)."""
-    return type(f)(f.bits, _analysis(f.samples, f.bits, (0,)))
+    return type(f)(f.bits, _zero_padded(_analysis(f.samples, f.bits, (0,)), f.size))
 
 
 def inverse_wht_1d(c: DyadicGrid) -> DyadicGrid:
@@ -216,7 +217,7 @@ def naive_wht_1d(f: DyadicGrid) -> DyadicGrid:
 
 def wht_2d(f: DyadicGrid) -> DyadicGrid:
     """Fast 2D analysis: 1D pass along x (axis 0), then along y (axis 1)."""
-    return type(f)(f.bits, _analysis(f.samples, f.bits, (0, 1)))
+    return type(f)(f.bits, _zero_padded(_analysis(f.samples, f.bits, (0, 1)), f.size))
 
 
 def inverse_wht_2d(c: DyadicGrid) -> DyadicGrid:

@@ -198,6 +198,42 @@ def test_config_grammar_errors_exit_2(tmp_path, capsys, text):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, key, kind",
+    [
+        ("[s]\nexperiment = theorem1\nspec = spike:level=2,target=10@B=4\nlambdas = 1,2\n",
+         "lambdas", "theorem1"),
+        (THEOREM2 + "probe = 0.25,0.25\n", "probe", "theorem2"),
+        (RODIN + "epsilon = 0.5\n", "epsilon", "rodin"),
+        (WEAK + "lambda = 0.5,1\ncounts = 5\n", "counts", "weak_type"),
+        ("[ok]\n" + CONFIG.split("\n", 1)[1] + "\n" + THEOREM2.replace("[s]", "[late]")
+         + "mode = streaming\n", "mode", "theorem2"),
+    ],
+    ids=["theorem1", "theorem2", "rodin", "weak_type", "mode-outside-theorem1"],
+)
+def test_misspelled_config_key_exits_2_before_any_section(tmp_path, capsys, monkeypatch,
+                                                           text, key, kind):
+    # a key the kind does not read would leave its default in force unnoticed
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text(text)
+    ran = []
+    monkeypatch.setattr("wss.cli.run_configured", lambda *a: ran.append(a))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    section = "late" if key == "mode" else "s"
+    assert err.startswith(f"error: unknown key {key!r} in section {section!r}: a {kind} section takes")
+    assert err.count("\n") == 1 and "experiment, seed, spec" in err and not ran
+
+
+def test_shipped_configs_pass_the_key_check():
+    from wss.experiments import load_config
+
+    paths = [ROOT / "configs" / "demo.ini", *sorted((ROOT / "perfbench" / "workloads").glob("*.ini"))]
+    assert len(paths) == 4
+    for path in paths:
+        assert load_config(path)
+
+
 @pytest.mark.parametrize("amp", ["1e200", "1e-200"])
 def test_theorem1_at_extreme_amplitudes(tmp_path, amp):
     cfg = tmp_path / "amp.ini"
@@ -392,10 +428,10 @@ def _section(draw, name):
     kind = draw(st.sampled_from(["theorem1", "theorem2", "rodin", "weak_type"]))
     lambdas = _increasing(st.floats(1e-3, 1e3))
     ms = _increasing(st.integers(1, 1 << bits))
-    keys = {"experiment": st.just(kind), "seed": st.integers(0, 99).map(str),
-            "mode": st.sampled_from(["auto", "full", "streaming", "cube"])}
+    keys = {"experiment": st.just(kind), "seed": st.integers(0, 99).map(str)}
     if kind == "theorem1":
-        keys.update(spec=_spec(bits, 2), **{"lambda": lambdas})
+        keys.update(spec=_spec(bits, 2), mode=st.sampled_from(["auto", "full", "streaming", "cube"]),
+                    **{"lambda": lambdas})
     elif kind == "theorem2":
         keys.update(spec=_spec(bits, 2), m=ms, a=st.floats(0.1, 4.0).map(repr),
                     probes=st.lists(st.floats(0.0, 0.99).map(repr), min_size=2, max_size=4)

@@ -150,10 +150,12 @@ def test_rodin_stream_matches_table_at_any_block_width(bits, level, s, seed, pow
         _assert_stream_matches_table(f, phi, ms)
 
 
-@pytest.mark.parametrize("s", [2, 3, 8], ids=lambda s: f"width={1 << s}")
+@pytest.mark.parametrize("s", [1, 2, 3, 8], ids=lambda s: f"width={1 << s}")
 def test_rodin_stream_past_the_support(s):
-    # f_hat of w_5 + w_2 ends at order 5, so the support is 6: inside the
-    # second block of 4 orders, the first block of 8, or the only block of 256.
+    # f_hat of w_5 + w_2 ends at order 5 and w_5 lives on level-3 cells, so
+    # the band is 8: the first four blocks of 2 orders (the fourth all exact
+    # zeros), the first two blocks of 4, the first block of 8, or the only
+    # block of 256.
     f = generate_function("walsh-tensor:5+2@B=10")
     phi = PhiFunction.exp_minus_one(1.0)
     ms = [1, 4, 5, 6, 7, 8, 9, 12, 13, 100, 256, 1024]
@@ -174,6 +176,22 @@ def test_rodin_stream_evaluates_phi_once_per_block_past_the_support():
     assert calls == [4 * f.size] * 2 + [f.size] * 254
     np.testing.assert_allclose(stream, oracles.rodin_means_brute(f, np.expm1, [3, 6, 7, 1024]),
                                rtol=1e-12)
+
+
+def test_rodin_stream_keys_its_skip_on_the_band():
+    calls = []
+
+    def counted(t):
+        calls.append(t.size)
+        return np.expm1(t)
+
+    f = generate_function("walsh-tensor:5+2@B=10")  # f_hat ends at 5; band 8
+    ms = [1, 5, 6, 7, 8, 9, 1024]
+    with mock.patch.object(experiments, "BLOCK_BYTES", 8 << (f.bits + 1)):  # blocks of 2
+        stream = np.array([means for _, means in iter_rodin_means(f, counted, ms)])
+    # blocks 0, 2, 4 and 6 (below the band) take the prefix route
+    assert calls == [2 * f.size] * 4 + [f.size] * 508
+    np.testing.assert_allclose(stream, oracles.rodin_means_brute(f, np.expm1, ms), rtol=1e-12)
 
 
 def test_rodin_stream_with_grid_rows_past_the_block_budget():

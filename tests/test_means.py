@@ -206,13 +206,15 @@ def test_bmo_stopped_at_the_support_equals_all_orders(kind, bits):
 @pytest.mark.parametrize("kind", ["spike", "random-step", "walsh-tensor", "indicator-rect",
                                   "random-spectrum", "zero", "random"])
 def test_k_row_field_equals_the_full_table_field(kind, bits):
-    # (K, N) profiles from the K x K coefficient corner against (N, N) tables
+    # (K, N) profiles from the K x K band against (N, N) tables, band N,
     # whose rows from K on are exact zeros: every read agrees bit for bit
     f = _band_limited(kind, bits)
     field, full = quadratic_sums(f), oracles.full_profile_field(f)
-    n, k = f.size, full.support
-    assert field.support == k == {"zero": 1, "random": n}.get(kind, k)
+    n, k = f.size, len(field.row_profiles)
+    assert len(full.row_profiles) == len(full.col_profiles) == n
+    assert k == {"zero": 1, "random": n}.get(kind, k) and k & (k - 1) == 0
     assert field.row_profiles.shape == field.col_profiles.shape == (k, n)
+    assert not full.row_profiles[k:].any() and not full.col_profiles[k:].any()
     # each point's sequence against the full-table field's materialized cube
     sequences = [[field.sequence_at(ix, iy) for iy in range(n)] for ix in range(n)]
     assert np.array_equal(np.moveaxis(sequences, -1, 0), oracles.materialize(full))
@@ -225,19 +227,26 @@ def test_k_row_field_equals_the_full_table_field(kind, bits):
     assert np.array_equal(bmo_of_diagonal_sums(field).samples, bmo_of_diagonal_sums(full).samples)
 
 
-def test_diagonal_field_support_from_exact_zeros():
-    assert quadratic_sums(_band_limited("spike", 5)).support == 4
-    assert quadratic_sums(_band_limited("zero", 5)).support == 1
-    assert quadratic_sums(_band_limited("random", 5)).support == 32
-    assert quadratic_sums(generate_function("walsh-tensor:2,9@B=5")).support == 10
+def _band(f):
+    field = quadratic_sums(f)
+    assert len(field.row_profiles) == len(field.col_profiles)
+    return len(field.row_profiles)
+
+
+def test_diagonal_field_band_is_the_dyadic_level():
+    # K = 2^L, L the coarsest level on whose cells f is constant, whatever
+    # the last nonzero order: w_9 ends at order 10 but lives on level-4 cells
+    assert _band(_band_limited("spike", 5)) == 4
+    assert _band(_band_limited("zero", 5)) == 1
+    assert _band(_band_limited("random", 5)) == 32
+    assert _band(generate_function("walsh-tensor:2,9@B=5")) == 16
     for level in range(6):
-        f = generate_function(f"random-step:level={level},dim=2@B=5", level)
-        assert quadratic_sums(f).support == 1 << level
-    # f_hat is 0 at order 3, but the round trip leaves noise of about 1e-17
-    # there: no tolerance hides it.  Above 4 the samples are constant on
-    # level-2 cells, so the analysis gives exact zeros.
-    f = generate_function("random-spectrum:support=3,dim=2@B=5", 1)
-    assert quadratic_sums(f).support == 4
+        assert _band(generate_function(f"random-step:level={level},dim=2@B=5", level)) == 1 << level
+    assert _band(generate_function("random-spectrum:support=3,dim=2@B=5", 1)) == 4
+    assert _band(generate_function("random-spectrum:support=5,dim=2@B=7")) == 8
+    # constant on level-(1, 5) cells at B = 6: the (2, 32) band padded to 32 x 32
+    cells = random_grid_2d(5, seed=62).samples[:2]
+    assert _band(DyadicGrid2D(6, np.repeat(np.repeat(cells, 32, 0), 2, 1))) == 32
 
 
 # --- means ------------------------------------------------------------------

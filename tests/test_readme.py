@@ -1,4 +1,5 @@
-"""The README's "Library layout" table names only code that exists."""
+"""The README's "Library layout" table names only code that exists, and its
+config example runs."""
 import importlib
 import re
 from pathlib import Path
@@ -27,3 +28,13 @@ def test_library_layout_table_names_existing_attributes():
         missing += [f"{module_name}.{name}" for name in names
                     if IDENTIFIER.fullmatch(name) and not hasattr(module, name)]
     assert not missing, f"README names code that does not exist: {missing}"
+
+
+def test_config_example_runs(tmp_path, capsys):
+    from wss.cli import main
+
+    example = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    assert "[sweep]" in example and "[weak]" in example
+    (tmp_path / "example.ini").write_text(example)
+    assert main(["run", str(tmp_path / "example.ini"), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "report.csv").read_text().count("\n") > 4

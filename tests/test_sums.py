@@ -146,11 +146,11 @@ def test_streaming_matches_full():
 @pytest.mark.parametrize("spec", ["spike:level=2,target=10@B=4", "random-step:level=2,dim=2@B=4",
                                   "walsh-tensor:0,3@B=4", "random"])
 def test_sequence_blocks_past_the_support_equal_each_point_sequence(spec):
-    # steps are formed below the support only and S_KK is copied after it:
+    # steps are formed below the band K only and S_KK is copied after it:
     # bit for bit each point's own sequence over all 2^B + 1 orders
     f = random_grid_2d(4, seed=13) if spec == "random" else generate_function(spec, 13)
     field = quadratic_sums(f)
-    assert field.support == {"random": 16}.get(spec, 4)
+    assert len(field.row_profiles) == {"random": 16}.get(spec, 4)
     for rows in (None, 1, 5):
         with block_rows(field, rows):
             for sl, block in field.iter_sequence_blocks():
@@ -159,7 +159,7 @@ def test_sequence_blocks_past_the_support_equal_each_point_sequence(spec):
                     for iy in range(16):
                         assert np.array_equal(block[xi, iy], field.sequence_at(ix, iy))
     zero = quadratic_sums(DyadicGrid2D(4, np.zeros((16, 16))))
-    assert zero.support == 1 and not any(block.any() for _, block in zero.iter_sequence_blocks())
+    assert len(zero.row_profiles) == 1 and not any(block.any() for _, block in zero.iter_sequence_blocks())
 
 
 def test_sequence_blocks_reuse_one_buffer():
