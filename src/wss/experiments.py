@@ -215,7 +215,7 @@ def iter_rodin_means(f: DyadicGrid1D, phi: PhiFunction, ms) -> Iterator[tuple[in
     """
     ms = _m_grid(ms, f.size)
     s = min(f.bits, max(1, (BLOCK_BYTES // (8 * f.size)).bit_length() - 1))
-    width, c, i = 1 << s, _analysis(f.samples, f.bits, (0,)), 0
+    width, c, i = 1 << s, _analysis(f.cells, f.bits, (0,)), 0
     c = _zero_padded(c, max(len(c), width))
     target = f.samples.reshape(width, -1)  # x = (level-s cell, offset in it)
     start, total = np.zeros_like(target), np.zeros_like(target)
@@ -296,9 +296,11 @@ def sch_ratio_max(f: DyadicGrid1D) -> float:
 
 def _weak_type_instance(operator: str, f, grid) -> tuple[str, float, np.ndarray | None]:
     """One instance of `run_weak_type_suite`: (row param, value, normalized
-    sweep or None).  The gauge is taken before the operator, so its copy of
-    |f| is gone before the operator's arrays exist (M1, M2: f, the result and
-    one block), and every grid dies at return: no instance overlaps the next."""
+    sweep or None).  M, M1 and M2, their gauge, integral and superlevel counts
+    run on f's cells, so a level-L input costs O(4^L) whatever B is; the V
+    family and Sch-ratio read the samples.  The gauge is taken before the
+    operator, so its copy of |f| is gone before the operator's arrays exist,
+    and every grid dies at return: no instance overlaps the next."""
     if operator == "Sch-ratio":
         if not isinstance(f, DyadicGrid1D):
             raise UsageError("Sch-ratio needs 1D specs")
@@ -306,7 +308,7 @@ def _weak_type_instance(operator: str, f, grid) -> tuple[str, float, np.ndarray 
     if operator in ("M1", "M2"):
         denom = 1.0 + entropy_functional(f, 1)
         op = hybrid_maximal_1(f) if operator == "M1" else hybrid_maximal_2(f)
-        exponent, (scaled,) = _pow2_scaled(op.samples, inplace=True)  # op is ours
+        exponent, (scaled,) = _pow2_scaled(op.cells, inplace=True)  # op is ours
         return "integral_ratio", float(np.ldexp(scaled.mean(), exponent)) / denom, None
     if grid is None:
         raise UsageError(f"operator {operator} needs a lambda grid")

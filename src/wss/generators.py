@@ -10,6 +10,10 @@ any other key is a SpecParseError), e.g.
     random-spectrum:support=8,dim=2@B=6 iid coefficients below index 8
     spike:level=2,target=10@B=6         tall indicator with prescribed entropy
 
+The step kinds (random-step, spike, walsh-tensor, indicator-rect) emit
+their cells (`DyadicGrid.from_cells`), so a level-L function costs O(4^L),
+not O(4^B), to make (indicator-rect also reads its edges at 2^B points);
+random-spectrum synthesizes its samples.
 Randomness comes from a pinned portable generator: the raw 64-bit PCG64
 stream seeded directly, mapped to [0, 1) doubles by taking the top 53 bits.
 Identical (spec, seed) always reproduce the same grid.
@@ -168,13 +172,15 @@ def _indicator_rect(spec: FunctionSpec) -> DyadicGrid:
     xs = np.arange(size) / size
     if len(spec.positional) == 2:
         a, b = spec.positional
-        return DyadicGrid1D(spec.bits, ((xs >= a) & (xs < b)).astype(np.float64))
+        return DyadicGrid1D.from_cells(spec.bits, ((xs >= a) & (xs < b)).astype(np.float64))
     if len(spec.positional) != 4:
         raise SpecParseError(spec.text, len(spec.kind), "indicator-rect takes 2 or 4 corners")
     x0, x1, y0, y1 = spec.positional
-    fx = (xs >= x0) & (xs < x1)
-    fy = (xs >= y0) & (xs < y1)
-    return DyadicGrid2D(spec.bits, np.multiply.outer(fx, fy).astype(np.float64))
+    fx = ((xs >= x0) & (xs < x1)).astype(np.float64)
+    fy = ((xs >= y0) & (xs < y1)).astype(np.float64)
+    # a sampled edge lies on a dyadic point: the product's cells are the finer factor's
+    step = size // max(len(DyadicGrid1D.from_cells(spec.bits, v).cells) for v in (fx, fy))
+    return DyadicGrid2D.from_cells(spec.bits, np.multiply.outer(fx[::step], fy[::step]))
 
 
 def _walsh_tensor(spec: FunctionSpec) -> DyadicGrid:
@@ -184,17 +190,19 @@ def _walsh_tensor(spec: FunctionSpec) -> DyadicGrid:
         for k in g:
             if not 0 <= k < size:
                 raise UsageError(f"walsh index {k} outside [0, 2^{spec.bits})")
+    # w_k, k < 2^level, is constant on the level-`level` cells
+    level = max(1, max(k for g in groups for k in g).bit_length())
     if len(groups[0]) == 1:
-        samples = np.zeros(size)
+        cells = np.zeros(1 << level)
         for (k,) in groups:
-            samples += walsh_row(k, spec.bits)
-        return DyadicGrid1D(spec.bits, samples)
-    samples = np.zeros((size, size))
+            cells += walsh_row(k, level)
+        return DyadicGrid1D.from_cells(spec.bits, cells)
+    cells = np.zeros((1 << level, 1 << level))
     for k, m in groups:
-        samples += np.multiply.outer(
-            walsh_row(k, spec.bits).astype(np.float64), walsh_row(m, spec.bits).astype(np.float64)
+        cells += np.multiply.outer(
+            walsh_row(k, level).astype(np.float64), walsh_row(m, level).astype(np.float64)
         )
-    return DyadicGrid2D(spec.bits, samples)
+    return DyadicGrid2D.from_cells(spec.bits, cells)
 
 
 def _random_step(spec: FunctionSpec, seed: int) -> DyadicGrid:
@@ -203,14 +211,9 @@ def _random_step(spec: FunctionSpec, seed: int) -> DyadicGrid:
         raise UsageError(f"random-step level {level} outside [0, {spec.bits}]")
     amp = spec.number("amp", "1")
     dims = _dims_option(spec)
-    cells = 1 << level
-    width = 1 << (spec.bits - level)
-    u = portable_uniforms(_seed_for(spec, seed), cells**dims)
-    values = amp * (2.0 * u - 1.0)
-    if dims == 1:
-        return DyadicGrid1D(spec.bits, np.repeat(values, width))
-    grid = np.repeat(np.repeat(values.reshape(cells, cells), width, axis=0), width, axis=1)
-    return DyadicGrid2D(spec.bits, grid)
+    u = portable_uniforms(_seed_for(spec, seed), 1 << (level * dims))
+    grid = DyadicGrid1D if dims == 1 else DyadicGrid2D
+    return grid.from_cells(spec.bits, (amp * (2.0 * u - 1.0)).reshape((1 << level,) * dims))
 
 
 def _random_spectrum(spec: FunctionSpec, seed: int) -> DyadicGrid:
@@ -262,11 +265,9 @@ def _spike(spec: FunctionSpec) -> DyadicGrid2D:
         raise UsageError(f"spike level {level} outside [0, {spec.bits}]")
     target = spec.number("target", "0")
     h = spike_height(level, target)
-    size = 1 << spec.bits
-    width = 1 << (spec.bits - level)
-    grid = np.zeros((size, size))
-    grid[:width, :width] = h
-    return DyadicGrid2D(spec.bits, grid)
+    cells = np.zeros((1 << level, 1 << level))
+    cells[0, 0] = h
+    return DyadicGrid2D.from_cells(spec.bits, cells)
 
 
 def generate_function(spec: FunctionSpec | str, seed: int = 0) -> DyadicGrid:

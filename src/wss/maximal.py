@@ -4,14 +4,15 @@ All suprema over scales truncate at the grid level: beyond it every cell
 average equals the sample value, so the truncation is exact for grid-resolved
 step functions.  The t-integral inside V_n is an exact finite sum, because the
 integrand is itself a dyadic step function at the grid resolution.  M, M1
-and M2 are one dyadic pyramid, `_dyadic_maximal`, over both axes or one.  No
-operator here takes a transform: V_n reads S_{2^n} f as level-n cell averages
-and runs on the 2^n coarse cells, batched along the last axis, so V costs
-O(N B) on N = 2^B samples and the hybrids V1, V2 are single batched calls.
-Operators return a new grid of their input's class and never write their
-input; M, M1 and M2 hold one private copy of it, which becomes the result.
-Both pyramids run on `_pow2_scaled` inputs, so no sum or square overflows at
-extreme amplitudes.
+and M2 are one dyadic pyramid, `_dyadic_maximal`, over both axes or one, run
+on the input's cells (`DyadicGrid.cells`): O(4^L) on a level-L step function
+whatever B is.  No operator here takes a transform: V_n reads S_{2^n} f as
+level-n cell averages and runs on the 2^n coarse cells, batched along the
+last axis, so V costs O(N B) on N = 2^B samples and the hybrids V1, V2 are
+single batched calls.  Operators return a new grid of their input's class
+and never write their input; M, M1 and M2 hold one private copy of its
+cells, which becomes the result's.  Both pyramids run on `_pow2_scaled`
+inputs, so no sum or square overflows at extreme amplitudes.
 """
 from __future__ import annotations
 
@@ -23,8 +24,18 @@ from .errors import UsageError
 from .transform import BLOCK_BYTES, DyadicGrid, _pow2_scaled
 
 
-def _dyadic_maximal(a: np.ndarray, bits: int, axes: tuple[int, ...]) -> np.ndarray:
-    """Running max of the averages of |a| over dyadic cells of the given axes.
+def _dyadic_maximal(a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Running max of the averages of |a| over dyadic cells of the given axes,
+    for a square array of side 2^L: every level from the cells to the whole.
+
+    On a grid's cells at level L < bits this is the full grid's pyramid, bit
+    for bit, repeated on each cell: the full pyramid's first bits - L levels
+    average equal children, and (v + v) / 2 and (((v + v) + v) + v) / 4 are
+    v exactly.  For v = m 2^k, m an integer below 2^53, 3m rounds by d, with
+    |d| at most half the spacing of 4m; 4m + d rounds back to 4m, a tie
+    included, since 4m is then the even neighbour (|d| = 2 needs m even).
+    So the later levels are the cells' pyramid, and the max over the finer,
+    equal levels changes nothing.
 
     The result starts as |a| 2^-e scaled in place (== |a 2^-e|), one exponent
     for the whole grid.  A one-axis pyramid (M1, M2) never crosses the other
@@ -33,7 +44,7 @@ def _dyadic_maximal(a: np.ndarray, bits: int, axes: tuple[int, ...]) -> np.ndarr
     children summed into one array in `itertools.product` order; the max runs
     top-down, each level folding its coarser parent into its children in
     place.  O(size of a) time; memory: the result and one slab's coarser
-    levels (M1, M2: one grid and one block; M: 4/3 grid).
+    levels (M1, M2: one array and one block; M: 4/3 of the array).
     """
 
     def children(level):
@@ -49,7 +60,7 @@ def _dyadic_maximal(a: np.ndarray, bits: int, axes: tuple[int, ...]) -> np.ndarr
     pieces = -(-result.nbytes // BLOCK_BYTES)
     for slab in np.array_split(result, pieces, axis=free[0]) if free else [result]:
         levels = [slab]
-        for _ in range(bits):
+        for _ in range(len(a).bit_length() - 1):
             first, second, *rest = children(levels[-1])
             total = first + second
             for child in rest:
@@ -65,19 +76,19 @@ def _dyadic_maximal(a: np.ndarray, bits: int, axes: tuple[int, ...]) -> np.ndarr
 
 
 def dyadic_maximal(f: DyadicGrid) -> DyadicGrid:
-    """Dyadic maximal function over squares I_n(x) x I_n(y)."""
-    return type(f)(f.bits, _dyadic_maximal(f.samples, f.bits, (0, 1)))
+    """Dyadic maximal function over squares I_n(x) x I_n(y), on f's cells."""
+    return type(f).from_cells(f.bits, _dyadic_maximal(f.cells, (0, 1)))
 
 
 def hybrid_maximal_1(f: DyadicGrid) -> DyadicGrid:
     """M_1: the 1D dyadic maximal in x for each fixed y; on a 1D grid, the
     1D dyadic maximal function."""
-    return type(f)(f.bits, _dyadic_maximal(f.samples, f.bits, (0,)))
+    return type(f).from_cells(f.bits, _dyadic_maximal(f.cells, (0,)))
 
 
 def hybrid_maximal_2(f: DyadicGrid) -> DyadicGrid:
     """M_2: the 1D dyadic maximal in y for each fixed x."""
-    return type(f)(f.bits, _dyadic_maximal(f.samples, f.bits, (1,)))
+    return type(f).from_cells(f.bits, _dyadic_maximal(f.cells, (1,)))
 
 
 def _schipp_v_values(samples: np.ndarray, bits: int, orders) -> np.ndarray:
@@ -152,8 +163,9 @@ def hybrid_v_2(f: DyadicGrid) -> DyadicGrid:
 
 
 def superlevel_measure(field, lam: float) -> float:
-    """Normalized counting measure of {field > lam}, lam > 0, for a grid or an array."""
+    """Normalized counting measure of {field > lam}, lam > 0, for a grid (on
+    its cells: count / 4^L is count 4^(bits-L) / 4^bits exactly) or an array."""
     if not lam > 0:
         raise UsageError(f"superlevel threshold must be positive, got {lam}")
-    values = field.samples if isinstance(field, DyadicGrid) else np.asarray(field, dtype=np.float64)
+    values = field.cells if isinstance(field, DyadicGrid) else np.asarray(field, dtype=np.float64)
     return np.count_nonzero(values > lam) / values.size  # exact count, as the bool mean

@@ -155,17 +155,18 @@ def phi_mean_sequence(seq: np.ndarray, f_value: float, m: int, phi: PhiFunction)
 
 
 def entropy_functional(f: DyadicGrid, alpha: float) -> float:
-    """Zygmund-class gauge: the mean of |f| (log+ |f|)^alpha over the grid.
+    """Zygmund-class gauge: the mean of |f| (log+ |f|)^alpha over the grid,
+    taken over its cells (each has the same measure).
 
     alpha = 0 gives the L1 norm.  log+ u = log(max(u, 1)).  The terms are
-    formed and `_pow2_scaled` in place in one private copy of |f|, each piece
-    of BLOCK_BYTES beside its own log+ block (one grid and one block in
-    memory); their scaled mean cannot overflow, and terms beyond float64
-    raise DataError.
+    formed and `_pow2_scaled` in place in one private copy of |f| on the
+    cells, each piece of BLOCK_BYTES beside its own log+ block (the cells and
+    one block in memory); their scaled mean cannot overflow, and terms beyond
+    float64 raise DataError.
     """
     if alpha < 0:
         raise UsageError(f"entropy exponent must be >= 0, got {alpha}")
-    terms = np.abs(f.samples)
+    terms = np.abs(f.cells)
     if alpha:
         for piece in np.array_split(terms, -(-terms.nbytes // BLOCK_BYTES)):
             logs = np.maximum(piece, 1.0)

@@ -7,14 +7,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import oracles
+from . import maximal, oracles
 from .dyadic import walsh_matrix
 from .experiments import iter_rodin_means
 from .generators import generate_function, random_grid_1d, random_grid_2d
-from .maximal import dyadic_maximal, schipp_v
+from .maximal import dyadic_maximal, hybrid_maximal_1, hybrid_maximal_2, schipp_v
 from .means import PhiFunction, bmo_of_diagonal_sums, bmo_sequence_norm, entropy_functional
 from .sums import partial_sum_1d, quadratic_sums
 from .transform import (
+    DyadicGrid2D,
     inverse_wht_1d,
     inverse_wht_2d,
     naive_wht_1d,
@@ -118,6 +119,16 @@ def _check_dyadic_maximal() -> tuple[bool, str]:
     return gap <= 1e-12, f"pyramid vs block-scan gap {gap:.3g}"
 
 
+def _check_grid_cells() -> tuple[bool, str]:
+    f = generate_function("random-step:level=3,dim=2,amp=4@B=8")  # log+ is live
+    fine = DyadicGrid2D(f.bits, f.samples.copy())  # finds its cells on first read
+    gap = max(float(np.abs(op(f).samples - maximal._dyadic_maximal(f.samples, axes)).max())
+              for op, axes in ((dyadic_maximal, (0, 1)), (hybrid_maximal_1, (0,)), (hybrid_maximal_2, (1,))))
+    gauge = abs(entropy_functional(f, 1) - entropy_functional(fine, 1))
+    return gap == 0.0 and gauge == 0.0, (f"M, M1, M2 on 8 x 8 cells vs on 256 x 256 samples, gap {gap:.3g}; "
+                                         f"gauge from cells vs from samples, gap {gauge:.3g}")
+
+
 def _check_entropy_gauge() -> tuple[bool, str]:
     f = random_grid_2d(6, seed=1010, amp=4.0)  # log+ is live on 3/4 of the grid
     gap = max(abs(entropy_functional(f, a) / oracles.entropy_brute(f, a) - 1.0) for a in (0, 0.5, 1, 2))
@@ -145,6 +156,7 @@ CHECKS = [
     ("profile-support", _check_profile_band),
     ("schipp-v", _check_schipp_v),
     ("dyadic-maximal", _check_dyadic_maximal),
+    ("grid-cells", _check_grid_cells),
     ("entropy-gauge", _check_entropy_gauge),
     ("rodin-stream", _check_rodin_stream),
 ]

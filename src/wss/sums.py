@@ -25,18 +25,19 @@ from typing import Iterator
 import numpy as np
 
 from .dyadic import walsh_matrix, walsh_matrix_f64, walsh_row
-from .errors import UsageError
-from .transform import BLOCK_BYTES, DyadicGrid1D, DyadicGrid2D, _analysis, _synthesis, _zero_padded
+from .errors import DataError, UsageError
+from .transform import (BLOCK_BYTES, DyadicGrid1D, DyadicGrid2D, _analysis, _pow2_scaled, _synthesis,
+                        _zero_padded)
 
 
 def partial_sum_1d(f: DyadicGrid1D, n: int) -> DyadicGrid1D:
     """Partial sum S_n f = sum_{k<n} f_hat(k) w_k; S_0 is identically 0."""
-    return type(f)(f.bits, _synthesis(_analysis(f.samples, f.bits, (0,)), f.bits, (n,)))
+    return type(f)(f.bits, _synthesis(_analysis(f.cells, f.bits, (0,)), f.bits, (n,)))
 
 
 def all_partial_sums_1d(f: DyadicGrid1D) -> np.ndarray:
     """Array of shape (2^bits + 1, 2^bits): row l holds S_l f on the grid."""
-    return _prefix_sums(_zero_padded(_analysis(f.samples, f.bits, (0,)), f.size), f.bits)
+    return _prefix_sums(_zero_padded(_analysis(f.cells, f.bits, (0,)), f.size), f.bits)
 
 
 def _prefix_sums(c: np.ndarray, bits: int) -> np.ndarray:
@@ -81,17 +82,27 @@ def dyadic_square_sums(f: DyadicGrid1D) -> list[np.ndarray]:
 
     Entry k has length 2^k: Q_k is constant on the level-k cells, because
     every S_l with l < 2^k is.  It is `_paley_scan` with `_square_merge`, and
-    Q_k is SP2 of block 0 at level k.  O(N log N) time, O(N) memory.
+    Q_k is SP2 of block 0 at level k.  O(N log N) time, O(N) memory.  The
+    scan runs on `_pow2_scaled` coefficients c 2^-e, so no square overflows or
+    underflows, and each Q_k is scaled back by 2^(2e): in-range sums keep
+    every bit, and a Q_k beyond float64 raises DataError.
     """
-    total = _zero_padded(_analysis(f.samples, f.bits, (0,)), f.size)[:, None]
+    band = _zero_padded(_analysis(f.cells, f.bits, (0,)), f.size)
+    exponent, (total,) = _pow2_scaled(band[:, None], inplace=True)  # the band is ours
     zero = np.zeros_like(total)
     states = _paley_scan((total, zero, zero), f.bits, _square_merge)
-    return [zero[0].copy()] + [psq[0].copy() for _, _, psq in states]  # copies free each level
+    sums = [zero[0].copy()] + [psq[0].copy() for _, _, psq in states]  # copies free each level
+    for k, q in enumerate(sums):
+        with np.errstate(over="ignore"):
+            np.ldexp(q, 2 * exponent, out=q)
+        if not np.isfinite(q.max()):
+            raise DataError(f"dyadic square sum Q_{k} overflows float64: the samples are too large")
+    return sums
 
 
 def rectangular_partial_sum(f: DyadicGrid2D, m: int, n: int) -> DyadicGrid2D:
     """S_{M,N} f: synthesis of coefficients with row < M and column < N."""
-    return type(f)(f.bits, _synthesis(_analysis(f.samples, f.bits, (0, 1)), f.bits, (m, n)))
+    return type(f)(f.bits, _synthesis(_analysis(f.cells, f.bits, (0, 1)), f.bits, (m, n)))
 
 
 @dataclass
@@ -170,7 +181,7 @@ def quadratic_sums(f: DyadicGrid2D, mode: str = "auto") -> DiagonalSumField:
     """
     if mode not in ("auto", "full", "streaming"):
         raise UsageError(f"unknown mode {mode!r}")
-    band = _analysis(f.samples, f.bits, (0, 1))
+    band = _analysis(f.cells, f.bits, (0, 1))
     corner = _zero_padded(band, max(band.shape))
     # Row profiles synthesize the lower triangle (k <= v) of each spectral row
     # along y; column profiles synthesize the strict upper triangle along x.

@@ -1,7 +1,8 @@
 """`DyadicGrid`, and Walsh-Fourier analysis and synthesis in Paley order.
 
 A `DyadicGrid` holds a step function, its coefficients or any pointwise
-field at resolution 2^-bits; the transforms return their input's class.
+field at resolution 2^-bits, kept on the coarsest dyadic cells it is
+constant on; the transforms return their input's class.
 Analysis carries the 2**-bits measure factor so coefficients equal the
 integrals int f w_k; synthesis carries no factor.  Every fast path, here and
 in `wss.sums`, is `_analysis` or the truncated synthesis `_synthesis`: a
@@ -22,7 +23,6 @@ oracles for the fast paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,35 +32,76 @@ from .errors import DataError, UsageError
 BLOCK_BYTES = 2 << 20  # one streamed block or slab of working memory: about an L2 cache
 
 
-@dataclass
 class DyadicGrid:
-    """Values on the cells of side 2^-bits of [0, 1) or the unit square:
-    samples[i] is the value on [i 2^-bits, (i+1) 2^-bits), samples[i, j] on
-    the product cell.  Subclasses fix the dimension; the base takes 1D or 2D.
+    """A step function on the dyadic cells of side 2^-bits of [0, 1) or the
+    unit square, held on its coarsest cells.
+
+    `cells` is a square array of side 2^L, L <= bits: the function's values
+    on the cells of the coarsest dyadic level it is constant on, -0.0 and
+    +0.0 told apart.  `samples` is the 2^bits array: samples[i] is the value
+    on [i 2^-bits, (i+1) 2^-bits), samples[i, j] on the product cell.  A grid
+    made from samples finds its cells on first read; one made `from_cells`
+    coarsens the cells it is given and builds its samples on first read; both
+    are kept.  So both constructions of one function hold the same bits.
+    Subclasses fix the dimension; the base takes 1D or 2D.
     """
 
-    bits: int
-    samples: np.ndarray
     dims = None
 
-    def __post_init__(self):
-        a = np.asarray(self.samples, dtype=np.float64)
-        dims = self.dims or a.ndim
+    def __init__(self, bits: int, samples):
+        self.bits, self._samples = self._checked(bits, samples, fine=True)
+        self._cells = None
+
+    @classmethod
+    def from_cells(cls, bits: int, cells) -> "DyadicGrid":
+        """The grid at 2^bits whose values on the cells of side 2^-L are `cells`,
+        a square array of side 2^L, L <= bits."""
+        grid = cls.__new__(cls)
+        grid.bits, cells = cls._checked(bits, cells, fine=False)
+        grid._samples, grid._cells = None, _coarsest_square(cells)
+        return grid
+
+    @classmethod
+    def _checked(cls, bits, values, fine: bool) -> tuple[int, np.ndarray]:
+        a = np.asarray(values, dtype=np.float64)
+        dims = cls.dims or a.ndim
         if a.ndim != dims or dims not in (1, 2):
-            raise DataError(f"expected a {self.dims or '1D or 2'}D array, got shape {a.shape}")
+            raise DataError(f"expected a {cls.dims or '1D or 2'}D array, got shape {a.shape}")
         n = a.shape[0]
-        if n < 2 or n & (n - 1):
-            raise DataError(f"grid length {n} is not a power of two >= 2")
+        if n < 1 + fine or n & (n - 1):
+            raise DataError(f"grid length {n} is not a power of two >= {1 + fine}")
         if any(s != n for s in a.shape):
             raise DataError(f"grid must be square, got shape {a.shape}")
         if not (np.isfinite(a.max()) and np.isfinite(a.min())):  # both propagate NaN; no mask array
             raise DataError("grid contains non-finite samples")
-        got = validate_bits(n.bit_length() - 1, dims=dims)
-        if got != self.bits:
-            raise UsageError(f"declared {self.bits} bits but got a 2^{got} grid")
-        self.samples = a
+        if fine:
+            got = validate_bits(n.bit_length() - 1, dims=dims)
+            if got != bits:
+                raise UsageError(f"declared {bits} bits but got a 2^{got} grid")
+        else:
+            bits = validate_bits(bits, dims=dims)
+            if n > 1 << bits:
+                raise UsageError(f"cells of side {n} are finer than a 2^{bits} grid")
+        return bits, a
 
-    # read-only aliases for perfbench/checks.py and tracer.py; wss reads .samples
+    @property
+    def cells(self) -> np.ndarray:
+        if self._cells is None:
+            self._cells = _coarsest_square(self._samples)
+        return self._cells
+
+    @property
+    def samples(self) -> np.ndarray:
+        if self._samples is None:
+            c = self._cells
+            width = (1 << self.bits) // len(c)
+            out = np.empty((1 << self.bits,) * c.ndim)  # one write of each sample
+            out.reshape([m for n in c.shape for m in (n, width)])[...] = c.reshape(
+                [m for n in c.shape for m in (n, 1)])
+            self._samples = out
+        return self._samples
+
+    # read-only aliases for perfbench/checks.py and tracer.py; wss reads .samples and .cells
     coeffs = values = property(lambda self: self.samples)
 
     @classmethod
@@ -127,27 +168,45 @@ def _fwht(values: np.ndarray, axis: int, spare: np.ndarray | None = None) -> Non
         raise DataError("Walsh transform overflows float64: the samples are too large") from None
 
 
+def _coarsest(a: np.ndarray, axes) -> tuple[np.ndarray, list[int]]:
+    """`a`, a float64 array of side 2^level along each of `axes`, halved
+    along each in turn while its even and odd cells agree bit for bit (-0.0
+    is not +0.0): a view on the representatives of the coarsest dyadic blocks
+    it is constant on, and the level reached on each axis."""
+    levels = []
+    for axis in axes:
+        t = np.moveaxis(a.view(np.int64), axis, 0)
+        level = len(t).bit_length() - 1
+        # the first pair settles full-resolution input without a pass over it
+        while level and np.array_equal(t[0], t[1]) and np.array_equal(t[0::2], t[1::2]):
+            t, level = t[0::2], level - 1
+        a = np.moveaxis(t, 0, axis).view(np.float64)
+        levels.append(level)
+    return a, levels
+
+
+def _coarsest_square(a: np.ndarray) -> np.ndarray:
+    """A square array on its coarsest square cells: the finest of the
+    per-axis levels `_coarsest` finds, as a view of `a`."""
+    step = len(a) >> max(_coarsest(a, range(a.ndim))[1])
+    return a[(slice(None, None, step),) * a.ndim]
+
+
 def _analysis(samples: np.ndarray, bits: int, axes: tuple[int, ...]) -> np.ndarray:
     """Paley coefficients along `axes`, transformed in the order given, on
     the band [0, 2^L) of each: f_hat is 0 past it.
 
-    Each axis halves while its even and odd cells agree bit for bit (-0.0 is
-    not +0.0), to the coarsest level L on whose dyadic blocks the input is
-    constant.  The passes run on those 2^L representatives with the full
-    butterfly's every bit: its first bits - L stages turn a constant block v
-    into (2^(bits-L) v, +0, ..., +0), and magnitudes never fall from stage
-    to stage, so it overflows exactly when the coarse peak times 2^shift
-    does.  The work array is every pass's scratch, then its bit-reversal
-    target, and the result: two band-sized arrays beyond the input, each
-    pass's buffer freed above the result, not into a heap hole below it."""
-    coarse, levels = np.asarray(samples, dtype=np.float64), []
-    for axis in axes:
-        t, level = np.moveaxis(coarse.view(np.int64), axis, 0), bits
-        # the first pair settles full-resolution input without a pass over it
-        while level and np.array_equal(t[0], t[1]) and np.array_equal(t[0::2], t[1::2]):
-            t, level = t[0::2], level - 1
-        coarse = np.moveaxis(t, 0, axis).view(np.float64)
-        levels.append(level)
+    `samples` holds a 2^bits grid's values on cells of any one dyadic level
+    (its `samples` or its `cells`).  Each axis halves to the coarsest level L
+    on whose dyadic blocks the input is constant (`_coarsest`).  The passes
+    run on those 2^L representatives with the full butterfly's every bit: its
+    first bits - L stages turn a constant block v into
+    (2^(bits-L) v, +0, ..., +0), and magnitudes never fall from stage to
+    stage, so it overflows exactly when the coarse peak times 2^shift does.
+    The work array is every pass's scratch, then its bit-reversal target, and
+    the result: two band-sized arrays beyond the input, each pass's buffer
+    freed above the result, not into a heap hole below it."""
+    coarse, levels = _coarsest(np.asarray(samples, dtype=np.float64), axes)
     shift = sum(bits - level for level in levels)
     work, t = np.empty(coarse.shape), coarse
     for axis, level in zip(axes, levels):
@@ -200,7 +259,7 @@ def _synthesis(coeffs: np.ndarray, bits: int, orders) -> np.ndarray:
 
 def wht_1d(f: DyadicGrid) -> DyadicGrid:
     """Fast Paley-ordered analysis: coeffs[k] = 2^-bits sum_i f_i w_k(i)."""
-    return type(f)(f.bits, _zero_padded(_analysis(f.samples, f.bits, (0,)), f.size))
+    return type(f)(f.bits, _zero_padded(_analysis(f.cells, f.bits, (0,)), f.size))
 
 
 def inverse_wht_1d(c: DyadicGrid) -> DyadicGrid:
@@ -217,7 +276,7 @@ def naive_wht_1d(f: DyadicGrid) -> DyadicGrid:
 
 def wht_2d(f: DyadicGrid) -> DyadicGrid:
     """Fast 2D analysis: 1D pass along x (axis 0), then along y (axis 1)."""
-    return type(f)(f.bits, _zero_padded(_analysis(f.samples, f.bits, (0, 1)), f.size))
+    return type(f)(f.bits, _zero_padded(_analysis(f.cells, f.bits, (0, 1)), f.size))
 
 
 def inverse_wht_2d(c: DyadicGrid) -> DyadicGrid:

@@ -8,6 +8,8 @@ as it is.  The tracer's own tests pin the wss names and block counts it
 reads (`walsh_matrix_f64`, `iter_sequence_blocks`, the whole-stream count),
 so they run here too, in a child pytest, and the tracer's `transform.points`
 count of a small theorem2 run is pinned from the shapes of its transforms.
+Each workload also runs afresh at the reference seed and must stay within
+the benchmark's REFERENCE_RTOL of its reference report.
 """
 import importlib.util
 import json
@@ -43,6 +45,21 @@ def test_spot_checks_pass_on_the_reference_report(config):
     problems = checks.spot_checks(config, REFERENCE_SEED, reference)
     assert problems, f"no sections checked in {config.name}"
     assert {name: found for name, found in problems.items() if found} == {}
+
+
+@pytest.mark.parametrize("config", WORKLOADS, ids=lambda path: path.stem)
+def test_a_fresh_run_stays_on_the_reference_report(config, tmp_path):
+    # the benchmark's reference gate, run here: drift from a changed summation
+    # order shows in the test suite before it shows in the benchmark
+    checks = _load_checks()
+    result = subprocess.run([sys.executable, "-m", "wss.cli", "run", str(config), "--seed", str(REFERENCE_SEED),
+                             "--out", str(tmp_path)], env=_env(), capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-4000:]
+    reference = (PERFBENCH / "reference" / f"{config.stem}.csv").read_bytes()
+    report = (tmp_path / "report.csv").read_bytes()
+    names = checks.report_sections(reference)
+    failed, drift = checks.reference_drift(report, reference, names)
+    assert failed == set() and drift <= checks.REFERENCE_RTOL, (failed, drift)
 
 
 def _env():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import dyadic_rationals, traced_peak_ratio
 from wss import maximal, oracles
 from wss.errors import UsageError
-from wss.generators import random_grid_1d, random_grid_2d
+from wss.generators import generate_function, portable_uniforms, random_grid_1d, random_grid_2d
 from wss.maximal import (
     _schipp_v_values,
     dyadic_maximal,
@@ -320,3 +320,68 @@ def test_one_axis_pyramids_in_slabs_equal_the_one_slab_result(amp):
     with mock.patch.object(maximal, "BLOCK_BYTES", f.samples.nbytes // 8):  # eight slabs
         assert np.array_equal(hybrid_maximal_1(f).samples, whole[0])
         assert np.array_equal(hybrid_maximal_2(f).samples, whole[1])
+
+
+# --- step functions on their cells -------------------------------------------
+
+CELL_SPECS = [
+    *(f"random-step:level={level},dim=2@B=8" for level in range(9)),
+    *(f"random-step:level={level},dim=1@B=7" for level in (0, 3, 7)),
+    "indicator-rect:0.25,0.75,0,0.5@B=8",
+    "indicator-rect:0.3,0.7,0.1,0.35@B=6",
+    "indicator-rect:0.125,0.5@B=5",
+    "walsh-tensor:3,6@B=8",
+    "walsh-tensor:1,0+2,3@B=5",
+    "walsh-tensor:5+9@B=7",
+    "walsh-tensor:0,0@B=4",
+    "random-spectrum:support=5,dim=2@B=6",
+    "spike:level=2,target=10@B=8",
+    "spike:level=0,target=1@B=3",
+    "anisotropic-1-5",
+]
+PYRAMID_AXES = {dyadic_maximal: (0, 1), hybrid_maximal_1: (0,), hybrid_maximal_2: (1,)}
+
+
+def _cell_grid(spec, amp):
+    if spec == "anisotropic-1-5":  # level 1 in x, level 5 in y, at B=8
+        cells = np.repeat(portable_uniforms(3, 2 * 32).reshape(2, 32) - 0.5, 16, axis=0)
+        f = DyadicGrid2D.from_cells(8, cells)
+        assert f.cells.shape == (32, 32)
+    else:
+        f = generate_function(spec, 9)
+    return type(f).from_cells(f.bits, amp * f.cells)
+
+
+@pytest.mark.parametrize("amp", [1.0, 4.0, 1e200, 1e-200])
+@pytest.mark.parametrize("spec", CELL_SPECS)
+def test_maximal_pyramids_on_cells_are_the_full_pyramid_bit_for_bit(spec, amp):
+    f = _cell_grid(spec, amp)
+    for op, axes in PYRAMID_AXES.items():
+        if max(axes) < f.cells.ndim:  # a 1D grid takes M1 only
+            fine = maximal._dyadic_maximal(f.samples, axes)  # every level from the samples
+            assert np.array_equal(op(f).samples.view(np.int64), fine.view(np.int64))
+
+
+@pytest.mark.parametrize("spec", CELL_SPECS)
+def test_superlevel_counts_on_cells_equal_the_full_count(spec):
+    f = _cell_grid(spec, 4.0)
+    ops = [op for op, axes in PYRAMID_AXES.items() if max(axes) < f.cells.ndim]
+    for out in [f, *(op(f) for op in ops)]:
+        grid = type(out).from_cells(out.bits, np.abs(out.cells))
+        values = grid.samples
+        for lam in (0.5, 1.0, *np.unique(values)[1:4]):  # ties exactly at lam
+            assert superlevel_measure(grid, lam) == np.count_nonzero(values > lam) / values.size
+
+
+def test_four_equal_children_average_to_themselves():
+    # the step from a grid's cells to its samples in `_dyadic_maximal`: the
+    # pyramid's sums in its own order, on scaled values (at most 1) of every
+    # binade, subnormals included, and on mantissas of every residue mod 4
+    m = np.concatenate([np.arange(2**52, 2**52 + 64), np.arange(2**53 - 64, 2**53),
+                        (portable_uniforms(11, 4096) * 2**52).astype(np.int64) + 2**52])
+    v = np.concatenate([np.ldexp(np.float64(m)[None, :], np.arange(-1074, -52)[:, None]).ravel(),
+                        np.ldexp(np.float64(m % 2**52), -1074)])  # subnormal
+    pair, quad = v + v, v + v
+    quad += v
+    quad += v
+    assert np.array_equal(pair * 0.5, v) and np.array_equal(quad * 0.25, v)

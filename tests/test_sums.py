@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import block_rows
 from wss import oracles
 from wss.dyadic import walsh_row
-from wss.errors import UsageError
+from wss.errors import DataError, UsageError
 from wss.generators import generate_function, random_grid_1d, random_grid_2d
 from wss.sums import (
     all_partial_sums_1d,
@@ -222,6 +222,21 @@ def test_dyadic_square_sums_closed_forms():
     # f = 2: S_0 = 0 and S_l = 2 after, so Q_k = 4 (2^k - 1).
     const = dyadic_square_sums(DyadicGrid1D(3, np.full(8, 2.0)))
     assert [q.tolist() for q in const] == [[0.0], [4.0] * 2, [12.0] * 4, [28.0] * 8]
+
+
+@pytest.mark.parametrize("spec", ["random-step:level=3,dim=1@B=6", "random-step:level=10,dim=1@B=10",
+                                  "walsh-tensor:5+9@B=7", "random-spectrum:support=6,dim=1@B=5"])
+def test_dyadic_square_sums_are_exactly_homogeneous(spec):
+    # the scan runs on scaled coefficients: 2^300 f squares to 2^600 Q_k, bit for bit
+    f = generate_function(spec, 3)
+    big = type(f).from_cells(f.bits, np.ldexp(f.cells, 300))
+    for q, q_big in zip(dyadic_square_sums(f), dyadic_square_sums(big), strict=True):
+        assert np.array_equal(np.ldexp(q, 600).view(np.int64), q_big.view(np.int64))
+
+
+def test_dyadic_square_sums_beyond_float64_raise_data_error():
+    with pytest.raises(DataError, match="square sum Q_1 overflows float64"):
+        dyadic_square_sums(generate_function("random-step:level=3,dim=1,amp=1e200@B=6"))
 
 
 @settings(max_examples=40, deadline=None)

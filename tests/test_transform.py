@@ -20,6 +20,7 @@ from wss.maximal import (
     schipp_v,
     schipp_v_max,
 )
+from wss.means import entropy_functional
 from wss.sums import partial_sum_1d, quadratic_sums, rectangular_partial_sum
 from wss.transform import (
     DyadicGrid,
@@ -372,8 +373,8 @@ def test_spectral_generation_synthesizes_at_the_support_level():
 
 def test_step_analysis_holds_a_tenth_of_a_grid_beyond_its_input():
     # the level scan's even/odd compare, and the band's small work arrays:
-    # no grid-sized output
-    f = generate_function("random-step:level=4,dim=2@B=10")
+    # no grid-sized output (the samples exist before the trace: they are the input)
+    f = DyadicGrid2D(10, generate_function("random-step:level=4,dim=2@B=10").samples)
     assert traced_peak_ratio(lambda g: _analysis(g.samples, g.bits, (0, 1)), f) <= 0.1
 
 
@@ -512,6 +513,37 @@ def test_from_samples_builds_its_class(dims):
     g = GRID[dims].from_samples(samples.tolist())
     assert type(g) is GRID[dims] and (g.bits, g.size) == (3, 8)
     assert g.samples.dtype == np.float64 and np.array_equal(g.samples, samples)
+
+
+@pytest.mark.parametrize("spec", ["random-step:level=3,dim=2,amp=4@B=8", "random-step:level=0,dim=1@B=5",
+                                  "random-step:level=6,dim=2@B=6", "spike:level=2,target=10@B=7",
+                                  "indicator-rect:0.25,0.75,0,0.5@B=8", "walsh-tensor:1,0+2,3@B=5",
+                                  "random-spectrum:support=5,dim=2@B=6"])
+def test_grids_from_cells_and_from_their_samples_hold_the_same_bits(spec):
+    f = generate_function(spec, 5)
+    g = type(f)(f.bits, f.samples.copy())  # finds its cells on first read
+    level = len(f.cells).bit_length() - 1
+    step = (f.size >> level) // 2 or 1  # cells one level finer than the coarsest, where there are any
+    finer = type(f).from_cells(f.bits, g.samples[(slice(None, None, step),) * g.samples.ndim])
+    for other in (g, finer):
+        assert np.array_equal(other.cells.view(np.int64), f.cells.view(np.int64))
+        assert np.array_equal(other.samples.view(np.int64), f.samples.view(np.int64))
+        for alpha in (0, 1, 2):
+            assert entropy_functional(other, alpha) == entropy_functional(f, alpha)
+
+
+def test_cells_tell_signed_zeros_apart_and_reject_malformed_input():
+    f = DyadicGrid2D.from_cells(3, [[0.0, -0.0], [0.0, -0.0]])
+    assert f.cells.shape == (2, 2) and np.signbit(f.samples[0]).tolist() == [False] * 4 + [True] * 4
+    one = DyadicGrid1D.from_cells(4, [2.5])
+    assert one.cells.tolist() == [2.5] and one.samples.tolist() == [2.5] * 16
+    with pytest.raises(UsageError):
+        DyadicGrid1D.from_cells(2, np.ones(8))  # finer than the grid
+    for bad in (np.ones(3), np.ones(0), _with(np.nan, 8)):
+        with pytest.raises(DataError):
+            DyadicGrid1D.from_cells(4, bad)
+    with pytest.raises(DataError):
+        DyadicGrid2D.from_cells(4, np.ones((4, 2)))
 
 
 def test_every_transform_sum_and_operator_returns_its_inputs_class():
