@@ -32,11 +32,12 @@ from .maximal import (
 )
 from .means import PhiFunction, bmo_of_diagonal_sums, entropy_functional, phi_mean_sequence
 from .sums import _prefix_sums, dyadic_square_sums, quadratic_sums
-from .transform import BLOCK_BYTES, DyadicGrid1D, DyadicGrid2D, _analysis, _pow2_scaled, _zero_padded
+from .transform import BLOCK_BYTES, DyadicGrid, DyadicGrid1D, _analysis, _pow2_scaled, _zero_padded
 
 CSV_FIELDS = ("experiment", "spec", "B", "seed", "param", "lambda_or_m", "value")
 
 WEAK_TYPE_OPERATORS = ("M", "M1", "M2", "V", "V1", "V2", "Sch-ratio")
+_OPERATOR_DIMS = {"M": 2, "M2": 2, "V": 1, "Sch-ratio": 1}  # M1, V1 and V2 take either
 
 
 def _fmt(x: float) -> str:
@@ -101,6 +102,13 @@ def _as_spec(spec: FunctionSpec | str) -> FunctionSpec:
     return spec if isinstance(spec, FunctionSpec) else FunctionSpec.parse(spec)
 
 
+def _generate(spec: FunctionSpec, dims: int, seed: int, what: str) -> DyadicGrid:
+    """The grid of `spec` at `seed`, made only once its dimension is `dims`."""
+    if spec.dims != dims:
+        raise UsageError(f"{what} needs a {dims}D function spec")
+    return generate_function(spec, seed)
+
+
 def _lambda_grid(lambdas) -> np.ndarray:
     grid = np.asarray(list(lambdas), dtype=np.float64)
     if grid.size == 0 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
@@ -126,9 +134,7 @@ def run_theorem1(
     normalized by 1 + the alpha=2 entropy functional of the input."""
     spec = _as_spec(spec)
     grid = _lambda_grid(lambda_grid)
-    f = generate_function(spec, seed)
-    if not isinstance(f, DyadicGrid2D):
-        raise UsageError("theorem1 experiment needs a 2D function spec")
+    f = _generate(spec, 2, seed, "theorem1 experiment")
     bmo = bmo_of_diagonal_sums(quadratic_sums(f))
     report = SummabilityReport("theorem1", spec.text, spec.bits, seed)
     for alpha in (0, 1, 2):
@@ -175,9 +181,7 @@ def run_theorem2(
     spec = _as_spec(spec)
     if a <= 0:
         raise UsageError(f"exponential rate must be positive, got {a}")
-    f = generate_function(spec, seed)
-    if not isinstance(f, DyadicGrid2D):
-        raise UsageError("theorem2 experiment needs a 2D function spec")
+    f = _generate(spec, 2, seed, "theorem2 experiment")
     ms = _m_grid(m_grid, f.size)
     excluded = 0.0
     if probes is None:
@@ -259,9 +263,7 @@ def run_rodin_1d(
     spec = _as_spec(spec)
     if eps <= 0:
         raise UsageError(f"exceedance threshold must be positive, got {eps}")
-    f = generate_function(spec, seed)
-    if not isinstance(f, DyadicGrid1D):
-        raise UsageError("rodin experiment needs a 1D function spec")
+    f = _generate(spec, 1, seed, "rodin experiment")
     report = SummabilityReport("rodin", spec.text, spec.bits, seed)
     exceed_label = f"exceed:eps={eps:g}:phi={phi.describe()}"
     for m, means in iter_rodin_means(f, phi, m_grid):
@@ -294,16 +296,17 @@ def sch_ratio_max(f: DyadicGrid1D) -> float:
     return best
 
 
-def _weak_type_instance(operator: str, f, grid) -> tuple[str, float, np.ndarray | None]:
-    """One instance of `run_weak_type_suite`: (row param, value, normalized
-    sweep or None).  M, M1 and M2, their gauge, integral and superlevel counts
-    run on f's cells, so a level-L input costs O(4^L) whatever B is; the V
-    family and Sch-ratio read the samples.  The gauge is taken before the
-    operator, so its copy of |f| is gone before the operator's arrays exist,
-    and every grid dies at return: no instance overlaps the next."""
+def _weak_type_instance(operator: str, spec: FunctionSpec, seed: int,
+                        grid) -> tuple[str, float, np.ndarray | None]:
+    """One instance of `run_weak_type_suite` on the function f of `spec` at
+    `seed`: (row param, value, normalized sweep or None).  The operators, their
+    gauges, integrals and superlevel counts run on f's cells, so a level-L
+    input costs O(4^L) (M, M1, M2) or O(B^2 2^L) per row of cells (the V
+    family), not O(4^B); Sch-ratio reads the samples.  The gauge is taken before the operator, so its copy of
+    |f| is gone before the operator's arrays exist, and every grid dies at
+    return: no instance overlaps the next."""
+    f = _generate(spec, _OPERATOR_DIMS.get(operator, spec.dims), seed, f"operator {operator}")
     if operator == "Sch-ratio":
-        if not isinstance(f, DyadicGrid1D):
-            raise UsageError("Sch-ratio needs 1D specs")
         return "sch_ratio", sch_ratio_max(f), None
     if operator in ("M1", "M2"):
         denom = 1.0 + entropy_functional(f, 1)
@@ -316,8 +319,6 @@ def _weak_type_instance(operator: str, f, grid) -> tuple[str, float, np.ndarray 
         denom = 1.0 + entropy_functional(f, 1)
         op = dyadic_maximal(f)
     elif operator == "V":
-        if not isinstance(f, DyadicGrid1D):
-            raise UsageError("operator V needs 1D specs")
         denom = entropy_functional(f, 0)
         op = schipp_v_max(f)
     else:
@@ -356,8 +357,7 @@ def run_weak_type_suite(
     suite_best = 0.0
     sweep_max = None
     for i, spec in enumerate(parsed):
-        # f is held by the instance alone, so it dies with the instance's grids
-        param, value, normalized = _weak_type_instance(operator, generate_function(spec, seed + i), grid)
+        param, value, normalized = _weak_type_instance(operator, spec, seed + i, grid)
         report.add(param, i, value)
         suite_best = max(suite_best, value)
         if normalized is not None:

@@ -10,6 +10,8 @@ any other key is a SpecParseError), e.g.
     random-spectrum:support=8,dim=2@B=6 iid coefficients below index 8
     spike:level=2,target=10@B=6         tall indicator with prescribed entropy
 
+`FunctionSpec.parse` reads the text once, corner counts and walsh groups
+included; `FunctionSpec.dims` is the one rule for a spec's dimension.
 The step kinds (random-step, spike, walsh-tensor, indicator-rect) emit
 their cells (`DyadicGrid.from_cells`), so a level-L function costs O(4^L),
 not O(4^B), to make (indicator-rect also reads its edges at 2^B points);
@@ -20,6 +22,7 @@ Identical (spec, seed) always reproduce the same grid.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,11 +72,13 @@ def portable_uniforms(seed: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """Parsed form of a generator token; `text` keeps the original spelling."""
+    """Parsed form of a generator token; `text` keeps the original spelling.
+    `positional` holds indicator-rect's 2 or 4 corners as floats, or
+    walsh-tensor's index groups as int tuples ("3,6" one 2D group, "3+9" two 1D)."""
 
     kind: str
     bits: int
-    positional: tuple[float, ...]
+    positional: tuple
     options: tuple[tuple[str, str], ...]
     text: str
 
@@ -93,7 +98,7 @@ class FunctionSpec:
             raise SpecParseError(text, 0, f"unknown kind {kind!r} (expected one of {tuple(KINDS)})")
         if not sep or not params:
             raise SpecParseError(text, len(kind), "missing parameter list after kind")
-        positional: list[float] = []
+        positional: list = []
         options: list[tuple[str, str]] = []
         cursor = len(kind) + 1
         for item in params.split(","):
@@ -109,15 +114,27 @@ class FunctionSpec:
                 options.append((key, value))
             elif KINDS[kind]:  # a kind with option keys reads no positional item
                 raise SpecParseError(text, cursor, f"{kind} takes key=value items only, got {item!r}")
-            elif "+" in item and kind == "walsh-tensor":
-                # walsh-tensor group boundary; groups are re-read from `text`
-                options.append(("+group", item))
+            elif kind == "walsh-tensor":  # "," extends the last index group, "+" starts one
+                at = cursor
+                for j, token in enumerate(item.split("+")):
+                    try:
+                        index = int(token)
+                    except ValueError:
+                        raise SpecParseError(text, at, f"bad walsh index {token!r}") from None
+                    if j or not positional:
+                        positional.append(())
+                    positional[-1] += (index,)
+                    at += len(token) + 1
             else:
                 try:
                     positional.append(parse_number(item))
                 except UsageError:
                     raise SpecParseError(text, cursor, f"bad number {item!r}") from None
             cursor += len(item) + 1
+        if kind == "walsh-tensor" and {len(g) for g in positional} not in ({1}, {2}):
+            raise SpecParseError(text, len(kind), "walsh-tensor groups must be all 1D or all 2D")
+        if kind == "indicator-rect" and len(positional) not in (2, 4):
+            raise SpecParseError(text, len(kind), "indicator-rect takes 2 or 4 corners")
         return cls(kind, bits, tuple(positional), tuple(options), text)
 
     def option(self, key: str, default: str | None = None) -> str | None:
@@ -132,88 +149,58 @@ class FunctionSpec:
 
     @property
     def dims(self) -> int:
+        """1 or 2: half the corners, the walsh groups' width, or the dim option."""
         if self.kind == "indicator-rect":
-            return 1 if len(self.positional) == 2 else 2
+            return len(self.positional) // 2
         if self.kind == "walsh-tensor":
-            groups = self._index_groups()
-            return len(groups[0])
+            return len(self.positional[0])
         if self.kind == "spike":
             return 2
-        return self.number("dim", "2", int)
-
-    def _index_groups(self) -> list[tuple[int, ...]]:
-        """walsh-tensor index groups; "3,6" is one 2D group, "3+9" two 1D groups."""
-        raw = self.text.partition(":")[2].partition("@")[0]
-        groups = []
-        for chunk in raw.split("+"):
-            try:
-                groups.append(tuple(int(tok) for tok in chunk.split(",")))
-            except ValueError:
-                raise SpecParseError(self.text, self.text.find(chunk), f"bad walsh index in {chunk!r}") from None
-        widths = {len(g) for g in groups}
-        if widths not in ({1}, {2}):
-            raise SpecParseError(self.text, len(self.kind), "walsh-tensor groups must be all 1D or all 2D")
-        return groups
+        dims = self.number("dim", "2", int)
+        if dims not in (1, 2):
+            raise UsageError(f"dim must be 1 or 2, got {dims}")
+        return dims
 
 
 def _seed_for(spec: FunctionSpec, seed: int) -> int:
     return spec.number("seed", str(seed), int)
 
 
-def _dims_option(spec: FunctionSpec) -> int:
-    dims = spec.number("dim", "2", int)
-    if dims not in (1, 2):
-        raise UsageError(f"dim must be 1 or 2, got {dims}")
-    return dims
+_GRIDS = {1: DyadicGrid1D, 2: DyadicGrid2D}
 
 
 def _indicator_rect(spec: FunctionSpec) -> DyadicGrid:
     size = 1 << spec.bits
     xs = np.arange(size) / size
-    if len(spec.positional) == 2:
-        a, b = spec.positional
-        return DyadicGrid1D.from_cells(spec.bits, ((xs >= a) & (xs < b)).astype(np.float64))
-    if len(spec.positional) != 4:
-        raise SpecParseError(spec.text, len(spec.kind), "indicator-rect takes 2 or 4 corners")
-    x0, x1, y0, y1 = spec.positional
-    fx = ((xs >= x0) & (xs < x1)).astype(np.float64)
-    fy = ((xs >= y0) & (xs < y1)).astype(np.float64)
-    # a sampled edge lies on a dyadic point: the product's cells are the finer factor's
-    step = size // max(len(DyadicGrid1D.from_cells(spec.bits, v).cells) for v in (fx, fy))
-    return DyadicGrid2D.from_cells(spec.bits, np.multiply.outer(fx[::step], fy[::step]))
+    corners = spec.positional
+    sides = [((xs >= a) & (xs < b)).astype(np.float64) for a, b in zip(corners[0::2], corners[1::2])]
+    # a sampled edge lies on a dyadic point: the product's cells are the finer side's
+    step = size // max(len(DyadicGrid1D.from_cells(spec.bits, v).cells) for v in sides)
+    cells = functools.reduce(np.multiply.outer, [v[::step] for v in sides])
+    return _GRIDS[spec.dims].from_cells(spec.bits, cells)
 
 
 def _walsh_tensor(spec: FunctionSpec) -> DyadicGrid:
-    groups = spec._index_groups()
     size = 1 << spec.bits
-    for g in groups:
-        for k in g:
-            if not 0 <= k < size:
-                raise UsageError(f"walsh index {k} outside [0, 2^{spec.bits})")
+    indices = [k for group in spec.positional for k in group]
+    for k in indices:
+        if not 0 <= k < size:
+            raise UsageError(f"walsh index {k} outside [0, 2^{spec.bits})")
     # w_k, k < 2^level, is constant on the level-`level` cells
-    level = max(1, max(k for g in groups for k in g).bit_length())
-    if len(groups[0]) == 1:
-        cells = np.zeros(1 << level)
-        for (k,) in groups:
-            cells += walsh_row(k, level)
-        return DyadicGrid1D.from_cells(spec.bits, cells)
-    cells = np.zeros((1 << level, 1 << level))
-    for k, m in groups:
-        cells += np.multiply.outer(
-            walsh_row(k, level).astype(np.float64), walsh_row(m, level).astype(np.float64)
-        )
-    return DyadicGrid2D.from_cells(spec.bits, cells)
+    level = max(1, max(indices).bit_length())
+    cells = np.zeros((1 << level,) * spec.dims)
+    for group in spec.positional:  # sums and products of +-1 are exact in any order
+        cells += functools.reduce(np.multiply.outer, [walsh_row(k, level).astype(np.float64) for k in group])
+    return _GRIDS[spec.dims].from_cells(spec.bits, cells)
 
 
 def _random_step(spec: FunctionSpec, seed: int) -> DyadicGrid:
     level = spec.number("level", "-1", int)
     if not 0 <= level <= spec.bits:
         raise UsageError(f"random-step level {level} outside [0, {spec.bits}]")
-    amp = spec.number("amp", "1")
-    dims = _dims_option(spec)
+    amp, dims = spec.number("amp", "1"), spec.dims
     u = portable_uniforms(_seed_for(spec, seed), 1 << (level * dims))
-    grid = DyadicGrid1D if dims == 1 else DyadicGrid2D
-    return grid.from_cells(spec.bits, (amp * (2.0 * u - 1.0)).reshape((1 << level,) * dims))
+    return _GRIDS[dims].from_cells(spec.bits, (amp * (2.0 * u - 1.0)).reshape((1 << level,) * dims))
 
 
 def _random_spectrum(spec: FunctionSpec, seed: int) -> DyadicGrid:
@@ -221,12 +208,10 @@ def _random_spectrum(spec: FunctionSpec, seed: int) -> DyadicGrid:
     support = spec.number("support", "0", int)
     if not 1 <= support <= size:
         raise UsageError(f"random-spectrum support {support} outside [1, 2^{spec.bits}]")
-    amp = spec.number("amp", "1")
-    dims = _dims_option(spec)
+    amp, dims = spec.number("amp", "1"), spec.dims
     u = portable_uniforms(_seed_for(spec, seed), support**dims)
     coeffs = (amp * (2.0 * u - 1.0)).reshape((support,) * dims)
-    grid = DyadicGrid1D if dims == 1 else DyadicGrid2D  # synthesis zero-pads the block
-    return grid(spec.bits, _synthesis(coeffs, spec.bits, (size,) * dims))
+    return _GRIDS[dims](spec.bits, _synthesis(coeffs, spec.bits, (size,) * dims))  # zero-padded
 
 
 def spike_height(level: int, target: float) -> float:

@@ -7,12 +7,12 @@ integrand is itself a dyadic step function at the grid resolution.  M, M1
 and M2 are one dyadic pyramid, `_dyadic_maximal`, over both axes or one, run
 on the input's cells (`DyadicGrid.cells`): O(4^L) on a level-L step function
 whatever B is.  No operator here takes a transform: V_n reads S_{2^n} f as
-level-n cell averages and runs on the 2^n coarse cells, batched along the
-last axis, so V costs O(N B) on N = 2^B samples and the hybrids V1, V2 are
-single batched calls.  Operators return a new grid of their input's class
-and never write their input; M, M1 and M2 hold one private copy of its
-cells, which becomes the result's.  Both pyramids run on `_pow2_scaled`
-inputs, so no sum or square overflows at extreme amplitudes.
+level-n cell averages and runs on the input's 2^min(n, L) coarse cells,
+batched along the last axis: O(n 2^min(n, L)), and V1, V2 are single batched
+calls.  Operators return a new grid of their input's class and never write
+their input; M, M1 and M2 hold one private copy of its cells, which becomes
+the result's.  Both pyramids run on `_pow2_scaled` inputs, so no sum or
+square overflows at extreme amplitudes.
 """
 from __future__ import annotations
 
@@ -91,9 +91,9 @@ def hybrid_maximal_2(f: DyadicGrid) -> DyadicGrid:
     return type(f).from_cells(f.bits, _dyadic_maximal(f.cells, (1,)))
 
 
-def _schipp_v_values(samples: np.ndarray, bits: int, orders) -> np.ndarray:
-    """max over n in `orders` of V_n along the last axis of `samples`, for
-    any leading axes.
+def _schipp_v_values(cells: np.ndarray, orders) -> np.ndarray:
+    """max over n in `orders` of V_n along the last axis of `cells`, for any
+    leading axes: a grid's values on the 2^L cells of one dyadic level.
 
     V_n(x)^2 = 2^-n int_0^1 ( sum_{j<n} 2^(j-1) 1_{I_j}(t) g(x+t+e_j) )^2 dt
     with g = S_{2^n} f and + the dyadic sum.  For t in the shell
@@ -104,33 +104,44 @@ def _schipp_v_values(samples: np.ndarray, bits: int, orders) -> np.ndarray:
     identity g is the level-n cell average, and the shifts e_j, j < n, permute
     level-n cells, so c and q = c^2 are constant on them: the sum runs on the
     2^n coarse cells, and the shells k >= n together with x's own grid cell
-    fill x's level-n cell, adding the final q times its measure.  O(N + n 2^n)
-    per order.
+    fill x's level-n cell, adding the final q times its measure.
 
-    V_n is 1-homogeneous, so it runs on `_pow2_scaled` samples and the
-    result is scaled back: c * c neither overflows nor underflows at extreme
+    For n > L take m = L: a shift e_j, j >= m, stays inside x's level-L cell,
+    where g is constant, so c_k and q are constant on the level-m cells.  The
+    shells k < m run there, each level-m block sum standing for 2^(n-m) equal
+    level-n sums (a power-of-two scale commutes with every rounding), and each
+    shell k >= m adds q 2^(n-1-k).  O(n 2^min(n, L)) per order.
+
+    V_n is 1-homogeneous, so it runs on `_pow2_scaled` cells and the result
+    is scaled back: c * c neither overflows nor underflows at extreme
     amplitudes, and in-range results keep every bit.  Orders run downward,
     so each g is one halving of the last.
     """
-    exponent, (g,) = _pow2_scaled(samples)
-    best = np.zeros(samples.shape)  # V_n >= 0
+    exponent, (g,) = _pow2_scaled(cells)
+    best = np.zeros(cells.shape)  # V_n >= 0
     for n in sorted(orders, reverse=True):
-        while g.shape[-1] > 1 << n:
+        m = min(n, cells.shape[-1].bit_length() - 1)
+        while g.shape[-1] > 1 << m:
             g = 0.5 * (g[..., 0::2] + g[..., 1::2])
         c, acc, q = np.zeros(g.shape), np.zeros(g.shape[:-1] + (1,)), np.empty(g.shape)
-        for k in range(n):
-            pairs = g.shape[:-1] + (-1, 2, 1 << (n - 1 - k))  # [..., ::-1, :] reads u ^ 2^(n-1-k)
+        for k in range(m):
+            pairs = g.shape[:-1] + (-1, 2, 1 << (m - 1 - k))  # [..., ::-1, :] reads u ^ 2^(m-1-k)
             np.multiply(g.reshape(pairs)[..., ::-1, :], 2.0 ** (k - 1), out=q.reshape(pairs))
             c += q
             block_sums = np.multiply(c, c, out=q)
-            for _ in range(n - 1 - k):  # a fixed pairwise tree: a row's sums ignore the batch
+            for _ in range(m - 1 - k):  # a fixed pairwise tree: a row's sums ignore the batch
                 block_sums = block_sums[..., 0::2] + block_sums[..., 1::2]
             acc = np.repeat(acc, 2, axis=-1)  # the shells so far, on the 2^(k+1) blocks of shell k
             shells = acc.reshape(pairs[:-1])
             shells += block_sums.reshape(pairs[:-1])[..., ::-1]
+        if n > m:
+            acc *= 2.0 ** (n - m)
+            for k in range(m, n):
+                c += g * 2.0 ** (k - 1)
+                acc += np.multiply(c, c, out=q) * 2.0 ** (n - 1 - k)
         np.sqrt(np.add(acc, q, out=acc), out=acc)
-        cells = best.reshape(best.shape[:-1] + (1 << n, -1))  # x's level-n cell
-        np.maximum(cells, np.multiply(acc, 2.0**-n, out=acc)[..., None], out=cells)
+        level_m = best.reshape(best.shape[:-1] + (1 << m, -1))  # x's level-m cell
+        np.maximum(level_m, np.multiply(acc, 2.0**-n, out=acc)[..., None], out=level_m)
     return np.ldexp(best, exponent, out=best)
 
 
@@ -142,19 +153,19 @@ def schipp_v(f: DyadicGrid, n: int) -> DyadicGrid:
     """
     if not 1 <= n <= f.bits:
         raise UsageError(f"operator order {n} outside [1, {f.bits}]")
-    return type(f)(f.bits, _schipp_v_values(f.samples, f.bits, (n,)))
+    return type(f).from_cells(f.bits, _schipp_v_values(f.cells, (n,)))
 
 
 def schipp_v_max(f: DyadicGrid) -> DyadicGrid:
-    """V f = sup over n = 1..bits of V_n f along the last axis of the samples:
+    """V f = sup over n = 1..bits of V_n f along the last axis of the cells:
     the 1D operator on a 1D grid, V in y for every fixed x on a 2D grid."""
-    return type(f)(f.bits, _schipp_v_values(f.samples, f.bits, range(1, f.bits + 1)))
+    return type(f).from_cells(f.bits, _schipp_v_values(f.cells, range(1, f.bits + 1)))
 
 
 def hybrid_v_1(f: DyadicGrid) -> DyadicGrid:
     """V_1: the 1D operator V applied in x to each slice f(., y)."""
-    transposed = type(f)(f.bits, np.ascontiguousarray(f.samples.T))
-    return type(f)(f.bits, schipp_v_max(transposed).samples.T)
+    transposed = type(f).from_cells(f.bits, np.ascontiguousarray(f.cells.T))
+    return type(f).from_cells(f.bits, schipp_v_max(transposed).cells.T)
 
 
 def hybrid_v_2(f: DyadicGrid) -> DyadicGrid:

@@ -108,9 +108,10 @@ def _check_profile_band() -> tuple[bool, str]:
 
 
 def _check_schipp_v() -> tuple[bool, str]:
-    f = random_grid_1d(5, seed=606)
-    gap = float(np.abs(schipp_v(f, 3).samples - oracles.schipp_v_brute(f, 3)).max())
-    return gap <= 1e-12, f"shell-sum vs direct t-sum gap {gap:.3g}"
+    step = generate_function("random-step:level=3,dim=1@B=7", 606)  # orders past its level
+    cases = [(random_grid_1d(5, seed=606), 3), (step, 3), (step, 6)]
+    gap = max(float(np.abs(schipp_v(f, n).samples - oracles.schipp_v_brute(f, n)).max()) for f, n in cases)
+    return gap <= 1e-12, f"shell-sum vs direct t-sum gap {gap:.3g}, level-3 step at orders 3 and 6 included"
 
 
 def _check_dyadic_maximal() -> tuple[bool, str]:

@@ -144,16 +144,17 @@ class DiagonalSumField:
         Blocks cover the grid in row order.  Each holds as many x-rows as fit
         in BLOCK_BYTES (at least one, at most N): a block that stays in
         cache beats a larger one.  The rank-two steps below the band K are
-        formed from the (symmetric) Walsh matrix and transposed profile tables
-        directly in (x, y, n) order and summed along n into the block, with no
-        copy after; from n = K on every step is 0, so the rest of each
-        sequence is S_KK, copied.  Every block is a view of one buffer: it is
-        valid only until the next block is yielded, and must not be written.
+        formed from the band's Walsh matrix, repeated down the x-rows, and the
+        transposed profile tables directly in (x, y, n) order and summed along
+        n into the block, with no copy after; from n = K on every step is 0, so
+        the rest of each sequence is S_KK, copied.  Every block is a view of one
+        buffer: it is valid only until the next block is yielded; never write it.
         """
         n, k = self.size, len(self.row_profiles)
         per_block = min(n, max(1, BLOCK_BYTES // (8 * n * (n + 1))))
-        # the Walsh matrix is symmetric: row x holds w_m(x), m < K
-        w_t = np.ascontiguousarray(walsh_matrix_f64(self.bits)[:, :k])
+        # row x of the symmetric Walsh matrix holds w_m(x): for m < K <= 2^level, row x >> (bits - level)
+        level = max(1, (k - 1).bit_length())
+        w_t = np.repeat(walsh_matrix_f64(level)[:, :k], n >> level, axis=0)
         u_t = np.ascontiguousarray(self.row_profiles.T)
         v_t = np.ascontiguousarray(self.col_profiles.T)
         steps = np.empty((per_block, n, k))  # scratch reused by every block

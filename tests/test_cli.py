@@ -315,6 +315,33 @@ def test_weak_type_constants_at_huge_amplitudes(tmp_path, capsys, section):
 
 
 @pytest.mark.parametrize(
+    "section, needs",
+    [
+        ("experiment = theorem1\nspec = walsh-tensor:3@B=4\nlambda = 1", "theorem1 experiment needs a 2D"),
+        ("experiment = theorem1\nspec = random-spectrum:support=1024,dim=1@B=24\nlambda = 1",
+         "theorem1 experiment needs a 2D"),
+        ("experiment = theorem2\nspec = random-step:level=1,dim=1@B=4\nm = 1", "theorem2 experiment needs a 2D"),
+        ("experiment = rodin\nspec = spike:level=1,target=2@B=4\nm = 1", "rodin experiment needs a 1D"),
+        ("experiment = weak_type\noperator = M\nspec = random-step:level=1,dim=1@B=4\nlambda = 1",
+         "operator M needs a 2D"),
+        ("experiment = weak_type\noperator = M2\nspec = indicator-rect:0,0.5@B=4", "operator M2 needs a 2D"),
+        ("experiment = weak_type\noperator = V\nspec = random-step:level=1@B=4\nlambda = 1",
+         "operator V needs a 1D"),
+        ("experiment = weak_type\noperator = Sch-ratio\nspec = walsh-tensor:1,2@B=4", "operator Sch-ratio needs a 1D"),
+        ("experiment = weak_type\noperator = M1\nspec = random-step:level=1,dim=3@B=13", "dim must be 1 or 2, got 3"),
+    ],
+)
+def test_a_spec_of_the_wrong_dimension_exits_2_before_generation(tmp_path, capsys, monkeypatch, section, needs):
+    def refuse(*args):
+        raise AssertionError("generate_function called")
+
+    monkeypatch.setattr("wss.experiments.generate_function", refuse)
+    assert _run_quietly(tmp_path, "[s]\n" + section + "\n") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needs in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "text, gauge",
     [
         ("[s]\nexperiment = weak_type\noperator = M\n"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import traced_peak_ratio
 from wss import experiments, oracles
-from wss.dyadic import walsh_matrix_f64
+from wss.dyadic import walsh_matrix, walsh_matrix_f64
 from wss.errors import UsageError
 from wss.experiments import (
     ExperimentConfig,
@@ -85,6 +85,17 @@ def test_theorem2_materializes_no_walsh_matrix():
     walsh_matrix_f64.cache_clear()
     run_theorem2("random-spectrum:support=64,dim=2@B=10", 1.0, [4, 1024])
     assert walsh_matrix_f64.cache_info().currsize == 0
+
+
+def test_theorem1_caches_no_walsh_matrix_beyond_the_band_square():
+    # the spike's band is 4 = 2^2: the block stream reads the 4 x 4 matrix, not the 2^10 one
+    for cached in (walsh_matrix, walsh_matrix_f64):
+        cached.cache_clear()
+    run_theorem1("spike:level=2,target=10@B=10", LAMBDAS)
+    for cached in (walsh_matrix, walsh_matrix_f64):
+        info = cached.cache_info()
+        cached(2)
+        assert info.currsize == 1 and cached.cache_info().hits == info.hits + 1
 
 
 def test_rodin_zero_and_validation():

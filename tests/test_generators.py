@@ -84,6 +84,49 @@ def test_stray_positional_items_are_rejected_at_their_position(text, item):
     assert err.value.pos == text.index(item, text.index(":"))
 
 
+@pytest.mark.parametrize(
+    "text, pos, message",
+    [
+        ("walsh-tensor:nan@B=4", 13, "bad walsh index 'nan'"),
+        ("walsh-tensor:3,x@B=4", 15, "bad walsh index 'x'"),
+        ("walsh-tensor:3,3.5@B=4", 15, "bad walsh index '3.5'"),
+        ("walsh-tensor:1+2.5@B=4", 15, "bad walsh index '2.5'"),
+        ("walsh-tensor:1,2+3,x@B=4", 19, "bad walsh index 'x'"),
+        ("walsh-tensor:3+@B=4", 15, "bad walsh index ''"),
+        ("walsh-tensor:+3@B=4", 13, "bad walsh index ''"),
+        ("walsh-tensor:3+seed=1@B=4", 13, "unknown key '3+seed'"),
+        ("walsh-tensor:3,6+1@B=4", 12, "all 1D or all 2D"),
+        ("walsh-tensor:1,2,3@B=4", 12, "all 1D or all 2D"),
+        ("indicator-rect:0,0.5,0.2@B=4", 14, "2 or 4 corners"),
+        ("indicator-rect:0@B=4", 14, "2 or 4 corners"),
+        ("indicator-rect:0,0.1,0.2,0.3,0.4@B=13", 14, "2 or 4 corners"),
+    ],
+)
+def test_walsh_groups_and_corner_counts_are_settled_at_parse(text, pos, message):
+    # a bad index names its own token; nothing about them is left for `dims` or generation
+    with pytest.raises(SpecParseError, match=re.escape(message)) as err:
+        FunctionSpec.parse(text)
+    assert err.value.pos == pos
+
+
+def test_walsh_groups_are_held_as_int_tuples():
+    spec = FunctionSpec.parse("walsh-tensor:3+9@B=5")
+    assert spec.positional == ((3,), (9,)) and spec.options == () and spec.dims == 1
+    spec = FunctionSpec.parse("walsh-tensor:1,0+2,3@B=5")
+    assert spec.positional == ((1, 0), (2, 3)) and spec.options == () and spec.dims == 2
+
+
+@pytest.mark.parametrize("dim", ["0", "3", "-1"])
+@pytest.mark.parametrize("kind", ["random-step:level=1", "random-spectrum:support=1"])
+def test_dims_names_the_dim_option(kind, dim):
+    # before any bit-depth check: B=13 is beyond the 2D cap but not the 1D one
+    spec = FunctionSpec.parse(f"{kind},dim={dim}@B=13")
+    with pytest.raises(UsageError, match=f"dim must be 1 or 2, got {dim}"):
+        spec.dims
+    with pytest.raises(UsageError, match=f"dim must be 1 or 2, got {dim}"):
+        generate_function(spec)
+
+
 def test_each_kind_takes_its_documented_keys():
     for text in ("random-step:level=1,amp=2,dim=1,seed=3@B=3",
                  "random-spectrum:support=2,amp=2,dim=1,seed=3@B=3",

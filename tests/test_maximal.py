@@ -282,9 +282,24 @@ def test_schipp_v_is_bit_identical_to_the_gather_form(shape):
     before = samples.copy()
     orders = [_schipp_v_by_gathers(samples, 8, n) for n in range(1, 9)]
     for n in range(1, 9):
-        assert np.array_equal(_schipp_v_values(samples, 8, (n,)), orders[n - 1])
-    assert np.array_equal(_schipp_v_values(samples, 8, range(1, 9)), np.maximum.reduce(orders))
+        assert np.array_equal(_schipp_v_values(samples, (n,)), orders[n - 1])
+    assert np.array_equal(_schipp_v_values(samples, range(1, 9)), np.maximum.reduce(orders))
     assert np.array_equal(samples, before)
+
+
+@pytest.mark.parametrize("amp", [1.0, 4.0, 1e200, 1e-200])
+def test_schipp_v_on_cells_is_bit_identical_to_the_gather_form(amp):
+    # a level-L step at B <= 8, every order: n <= L runs on the level-n cells,
+    # n > L on the level-L cells with the shells past L in closed form
+    for bits in range(1, 9):
+        for level in range(bits + 1):
+            f = generate_function(f"random-step:level={level},dim=1,amp={amp!r}@B={bits}", 10 * bits + level)
+            orders = [_schipp_v_by_gathers(f.samples, bits, n) for n in range(1, bits + 1)]
+            for n in range(1, bits + 1):
+                on_cells = np.repeat(_schipp_v_values(f.cells, (n,)), 1 << (bits - level))
+                assert np.array_equal(on_cells.view(np.int64), orders[n - 1].view(np.int64)), (bits, level, n)
+            on_cells = np.repeat(_schipp_v_values(f.cells, range(1, bits + 1)), 1 << (bits - level))
+            assert np.array_equal(on_cells.view(np.int64), np.maximum.reduce(orders).view(np.int64))
 
 
 @pytest.mark.parametrize("amp", [0.75, 4.0])
@@ -360,6 +375,19 @@ def test_maximal_pyramids_on_cells_are_the_full_pyramid_bit_for_bit(spec, amp):
         if max(axes) < f.cells.ndim:  # a 1D grid takes M1 only
             fine = maximal._dyadic_maximal(f.samples, axes)  # every level from the samples
             assert np.array_equal(op(f).samples.view(np.int64), fine.view(np.int64))
+
+
+@pytest.mark.parametrize("amp", [1.0, 1e200, 1e-200])
+@pytest.mark.parametrize("spec", CELL_SPECS)
+def test_v_family_on_cells_is_v_on_the_samples_bit_for_bit(spec, amp):
+    f = _cell_grid(spec, amp)
+    orders = range(1, f.bits + 1)
+    fine = _schipp_v_values(f.samples, orders)  # every order on the 2^B samples
+    outs = [(schipp_v_max(f), fine)]
+    if f.cells.ndim == 2:
+        outs += [(hybrid_v_2(f), fine), (hybrid_v_1(f), _schipp_v_values(np.ascontiguousarray(f.samples.T), orders).T)]
+    for out, expected in outs:
+        assert np.array_equal(out.samples.view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("spec", CELL_SPECS)
