@@ -11,10 +11,11 @@ from __future__ import annotations
 import configparser
 import contextlib
 import csv
+import functools
 import itertools
 import sys
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -190,6 +191,7 @@ def run_theorem2(
         raise UsageError("no probe points available for this spec")
     phi = PhiFunction.exp_minus_one(a)
     fld = quadratic_sums(f)
+    shift = f.bits - (len(f.cells).bit_length() - 1)  # grid point i lies in cell i >> shift
     report = SummabilityReport("theorem2", spec.text, spec.bits, seed)
     report.add("exceptional_measure", 0.0, excluded)
     for x, y in probes:
@@ -199,7 +201,7 @@ def run_theorem2(
         seq = fld.sequence_at(ix, iy)
         label = f"phi_mean:window=B:probe={x:g};{y:g}"
         for m in ms:
-            report.add(label, m, phi_mean_sequence(seq, f.samples[ix, iy], m, phi))
+            report.add(label, m, phi_mean_sequence(seq, f.cells[ix >> shift, iy >> shift], m, phi))
     report.validate()
     return report
 
@@ -210,23 +212,27 @@ def iter_rodin_means(f: DyadicGrid1D, phi: PhiFunction, ms) -> Iterator[tuple[in
     Paley blocks: for a = j 2^s and r = 1..2^s, S_{a+r} f = S_a f + w_a P_r,
     where P_r = sum_{i<r} c_{a+i} w_i lives on level-s cells, so
     |S_{a+r} f - f| = |P_r + w_a (S_a f - f)|.  A block holds 2^s N values
-    within BLOCK_BYTES (1 <= s <= B) and the last one ends at max(ms).  Past
-    the band of f_hat from `_analysis`, zero-padded to a whole block, every
-    P_r is 0, so a block there evaluates Phi once, on |S_a f - f|: Phi runs
-    on the orders of the blocks inside the band and once per block after,
-    the running sums take O(N max(ms)) adds, and memory is O(2^s N).
-    Overflow fails at its first block.
+    within BLOCK_BYTES (1 <= s <= B) and the last one ends at max(ms).  The
+    band of f_hat from `_analysis`, zero-padded to a whole block, is [0, 2^M),
+    M = max(s, L) for f on level-L cells: f, every S_a f and the band's w_a
+    live on the level-M cells, so the stream runs there, elementwise as on
+    the grid, and each mean is repeated onto the N points.  Past the band
+    every P_r is 0, so a block there evaluates Phi once, on |S_a f - f|: Phi
+    runs on the orders of the blocks inside the band and once per block
+    after, the running sums take O(2^M max(ms)) adds, and memory is
+    O(2^(s+M)).  Overflow fails at its first block.
     """
     ms = _m_grid(ms, f.size)
     s = min(f.bits, max(1, (BLOCK_BYTES // (8 * f.size)).bit_length() - 1))
     width, c, i = 1 << s, _analysis(f.cells, f.bits, (0,)), 0
     c = _zero_padded(c, max(len(c), width))
-    target = f.samples.reshape(width, -1)  # x = (level-s cell, offset in it)
+    level = len(c).bit_length() - 1  # M
+    target = np.repeat(f.cells, len(c) // len(f.cells)).reshape(width, -1)  # (level-s cell, offset)
     start, total = np.zeros_like(target), np.zeros_like(target)
     for a in range(0, ms[-1], width):
         if a < len(c):
             prefix = _prefix_sums(c[a:a + width], s)[1:, :, None]  # P_r, r = 1..2^s
-            sign = walsh_row(a, f.bits).reshape(width, -1)
+            sign = walsh_row(a, level).reshape(width, -1)
             dev = prefix + sign * (start - target)  # w_a (S_{a+r} f - f)
             start = start + sign * prefix[-1]
             terms = phi(np.abs(dev, out=dev))
@@ -236,7 +242,7 @@ def iter_rodin_means(f: DyadicGrid1D, phi: PhiFunction, ms) -> Iterator[tuple[in
         for k, term in enumerate(terms, a + 1):  # row by row beats an axis-0 cumsum
             total += term
             if i < len(ms) and ms[i] == k:
-                done.append((k, total.reshape(-1) / k))
+                done.append((k, np.repeat(total.reshape(-1) / k, f.size >> level)))
                 i += 1
         if not np.isfinite(total).all():
             raise DataError(f"rodin Phi-mean overflowed float64 by k = {a + width}; "
@@ -284,7 +290,7 @@ def sch_ratio_max(f: DyadicGrid1D) -> float:
     neither overflow nor underflow at extreme amplitudes, and in-range inputs
     keep every bit.
     """
-    f = type(f)(f.bits, _pow2_scaled(f.samples)[1][0])
+    f = type(f).from_cells(f.bits, _pow2_scaled(f.cells)[1][0])
     squares = dyadic_square_sums(f)
     v = schipp_v_max(f).samples
     best = 0.0
@@ -302,9 +308,10 @@ def _weak_type_instance(operator: str, spec: FunctionSpec, seed: int,
     `seed`: (row param, value, normalized sweep or None).  The operators, their
     gauges, integrals and superlevel counts run on f's cells, so a level-L
     input costs O(4^L) (M, M1, M2) or O(B^2 2^L) per row of cells (the V
-    family), not O(4^B); Sch-ratio reads the samples.  The gauge is taken before the operator, so its copy of
-    |f| is gone before the operator's arrays exist, and every grid dies at
-    return: no instance overlaps the next."""
+    family), not O(4^B); Sch-ratio's V and ratio arrays are 2^B samples.
+    The gauge is taken before the operator, so its copy of |f| is gone
+    before the operator's arrays exist, and every grid dies at return: no
+    instance overlaps the next."""
     f = _generate(spec, _OPERATOR_DIMS.get(operator, spec.dims), seed, f"operator {operator}")
     if operator == "Sch-ratio":
         return "sch_ratio", sch_ratio_max(f), None
@@ -376,10 +383,16 @@ def run_weak_type_suite(
 
 @dataclass
 class ExperimentConfig:
-    """One config section: experiment, seed and the keys its kind reads."""
+    """One config section: experiment, seed and the keys its kind reads.
+
+    Every value is parsed when the section is made, so a bad one stops a run
+    before any section runs: `call(seed=...)` runs the section, and `seed`
+    is None where the run's default seed applies."""
 
     name: str
     options: dict[str, str]
+    call: Callable = field(init=False, repr=False)
+    seed: int | None = field(init=False)
 
     def __post_init__(self):
         kind = self.get("experiment")
@@ -393,6 +406,26 @@ class ExperimentConfig:
             if key not in keys:
                 raise UsageError(f"unknown key {key!r} in section {self.name!r}: "
                                  f"a {kind} section takes {', '.join(keys)}")
+        self.seed = self.number("seed", kind=int) if "seed" in self.options else None
+        spec = FunctionSpec.parse(self.get("spec"))
+        if kind == "theorem1":
+            self.call = functools.partial(run_theorem1, spec, self.numbers("lambda"))
+        elif kind == "theorem2":
+            probes = None
+            if "probes" in self.options:
+                vals = self.numbers("probes")
+                if len(vals) % 2:
+                    raise UsageError("probes must be x,y pairs")
+                probes = list(zip(vals[0::2], vals[1::2]))
+            a, ms = self.number("a", "1"), self.numbers("m", kind=int)
+            self.call = functools.partial(run_theorem2, spec, a, ms, probes)
+        elif kind == "rodin":
+            phi, ms = _parse_phi(self.options.get("phi", "exp_minus_one:1")), self.numbers("m", kind=int)
+            self.call = functools.partial(run_rodin_1d, spec, phi, ms, self.number("eps", "0.01"))
+        else:
+            lambdas = self.numbers("lambda") if "lambda" in self.options else None
+            specs = [spec] * self.number("count", "1", int)
+            self.call = functools.partial(run_weak_type_suite, self.get("operator"), specs, lambdas)
 
     def get(self, key: str, default: str | None = None) -> str:
         value = self.options.get(key, default)
@@ -433,37 +466,7 @@ def _parse_phi(text: str) -> PhiFunction:
 
 
 def run_configured(cfg: ExperimentConfig, default_seed: int = 0) -> SummabilityReport:
-    """Dispatch one config section to its runner."""
-    kind = cfg.get("experiment")
-    seed = cfg.number("seed", str(default_seed), int)
-    if kind == "theorem1":
-        report = run_theorem1(cfg.get("spec"), cfg.numbers("lambda"), seed=seed)
-    elif kind == "theorem2":
-        probes = None
-        if "probes" in cfg.options:
-            vals = cfg.numbers("probes")
-            if len(vals) % 2:
-                raise UsageError("probes must be x,y pairs")
-            probes = list(zip(vals[0::2], vals[1::2]))
-        report = run_theorem2(
-            cfg.get("spec"),
-            cfg.number("a", "1"),
-            cfg.numbers("m", kind=int),
-            probes=probes,
-            seed=seed,
-        )
-    elif kind == "rodin":
-        report = run_rodin_1d(
-            cfg.get("spec"),
-            _parse_phi(cfg.options.get("phi", "exp_minus_one:1")),
-            cfg.numbers("m", kind=int),
-            eps=cfg.number("eps", "0.01"),
-            seed=seed,
-        )
-    else:  # weak_type, the one kind left that ExperimentConfig admits
-        count = cfg.number("count", "1", int)
-        specs = [cfg.get("spec")] * count
-        lambdas = cfg.numbers("lambda") if "lambda" in cfg.options else None
-        report = run_weak_type_suite(cfg.get("operator"), specs, lambdas, seed=seed)
+    """Run one config section, at `default_seed` where it sets no seed."""
+    report = cfg.call(seed=default_seed if cfg.seed is None else cfg.seed)
     report.experiment = cfg.name
     return report

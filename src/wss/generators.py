@@ -12,10 +12,10 @@ any other key is a SpecParseError), e.g.
 
 `FunctionSpec.parse` reads the text once, corner counts and walsh groups
 included; `FunctionSpec.dims` is the one rule for a spec's dimension.
-The step kinds (random-step, spike, walsh-tensor, indicator-rect) emit
-their cells (`DyadicGrid.from_cells`), so a level-L function costs O(4^L),
-not O(4^B), to make (indicator-rect also reads its edges at 2^B points);
-random-spectrum synthesizes its samples.
+Every kind emits its cells (`DyadicGrid.from_cells`), so a level-L
+function costs O(4^L), not O(4^B), to make (indicator-rect also reads its
+edges at 2^B points); random-spectrum synthesizes at the level of its
+support, (support - 1).bit_length().
 Randomness comes from a pinned portable generator: the raw 64-bit PCG64
 stream seeded directly, mapped to [0, 1) doubles by taking the top 53 bits.
 Identical (spec, seed) always reproduce the same grid.
@@ -194,24 +194,27 @@ def _walsh_tensor(spec: FunctionSpec) -> DyadicGrid:
     return _GRIDS[spec.dims].from_cells(spec.bits, cells)
 
 
+def _uniform_table(seed: int, side: int, dims: int, amp: float) -> np.ndarray:
+    """amp (2u - 1) for the first side^dims uniforms of `seed`, in C order."""
+    return (amp * (2.0 * portable_uniforms(seed, side**dims) - 1.0)).reshape((side,) * dims)
+
+
 def _random_step(spec: FunctionSpec, seed: int) -> DyadicGrid:
     level = spec.number("level", "-1", int)
     if not 0 <= level <= spec.bits:
         raise UsageError(f"random-step level {level} outside [0, {spec.bits}]")
-    amp, dims = spec.number("amp", "1"), spec.dims
-    u = portable_uniforms(_seed_for(spec, seed), 1 << (level * dims))
-    return _GRIDS[dims].from_cells(spec.bits, (amp * (2.0 * u - 1.0)).reshape((1 << level,) * dims))
+    cells = _uniform_table(_seed_for(spec, seed), 1 << level, spec.dims, spec.number("amp", "1"))
+    return _GRIDS[spec.dims].from_cells(spec.bits, cells)
 
 
 def _random_spectrum(spec: FunctionSpec, seed: int) -> DyadicGrid:
-    size = 1 << spec.bits
     support = spec.number("support", "0", int)
-    if not 1 <= support <= size:
+    if not 1 <= support <= 1 << spec.bits:
         raise UsageError(f"random-spectrum support {support} outside [1, 2^{spec.bits}]")
-    amp, dims = spec.number("amp", "1"), spec.dims
-    u = portable_uniforms(_seed_for(spec, seed), support**dims)
-    coeffs = (amp * (2.0 * u - 1.0)).reshape((support,) * dims)
-    return _GRIDS[dims](spec.bits, _synthesis(coeffs, spec.bits, (size,) * dims))  # zero-padded
+    coeffs = _uniform_table(_seed_for(spec, seed), support, spec.dims, spec.number("amp", "1"))
+    level = (support - 1).bit_length()  # f is constant on the cells of this level
+    cells = _synthesis(coeffs, level, (1 << level,) * spec.dims)  # zero-padded
+    return _GRIDS[spec.dims].from_cells(spec.bits, cells)
 
 
 def spike_height(level: int, target: float) -> float:
@@ -274,15 +277,12 @@ def generate_function(spec: FunctionSpec | str, seed: int = 0) -> DyadicGrid:
 
 
 def random_grid_1d(bits: int, seed: int, amp: float = 1.0) -> DyadicGrid1D:
-    """Full-resolution random step function (library-level convenience)."""
+    """Full-resolution random step function: the random-step of level `bits`."""
     validate_bits(bits)
-    u = portable_uniforms(seed, 1 << bits)
-    return DyadicGrid1D(bits, amp * (2.0 * u - 1.0))
+    return DyadicGrid1D.from_cells(bits, _uniform_table(seed, 1 << bits, 1, amp))
 
 
 def random_grid_2d(bits: int, seed: int, amp: float = 1.0) -> DyadicGrid2D:
-    """Full-resolution 2D random step function."""
+    """Full-resolution 2D random step function: the random-step of level `bits`."""
     validate_bits(bits, dims=2)
-    size = 1 << bits
-    u = portable_uniforms(seed, size * size)
-    return DyadicGrid2D(bits, amp * (2.0 * u - 1.0).reshape(size, size))
+    return DyadicGrid2D.from_cells(bits, _uniform_table(seed, 1 << bits, 2, amp))

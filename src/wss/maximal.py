@@ -173,10 +173,9 @@ def hybrid_v_2(f: DyadicGrid) -> DyadicGrid:
     return schipp_v_max(f)
 
 
-def superlevel_measure(field, lam: float) -> float:
-    """Normalized counting measure of {field > lam}, lam > 0, for a grid (on
-    its cells: count / 4^L is count 4^(bits-L) / 4^bits exactly) or an array."""
+def superlevel_measure(field: DyadicGrid, lam: float) -> float:
+    """Normalized counting measure of {field > lam}, lam > 0, on the grid's
+    cells: count / 4^L is count 4^(bits-L) / 4^bits exactly."""
     if not lam > 0:
         raise UsageError(f"superlevel threshold must be positive, got {lam}")
-    values = field.cells if isinstance(field, DyadicGrid) else np.asarray(field, dtype=np.float64)
-    return np.count_nonzero(values > lam) / values.size  # exact count, as the bool mean
+    return np.count_nonzero(field.cells > lam) / field.cells.size  # exact count, as the bool mean

@@ -36,70 +36,63 @@ class DyadicGrid:
     """A step function on the dyadic cells of side 2^-bits of [0, 1) or the
     unit square, held on its coarsest cells.
 
-    `cells` is a square array of side 2^L, L <= bits: the function's values
-    on the cells of the coarsest dyadic level it is constant on, -0.0 and
-    +0.0 told apart.  `samples` is the 2^bits array: samples[i] is the value
-    on [i 2^-bits, (i+1) 2^-bits), samples[i, j] on the product cell.  A grid
-    made from samples finds its cells on first read; one made `from_cells`
-    coarsens the cells it is given and builds its samples on first read; both
-    are kept.  So both constructions of one function hold the same bits.
+    A grid keeps `bits` and `cells`, a square array of side 2^L, L <= bits:
+    the function's values on the cells of the coarsest dyadic level it is
+    constant on, -0.0 and +0.0 told apart.  Both constructions coarsen what
+    they are given at once, so both hold the same bits for one function.
+    `samples` is the 2^bits array: samples[i] is the value on
+    [i 2^-bits, (i+1) 2^-bits), samples[i, j] on the product cell.  At full
+    resolution it is `cells` itself; otherwise each read builds a fresh
+    array of 2^(bits dims) floats that the grid does not keep: read it once.
     Subclasses fix the dimension; the base takes 1D or 2D.
     """
 
     dims = None
 
     def __init__(self, bits: int, samples):
-        self.bits, self._samples = self._checked(bits, samples, fine=True)
-        self._cells = None
+        if np.size(samples) < 2:  # a grid has bits >= 1
+            raise DataError(f"a grid of samples needs 2 or more per axis, got shape {np.shape(samples)}")
+        self.bits, a = self._checked(bits, samples)
+        if len(a) != self.size:
+            raise UsageError(f"declared {bits} bits but got a grid of side {len(a)}")
+        self.cells = _coarsest_square(a)
 
     @classmethod
     def from_cells(cls, bits: int, cells) -> "DyadicGrid":
         """The grid at 2^bits whose values on the cells of side 2^-L are `cells`,
         a square array of side 2^L, L <= bits."""
         grid = cls.__new__(cls)
-        grid.bits, cells = cls._checked(bits, cells, fine=False)
-        grid._samples, grid._cells = None, _coarsest_square(cells)
+        grid.bits, cells = cls._checked(bits, cells)
+        if len(cells) > grid.size:
+            raise UsageError(f"cells of side {len(cells)} are finer than a 2^{grid.bits} grid")
+        grid.cells = _coarsest_square(cells)
         return grid
 
     @classmethod
-    def _checked(cls, bits, values, fine: bool) -> tuple[int, np.ndarray]:
+    def _checked(cls, bits, values) -> tuple[int, np.ndarray]:
         a = np.asarray(values, dtype=np.float64)
         dims = cls.dims or a.ndim
         if a.ndim != dims or dims not in (1, 2):
             raise DataError(f"expected a {cls.dims or '1D or 2'}D array, got shape {a.shape}")
         n = a.shape[0]
-        if n < 1 + fine or n & (n - 1):
-            raise DataError(f"grid length {n} is not a power of two >= {1 + fine}")
+        if n < 1 or n & (n - 1):
+            raise DataError(f"grid length {n} is not a power of two")
         if any(s != n for s in a.shape):
             raise DataError(f"grid must be square, got shape {a.shape}")
         if not (np.isfinite(a.max()) and np.isfinite(a.min())):  # both propagate NaN; no mask array
             raise DataError("grid contains non-finite samples")
-        if fine:
-            got = validate_bits(n.bit_length() - 1, dims=dims)
-            if got != bits:
-                raise UsageError(f"declared {bits} bits but got a 2^{got} grid")
-        else:
-            bits = validate_bits(bits, dims=dims)
-            if n > 1 << bits:
-                raise UsageError(f"cells of side {n} are finer than a 2^{bits} grid")
-        return bits, a
-
-    @property
-    def cells(self) -> np.ndarray:
-        if self._cells is None:
-            self._cells = _coarsest_square(self._samples)
-        return self._cells
+        return validate_bits(bits, dims=dims), a
 
     @property
     def samples(self) -> np.ndarray:
-        if self._samples is None:
-            c = self._cells
-            width = (1 << self.bits) // len(c)
-            out = np.empty((1 << self.bits,) * c.ndim)  # one write of each sample
-            out.reshape([m for n in c.shape for m in (n, width)])[...] = c.reshape(
-                [m for n in c.shape for m in (n, 1)])
-            self._samples = out
-        return self._samples
+        c = self.cells
+        width = self.size // len(c)
+        if width == 1:
+            return c
+        out = np.empty((self.size,) * c.ndim)  # one write of each sample
+        out.reshape([m for n in c.shape for m in (n, width)])[...] = c.reshape(
+            [m for n in c.shape for m in (n, 1)])
+        return out
 
     # read-only aliases for perfbench/checks.py and tracer.py; wss reads .samples and .cells
     coeffs = values = property(lambda self: self.samples)
@@ -187,9 +180,10 @@ def _coarsest(a: np.ndarray, axes) -> tuple[np.ndarray, list[int]]:
 
 def _coarsest_square(a: np.ndarray) -> np.ndarray:
     """A square array on its coarsest square cells: the finest of the
-    per-axis levels `_coarsest` finds, as a view of `a`."""
+    per-axis levels `_coarsest` finds; a view of `a` when that is all of it,
+    else a compact copy, so that no finer array outlives it."""
     step = len(a) >> max(_coarsest(a, range(a.ndim))[1])
-    return a[(slice(None, None, step),) * a.ndim]
+    return np.ascontiguousarray(a[(slice(None, None, step),) * a.ndim]) if step > 1 else a
 
 
 def _analysis(samples: np.ndarray, bits: int, axes: tuple[int, ...]) -> np.ndarray:

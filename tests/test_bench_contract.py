@@ -79,13 +79,13 @@ def test_tracer_pins_pass():
 
 def test_theorem2_transforms_run_at_the_spectrum_level(tmp_path):
     # random-spectrum:support=4 at B=6 is constant on level-2 cells (k = 4 of
-    # them per axis, n = 64 samples per axis) and its profile support is
-    # K = 4: generation synthesizes k x k then k x n, the analysis runs both
-    # passes on the k x k representatives, and the row and column profiles
-    # each synthesize one k x K table.  A full-grid butterfly anywhere
-    # (n x n per pass) breaks the count.
+    # them per axis) and its profile support is K = 4: generation
+    # synthesizes both axes on the k x k cells, the analysis runs both
+    # passes on them, and the row and column profiles each synthesize one
+    # k x K table.  A pass over the 2^6 samples of an axis anywhere breaks
+    # the count.
     bits, support = 6, 4
-    n, k = 1 << bits, 1 << (support - 1).bit_length()
+    k = 1 << (support - 1).bit_length()
     config = tmp_path / "theorem2.ini"
     config.write_text("[t]\nexperiment = theorem2\n"
                       f"spec = random-spectrum:support={support},dim=2@B={bits}\nm = 4,16,64\n")
@@ -95,4 +95,4 @@ def test_theorem2_transforms_run_at_the_spectrum_level(tmp_path):
                             env=_env(), capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-4000:]
     counters = json.loads(spans.read_text())["counters"]
-    assert counters["transform.points"] == (k * k + k * n) + 2 * k * k + 2 * k * support
+    assert counters["transform.points"] == 2 * k * k + 2 * k * k + 2 * k * support

@@ -225,6 +225,27 @@ def test_misspelled_config_key_exits_2_before_any_section(tmp_path, capsys, monk
     assert err.count("\n") == 1 and "experiment, seed, spec" in err and not ran
 
 
+@pytest.mark.parametrize("spec, bad", [
+    ("indicator-rect:0,0.5,0,0.5@B=4", "m = 4.7"),
+    ("indicator-rect:0,0.5,0,0.5@B=4", "m = 4,8\nprobes = 0.25"),
+    ("indicator-rect:0,0.5,0,0.5@B=4", "m = 4,8\nseed = q"),
+    ("indicator-rect:0,0.5,0,0.5@B=4", "m = 4,8\na = fast"),
+    ("spike:level=2,target=10,level@B=4", "m = 4,8"),
+], ids=["m-fraction", "probes-odd", "seed-word", "a-word", "spec"])
+def test_a_bad_value_in_a_later_section_exits_2_before_any_section(tmp_path, capsys, monkeypatch, spec, bad):
+    # every value is parsed at load: the valid theorem1 section does not run
+    # first, and the output directory is never made
+    cfg = tmp_path / "late.ini"
+    cfg.write_text("[ok]\nexperiment = theorem1\nspec = random-step:level=8,dim=2@B=8\nlambda = 1\n\n"
+                   f"[late]\nexperiment = theorem2\nspec = {spec}\n{bad}\n")
+    ran = []
+    monkeypatch.setattr("wss.cli.run_configured", lambda *a: ran.append(a))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and not ran
+    assert not (tmp_path / "out").exists()
+
+
 def test_shipped_configs_pass_the_key_check():
     from wss.experiments import load_config
 

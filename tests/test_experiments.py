@@ -87,6 +87,18 @@ def test_theorem2_materializes_no_walsh_matrix():
     assert walsh_matrix_f64.cache_info().currsize == 0
 
 
+def test_theorem2_holds_no_grid_of_samples():
+    # f on its 4 x 4 cells, the 4 x 4 band, two (4, 2^12) profile tables and
+    # one probe sequence: about 0.003 of one 2^24 grid measured, so any
+    # array of samples fails the bound
+    spec = "random-spectrum:support=4,dim=2@B=12"
+
+    def run(_):
+        return run_theorem2(spec, 1.0, [4, 64, 4096], seed=3)
+
+    assert traced_peak_ratio(run, generate_function(spec, 3)) < 0.01
+
+
 def test_theorem1_caches_no_walsh_matrix_beyond_the_band_square():
     # the spike's band is 4 = 2^2: the block stream reads the 4 x 4 matrix, not the 2^10 one
     for cached in (walsh_matrix, walsh_matrix_f64):
@@ -161,6 +173,22 @@ def test_rodin_stream_matches_table_at_any_block_width(bits, level, s, seed, pow
         _assert_stream_matches_table(f, phi, ms)
 
 
+@pytest.mark.parametrize("bits", range(1, 11), ids=lambda b: f"B={b}")
+def test_rodin_stream_on_the_cells_of_every_level_and_block_width(bits):
+    # level L <= B and blocks of 2^s, 1 <= s <= B: the stream runs on the
+    # level-max(s, L) cells and its means match the table at every m
+    phi = PhiFunction.exp_minus_one(1.0)
+    for level in range(bits + 1):
+        f = generate_function(f"random-step:level={level},dim=1@B={bits}", 40 + level)
+        ms = range(1, f.size + 1)
+        table = oracles.rodin_means_brute(f, phi, ms)
+        for s in range(1, bits + 1):
+            with mock.patch.object(experiments, "BLOCK_BYTES", 8 << (bits + s)):
+                stream = np.array([means for _, means in iter_rodin_means(f, phi, ms)])
+            # assert_allclose's test at rtol 1e-12, without its report on a 2^20 array
+            assert np.all(np.abs(stream - table) <= 1e-12 * np.abs(table)), (level, 1 << s)
+
+
 @pytest.mark.parametrize("s", [1, 2, 3, 8], ids=lambda s: f"width={1 << s}")
 def test_rodin_stream_past_the_support(s):
     # f_hat of w_5 + w_2 ends at order 5 and w_5 lives on level-3 cells, so
@@ -184,7 +212,8 @@ def test_rodin_stream_evaluates_phi_once_per_block_past_the_support():
     f = generate_function("walsh-tensor:5@B=10")  # support 6, inside the second block
     with mock.patch.object(experiments, "BLOCK_BYTES", 8 << (f.bits + 2)):  # blocks of 4
         stream = np.array([means for _, means in iter_rodin_means(f, counted, [3, 6, 7, 1024])])
-    assert calls == [4 * f.size] * 2 + [f.size] * 254
+    cells = 8  # w_5 lives on the level-3 cells, finer than a block's level 2
+    assert calls == [4 * cells] * 2 + [cells] * 254
     np.testing.assert_allclose(stream, oracles.rodin_means_brute(f, np.expm1, [3, 6, 7, 1024]),
                                rtol=1e-12)
 
@@ -200,8 +229,8 @@ def test_rodin_stream_keys_its_skip_on_the_band():
     ms = [1, 5, 6, 7, 8, 9, 1024]
     with mock.patch.object(experiments, "BLOCK_BYTES", 8 << (f.bits + 1)):  # blocks of 2
         stream = np.array([means for _, means in iter_rodin_means(f, counted, ms)])
-    # blocks 0, 2, 4 and 6 (below the band) take the prefix route
-    assert calls == [2 * f.size] * 4 + [f.size] * 508
+    # blocks 0, 2, 4 and 6 (below the band) take the prefix route, on the 8 level-3 cells
+    assert calls == [2 * 8] * 4 + [8] * 508
     np.testing.assert_allclose(stream, oracles.rodin_means_brute(f, np.expm1, ms), rtol=1e-12)
 
 

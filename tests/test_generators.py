@@ -10,10 +10,12 @@ from wss.generators import (
     SpecParseError,
     generate_function,
     portable_uniforms,
+    random_grid_1d,
+    random_grid_2d,
     spike_height,
 )
 from wss.means import entropy_functional
-from wss.transform import DyadicGrid1D, DyadicGrid2D, inverse_wht_1d, inverse_wht_2d, wht_1d, wht_2d
+from wss.transform import DyadicGrid1D, DyadicGrid2D, _synthesis, inverse_wht_1d, inverse_wht_2d, wht_1d, wht_2d
 
 
 def test_parse_round_trip_fields():
@@ -189,6 +191,29 @@ def test_random_spectrum_is_the_inverse_of_its_zero_padded_table(dims, support):
     table[(slice(support),) * dims] = coeffs.reshape((support,) * dims)
     inverse = inverse_wht_1d(DyadicGrid1D(5, table)) if dims == 1 else inverse_wht_2d(DyadicGrid2D(5, table))
     assert type(f) is type(inverse) and np.array_equal(f.samples, inverse.samples)
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("amp", ["1", "1e200", "1e-300"])
+def test_random_spectrum_cells_are_the_samples_of_its_synthesis_at_full_depth(dims, amp):
+    # synthesized at the support's own level and emitted as cells: the same
+    # bits as the 2^B synthesis of the support block, at every support
+    for bits in range(1, 7):
+        for support in range(1, (1 << bits) + 1):
+            f = generate_function(f"random-spectrum:support={support},dim={dims},amp={amp}@B={bits}", support)
+            coeffs = float(amp) * (2.0 * portable_uniforms(support, support**dims) - 1.0)
+            full = _synthesis(coeffs.reshape((support,) * dims), bits, (1 << bits,) * dims)
+            assert np.array_equal(f.samples.view(np.int64), full.view(np.int64)), (bits, support)
+            assert len(f.cells) <= 1 << (support - 1).bit_length()
+
+
+@pytest.mark.parametrize("bits", [1, 5, 10])
+def test_random_grids_are_the_random_step_of_full_level(bits):
+    for dims, grid in ((1, random_grid_1d(bits, 7, amp=3.5)), (2, random_grid_2d(bits, 7))):
+        amp = "3.5" if dims == 1 else "1"
+        step = generate_function(f"random-step:level={bits},dim={dims},amp={amp}@B={bits}", 7)
+        assert type(grid) is type(step)
+        assert np.array_equal(grid.cells.view(np.int64), step.cells.view(np.int64))
 
 
 def test_spike_hits_entropy_target():

@@ -21,7 +21,7 @@ from wss.maximal import (
     schipp_v_max,
     superlevel_measure,
 )
-from wss.transform import DyadicGrid1D, DyadicGrid2D, _pow2_scaled
+from wss.transform import DyadicGrid, DyadicGrid1D, DyadicGrid2D, _pow2_scaled
 
 
 def test_operator_outputs_are_nonnegative():
@@ -189,20 +189,22 @@ def test_superlevel_examples():
         superlevel_measure(const, 0.0)
 
 
-def test_superlevel_accepts_grids_and_arrays():
+def test_superlevel_counts_the_cells_of_a_grid():
     grid = DyadicGrid2D(2, np.eye(4))
     assert superlevel_measure(grid, 0.5) == 0.25
-    assert superlevel_measure(np.array([0.0, 2.0]), 1.0) == 0.5
+    assert superlevel_measure(DyadicGrid1D.from_cells(6, [0.0, 2.0]), 1.0) == 0.5
 
 
-@pytest.mark.parametrize("shape", [(7,), (1000,), (16, 16), (33, 3)])
+@pytest.mark.parametrize("shape", [(8,), (1024,), (16, 16), (32, 32)])
 def test_superlevel_is_the_bool_mean_bit_for_bit(shape):
-    # values on a coarse lattice put many ties exactly at lam
+    # values on a coarse lattice put many ties exactly at lam; on a grid two
+    # levels finer than its cells each cell stands for 4^dims samples, exactly
     values = np.random.default_rng(sum(shape)).integers(0, 5, shape) * 0.75
+    bits = len(values).bit_length() - 1
+    fine, coarse = DyadicGrid.from_samples(values), DyadicGrid.from_cells(bits + 2, values)
     for lam in (0.75, 1.5, 1.6, 3.0, 10.0):
-        assert superlevel_measure(values, lam) == (values > lam).mean()
-    if len(shape) == 2 and shape[0] == shape[1]:
-        assert superlevel_measure(DyadicGrid2D(4, values), 1.5) == (values > 1.5).mean()
+        for grid in (fine, coarse):
+            assert superlevel_measure(grid, lam) == (values > lam).mean()
 
 
 # --- shared properties -------------------------------------------------------

@@ -365,17 +365,18 @@ def test_2d_analysis_transforms_only_the_representatives(levels):
 
 
 def test_spectral_generation_synthesizes_at_the_support_level():
-    # support 64 = 2^6: the y pass runs on 64 x 64 coefficients, the x pass on
-    # 64 x 1024 profiles, and each result is repeated onto the 2^10 cells
+    # support 64 = 2^6: both passes run on the 64 x 64 cells, and no result
+    # is repeated onto the 2^10 samples of an axis
     spec = "random-spectrum:support=64,dim=2@B=10"
-    assert _fwht_points(generate_function, spec) == 4**6 + 2**6 * 2**10
+    assert _fwht_points(generate_function, spec) == 2 * 4**6
 
 
 def test_step_analysis_holds_a_tenth_of_a_grid_beyond_its_input():
     # the level scan's even/odd compare, and the band's small work arrays:
-    # no grid-sized output (the samples exist before the trace: they are the input)
-    f = DyadicGrid2D(10, generate_function("random-step:level=4,dim=2@B=10").samples)
-    assert traced_peak_ratio(lambda g: _analysis(g.samples, g.bits, (0, 1)), f) <= 0.1
+    # no grid-sized output (the samples are read before the trace: they are the input)
+    f = generate_function("random-step:level=4,dim=2@B=10")
+    samples = f.samples
+    assert traced_peak_ratio(lambda g: _analysis(samples, g.bits, (0, 1)), f) <= 0.1
 
 
 def test_quadratic_sums_of_a_band_hold_no_coefficient_grid():
@@ -494,8 +495,9 @@ def test_grid_rejects_malformed_arrays(dims, array):
 
 @pytest.mark.parametrize("dims", [1, 2])
 def test_grid_rejects_a_wrong_declared_depth(dims):
-    with pytest.raises(UsageError):
-        GRID[dims](4, np.ones((8,) * dims))
+    for bits in (4, 2):  # too few samples, too many
+        with pytest.raises(UsageError, match=f"declared {bits} bits but got a grid of side 8"):
+            GRID[dims](bits, np.ones((8,) * dims))
     with pytest.raises(UsageError):
         GRID[dims]("3", np.ones((8,) * dims))
 
@@ -521,7 +523,7 @@ def test_from_samples_builds_its_class(dims):
                                   "random-spectrum:support=5,dim=2@B=6"])
 def test_grids_from_cells_and_from_their_samples_hold_the_same_bits(spec):
     f = generate_function(spec, 5)
-    g = type(f)(f.bits, f.samples.copy())  # finds its cells on first read
+    g = type(f)(f.bits, f.samples.copy())  # coarsens at construction
     level = len(f.cells).bit_length() - 1
     step = (f.size >> level) // 2 or 1  # cells one level finer than the coarsest, where there are any
     finer = type(f).from_cells(f.bits, g.samples[(slice(None, None, step),) * g.samples.ndim])
@@ -532,13 +534,27 @@ def test_grids_from_cells_and_from_their_samples_hold_the_same_bits(spec):
             assert entropy_functional(other, alpha) == entropy_functional(f, alpha)
 
 
+def test_a_grid_keeps_only_its_cells():
+    # a coarse grid builds its samples afresh on each read and keeps none
+    f = generate_function("random-step:level=3,dim=2@B=10", 4)
+    first = f.samples
+    assert first.shape == (1024, 1024) and f.samples is not first
+    assert np.array_equal(f.samples, first)
+    assert sorted(vars(f)) == ["bits", "cells"] and f.cells.shape == (8, 8)
+    g = type(f)(f.bits, first)  # coarsened to a copy: the samples can go
+    assert g.cells.shape == (8, 8) and not np.shares_memory(g.cells, first)
+    # at full resolution the cells are the samples, with no copy
+    for g in (random_grid_1d(5, seed=3), random_grid_2d(4, seed=3), DyadicGrid1D(3, np.arange(8.0))):
+        assert g.samples is g.cells and len(g.cells) == g.size
+
+
 def test_cells_tell_signed_zeros_apart_and_reject_malformed_input():
     f = DyadicGrid2D.from_cells(3, [[0.0, -0.0], [0.0, -0.0]])
     assert f.cells.shape == (2, 2) and np.signbit(f.samples[0]).tolist() == [False] * 4 + [True] * 4
     one = DyadicGrid1D.from_cells(4, [2.5])
     assert one.cells.tolist() == [2.5] and one.samples.tolist() == [2.5] * 16
-    with pytest.raises(UsageError):
-        DyadicGrid1D.from_cells(2, np.ones(8))  # finer than the grid
+    with pytest.raises(UsageError, match="cells of side 8 are finer than a 2\\^2 grid"):
+        DyadicGrid1D.from_cells(2, np.ones(8))
     for bad in (np.ones(3), np.ones(0), _with(np.nan, 8)):
         with pytest.raises(DataError):
             DyadicGrid1D.from_cells(4, bad)
@@ -556,6 +572,9 @@ def test_every_transform_sum_and_operator_returns_its_inputs_class():
     for grid, outs in ((f1, outs1), (f2, outs2)):
         for out in outs:
             assert type(out) is type(grid) and out.bits == grid.bits
-            assert out.coeffs is out.samples and out.values is out.samples
+            if len(out.cells) == out.size:
+                assert out.coeffs is out.samples and out.values is out.samples
+            for alias in (out.coeffs, out.values):
+                assert np.array_equal(alias.view(np.int64), out.samples.view(np.int64))
     base = DyadicGrid(f1.bits, f1.samples)
     assert type(wht_1d(base)) is DyadicGrid and type(hybrid_maximal_1(base)) is DyadicGrid
