@@ -33,7 +33,7 @@ from .maximal import (
 )
 from .means import PhiFunction, bmo_of_diagonal_sums, entropy_functional, phi_mean_sequence
 from .sums import _prefix_sums, dyadic_square_sums, quadratic_sums
-from .transform import BLOCK_BYTES, DyadicGrid, DyadicGrid1D, _analysis, _pow2_scaled, _zero_padded
+from .transform import BLOCK_BYTES, DyadicGrid1D, _analysis, _pow2_scaled, _zero_padded
 
 CSV_FIELDS = ("experiment", "spec", "B", "seed", "param", "lambda_or_m", "value")
 
@@ -99,15 +99,12 @@ def write_reports_csv(reports: list[SummabilityReport], path=None) -> None:
             writer.writerows(report.csv_rows())
 
 
-def _as_spec(spec: FunctionSpec | str) -> FunctionSpec:
-    return spec if isinstance(spec, FunctionSpec) else FunctionSpec.parse(spec)
-
-
-def _generate(spec: FunctionSpec, dims: int, seed: int, what: str) -> DyadicGrid:
-    """The grid of `spec` at `seed`, made only once its dimension is `dims`."""
-    if spec.dims != dims:
+def _spec(spec: FunctionSpec | str, dims: int | None, what: str) -> FunctionSpec:
+    """`spec` parsed, once its dimension is `dims` (None: either)."""
+    spec = spec if isinstance(spec, FunctionSpec) else FunctionSpec.parse(spec)
+    if dims not in (None, spec.dims):
         raise UsageError(f"{what} needs a {dims}D function spec")
-    return generate_function(spec, seed)
+    return spec
 
 
 def _lambda_grid(lambdas) -> np.ndarray:
@@ -126,6 +123,11 @@ def _m_grid(ms, limit: int) -> list[int]:
     return grid
 
 
+def _theorem1_args(spec, lambda_grid) -> tuple[FunctionSpec, np.ndarray]:
+    """`run_theorem1`'s arguments, checked: (spec, lambda grid)."""
+    return _spec(spec, 2, "theorem1 experiment"), _lambda_grid(lambda_grid)
+
+
 def run_theorem1(
     spec: FunctionSpec | str,
     lambda_grid,
@@ -133,9 +135,8 @@ def run_theorem1(
 ) -> SummabilityReport:
     """Superlevel sweep of the pointwise BMO norm of the diagonal sums,
     normalized by 1 + the alpha=2 entropy functional of the input."""
-    spec = _as_spec(spec)
-    grid = _lambda_grid(lambda_grid)
-    f = _generate(spec, 2, seed, "theorem1 experiment")
+    spec, grid = _theorem1_args(spec, lambda_grid)
+    f = generate_function(spec, seed)
     bmo = bmo_of_diagonal_sums(quadratic_sums(f))
     report = SummabilityReport("theorem1", spec.text, spec.bits, seed)
     for alpha in (0, 1, 2):
@@ -171,6 +172,21 @@ def default_probes(spec: FunctionSpec) -> tuple[list[tuple[float, float]], float
     return probes, (len(corners) - len(probes)) / len(corners)
 
 
+def _theorem2_args(spec, a, m_grid, probes):
+    """`run_theorem2`'s arguments, checked: (spec, Phi, m grid, probes,
+    excluded measure)."""
+    phi, spec = PhiFunction.exp_minus_one(a), _spec(spec, 2, "theorem2 experiment")
+    ms, excluded = _m_grid(m_grid, 1 << spec.bits), 0.0
+    if probes is None:
+        probes, excluded = default_probes(spec)
+    if not probes:
+        raise UsageError("no probe points available for this spec")
+    for x, y in probes:
+        if not (0.0 <= x < 1.0 and 0.0 <= y < 1.0):
+            raise UsageError(f"probe ({x}, {y}) outside the unit square")
+    return spec, phi, ms, probes, excluded
+
+
 def run_theorem2(
     spec: FunctionSpec | str,
     a: float,
@@ -179,24 +195,13 @@ def run_theorem2(
     seed: int = 0,
 ) -> SummabilityReport:
     """Trajectories m -> (1/m) sum_{n<=m} (exp(a |S_nn - f|) - 1) at probe points."""
-    spec = _as_spec(spec)
-    if a <= 0:
-        raise UsageError(f"exponential rate must be positive, got {a}")
-    f = _generate(spec, 2, seed, "theorem2 experiment")
-    ms = _m_grid(m_grid, f.size)
-    excluded = 0.0
-    if probes is None:
-        probes, excluded = default_probes(spec)
-    if not probes:
-        raise UsageError("no probe points available for this spec")
-    phi = PhiFunction.exp_minus_one(a)
+    spec, phi, ms, probes, excluded = _theorem2_args(spec, a, m_grid, probes)
+    f = generate_function(spec, seed)
     fld = quadratic_sums(f)
     shift = f.bits - (len(f.cells).bit_length() - 1)  # grid point i lies in cell i >> shift
     report = SummabilityReport("theorem2", spec.text, spec.bits, seed)
     report.add("exceptional_measure", 0.0, excluded)
     for x, y in probes:
-        if not (0.0 <= x < 1.0 and 0.0 <= y < 1.0):
-            raise UsageError(f"probe ({x}, {y}) outside the unit square")
         ix, iy = int(x * f.size), int(y * f.size)
         seq = fld.sequence_at(ix, iy)
         label = f"phi_mean:window=B:probe={x:g};{y:g}"
@@ -206,8 +211,8 @@ def run_theorem2(
     return report
 
 
-def iter_rodin_means(f: DyadicGrid1D, phi: PhiFunction, ms) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (m, (1/m) sum_{k=1..m} Phi(|S_k f - f|) on the grid) for m in `ms`.
+def iter_rodin_means(f: DyadicGrid1D, phi: PhiFunction, ms) -> Iterator[tuple[int, DyadicGrid1D]]:
+    """Yield (m, the grid of (1/m) sum_{k=1..m} Phi(|S_k f - f|)) for m in `ms`.
 
     Paley blocks: for a = j 2^s and r = 1..2^s, S_{a+r} f = S_a f + w_a P_r,
     where P_r = sum_{i<r} c_{a+i} w_i lives on level-s cells, so
@@ -216,7 +221,7 @@ def iter_rodin_means(f: DyadicGrid1D, phi: PhiFunction, ms) -> Iterator[tuple[in
     band of f_hat from `_analysis`, zero-padded to a whole block, is [0, 2^M),
     M = max(s, L) for f on level-L cells: f, every S_a f and the band's w_a
     live on the level-M cells, so the stream runs there, elementwise as on
-    the grid, and each mean is repeated onto the N points.  Past the band
+    the grid, and each mean is a grid of those cells.  Past the band
     every P_r is 0, so a block there evaluates Phi once, on |S_a f - f|: Phi
     runs on the orders of the blocks inside the band and once per block
     after, the running sums take O(2^M max(ms)) adds, and memory is
@@ -242,12 +247,21 @@ def iter_rodin_means(f: DyadicGrid1D, phi: PhiFunction, ms) -> Iterator[tuple[in
         for k, term in enumerate(terms, a + 1):  # row by row beats an axis-0 cumsum
             total += term
             if i < len(ms) and ms[i] == k:
-                done.append((k, np.repeat(total.reshape(-1) / k, f.size >> level)))
+                done.append((k, total.reshape(-1) / k))
                 i += 1
         if not np.isfinite(total).all():
             raise DataError(f"rodin Phi-mean overflowed float64 by k = {a + width}; "
                             "lower the phi parameter")
-        yield from done
+        yield from ((k, type(f).from_cells(f.bits, means)) for k, means in done)  # finite now
+
+
+def _rodin_args(spec, phi, m_grid, eps) -> tuple[FunctionSpec, list[int]]:
+    """`run_rodin_1d`'s arguments, checked: (spec, m grid); a PhiFunction
+    checks its parameter when it is made."""
+    if eps <= 0:
+        raise UsageError(f"exceedance threshold must be positive, got {eps}")
+    spec = _spec(spec, 1, "rodin experiment")
+    return spec, _m_grid(m_grid, 1 << spec.bits)
 
 
 def run_rodin_1d(
@@ -262,19 +276,17 @@ def run_rodin_1d(
     For each m in the grid (1 <= m <= 2^B) the mean is
     (1/m) sum_{k=1..m} Phi(|S_k f - f|)(x) on the 2^B grid, streamed in Paley
     blocks by the identity S_{a+r} f = S_a f + w_a P_r (`iter_rodin_means`);
-    the report holds its maximum over x and the measure of {x : mean > eps}.
+    the report holds its maximum over x and `superlevel_measure` at eps.
     Rodin's theorem only says the mean tends to 0 a.e. as m -> oo: it gives
     no rate, so no finite m has a theoretical bound on the exceedance.
     """
-    spec = _as_spec(spec)
-    if eps <= 0:
-        raise UsageError(f"exceedance threshold must be positive, got {eps}")
-    f = _generate(spec, 1, seed, "rodin experiment")
+    spec, ms = _rodin_args(spec, phi, m_grid, eps)
+    f = generate_function(spec, seed)
     report = SummabilityReport("rodin", spec.text, spec.bits, seed)
     exceed_label = f"exceed:eps={eps:g}:phi={phi.describe()}"
-    for m, means in iter_rodin_means(f, phi, m_grid):
-        report.add(exceed_label, m, float((means > eps).mean()))
-        report.add("mean_max", m, float(means.max()))
+    for m, means in iter_rodin_means(f, phi, ms):
+        report.add(exceed_label, m, superlevel_measure(means, eps))
+        report.add("mean_max", m, float(means.cells.max()))
     report.validate()
     return report
 
@@ -282,20 +294,20 @@ def run_rodin_1d(
 def sch_ratio_max(f: DyadicGrid1D) -> float:
     """max over x and m = 1..bits of sqrt(2^-m sum_{l<2^m} (S_l f)(x)^2) / V(x, f).
 
-    The strong quadratic means come from the scan `dyadic_square_sums` in
-    O(N log N) time and O(N) memory, with no partial-sum table or Walsh
-    matrix, so any depth the grid allows runs (the table route stopped at
-    B = 13).  Points where the mean is 0 count as ratio 0.  The ratio is
-    scale-invariant, so it runs on `_pow2_scaled` samples: the squared sums
-    neither overflow nor underflow at extreme amplitudes, and in-range inputs
-    keep every bit.
+    The strong quadratic means come from the scan `dyadic_square_sums`, with
+    no partial-sum table or Walsh matrix.  Every mean and V are constant on
+    f's 2^L cells, so each is repeated onto them and the ratio runs there:
+    O(2^L bits) time and memory.  Points where the mean is 0 count as ratio
+    0.  The ratio is scale-invariant, so it runs on `_pow2_scaled` cells: the
+    squared sums neither overflow nor underflow at extreme amplitudes, and
+    in-range inputs keep every bit.
     """
     f = type(f).from_cells(f.bits, _pow2_scaled(f.cells)[1][0])
-    squares = dyadic_square_sums(f)
-    v = schipp_v_max(f).samples
+    n, squares, v = len(f.cells), dyadic_square_sums(f), schipp_v_max(f).cells
+    v = np.repeat(v, n // len(v))
     best = 0.0
     for m in range(1, f.bits + 1):
-        lhs = np.repeat(np.sqrt(squares[m] / (1 << m)), 1 << (f.bits - m))
+        lhs = np.repeat(np.sqrt(squares[m] / (1 << m)), n // len(squares[m]))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(lhs == 0.0, 0.0, lhs / v)
         best = max(best, float(ratio.max()))
@@ -308,11 +320,10 @@ def _weak_type_instance(operator: str, spec: FunctionSpec, seed: int,
     `seed`: (row param, value, normalized sweep or None).  The operators, their
     gauges, integrals and superlevel counts run on f's cells, so a level-L
     input costs O(4^L) (M, M1, M2) or O(B^2 2^L) per row of cells (the V
-    family), not O(4^B); Sch-ratio's V and ratio arrays are 2^B samples.
-    The gauge is taken before the operator, so its copy of |f| is gone
-    before the operator's arrays exist, and every grid dies at return: no
-    instance overlaps the next."""
-    f = _generate(spec, _OPERATOR_DIMS.get(operator, spec.dims), seed, f"operator {operator}")
+    family and Sch-ratio), not O(4^B) or O(2^B).  The gauge is taken before
+    the operator, so its copy of |f| is gone before the operator's arrays
+    exist, and every grid dies at return: no instance overlaps the next."""
+    f = generate_function(spec, seed)
     if operator == "Sch-ratio":
         return "sch_ratio", sch_ratio_max(f), None
     if operator in ("M1", "M2"):
@@ -320,8 +331,6 @@ def _weak_type_instance(operator: str, spec: FunctionSpec, seed: int,
         op = hybrid_maximal_1(f) if operator == "M1" else hybrid_maximal_2(f)
         exponent, (scaled,) = _pow2_scaled(op.cells, inplace=True)  # op is ours
         return "integral_ratio", float(np.ldexp(scaled.mean(), exponent)) / denom, None
-    if grid is None:
-        raise UsageError(f"operator {operator} needs a lambda grid")
     if operator == "M":
         denom = 1.0 + entropy_functional(f, 1)
         op = dyadic_maximal(f)
@@ -335,6 +344,19 @@ def _weak_type_instance(operator: str, spec: FunctionSpec, seed: int,
         denom = np.finfo(np.float64).tiny
     normalized = np.array([lam * superlevel_measure(op, lam) / denom for lam in grid])
     return "empirical_constant", float(normalized.max()), normalized
+
+
+def _weak_type_args(operator, specs, lambda_grid) -> tuple[list[FunctionSpec], np.ndarray | None]:
+    """`run_weak_type_suite`'s arguments, checked: (specs, lambda grid or None)."""
+    if operator not in WEAK_TYPE_OPERATORS:
+        raise UsageError(f"unknown operator {operator!r} (expected one of {WEAK_TYPE_OPERATORS})")
+    if not specs:
+        raise UsageError("weak-type suite needs at least one function spec")
+    parsed = [_spec(s, _OPERATOR_DIMS.get(operator), f"operator {operator}") for s in specs]
+    grid = None if lambda_grid is None else _lambda_grid(lambda_grid)
+    if grid is None and operator not in ("M1", "M2", "Sch-ratio"):
+        raise UsageError(f"operator {operator} needs a lambda grid")
+    return parsed, grid
 
 
 def run_weak_type_suite(
@@ -351,16 +373,11 @@ def run_weak_type_suite(
     V-operator ratio.  Instance i runs on its own (`_weak_type_instance`),
     on the function of spec i at seed + i, and keeps only its row.
     """
-    if operator not in WEAK_TYPE_OPERATORS:
-        raise UsageError(f"unknown operator {operator!r} (expected one of {WEAK_TYPE_OPERATORS})")
-    parsed = [_as_spec(s) for s in specs]
-    if not parsed:
-        raise UsageError("weak-type suite needs at least one function spec")
+    parsed, grid = _weak_type_args(operator, specs, lambda_grid)
     report = SummabilityReport(
         "weak_type", parsed[0].text if len(parsed) == 1 else f"{parsed[0].text}#x{len(parsed)}",
         parsed[0].bits, seed,
     )
-    grid = _lambda_grid(lambda_grid) if lambda_grid is not None else None
     suite_best = 0.0
     sweep_max = None
     for i, spec in enumerate(parsed):
@@ -381,13 +398,24 @@ def run_weak_type_suite(
 # Config-file driven execution (plain INI: one section per experiment id).
 
 
+# kind: the keys its sections read and its runner's argument checks (the
+# runners are read as module names when a section is made, so a tracer that
+# rebinds them sees every run); theorem1's `mode` selects nothing, and it
+# goes with ROADMAP item 1
+_KINDS = {"theorem1": ("spec lambda mode", _theorem1_args),
+          "theorem2": ("spec a m probes", _theorem2_args),
+          "rodin": ("spec phi m eps", _rodin_args),
+          "weak_type": ("spec operator count lambda", _weak_type_args)}
+
+
 @dataclass
 class ExperimentConfig:
     """One config section: experiment, seed and the keys its kind reads.
 
-    Every value is parsed when the section is made, so a bad one stops a run
-    before any section runs: `call(seed=...)` runs the section, and `seed`
-    is None where the run's default seed applies."""
+    Every value is parsed, and checked by the runner's own argument checks,
+    when the section is made, so a bad one stops a run before any section
+    runs: `call(seed=...)` runs the section, and `seed` is None where the
+    run's default seed applies."""
 
     name: str
     options: dict[str, str]
@@ -396,11 +424,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         kind = self.get("experiment")
-        # theorem1's `mode` selects nothing; it goes with ROADMAP item 1
-        keys = {"theorem1": "spec lambda mode", "theorem2": "spec a m probes",
-                "rodin": "spec phi m eps", "weak_type": "spec operator count lambda"}.get(kind)
-        if keys is None:
+        if kind not in _KINDS:
             raise UsageError(f"unknown experiment kind {kind!r} in section {self.name!r}")
+        keys, checked = _KINDS[kind]
         keys = ["experiment", "seed", *keys.split()]
         for key in self.options:  # a misspelled key would leave its default in force
             if key not in keys:
@@ -409,7 +435,7 @@ class ExperimentConfig:
         self.seed = self.number("seed", kind=int) if "seed" in self.options else None
         spec = FunctionSpec.parse(self.get("spec"))
         if kind == "theorem1":
-            self.call = functools.partial(run_theorem1, spec, self.numbers("lambda"))
+            runner, args = run_theorem1, (spec, self.numbers("lambda"))
         elif kind == "theorem2":
             probes = None
             if "probes" in self.options:
@@ -418,14 +444,16 @@ class ExperimentConfig:
                     raise UsageError("probes must be x,y pairs")
                 probes = list(zip(vals[0::2], vals[1::2]))
             a, ms = self.number("a", "1"), self.numbers("m", kind=int)
-            self.call = functools.partial(run_theorem2, spec, a, ms, probes)
+            runner, args = run_theorem2, (spec, a, ms, probes)
         elif kind == "rodin":
             phi, ms = _parse_phi(self.options.get("phi", "exp_minus_one:1")), self.numbers("m", kind=int)
-            self.call = functools.partial(run_rodin_1d, spec, phi, ms, self.number("eps", "0.01"))
+            runner, args = run_rodin_1d, (spec, phi, ms, self.number("eps", "0.01"))
         else:
             lambdas = self.numbers("lambda") if "lambda" in self.options else None
             specs = [spec] * self.number("count", "1", int)
-            self.call = functools.partial(run_weak_type_suite, self.get("operator"), specs, lambdas)
+            runner, args = run_weak_type_suite, (self.get("operator"), specs, lambdas)
+        checked(*args)  # every range the values fix, before any section runs
+        self.call = functools.partial(runner, *args)
 
     def get(self, key: str, default: str | None = None) -> str:
         value = self.options.get(key, default)

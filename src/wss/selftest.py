@@ -13,7 +13,7 @@ from .experiments import iter_rodin_means
 from .generators import generate_function, random_grid_1d, random_grid_2d
 from .maximal import dyadic_maximal, hybrid_maximal_1, hybrid_maximal_2, schipp_v
 from .means import PhiFunction, bmo_of_diagonal_sums, bmo_sequence_norm, entropy_functional
-from .sums import partial_sum_1d, quadratic_sums
+from .sums import dyadic_square_sums, partial_sum_1d, quadratic_sums
 from .transform import (
     DyadicGrid2D,
     inverse_wht_1d,
@@ -136,11 +136,20 @@ def _check_entropy_gauge() -> tuple[bool, str]:
     return gap <= 1e-12, f"in-place gauge vs fsum, relative gap {gap:.3g}"
 
 
+def _check_square_sums() -> tuple[bool, str]:
+    gap = 0.0
+    for f in (random_grid_1d(8, seed=1111), generate_function("random-step:level=3,dim=1@B=10", 1111)):
+        fast = np.array([np.repeat(q, f.size // len(q)) for q in dyadic_square_sums(f)])
+        brute = oracles.dyadic_square_sums_brute(f)  # Q_0 = 0 in both
+        gap = max(gap, float((np.abs(fast - brute) / np.maximum(brute, np.finfo(float).tiny)).max()))
+    return gap <= 1e-12, f"Paley scan vs partial-sum table, level-3 step past its band, relative gap {gap:.3g}"
+
+
 def _check_rodin_stream() -> tuple[bool, str]:
     # 4 blocks of 2^8 orders at B = 10; the level-3 step runs on 2^8 cells
     phi, ms, gap = PhiFunction.exp_minus_one(1.0), range(1, 1025), 0.0
     for f in (random_grid_1d(10, seed=909), generate_function("random-step:level=3,dim=1@B=10", 909)):
-        fast = np.array([means for _, means in iter_rodin_means(f, phi, ms)])
+        fast = np.array([means.samples for _, means in iter_rodin_means(f, phi, ms)])
         brute = oracles.rodin_means_brute(f, phi, ms)
         gap = max(gap, float(np.abs(fast - brute).max() / brute.max()))
     return gap <= 1e-12, f"Paley-block stream vs partial-sum table, level-3 step too, relative gap {gap:.3g}"
@@ -161,6 +170,7 @@ CHECKS = [
     ("dyadic-maximal", _check_dyadic_maximal),
     ("grid-cells", _check_grid_cells),
     ("entropy-gauge", _check_entropy_gauge),
+    ("square-sums", _check_square_sums),
     ("rodin-stream", _check_rodin_stream),
 ]
 

@@ -57,13 +57,18 @@ def _paley_scan(leaves: tuple[np.ndarray, ...], bits: int, merge) -> Iterator[tu
     block's w_i, i < 2^s, live relative to its first index.  The Paley split
     w_{(2j+1) 2^s + i} = w_{j 2^(s+1)} r_s w_i joins blocks 2j and 2j+1
     through the digit r_s(x): `merge(left, right, 2^s)` gives, per summary,
-    the pair (where r_s = +1, where r_s = -1).
+    the pair (where r_s = +1, where r_s = -1).  Past the coefficients, block
+    0 merges with an all-zero block, unchanged by r_s: it keeps its cells and
+    the r_s = +1 branch, bit for bit the scan of the zero-padded coefficients.
     """
     state = leaves
     for s in range(bits):
-        halves = [tuple(a[..., digit::2, :] for a in state) for digit in (0, 1)]
-        state = tuple(np.stack(pair, axis=-1).reshape(pair[0].shape[:-1] + (-1,))
-                      for pair in merge(*halves, float(1 << s)))
+        if state[0].shape[-2] == 1:
+            state = tuple(plus for plus, _ in merge(state, (0.0,) * len(state), float(1 << s)))
+        else:
+            halves = [tuple(a[..., digit::2, :] for a in state) for digit in (0, 1)]
+            state = tuple(np.stack(pair, axis=-1).reshape(pair[0].shape[:-1] + (-1,))
+                          for pair in merge(*halves, float(1 << s)))
         yield state
 
 
@@ -78,17 +83,17 @@ def _square_merge(left, right, width):
 
 
 def dyadic_square_sums(f: DyadicGrid1D) -> list[np.ndarray]:
-    """Q_k = sum_{l<2^k} (S_l f)^2 for k = 0..bits, each on its level-k cells.
+    """Q_k = sum_{l<2^k} (S_l f)^2, k = 0..bits, on its level-min(k, L) cells.
 
-    Entry k has length 2^k: Q_k is constant on the level-k cells, because
-    every S_l with l < 2^k is.  It is `_paley_scan` with `_square_merge`, and
-    Q_k is SP2 of block 0 at level k.  O(N log N) time, O(N) memory.  The
-    scan runs on `_pow2_scaled` coefficients c 2^-e, so no square overflows or
+    f is constant on the level-L cells, every S_l with l < 2^k on the
+    level-k cells, and S_l = f from l = 2^L.  It is `_paley_scan` with
+    `_square_merge` on the band [0, 2^L) from `_analysis`, and Q_k is SP2 of
+    block 0 at level k: O(2^L bits) time and memory.  The scan runs on
+    `_pow2_scaled` coefficients c 2^-e, so no square overflows or
     underflows, and each Q_k is scaled back by 2^(2e): in-range sums keep
     every bit, and a Q_k beyond float64 raises DataError.
     """
-    band = _zero_padded(_analysis(f.cells, f.bits, (0,)), f.size)
-    exponent, (total,) = _pow2_scaled(band[:, None], inplace=True)  # the band is ours
+    exponent, (total,) = _pow2_scaled(_analysis(f.cells, f.bits, (0,))[:, None], inplace=True)
     zero = np.zeros_like(total)
     states = _paley_scan((total, zero, zero), f.bits, _square_merge)
     sums = [zero[0].copy()] + [psq[0].copy() for _, _, psq in states]  # copies free each level

@@ -77,6 +77,18 @@ def test_tracer_pins_pass():
     assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-4000:]
 
 
+def _traced_counters(tmp_path, section: str) -> dict:
+    """perfbench's tracer counters for `wss run` on one config section."""
+    config = tmp_path / "section.ini"
+    config.write_text("[s]\n" + section)
+    spans = tmp_path / "spans.json"
+    result = subprocess.run([sys.executable, str(PERFBENCH / "tracer.py"), "--spans", str(spans), "--",
+                             "run", str(config), "--seed", "7", "--out", str(tmp_path / "out")],
+                            env=_env(), capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-4000:]
+    return json.loads(spans.read_text())["counters"]
+
+
 def test_theorem2_transforms_run_at_the_spectrum_level(tmp_path):
     # random-spectrum:support=4 at B=6 is constant on level-2 cells (k = 4 of
     # them per axis) and its profile support is K = 4: generation
@@ -86,13 +98,15 @@ def test_theorem2_transforms_run_at_the_spectrum_level(tmp_path):
     # the count.
     bits, support = 6, 4
     k = 1 << (support - 1).bit_length()
-    config = tmp_path / "theorem2.ini"
-    config.write_text("[t]\nexperiment = theorem2\n"
-                      f"spec = random-spectrum:support={support},dim=2@B={bits}\nm = 4,16,64\n")
-    spans = tmp_path / "spans.json"
-    result = subprocess.run([sys.executable, str(PERFBENCH / "tracer.py"), "--spans", str(spans), "--",
-                             "run", str(config), "--seed", "7", "--out", str(tmp_path / "out")],
-                            env=_env(), capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-4000:]
-    counters = json.loads(spans.read_text())["counters"]
+    counters = _traced_counters(tmp_path, "experiment = theorem2\n"
+                                f"spec = random-spectrum:support={support},dim=2@B={bits}\nm = 4,16,64\n")
     assert counters["transform.points"] == 2 * k * k + 2 * k * k + 2 * k * support
+
+
+def test_sch_ratio_transforms_its_band_only(tmp_path):
+    # a level-6 step at B=16: the square sums take one analysis on its 64
+    # cells and no other transform, and the tracer counts V's 2^16 points
+    counters = _traced_counters(tmp_path, "experiment = weak_type\noperator = Sch-ratio\n"
+                                "spec = random-step:level=6,dim=1@B=16\n")
+    assert counters["transform.points"] == 64
+    assert counters["maximal.operator_points"] == 2**16

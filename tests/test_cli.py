@@ -246,6 +246,34 @@ def test_a_bad_value_in_a_later_section_exits_2_before_any_section(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("late", [
+    "experiment = theorem2\nspec = indicator-rect:0,0.5,0,0.5@B=4\nm = 4,99",
+    "experiment = theorem2\nspec = indicator-rect:0,0.5,0,0.5@B=4\nm = 4\na = 0",
+    "experiment = theorem2\nspec = indicator-rect:0,0.5,0,0.5@B=4\nm = 4\nprobes = 0.25,1.5",
+    "experiment = theorem2\nspec = random-step:level=2,dim=1@B=4\nm = 4",
+    "experiment = theorem1\nspec = spike:level=2,target=10@B=4\nlambda = 0.5,0.1",
+    "experiment = rodin\nspec = random-step:level=3,dim=1@B=4\nm = 4,99",
+    "experiment = rodin\nspec = random-step:level=3,dim=1@B=4\nm = 4\neps = 0",
+    "experiment = weak_type\noperator = Q\nspec = random-step:level=3,dim=1@B=4",
+    "experiment = weak_type\noperator = V\nspec = random-step:level=3,dim=1@B=4\nlambda = 0.5,0.1",
+    "experiment = weak_type\noperator = V\nspec = random-step:level=3,dim=1@B=4",
+    "experiment = weak_type\noperator = M1\nspec = random-step:level=3,dim=2@B=4\ncount = 0",
+], ids=["theorem2-m", "theorem2-a", "theorem2-probe", "theorem2-dim", "theorem1-lambda", "rodin-m",
+        "rodin-eps", "operator", "weak-lambda", "weak-no-lambda", "weak-count"])
+def test_a_bad_range_in_a_later_section_exits_2_before_any_section(tmp_path, capsys, monkeypatch, late):
+    # the runners' own argument checks run at load, so the valid theorem1
+    # section does not run first and the output directory is never made
+    cfg = tmp_path / "late.ini"
+    cfg.write_text("[ok]\nexperiment = theorem1\nspec = random-step:level=8,dim=2@B=8\nlambda = 1\n\n"
+                   f"[late]\n{late}\n")
+    ran = []
+    monkeypatch.setattr("wss.cli.run_configured", lambda *a: ran.append(a))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and not ran
+    assert not (tmp_path / "out").exists()
+
+
 def test_shipped_configs_pass_the_key_check():
     from wss.experiments import load_config
 

@@ -146,7 +146,7 @@ def test_rodin_spectrum_resolved_decay():
 
 
 def _assert_stream_matches_table(f, phi, ms):
-    stream = np.array([means for _, means in iter_rodin_means(f, phi, ms)])
+    stream = np.array([means.samples for _, means in iter_rodin_means(f, phi, ms)])
     table = oracles.rodin_means_brute(f, phi, ms)
     np.testing.assert_allclose(stream, table, rtol=1e-12)
     np.testing.assert_array_equal((stream > 0.01).mean(axis=1), (table > 0.01).mean(axis=1))
@@ -184,7 +184,7 @@ def test_rodin_stream_on_the_cells_of_every_level_and_block_width(bits):
         table = oracles.rodin_means_brute(f, phi, ms)
         for s in range(1, bits + 1):
             with mock.patch.object(experiments, "BLOCK_BYTES", 8 << (bits + s)):
-                stream = np.array([means for _, means in iter_rodin_means(f, phi, ms)])
+                stream = np.array([means.samples for _, means in iter_rodin_means(f, phi, ms)])
             # assert_allclose's test at rtol 1e-12, without its report on a 2^20 array
             assert np.all(np.abs(stream - table) <= 1e-12 * np.abs(table)), (level, 1 << s)
 
@@ -211,7 +211,7 @@ def test_rodin_stream_evaluates_phi_once_per_block_past_the_support():
 
     f = generate_function("walsh-tensor:5@B=10")  # support 6, inside the second block
     with mock.patch.object(experiments, "BLOCK_BYTES", 8 << (f.bits + 2)):  # blocks of 4
-        stream = np.array([means for _, means in iter_rodin_means(f, counted, [3, 6, 7, 1024])])
+        stream = np.array([means.samples for _, means in iter_rodin_means(f, counted, [3, 6, 7, 1024])])
     cells = 8  # w_5 lives on the level-3 cells, finer than a block's level 2
     assert calls == [4 * cells] * 2 + [cells] * 254
     np.testing.assert_allclose(stream, oracles.rodin_means_brute(f, np.expm1, [3, 6, 7, 1024]),
@@ -228,7 +228,7 @@ def test_rodin_stream_keys_its_skip_on_the_band():
     f = generate_function("walsh-tensor:5+2@B=10")  # f_hat ends at 5; band 8
     ms = [1, 5, 6, 7, 8, 9, 1024]
     with mock.patch.object(experiments, "BLOCK_BYTES", 8 << (f.bits + 1)):  # blocks of 2
-        stream = np.array([means for _, means in iter_rodin_means(f, counted, ms)])
+        stream = np.array([means.samples for _, means in iter_rodin_means(f, counted, ms)])
     # blocks 0, 2, 4 and 6 (below the band) take the prefix route, on the 8 level-3 cells
     assert calls == [2 * 8] * 4 + [8] * 508
     np.testing.assert_allclose(stream, oracles.rodin_means_brute(f, np.expm1, ms), rtol=1e-12)
@@ -270,6 +270,21 @@ def test_weak_type_validation():
         run_weak_type_suite("M", ["indicator-rect:0,1,0,1@B=3"], None)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: run_theorem2("indicator-rect:0,0.5,0,0.5@B=4", 1.0, [4, 99]),
+    lambda: run_theorem2("indicator-rect:0,0.5,0,0.5@B=4", 1.0, [4], [(0.25, 1.5)]),
+    lambda: run_rodin_1d("random-step:level=3,dim=1@B=4", PhiFunction.exp_minus_one(1.0), [4, 99]),
+    lambda: run_weak_type_suite("V", ["random-step:level=3,dim=1@B=4"]),
+], ids=["theorem2-m", "theorem2-probe", "rodin-m", "V-no-lambda"])
+def test_runners_check_every_argument_before_generation(monkeypatch, call):
+    def refuse(*args):
+        raise AssertionError("generate_function called")
+
+    monkeypatch.setattr(experiments, "generate_function", refuse)
+    with pytest.raises(UsageError):
+        call()
+
+
 def test_weak_type_integral_ratios():
     rep = run_weak_type_suite("M1", ["random-step:level=3,dim=2@B=4"] * 3, seed=5)
     _, vals = rep.series("integral_ratio")
@@ -279,19 +294,31 @@ def test_weak_type_integral_ratios():
     assert np.all(np.isfinite(ratios)) and rep2.value("suite_max") == ratios.max()
 
 
-@pytest.mark.parametrize("operator", ["M", "M1", "M2"])
-def test_weak_type_instances_do_not_overlap(operator):
-    # each instance holds f, the operator and the gauge on the 16 x 16 cells,
-    # and no B=10 grid: about 14 KB measured, 0.0017 of one 8 MiB grid, so a
-    # bound of 0.01 grids leaves a margin of about 6x and fails on any grid of
-    # samples; the next instance's f comes after the last one's arrays are gone
-    spec = "random-step:level=4,dim=2@B=10"
-    lambdas = LAMBDAS if operator == "M" else None
+STEP_2D, STEP_1D = "random-step:level=4,dim=2@B=10", "random-step:level=6,dim=1@B=20"
+
+
+@pytest.mark.parametrize("operator, spec", [("M", STEP_2D), ("M1", STEP_2D), ("M2", STEP_2D), ("V1", STEP_2D),
+                                            ("V2", STEP_2D), ("V", STEP_1D), ("Sch-ratio", STEP_1D)])
+def test_weak_type_instances_do_not_overlap(operator, spec):
+    # each instance holds f, the operator and the gauge on the 16 x 16 (or 64)
+    # cells, and no grid of samples: at most about 0.0035 of one 8 MiB grid
+    # measured (V1, Sch-ratio), so a bound of 0.01 grids leaves a margin of
+    # about 3x and fails on any grid of samples; the next instance's f comes
+    # after the last one's arrays are gone
+    lambdas = None if operator in ("M1", "M2", "Sch-ratio") else LAMBDAS
 
     def run(_):
         return run_weak_type_suite(operator, [spec] * 2, lambdas, seed=11)
 
     assert traced_peak_ratio(run, generate_function(spec, 11)) <= 0.01
+
+
+def test_rodin_means_stay_on_the_cells():
+    # the stream and every mean live on the 64 cells: no grid of 2^20 samples
+    def run(_):
+        return run_rodin_1d(STEP_1D, PhiFunction.exp_minus_one(1.0), [4, 16, 64], seed=11)
+
+    assert traced_peak_ratio(run, generate_function(STEP_1D, 11)) <= 0.01
 
 
 def test_weak_type_constants_stable_across_bits():

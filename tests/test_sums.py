@@ -9,13 +9,15 @@ from wss.dyadic import walsh_row
 from wss.errors import DataError, UsageError
 from wss.generators import generate_function, random_grid_1d, random_grid_2d
 from wss.sums import (
+    _paley_scan,
+    _square_merge,
     all_partial_sums_1d,
     dyadic_square_sums,
     partial_sum_1d,
     quadratic_sums,
     rectangular_partial_sum,
 )
-from wss.transform import DyadicGrid1D, DyadicGrid2D
+from wss.transform import DyadicGrid1D, DyadicGrid2D, _analysis, _pow2_scaled, _zero_padded
 
 
 def test_partial_sum_order_one_is_mean():
@@ -202,10 +204,11 @@ def _square_sums_gap(f: DyadicGrid1D) -> float:
     """Largest gap of the scan to the table oracle, relative to max |Q_k| per k."""
     fast = dyadic_square_sums(f)
     brute = oracles.dyadic_square_sums_brute(f)
-    assert [q.shape for q in fast] == [(1 << k,) for k in range(f.bits + 1)]
+    level = len(f.cells).bit_length() - 1
+    assert [q.shape for q in fast] == [(1 << min(k, level),) for k in range(f.bits + 1)]
     worst = 0.0
     for k, q in enumerate(fast):
-        gap = np.abs(np.repeat(q, 1 << (f.bits - k)) - brute[k]).max()
+        gap = np.abs(np.repeat(q, f.size // len(q)) - brute[k]).max()
         worst = max(worst, gap / max(np.abs(brute[k]).max(), np.finfo(float).tiny))
     return worst
 
@@ -216,12 +219,36 @@ def test_dyadic_square_sums_match_table(bits):
 
 
 def test_dyadic_square_sums_closed_forms():
-    # f = w_3 at 4 bits: S_l = 0 for l <= 3 and w_3 after, so Q_k = 2^k - 4 for k >= 2.
+    # f = w_3 at 4 bits: S_l = 0 for l <= 3 and w_3 after, so Q_k = 2^k - 4 for k >= 2,
+    # on the level-min(k, 2) cells w_3 lives on.
     squares = dyadic_square_sums(generate_function("walsh-tensor:3@B=4"))
-    assert [q.tolist() for q in squares] == [[0.0], [0.0] * 2, [0.0] * 4, [4.0] * 8, [12.0] * 16]
-    # f = 2: S_0 = 0 and S_l = 2 after, so Q_k = 4 (2^k - 1).
+    assert [q.tolist() for q in squares] == [[0.0], [0.0] * 2, [0.0] * 4, [4.0] * 4, [12.0] * 4]
+    # f = 2: S_0 = 0 and S_l = 2 after, so Q_k = 4 (2^k - 1), on the one level-0 cell.
     const = dyadic_square_sums(DyadicGrid1D(3, np.full(8, 2.0)))
-    assert [q.tolist() for q in const] == [[0.0], [4.0] * 2, [12.0] * 4, [28.0] * 8]
+    assert [q.tolist() for q in const] == [[0.0], [4.0], [12.0], [28.0]]
+
+
+def _square_sums_on_the_padded_band(f: DyadicGrid1D) -> list[np.ndarray]:
+    """The scan on the band zero-padded to 2^bits, every Q_k on its level-k cells."""
+    band = _zero_padded(_analysis(f.cells, f.bits, (0,)), f.size)
+    exponent, (total,) = _pow2_scaled(band[:, None], inplace=True)
+    zero = np.zeros_like(total)
+    states = _paley_scan((total, zero, zero), f.bits, _square_merge)
+    return [np.ldexp(q, 2 * exponent) for q in [zero[0]] + [psq[0].copy() for _, _, psq in states]]
+
+
+@pytest.mark.parametrize("bits", range(1, 11), ids=lambda b: f"B={b}")
+def test_dyadic_square_sums_past_the_band_are_the_padded_scan_bit_for_bit(bits):
+    # the scan stops at the band [0, 2^L) and continues on the 2^L cells
+    for level in range(bits + 1):
+        for amp in ("1", "4", "1e-300", "1e-310"):
+            f = generate_function(f"random-step:level={level},dim=1,amp={amp}@B={bits}", 70 + level)
+            cells = len(f.cells)
+            got = dyadic_square_sums(f)
+            assert [q.shape for q in got] == [(min(1 << k, cells),) for k in range(bits + 1)]
+            for k, (q, padded) in enumerate(zip(got, _square_sums_on_the_padded_band(f), strict=True)):
+                q = np.repeat(q, (1 << k) // len(q))
+                assert np.array_equal(q.view(np.int64), padded.view(np.int64)), (level, amp, k)
 
 
 @pytest.mark.parametrize("spec", ["random-step:level=3,dim=1@B=6", "random-step:level=10,dim=1@B=10",
