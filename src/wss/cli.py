@@ -29,6 +29,8 @@ def _cmd_run(args) -> int:
         raise UsageError(f"no experiment sections in {args.config!r}")
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     out_dir = Path(args.out)
     try:  # before any section runs, so a bad --out costs nothing
         out_dir.mkdir(parents=True, exist_ok=True)

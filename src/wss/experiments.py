@@ -165,7 +165,7 @@ def default_probes(spec: FunctionSpec) -> tuple[list[tuple[float, float]], float
     if spec.kind == "indicator-rect" and len(spec.positional) == 4:
         xs, ys = spec.positional[:2], spec.positional[2:]
     elif spec.kind == "spike":
-        xs = ys = (2.0 ** -spec.number("level", "0", int),)
+        xs = ys = (2.0 ** -spec["level"],)
     corners = [(i / 4, j / 4) for i in range(4) for j in range(4)]
     probes = [(x + 0.125, y + 0.125) for x, y in corners
               if not any(x < e < x + 0.25 for e in xs) and not any(y < e < y + 0.25 for e in ys)]
@@ -433,6 +433,8 @@ class ExperimentConfig:
                 raise UsageError(f"unknown key {key!r} in section {self.name!r}: "
                                  f"a {kind} section takes {', '.join(keys)}")
         self.seed = self.number("seed", kind=int) if "seed" in self.options else None
+        if self.seed is not None and self.seed < 0:
+            raise UsageError(f"seed must be nonnegative, got {self.seed} in section {self.name!r}")
         spec = FunctionSpec.parse(self.get("spec"))
         if kind == "theorem1":
             runner, args = run_theorem1, (spec, self.numbers("lambda"))

@@ -1,8 +1,7 @@
 """Deterministic test-function generators and their one-token spec grammar.
 
 A spec reads  kind:params@B=<bits>  with comma-separated params that are
-either positional numbers or key=value pairs with a key of the kind (`KINDS`;
-any other key is a SpecParseError), e.g.
+either positional numbers or key=value pairs with a key of the kind, e.g.
 
     indicator-rect:0,0.5,0,0.5@B=4      1 on [0,1/2) x [0,1/2)
     walsh-tensor:3,6@B=4                w_3(x) w_6(y); "3+9" sums characters
@@ -10,8 +9,9 @@ any other key is a SpecParseError), e.g.
     random-spectrum:support=8,dim=2@B=6 iid coefficients below index 8
     spike:level=2,target=10@B=6         tall indicator with prescribed entropy
 
-`FunctionSpec.parse` reads the text once, corner counts and walsh groups
-included; `FunctionSpec.dims` is the one rule for a spec's dimension.
+`KINDS` gives each kind's keys with their types, defaults and ranges;
+`FunctionSpec.parse` reads the text once and checks every value against it
+and the bit depth against the dimension's cap, so the builders only build.
 Every kind emits its cells (`DyadicGrid.from_cells`), so a level-L
 function costs O(4^L), not O(4^B), to make (indicator-rect also reads its
 edges at 2^B points); random-spectrum synthesizes at the level of its
@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,13 +33,33 @@ from .dyadic import validate_bits, walsh_row
 from .errors import UsageError
 from .transform import DyadicGrid, DyadicGrid1D, DyadicGrid2D, _synthesis
 
-# each kind with the option keys it takes
+REQUIRED = object()  # the default of a key that must be given
+
+
+class Key(NamedTuple):
+    """A spec option: type, default (None: the run's seed), range test of v at bit depth B, message."""
+    type: type
+    default: object
+    ok: Callable = lambda v, B: True
+    message: str = ""
+
+
+_LEVEL = Key(int, REQUIRED, lambda v, B: 0 <= v <= B, "{kind} level {v} outside [0, {B}]")
+_AMP = Key(float, 1.0)
+_DIM = Key(int, 2, lambda v, B: v in (1, 2), "dim must be 1 or 2, got {v}")
+_SEED = Key(int, None, lambda v, B: v >= 0, "seed must be nonnegative, got {v}")
+
+# each kind with its option keys: the one schema a spec is parsed and checked by
 KINDS = {
-    "indicator-rect": (),
-    "walsh-tensor": (),
-    "random-step": ("level", "amp", "dim", "seed"),
-    "random-spectrum": ("support", "amp", "dim", "seed"),
-    "spike": ("level", "target"),
+    "indicator-rect": {},
+    "walsh-tensor": {},
+    "random-step": {"level": _LEVEL, "amp": _AMP, "dim": _DIM, "seed": _SEED},
+    "random-spectrum": {  # (v - 1).bit_length() <= B is v - 1 < 2^B without forming 2^B
+        "support": Key(int, REQUIRED, lambda v, B: 1 <= v and (v - 1).bit_length() <= B,
+                       "{kind} support {v} outside [1, 2^{B}]"),
+        "amp": _AMP, "dim": _DIM, "seed": _SEED},
+    "spike": {"level": _LEVEL, "target": Key(float, REQUIRED, lambda v, B: v > 0,
+                                             "{kind} target must be positive, got {v}")},
 }
 
 
@@ -56,7 +77,7 @@ def parse_number(text: str, kind: type = float, what: str = "value"):
         value = kind(text)
     except ValueError:
         value = None
-    if value is None or not math.isfinite(value):
+    if value is None or kind is float and not math.isfinite(value):  # an int is finite
         noun = "an integer" if kind is int else "a finite number"
         raise UsageError(f"{what} must be {noun}, got {text!r}")
     return value
@@ -72,18 +93,24 @@ def portable_uniforms(seed: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """Parsed form of a generator token; `text` keeps the original spelling.
-    `positional` holds indicator-rect's 2 or 4 corners as floats, or
-    walsh-tensor's index groups as int tuples ("3,6" one 2D group, "3+9" two 1D)."""
+    """Parsed and checked form of a generator token; `text` keeps the original
+    spelling.  `positional` holds indicator-rect's 2 or 4 corners as floats, or
+    walsh-tensor's index groups as int tuples ("3,6" one 2D group, "3+9" two
+    1D); `options` pairs every key of the kind with its value, read as `spec[key]`."""
 
     kind: str
     bits: int
+    dims: int
     positional: tuple
-    options: tuple[tuple[str, str], ...]
+    options: tuple[tuple[str, object], ...]
     text: str
+
+    def __getitem__(self, key: str):
+        return dict(self.options)[key]
 
     @classmethod
     def parse(cls, text: str) -> "FunctionSpec":
+        """The spec `text` says, once every value is in range (`KINDS`)."""
         if "@" not in text:
             raise SpecParseError(text, len(text), "missing @B=<bits> suffix")
         body, _, tail = text.partition("@")
@@ -98,8 +125,7 @@ class FunctionSpec:
             raise SpecParseError(text, 0, f"unknown kind {kind!r} (expected one of {tuple(KINDS)})")
         if not sep or not params:
             raise SpecParseError(text, len(kind), "missing parameter list after kind")
-        positional: list = []
-        options: list[tuple[str, str]] = []
+        keys, positional, given = KINDS[kind], [], {}  # given: key -> (value, position)
         cursor = len(kind) + 1
         for item in params.split(","):
             if not item:
@@ -108,11 +134,16 @@ class FunctionSpec:
                 key, _, value = item.partition("=")
                 if not key or not value:
                     raise SpecParseError(text, cursor, f"bad key=value item {item!r}")
-                if key not in KINDS[kind]:
-                    keys = ", ".join(KINDS[kind]) or "none"
-                    raise SpecParseError(text, cursor, f"unknown key {key!r} for {kind} (keys: {keys})")
-                options.append((key, value))
-            elif KINDS[kind]:  # a kind with option keys reads no positional item
+                if key not in keys:
+                    names = ", ".join(keys) or "none"
+                    raise SpecParseError(text, cursor, f"unknown key {key!r} for {kind} (keys: {names})")
+                if key in given:
+                    raise SpecParseError(text, cursor, f"repeated key {key!r}")
+                try:
+                    given[key] = parse_number(value, keys[key].type, f"option {key}"), cursor
+                except UsageError as exc:
+                    raise SpecParseError(text, cursor, str(exc)) from None
+            elif keys:  # a kind with option keys reads no positional item
                 raise SpecParseError(text, cursor, f"{kind} takes key=value items only, got {item!r}")
             elif kind == "walsh-tensor":  # "," extends the last index group, "+" starts one
                 at = cursor
@@ -121,6 +152,8 @@ class FunctionSpec:
                         index = int(token)
                     except ValueError:
                         raise SpecParseError(text, at, f"bad walsh index {token!r}") from None
+                    if not (0 <= index and index.bit_length() <= bits):  # 2^B is never formed
+                        raise SpecParseError(text, at, f"walsh index {index} outside [0, 2^{bits})")
                     if j or not positional:
                         positional.append(())
                     positional[-1] += (index,)
@@ -135,86 +168,59 @@ class FunctionSpec:
             raise SpecParseError(text, len(kind), "walsh-tensor groups must be all 1D or all 2D")
         if kind == "indicator-rect" and len(positional) not in (2, 4):
             raise SpecParseError(text, len(kind), "indicator-rect takes 2 or 4 corners")
-        return cls(kind, bits, tuple(positional), tuple(options), text)
-
-    def option(self, key: str, default: str | None = None) -> str | None:
-        for k, v in self.options:
-            if k == key:
-                return v
-        return default
-
-    def number(self, key: str, default: str, kind: type = float):
-        """Option `key` as a finite int or float."""
-        return parse_number(self.option(key, default), kind, f"option {key} of {self.text!r}")
-
-    @property
-    def dims(self) -> int:
-        """1 or 2: half the corners, the walsh groups' width, or the dim option."""
-        if self.kind == "indicator-rect":
-            return len(self.positional) // 2
-        if self.kind == "walsh-tensor":
-            return len(self.positional[0])
-        if self.kind == "spike":
-            return 2
-        dims = self.number("dim", "2", int)
-        if dims not in (1, 2):
-            raise UsageError(f"dim must be 1 or 2, got {dims}")
-        return dims
+        # the dimension: half the corners, the groups' width, else the dim option (a spike's is 2)
+        dims = len(positional[0]) if kind == "walsh-tensor" else len(positional) // 2 or given.get("dim", (2,))[0]
+        if dims in (1, 2):  # else the dim option's own range check names it
+            try:
+                validate_bits(bits, dims=dims)
+            except UsageError as exc:
+                raise SpecParseError(text, len(body) + 3, str(exc)) from None
+        values = {}
+        for key, option in keys.items():
+            value, pos = given.get(key, (option.default, len(body)))
+            if value is REQUIRED:
+                raise SpecParseError(text, pos, f"missing required key {key!r} for {kind}")
+            if value is not None and not option.ok(value, bits):
+                raise SpecParseError(text, pos, option.message.format(kind=kind, v=value, B=bits))
+            values[key] = value
+        if kind == "spike":  # the one range two keys fix
+            try:
+                spike_height(values["level"], values["target"])
+            except UsageError as exc:
+                raise SpecParseError(text, given["target"][1], str(exc)) from None
+        return cls(kind, bits, dims, tuple(positional), tuple(values.items()), text)
 
 
-def _seed_for(spec: FunctionSpec, seed: int) -> int:
-    return spec.number("seed", str(seed), int)
-
-
-_GRIDS = {1: DyadicGrid1D, 2: DyadicGrid2D}
-
-
-def _indicator_rect(spec: FunctionSpec) -> DyadicGrid:
+def _indicator_rect(spec: FunctionSpec, seed: int) -> np.ndarray:
     size = 1 << spec.bits
     xs = np.arange(size) / size
     corners = spec.positional
     sides = [((xs >= a) & (xs < b)).astype(np.float64) for a, b in zip(corners[0::2], corners[1::2])]
     # a sampled edge lies on a dyadic point: the product's cells are the finer side's
     step = size // max(len(DyadicGrid1D.from_cells(spec.bits, v).cells) for v in sides)
-    cells = functools.reduce(np.multiply.outer, [v[::step] for v in sides])
-    return _GRIDS[spec.dims].from_cells(spec.bits, cells)
+    return functools.reduce(np.multiply.outer, [v[::step] for v in sides])
 
 
-def _walsh_tensor(spec: FunctionSpec) -> DyadicGrid:
-    size = 1 << spec.bits
-    indices = [k for group in spec.positional for k in group]
-    for k in indices:
-        if not 0 <= k < size:
-            raise UsageError(f"walsh index {k} outside [0, 2^{spec.bits})")
+def _walsh_tensor(spec: FunctionSpec, seed: int) -> np.ndarray:
     # w_k, k < 2^level, is constant on the level-`level` cells
-    level = max(1, max(indices).bit_length())
+    level = max(1, max(k for group in spec.positional for k in group).bit_length())
     cells = np.zeros((1 << level,) * spec.dims)
     for group in spec.positional:  # sums and products of +-1 are exact in any order
         cells += functools.reduce(np.multiply.outer, [walsh_row(k, level).astype(np.float64) for k in group])
-    return _GRIDS[spec.dims].from_cells(spec.bits, cells)
+    return cells
 
 
-def _uniform_table(seed: int, side: int, dims: int, amp: float) -> np.ndarray:
-    """amp (2u - 1) for the first side^dims uniforms of `seed`, in C order."""
-    return (amp * (2.0 * portable_uniforms(seed, side**dims) - 1.0)).reshape((side,) * dims)
+def _uniform_table(spec: FunctionSpec, seed: int, side: int) -> np.ndarray:
+    """amp (2u - 1) for the first side^dims uniforms of the spec's seed, else `seed`."""
+    seed = seed if spec["seed"] is None else spec["seed"]
+    table = spec["amp"] * (2.0 * portable_uniforms(seed, side**spec.dims) - 1.0)
+    return table.reshape((side,) * spec.dims)
 
 
-def _random_step(spec: FunctionSpec, seed: int) -> DyadicGrid:
-    level = spec.number("level", "-1", int)
-    if not 0 <= level <= spec.bits:
-        raise UsageError(f"random-step level {level} outside [0, {spec.bits}]")
-    cells = _uniform_table(_seed_for(spec, seed), 1 << level, spec.dims, spec.number("amp", "1"))
-    return _GRIDS[spec.dims].from_cells(spec.bits, cells)
-
-
-def _random_spectrum(spec: FunctionSpec, seed: int) -> DyadicGrid:
-    support = spec.number("support", "0", int)
-    if not 1 <= support <= 1 << spec.bits:
-        raise UsageError(f"random-spectrum support {support} outside [1, 2^{spec.bits}]")
-    coeffs = _uniform_table(_seed_for(spec, seed), support, spec.dims, spec.number("amp", "1"))
-    level = (support - 1).bit_length()  # f is constant on the cells of this level
-    cells = _synthesis(coeffs, level, (1 << level,) * spec.dims)  # zero-padded
-    return _GRIDS[spec.dims].from_cells(spec.bits, cells)
+def _random_spectrum(spec: FunctionSpec, seed: int) -> np.ndarray:
+    coeffs = _uniform_table(spec, seed, spec["support"])
+    level = (spec["support"] - 1).bit_length()  # f is constant on the cells of this level
+    return _synthesis(coeffs, level, (1 << level,) * spec.dims)  # zero-padded
 
 
 def spike_height(level: int, target: float) -> float:
@@ -247,42 +253,31 @@ def spike_height(level: int, target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _spike(spec: FunctionSpec) -> DyadicGrid2D:
-    level = spec.number("level", "-1", int)
-    if not 0 <= level <= spec.bits:
-        raise UsageError(f"spike level {level} outside [0, {spec.bits}]")
-    target = spec.number("target", "0")
-    h = spike_height(level, target)
-    cells = np.zeros((1 << level, 1 << level))
-    cells[0, 0] = h
-    return DyadicGrid2D.from_cells(spec.bits, cells)
+def _spike(spec: FunctionSpec, seed: int) -> np.ndarray:
+    cells = np.zeros((1 << spec["level"],) * 2)
+    cells[0, 0] = spike_height(spec["level"], spec["target"])
+    return cells
+
+
+# each kind's builder: the cells of (spec, the run's seed); only the random kinds read the seed
+_BUILDERS = {"indicator-rect": _indicator_rect, "walsh-tensor": _walsh_tensor,
+             "random-step": lambda spec, seed: _uniform_table(spec, seed, 1 << spec["level"]),
+             "random-spectrum": _random_spectrum, "spike": _spike}
 
 
 def generate_function(spec: FunctionSpec | str, seed: int = 0) -> DyadicGrid:
-    """Build the deterministic grid a spec describes."""
+    """Build the deterministic grid a spec describes; a parsed spec is in range."""
     if isinstance(spec, str):
         spec = FunctionSpec.parse(spec)
-    validate_bits(spec.bits, dims=spec.dims)
-    if spec.kind == "indicator-rect":
-        return _indicator_rect(spec)
-    if spec.kind == "walsh-tensor":
-        return _walsh_tensor(spec)
-    if spec.kind == "random-step":
-        return _random_step(spec, seed)
-    if spec.kind == "random-spectrum":
-        return _random_spectrum(spec, seed)
-    if spec.kind == "spike":
-        return _spike(spec)
-    raise UsageError(f"unknown spec kind {spec.kind!r}")
+    grid = DyadicGrid1D if spec.dims == 1 else DyadicGrid2D
+    return grid.from_cells(spec.bits, _BUILDERS[spec.kind](spec, seed))
 
 
 def random_grid_1d(bits: int, seed: int, amp: float = 1.0) -> DyadicGrid1D:
     """Full-resolution random step function: the random-step of level `bits`."""
-    validate_bits(bits)
-    return DyadicGrid1D.from_cells(bits, _uniform_table(seed, 1 << bits, 1, amp))
+    return generate_function(f"random-step:level={bits},dim=1,amp={float(amp)!r}@B={bits}", seed)
 
 
 def random_grid_2d(bits: int, seed: int, amp: float = 1.0) -> DyadicGrid2D:
     """Full-resolution 2D random step function: the random-step of level `bits`."""
-    validate_bits(bits, dims=2)
-    return DyadicGrid2D.from_cells(bits, _uniform_table(seed, 1 << bits, 2, amp))
+    return generate_function(f"random-step:level={bits},dim=2,amp={float(amp)!r}@B={bits}", seed)

@@ -258,11 +258,28 @@ def test_a_bad_value_in_a_later_section_exits_2_before_any_section(tmp_path, cap
     "experiment = weak_type\noperator = V\nspec = random-step:level=3,dim=1@B=4\nlambda = 0.5,0.1",
     "experiment = weak_type\noperator = V\nspec = random-step:level=3,dim=1@B=4",
     "experiment = weak_type\noperator = M1\nspec = random-step:level=3,dim=2@B=4\ncount = 0",
+    "experiment = rodin\nspec = random-step:level=3,dim=1@B=4\nm = 4\nseed = -3",
+    *(f"experiment = theorem1\nspec = {spec}\nlambda = 1" for spec in (
+        "random-step:level=99,dim=2@B=4",
+        "random-spectrum:support=0,dim=2@B=4",
+        "random-spectrum:support=17,dim=2@B=4",
+        "random-step:level=2,amp=abc,dim=2@B=4",
+        "spike:level=2,target=-1@B=4",
+        "random-step:level=2,seed=-2,dim=2@B=4",
+        "random-step:level=2,dim=2@B=13",
+        "walsh-tensor:3,16@B=4",
+        "walsh-tensor:3,-1@B=4",
+        "spike:target=10@B=4",
+        "random-step:level=1,level=3,dim=2@B=4",
+    )),
 ], ids=["theorem2-m", "theorem2-a", "theorem2-probe", "theorem2-dim", "theorem1-lambda", "rodin-m",
-        "rodin-eps", "operator", "weak-lambda", "weak-no-lambda", "weak-count"])
+        "rodin-eps", "operator", "weak-lambda", "weak-no-lambda", "weak-count", "section-seed",
+        "spec-level", "spec-support-0", "spec-support-2^B+1", "spec-amp", "spec-target", "spec-seed",
+        "spec-2d-bits", "spec-walsh-2^B", "spec-walsh-negative", "spec-no-level", "spec-repeated-key"])
 def test_a_bad_range_in_a_later_section_exits_2_before_any_section(tmp_path, capsys, monkeypatch, late):
-    # the runners' own argument checks run at load, so the valid theorem1
-    # section does not run first and the output directory is never made
+    # the runners' own argument checks and the spec parse, which checks every
+    # range of the spec, run at load, so the valid theorem1 section does not
+    # run first and the output directory is never made
     cfg = tmp_path / "late.ini"
     cfg.write_text("[ok]\nexperiment = theorem1\nspec = random-step:level=8,dim=2@B=8\nlambda = 1\n\n"
                    f"[late]\n{late}\n")
@@ -271,6 +288,16 @@ def test_a_bad_range_in_a_later_section_exits_2_before_any_section(tmp_path, cap
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and not ran
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_negative_seed_flag_exits_2_before_any_section(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "seed.ini"
+    cfg.write_text("[ok]\nexperiment = theorem1\nspec = random-step:level=3,dim=2@B=4\nlambda = 1\n")
+    ran = []
+    monkeypatch.setattr("wss.cli.run_configured", lambda *a: ran.append(a))
+    assert main(["run", str(cfg), "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: --seed must be nonnegative, got -1\n" and not ran
     assert not (tmp_path / "out").exists()
 
 

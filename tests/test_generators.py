@@ -2,10 +2,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wss.dyadic import walsh_row
-from wss.errors import UsageError
+from wss.errors import DataError, UsageError
 from wss.generators import (
+    KINDS,
     FunctionSpec,
     SpecParseError,
     generate_function,
@@ -21,7 +24,7 @@ from wss.transform import DyadicGrid1D, DyadicGrid2D, _synthesis, inverse_wht_1d
 def test_parse_round_trip_fields():
     spec = FunctionSpec.parse("spike:level=2,target=10@B=6")
     assert spec.kind == "spike" and spec.bits == 6
-    assert spec.option("level") == "2" and spec.option("target") == "10"
+    assert spec["level"] == 2 and type(spec["level"]) is int and spec["target"] == 10.0
     assert spec.dims == 2
 
     spec = FunctionSpec.parse("indicator-rect:0,0.5,0,0.5@B=4")
@@ -122,11 +125,95 @@ def test_walsh_groups_are_held_as_int_tuples():
 @pytest.mark.parametrize("kind", ["random-step:level=1", "random-spectrum:support=1"])
 def test_dims_names_the_dim_option(kind, dim):
     # before any bit-depth check: B=13 is beyond the 2D cap but not the 1D one
-    spec = FunctionSpec.parse(f"{kind},dim={dim}@B=13")
-    with pytest.raises(UsageError, match=f"dim must be 1 or 2, got {dim}"):
-        spec.dims
-    with pytest.raises(UsageError, match=f"dim must be 1 or 2, got {dim}"):
-        generate_function(spec)
+    text = f"{kind},dim={dim}@B=13"
+    with pytest.raises(SpecParseError, match=f"dim must be 1 or 2, got {dim}") as err:
+        FunctionSpec.parse(text)
+    assert err.value.pos == text.index(",dim=") + 1
+
+
+@pytest.mark.parametrize(
+    "text, at, message",
+    [
+        ("random-step:level=99,dim=2@B=4", "level=", "random-step level 99 outside [0, 4]"),
+        ("random-step:level=-1,dim=1@B=4", "level=", "random-step level -1 outside [0, 4]"),
+        ("random-spectrum:support=0,dim=1@B=4", "support=", "random-spectrum support 0 outside [1, 2^4]"),
+        ("random-spectrum:support=17,dim=1@B=4", "support=", "random-spectrum support 17 outside [1, 2^4]"),
+        ("random-step:level=1,amp=abc@B=4", "amp=", "option amp must be a finite number, got 'abc'"),
+        ("random-step:level=1,amp=inf@B=4", "amp=", "option amp must be a finite number, got 'inf'"),
+        ("random-step:level=1.5@B=4", "level=", "option level must be an integer, got '1.5'"),
+        ("random-step:level=" + "9" * 400 + "@B=4", "level=", "random-step level 999"),  # no float cast
+        ("random-step:level=1,seed=-2@B=4", "seed=", "seed must be nonnegative, got -2"),
+        ("spike:level=1,target=-1@B=4", "target=", "spike target must be positive, got -1.0"),
+        ("spike:level=7,target=1@B=6", "level=", "spike level 7 outside [0, 6]"),
+        ("spike:level=0,target=1e306@B=6", "target=", "spike target unreachable in float64"),
+        ("spike:target=10@B=6", "@", "missing required key 'level' for spike"),
+        ("random-spectrum:dim=1@B=6", "@", "missing required key 'support' for random-spectrum"),
+        ("random-step:level=1,dim=2@B=13", "13", "bit depth 13 outside [1, 12] for 2D grids"),
+        ("spike:level=1,target=1@B=40", "40", "bit depth 40 outside [1, 12] for 2D grids"),
+        ("random-step:level=1,dim=1@B=0", "0", "bit depth 0 outside [1, 24] for 1D grids"),
+        ("walsh-tensor:16@B=4", "16", "walsh index 16 outside [0, 2^4)"),
+        ("walsh-tensor:3,-1@B=4", "-1", "walsh index -1 outside [0, 2^4)"),
+        ("walsh-tensor:3+9@B=99999999999", "99999999999", "bit depth 99999999999 outside [1, 24]"),
+        ("random-spectrum:support=9@B=99999999999", "99999999999", "bit depth 99999999999 outside"),
+    ],
+)
+def test_every_range_is_checked_at_parse(text, at, message):
+    # a parsed spec is in range: nothing is left for the builders to reject
+    with pytest.raises(SpecParseError, match=re.escape(message)) as err:
+        FunctionSpec.parse(text)
+    assert err.value.pos == text.rindex(at)  # the item, the bit depth, or "@" for a missing key
+
+
+@pytest.mark.parametrize("text, key", [
+    ("random-step:level=1,level=3,dim=1@B=4", "level"),
+    ("random-spectrum:support=2,dim=1,amp=2,dim=1@B=4", "dim"),
+    ("spike:level=1,target=2,target=2@B=4", "target"),
+])
+def test_a_repeated_key_is_an_error_at_its_second_item(text, key):
+    with pytest.raises(SpecParseError, match=f"repeated key {key!r}") as err:
+        FunctionSpec.parse(text)
+    assert err.value.pos == text.rindex(f",{key}=") + 1
+
+
+# mostly in-range values, then values at and past every range's edge and some
+# that are no number; levels and supports stop at 10, and a bit depth past 10
+# is 13 or 25, which only a 1D spec (13) takes, so a grid holds at most 4^10
+# cells (2^13 for a 1D indicator)
+_SMALL = st.integers(1, 4).map(str)
+_VALUES = st.one_of(_SMALL, _SMALL, _SMALL, _SMALL, st.integers(-3, 10).map(str),
+                    st.sampled_from(["0.5", "1e308", "1e-310", "1e306", "abc", "nan", "inf", "99999999999"]))
+_COUNT = st.integers(0, 15).map(lambda n: 0 if n == 0 else 2 if n == 15 else 1)  # mostly once
+
+
+@st.composite
+def _spec_texts(draw):
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    if KINDS[kind]:  # each key of the kind 0, 1 or 2 times, in any order
+        items = [f"{key}={draw(_VALUES)}" for key in KINDS[kind] for _ in range(draw(_COUNT))]
+        items = draw(st.permutations(items))
+    elif kind == "walsh-tensor":
+        indices = draw(st.lists(st.integers(-2, 40).map(str), min_size=1, max_size=4))
+        items = ["".join(k + draw(st.sampled_from(",+")) for k in indices)[:-1]]
+    else:
+        items = draw(st.lists(st.sampled_from(["0", "0.25", "0.3", "0.5", "1", "-1", "2", "x"]), max_size=5))
+    bits = draw(st.one_of(st.integers(4, 8), st.integers(4, 8), st.integers(-1, 10), st.sampled_from([13, 25])))
+    return f"{kind}:{','.join(items)}@B={bits}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_spec_texts(), st.integers(0, 2**70))
+def test_every_spec_the_parse_accepts_generates(text, seed):
+    # the parse checks every range, so generation raises no UsageError; only a
+    # value beyond float64 (a random spectrum of amp 1e308) may still overflow
+    try:
+        spec = FunctionSpec.parse(text)
+    except SpecParseError:
+        return
+    try:
+        f = generate_function(spec, seed)
+    except DataError:
+        return
+    assert f.bits == spec.bits and f.cells.ndim == spec.dims
 
 
 def test_each_kind_takes_its_documented_keys():

@@ -1,5 +1,5 @@
-"""The README's "Library layout" table names only code that exists, and its
-config example runs."""
+"""The README's "Library layout" table names only code that exists, its
+function-spec table is `generators.KINDS`, and its config example runs."""
 import importlib
 import re
 from pathlib import Path
@@ -38,3 +38,20 @@ def test_config_example_runs(tmp_path, capsys):
     (tmp_path / "example.ini").write_text(example)
     assert main(["run", str(tmp_path / "example.ini"), "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "report.csv").read_text().count("\n") > 4
+
+
+def test_function_spec_table_is_the_schema():
+    from wss.generators import KINDS, REQUIRED
+
+    named = {REQUIRED: "required", None: "the run's seed"}  # the defaults the table spells out
+    text = README.read_text().split("## Function specs", 1)[1]
+    table = text.split("| kind | key | type | default | range |\n", 1)[1].split("\n\n", 1)[0]
+    readme = {}
+    for line in table.splitlines()[1:]:
+        kind, key, type_, default, _ = [cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+        keys = readme.setdefault(kind, {})
+        if key != "none":
+            keys[key] = (type_, default if default in named.values() else float(default))
+    schema = {kind: {key: (option.type.__name__, named.get(option.default, option.default))
+                     for key, option in keys.items()} for kind, keys in KINDS.items()}
+    assert readme == schema
