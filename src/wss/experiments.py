@@ -406,6 +406,7 @@ _KINDS = {"theorem1": ("spec lambda mode", _theorem1_args),
           "theorem2": ("spec a m probes", _theorem2_args),
           "rodin": ("spec phi m eps", _rodin_args),
           "weak_type": ("spec operator count lambda", _weak_type_args)}
+MAX_COUNT = 4096  # instances in one weak_type section
 
 
 @dataclass
@@ -452,7 +453,10 @@ class ExperimentConfig:
             runner, args = run_rodin_1d, (spec, phi, ms, self.number("eps", "0.01"))
         else:
             lambdas = self.numbers("lambda") if "lambda" in self.options else None
-            specs = [spec] * self.number("count", "1", int)
+            count = self.number("count", "1", int)
+            if count > MAX_COUNT:  # before a list of that length is made
+                raise UsageError(f"count must be at most {MAX_COUNT}, got {count} in section {self.name!r}")
+            specs = [spec] * count
             runner, args = run_weak_type_suite, (self.get("operator"), specs, lambdas)
         checked(*args)  # every range the values fix, before any section runs
         self.call = functools.partial(runner, *args)

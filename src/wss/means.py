@@ -92,16 +92,16 @@ def bmo_of_diagonal_sums(field: DiagonalSumField) -> DyadicGrid2D:
     """At each grid point, the BMO norm of the sequence n -> S_nn(x, y),
     n = 0..2^bits - 1.
 
-    The field's (x, y, n) blocks go through one batched oscillation pyramid
-    with the Chan-Golub-LeVeque merge, `_max_mean_square_oscillation`.
-    S_nn = S_KK for n >= K, the field's band (a power of two, at most N), so
-    the pyramid reads each sequence up to n = K and continues it as S_KK up
-    to N: O(K N^2 + N^2 log N) arithmetic (K = N: about 2 N^3 (interval,
-    point) pairs), besides the blocks' O(N^3) copy of S_KK past K, and a few
-    blocks of memory.  The norm is 1-homogeneous, so it runs on
-    `_pow2_scaled` profiles and the result is scaled back: squares of huge or
-    tiny amplitudes neither overflow nor underflow, and in-range results keep
-    every bit.
+    A field block repeats one slab over the rows of a level-l x-cell,
+    2^l = max(2, K), so one batched oscillation pyramid with the
+    Chan-Golub-LeVeque merge, `_max_mean_square_oscillation`, reduces each
+    slab once.  S_nn = S_KK for n >= K, the field's band (a power of two, at
+    most N), so the pyramid reads each sequence up to n = K and continues it
+    as S_KK up to N: O(2^l N (K + log N)) arithmetic (K = N: about 2 N^3
+    (interval, point) pairs) and one slab of memory.  The norm is
+    1-homogeneous, so it runs on `_pow2_scaled` profiles and the result is
+    scaled back: squares of huge or tiny amplitudes neither overflow nor
+    underflow, and in-range results keep every bit.
     """
     if field.size < 2:
         raise UsageError("diagonal field must cover at least 2 indices")
@@ -110,7 +110,7 @@ def bmo_of_diagonal_sums(field: DiagonalSumField) -> DyadicGrid2D:
     scaled = DiagonalSumField(field.bits, *profiles)
     out = np.empty((n, n))
     for sl, block in scaled.iter_sequence_blocks():
-        out[sl] = _max_mean_square_oscillation(block[..., :k], block[..., k], n)
+        out[sl] = _max_mean_square_oscillation(block[0, :, :k], block[0, :, k], n)
     return DyadicGrid2D(field.bits, np.ldexp(np.sqrt(out), exponent))
 
 

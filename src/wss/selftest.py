@@ -66,11 +66,11 @@ def _check_martingale() -> tuple[bool, str]:
 
 
 def _check_quadratic_sums() -> tuple[bool, str]:
-    f = random_grid_2d(4, seed=404)
-    fast = oracles.materialize(quadratic_sums(f))
-    brute = oracles.diagonal_sums_brute(f)
-    gap = float(np.abs(fast - brute).max())
-    return gap <= 1e-10, f"incremental vs per-n synthesis gap {gap:.3g}"
+    gap = 0.0  # K = N streams one x-row per block; the level-2 spike 4 x-cells of 8 rows
+    for f in (random_grid_2d(4, seed=404), generate_function("spike:level=2,target=10@B=5")):
+        fast = oracles.materialize(quadratic_sums(f))
+        gap = max(gap, float(np.abs(fast - oracles.diagonal_sums_brute(f)).max()))
+    return gap <= 1e-10, f"incremental vs per-n synthesis gap {gap:.3g}, level-2 spike included"
 
 
 def _check_bmo() -> tuple[bool, str]:
@@ -83,14 +83,14 @@ def _check_bmo() -> tuple[bool, str]:
 
 
 def _check_bmo_diagonal() -> tuple[bool, str]:
-    f = random_grid_2d(4, seed=808)
-    field = quadratic_sums(f)
-    fast = bmo_of_diagonal_sums(field).samples
-    cube = oracles.materialize(field)[: f.size]
-    brute = np.array([[oracles.bmo_sequence_brute(cube[:, ix, iy]) for iy in range(f.size)]
-                      for ix in range(f.size)])
-    gap = float(np.abs(fast - brute).max() / brute.max())
-    return gap <= 1e-12, f"pyramid vs interval enumeration, relative gap {gap:.3g}"
+    gap = 0.0
+    for f in (random_grid_2d(4, seed=808), generate_function("random-step:level=2,dim=2@B=4", 808)):
+        fast = bmo_of_diagonal_sums(quadratic_sums(f)).samples
+        cube = oracles.diagonal_sums_brute(f)[: f.size]  # per-n synthesis, not the stream
+        brute = np.array([[oracles.bmo_sequence_brute(cube[:, ix, iy]) for iy in range(f.size)]
+                          for ix in range(f.size)])
+        gap = max(gap, float(np.abs(fast - brute).max() / brute.max()))
+    return gap <= 1e-12, f"pyramid vs interval enumeration, level-2 step included, relative gap {gap:.3g}"
 
 
 def _check_bmo_band() -> tuple[bool, str]:

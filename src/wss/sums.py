@@ -11,8 +11,8 @@ each step is the rank-two update w_v(x) u[v, y] + v[v, x] w_v(y), so the full
 field costs O(2^{3B}) and a single point's sequence costs O(2^B).  f_hat lives
 on the K x K band `_analysis` returns, so every step from n = K is 0 and
 S_nn = S_KK.  Only the (K, 2^B) profiles are stored; the field streams
-(x, y, n) blocks of whole per-point sequences, each one cumulative sum of the
-steps below K in a fixed byte budget, never the (2^B + 1) x 2^B x 2^B cube.
+(x, y, n) blocks of whole per-point sequences, one slab per level-l x-cell,
+2^l = max(2, K), never the (2^B + 1) x 2^B x 2^B cube.
 Every partial sum and profile is one truncated synthesis,
 `wss.transform._synthesis`; the sums of (S_l f)^2 over the dyadic blocks
 of orders at every point come from one Paley prefix scan, `_paley_scan`.
@@ -26,8 +26,7 @@ import numpy as np
 
 from .dyadic import walsh_matrix, walsh_matrix_f64, walsh_row
 from .errors import DataError, UsageError
-from .transform import (BLOCK_BYTES, DyadicGrid1D, DyadicGrid2D, _analysis, _pow2_scaled, _synthesis,
-                        _zero_padded)
+from .transform import DyadicGrid1D, DyadicGrid2D, _analysis, _pow2_scaled, _synthesis, _zero_padded
 
 
 def partial_sum_1d(f: DyadicGrid1D, n: int) -> DyadicGrid1D:
@@ -115,9 +114,9 @@ class DiagonalSumField:
     """All quadratic partial sums S_nn(x, y; f), n = 0..2^bits, kept as the
     (K, N) row and column profiles, K the band: S_nn = S_KK for n >= K.
 
-    `iter_sequence_blocks` yields blocks of x-rows in (x, y, n) order, so each
-    grid point's whole sequence n -> S_nn(x, y) is contiguous; `sequence_at`
-    gives one point.
+    `iter_sequence_blocks` yields a block of x-rows per dyadic x-cell in
+    (x, y, n) order, so each grid point's whole sequence n -> S_nn(x, y) is
+    contiguous; `sequence_at` gives one point.
     """
 
     bits: int
@@ -146,35 +145,32 @@ class DiagonalSumField:
     def iter_sequence_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
         """Yield (x-slice, block) with block[xi, y, n] = S_nn(x, y), n = 0..2^bits.
 
-        Blocks cover the grid in row order.  Each holds as many x-rows as fit
-        in BLOCK_BYTES (at least one, at most N): a block that stays in
-        cache beats a larger one.  The rank-two steps below the band K are
-        formed from the band's Walsh matrix, repeated down the x-rows, and the
-        transposed profile tables directly in (x, y, n) order and summed along
-        n into the block, with no copy after; from n = K on every step is 0, so
-        the rest of each sequence is S_KK, copied.  Every block is a view of one
-        buffer: it is valid only until the next block is yielded; never write it.
+        One block per level-l x-cell, in row order, l = max(1, log2 K): below
+        the band K every w_m(x) and both profiles are constant on the level-l
+        cells, so the cell's rows share one (N, N + 1) slab of sequences.  Its
+        rank-two steps are formed once on the 2^l y-cells from the band's Walsh
+        matrix and the coarse profiles, summed along n into the slab, copied
+        along y, and from n = K on continued as S_KK.  A block is the slab
+        broadcast over the cell's rows (row stride 0 when a cell has more than
+        one row), read-only, and valid only until the next block is yielded.
         """
         n, k = self.size, len(self.row_profiles)
-        per_block = min(n, max(1, BLOCK_BYTES // (8 * n * (n + 1))))
-        # row x of the symmetric Walsh matrix holds w_m(x): for m < K <= 2^level, row x >> (bits - level)
         level = max(1, (k - 1).bit_length())
-        w_t = np.repeat(walsh_matrix_f64(level)[:, :k], n >> level, axis=0)
-        u_t = np.ascontiguousarray(self.row_profiles.T)
-        v_t = np.ascontiguousarray(self.col_profiles.T)
-        steps = np.empty((per_block, n, k))  # scratch reused by every block
-        cross = np.empty_like(steps)
-        buf = np.zeros((per_block, n, n + 1))  # column 0 stays 0; fresh blocks would fault pages in
-        for x0 in range(0, n, per_block):
-            sl = slice(x0, min(x0 + per_block, n))
-            rows = sl.stop - sl.start
-            block = buf[:rows]
-            np.multiply(w_t[sl, None, :], u_t, out=steps[:rows])
-            np.multiply(v_t[sl, None, :], w_t, out=cross[:rows])
-            steps[:rows] += cross[:rows]
-            np.cumsum(steps[:rows], axis=-1, out=block[..., 1:k + 1])
-            block[..., k + 1:] = block[..., k, None]
-            yield sl, block
+        rows = n >> level
+        # row i of the symmetric Walsh matrix holds w_m on cell i, m < K <= 2^level
+        w = walsh_matrix_f64(level)[:, :k]
+        u, v = self.row_profiles[:, ::rows].T, self.col_profiles[:, ::rows].T
+        steps, cross = np.empty(w.shape), np.empty(w.shape)  # scratch reused by every cell
+        slab = np.zeros((n, n + 1))  # column 0 stays 0
+        cells = slab[:, 1:k + 1].reshape((1 << level, rows, k), copy=False)  # a view or an error
+        for i in range(1 << level):
+            np.multiply(w[i], u, out=steps)
+            np.multiply(v[i], w, out=cross)
+            steps += cross
+            np.cumsum(steps, axis=-1, out=cells[:, 0])
+            cells[:, 1:] = cells[:, :1]
+            slab[:, k + 1:] = slab[:, k, None]
+            yield slice(i * rows, (i + 1) * rows), np.broadcast_to(slab, (rows, n, n + 1))
 
 
 def quadratic_sums(f: DyadicGrid2D, mode: str = "auto") -> DiagonalSumField:

@@ -1,12 +1,10 @@
-import contextlib
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from wss import sums
-from wss.generators import portable_uniforms
+from wss.generators import generate_function, portable_uniforms, random_grid_2d
+from wss.transform import DyadicGrid2D
 
 
 def dyadic_rationals(seed: int, count: int, scale_bits: int = 6, value_bits: int = 12) -> np.ndarray:
@@ -32,13 +30,25 @@ def traced_peak_ratio(fn, grid) -> float:
     return peak / grid.samples.nbytes
 
 
-def block_rows(field, rows):
-    """Patch `wss.sums.BLOCK_BYTES` so that the field's sequence blocks hold
-    `rows` x-rows (None: leave the default budget)."""
-    if rows is None:
-        return contextlib.nullcontext()
-    n = field.size
-    return mock.patch.object(sums, "BLOCK_BYTES", rows * 8 * n * (n + 1))
+SPEC_KINDS = ("spike", "random-step", "walsh-tensor", "indicator-rect", "random-spectrum")
+
+
+def band_limited(kind, bits):
+    """A 2D grid at 2^bits of a spec kind, most on cells coarser than the
+    grid, or "zero", or "random" (full resolution: band K = N)."""
+    n = 1 << bits
+    specs = {
+        "spike": f"spike:level={min(bits, 2)},target=10@B={bits}",
+        "random-step": f"random-step:level={bits - 1},dim=2@B={bits}",
+        "walsh-tensor": f"walsh-tensor:1,{max(n // 2 - 1, 0)}@B={bits}",
+        "indicator-rect": f"indicator-rect:0.5,1,0,0.5@B={bits}",
+        "random-spectrum": f"random-spectrum:support={min(n, 3)},dim=2@B={bits}",
+    }
+    if kind == "zero":
+        return DyadicGrid2D(bits, np.zeros((n, n)))
+    if kind == "random":
+        return random_grid_2d(bits, seed=60 + bits)
+    return generate_function(specs[kind], 60 + bits)
 
 
 @pytest.fixture

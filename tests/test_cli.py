@@ -1,7 +1,10 @@
 import contextlib
 import csv
 import io
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -12,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wss.cli import main
+from wss.experiments import MAX_COUNT, load_config
 from wss.generators import generate_function
 from wss.sums import partial_sum_1d
 
@@ -289,6 +293,33 @@ def test_a_bad_range_in_a_later_section_exits_2_before_any_section(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and not ran
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("count", [10**30, MAX_COUNT + 1])
+def test_a_weak_type_count_past_the_cap_exits_2_at_load(tmp_path, capsys, monkeypatch, count):
+    # checked before the section's list of `count` specs is made
+    cfg = tmp_path / "count.ini"
+    cfg.write_text(f"[weak]\nexperiment = weak_type\noperator = M1\n"
+                   f"spec = random-step:level=3,dim=2@B=4\ncount = {count}\n")
+    ran = []
+    monkeypatch.setattr("wss.cli.run_configured", lambda *a: ran.append(a))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: count must be at most {MAX_COUNT}, got {count} in section 'weak'\n" and not ran
+    cfg.write_text(cfg.read_text().replace(f"count = {count}", f"count = {MAX_COUNT}"))
+    (section,) = load_config(str(cfg))
+    assert len(section.call.args[1]) == MAX_COUNT
+
+
+def test_run_does_not_import_the_oracles():
+    # `wss run` never reaches the selftest battery, so importing the CLI
+    # leaves it and its brute-force oracles unloaded
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", "import sys, wss.cli; print(*sys.modules)"],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.split()
+    assert "wss.cli" in loaded and "wss.selftest" not in loaded and "wss.oracles" not in loaded
 
 
 def test_a_negative_seed_flag_exits_2_before_any_section(tmp_path, capsys, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import block_rows, dyadic_rationals, traced_peak_ratio
+from conftest import SPEC_KINDS, band_limited, dyadic_rationals, traced_peak_ratio
 from wss import means, oracles
 from wss.errors import DataError, UsageError
 from wss.generators import generate_function, random_grid_1d, random_grid_2d
@@ -164,42 +164,44 @@ def test_bmo_of_diagonal_sums_scale_equivariant():
         assert np.abs(out - abs(c) * base).max() <= 1e-12 * max(1.0, abs(c))
 
 
-def test_bmo_of_diagonal_sums_streaming_agrees():
-    # each point's sequence is reduced on its own, so the blocking cannot matter
-    field = quadratic_sums(random_grid_2d(4, seed=24))
-    base = bmo_of_diagonal_sums(field).samples
-    for rows in (1, 3, 5):
-        with block_rows(field, rows):
-            assert np.array_equal(bmo_of_diagonal_sums(field).samples, base)
+@pytest.mark.parametrize("spec", ["spike:level=2,target=10@B=5", "random-step:level=3,dim=2@B=5", "random"])
+def test_bmo_of_diagonal_sums_streaming_agrees(spec):
+    # each point's sequence is reduced on its own, so reducing one row per
+    # x-cell equals reducing every streamed row
+    f = random_grid_2d(5, seed=24) if spec == "random" else generate_function(spec, 24)
+    field = quadratic_sums(f)
+    k = len(field.row_profiles)
+    rows = np.concatenate([_max_mean_square_oscillation(block[..., :k], block[..., k], field.size)
+                           for _, block in field.iter_sequence_blocks()])
+    assert np.array_equal(bmo_of_diagonal_sums(field).samples, np.sqrt(rows))
 
 
-def _band_limited(kind, bits):
-    n = 1 << bits
-    specs = {
-        "spike": f"spike:level={min(bits, 2)},target=10@B={bits}",
-        "random-step": f"random-step:level={bits - 1},dim=2@B={bits}",
-        "walsh-tensor": f"walsh-tensor:1,{max(n // 2 - 1, 0)}@B={bits}",
-        "indicator-rect": f"indicator-rect:0.5,1,0,0.5@B={bits}",
-        "random-spectrum": f"random-spectrum:support={min(n, 3)},dim=2@B={bits}",
-    }
-    if kind == "zero":
-        return DyadicGrid2D(bits, np.zeros((n, n)))
-    if kind == "random":
-        return random_grid_2d(bits, seed=60 + bits)
-    return generate_function(specs[kind], 60 + bits)
+@pytest.mark.parametrize("bits", range(1, 6))
+@pytest.mark.parametrize("kind", SPEC_KINDS)
+def test_bmo_of_every_kind_matches_brute_on_per_n_synthesis(kind, bits):
+    # the oracle cube is synthesized order by order, never read from the stream
+    f = band_limited(kind, bits)
+    out = bmo_of_diagonal_sums(quadratic_sums(f)).samples
+    cube = oracles.diagonal_sums_brute(f)[: f.size]
+    brute = np.array([[oracles.bmo_sequence_brute(cube[:, ix, iy]) for iy in range(f.size)]
+                      for ix in range(f.size)])
+    assert np.abs(out - brute).max() <= 1e-12 * max(1.0, brute.max())
 
 
 @pytest.mark.parametrize("bits", range(1, 8))
 @pytest.mark.parametrize("kind", ["spike", "random-step", "walsh-tensor", "indicator-rect",
                                   "zero", "random"])
 def test_bmo_stopped_at_the_support_equals_all_orders(kind, bits):
-    field = quadratic_sums(_band_limited(kind, bits))
+    field = quadratic_sums(band_limited(kind, bits))
     full = oracles.bmo_of_all_diagonal_orders(field)
     assert np.array_equal(bmo_of_diagonal_sums(field).samples, full)
-    if kind in ("spike", "walsh-tensor") and bits >= 3:
-        for rows in (1, 3, 5):
-            with block_rows(field, rows):
-                assert np.array_equal(bmo_of_diagonal_sums(field).samples, full)
+
+
+def _streamed_rows(field):
+    """(x, its (N, N + 1) sequences) for each x-row of the field's stream, in
+    stream order; a row is valid until the stream moves to its next block."""
+    for sl, block in field.iter_sequence_blocks():
+        yield from zip(range(sl.start, sl.stop), block, strict=True)
 
 
 @pytest.mark.parametrize("bits", range(1, 8))
@@ -208,7 +210,7 @@ def test_bmo_stopped_at_the_support_equals_all_orders(kind, bits):
 def test_k_row_field_equals_the_full_table_field(kind, bits):
     # (K, N) profiles from the K x K band against (N, N) tables, band N,
     # whose rows from K on are exact zeros: every read agrees bit for bit
-    f = _band_limited(kind, bits)
+    f = band_limited(kind, bits)
     field, full = quadratic_sums(f), oracles.full_profile_field(f)
     n, k = f.size, len(field.row_profiles)
     assert len(full.row_profiles) == len(full.col_profiles) == n
@@ -219,11 +221,10 @@ def test_k_row_field_equals_the_full_table_field(kind, bits):
     sequences = [[field.sequence_at(ix, iy) for iy in range(n)] for ix in range(n)]
     assert np.array_equal(np.moveaxis(sequences, -1, 0), oracles.materialize(full))
     assert np.array_equal(oracles.materialize(field), oracles.materialize(full))
-    for rows in (1, 3, None):
-        with block_rows(field, rows):
-            pairs = zip(field.iter_sequence_blocks(), full.iter_sequence_blocks(), strict=True)
-            for (sl, block), (full_sl, full_block) in pairs:
-                assert sl == full_sl and np.array_equal(block, full_block)
+    # the K-row field streams a block per x-cell, the full tables one per row
+    pairs = zip(_streamed_rows(field), _streamed_rows(full), strict=True)
+    for x, ((ix, row), (full_ix, full_row)) in enumerate(pairs):
+        assert ix == full_ix == x and np.array_equal(row.view(np.int64), full_row.view(np.int64))
     assert np.array_equal(bmo_of_diagonal_sums(field).samples, bmo_of_diagonal_sums(full).samples)
 
 
@@ -236,9 +237,9 @@ def _band(f):
 def test_diagonal_field_band_is_the_dyadic_level():
     # K = 2^L, L the coarsest level on whose cells f is constant, whatever
     # the last nonzero order: w_9 ends at order 10 but lives on level-4 cells
-    assert _band(_band_limited("spike", 5)) == 4
-    assert _band(_band_limited("zero", 5)) == 1
-    assert _band(_band_limited("random", 5)) == 32
+    assert _band(band_limited("spike", 5)) == 4
+    assert _band(band_limited("zero", 5)) == 1
+    assert _band(band_limited("random", 5)) == 32
     assert _band(generate_function("walsh-tensor:2,9@B=5")) == 16
     for level in range(6):
         assert _band(generate_function(f"random-step:level={level},dim=2@B=5", level)) == 1 << level

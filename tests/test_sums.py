@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import block_rows
+from conftest import SPEC_KINDS, band_limited
 from wss import oracles
 from wss.dyadic import walsh_row
 from wss.errors import DataError, UsageError
@@ -137,9 +137,8 @@ def test_streaming_matches_full():
     lazy = quadratic_sums(f)
     full = oracles.materialize(lazy)
     got = np.empty_like(full)
-    with block_rows(lazy, 5):
-        for sl, block in lazy.iter_sequence_blocks():
-            got[:, sl, :] = block.transpose(2, 0, 1)
+    for sl, block in lazy.iter_sequence_blocks():
+        got[:, sl, :] = block.transpose(2, 0, 1)
     assert np.abs(got - full).max() <= 1e-12
     seq = lazy.sequence_at(3, 12)
     assert np.abs(seq - full[:, 3, 12]).max() <= 1e-12
@@ -153,28 +152,60 @@ def test_sequence_blocks_past_the_support_equal_each_point_sequence(spec):
     f = random_grid_2d(4, seed=13) if spec == "random" else generate_function(spec, 13)
     field = quadratic_sums(f)
     assert len(field.row_profiles) == {"random": 16}.get(spec, 4)
-    for rows in (None, 1, 5):
-        with block_rows(field, rows):
-            for sl, block in field.iter_sequence_blocks():
-                assert block.shape == (sl.stop - sl.start, 16, 17)
-                for xi, ix in enumerate(range(sl.start, sl.stop)):
-                    for iy in range(16):
-                        assert np.array_equal(block[xi, iy], field.sequence_at(ix, iy))
+    covered = 0
+    for sl, block in field.iter_sequence_blocks():
+        assert sl.start == covered and block.shape == (sl.stop - sl.start, 16, 17)
+        for xi, ix in enumerate(range(sl.start, sl.stop)):
+            for iy in range(16):
+                assert np.array_equal(block[xi, iy], field.sequence_at(ix, iy))
+        covered = sl.stop
+    assert covered == 16
     zero = quadratic_sums(DyadicGrid2D(4, np.zeros((16, 16))))
     assert len(zero.row_profiles) == 1 and not any(block.any() for _, block in zero.iter_sequence_blocks())
 
 
-def test_sequence_blocks_reuse_one_buffer():
-    field = quadratic_sums(random_grid_2d(4, seed=14))
-    with block_rows(field, 5):
-        blocks = field.iter_sequence_blocks()
-        (_, first), (_, second) = next(blocks), next(blocks)
+@pytest.mark.parametrize("spec, rows", [("random", 1), ("spike:level=2,target=10@B=4", 4)])
+def test_sequence_blocks_reuse_one_buffer(spec, rows):
+    f = random_grid_2d(4, seed=14) if spec == "random" else generate_function(spec, 14)
+    field = quadratic_sums(f)
+    blocks = field.iter_sequence_blocks()
+    (_, first), (sl, second) = next(blocks), next(blocks)
     assert np.shares_memory(first, second)  # the first block is now overwritten
-    assert np.array_equal(second[0, 3], field.sequence_at(5, 3))
-    # the last, shorter block is a prefix of the same buffer, column 0 still zero
+    assert sl == slice(rows, 2 * rows) and np.array_equal(second[-1, 3], field.sequence_at(2 * rows - 1, 3))
+    # every block, the last included, is the same slab, column 0 still zero
     *_, (_, last) = blocks
-    assert last.shape == (1, 16, 17) and np.shares_memory(last, second) and not last[..., 0].any()
-    assert np.array_equal(last[0, 9], field.sequence_at(15, 9))
+    assert last.shape == (rows, 16, 17) and np.shares_memory(last, second) and not last[..., 0].any()
+    assert np.array_equal(last[-1, 9], field.sequence_at(15, 9))
+    with pytest.raises(ValueError):
+        last[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("kind", SPEC_KINDS + ("zero", "random"))
+def test_sequence_blocks_one_slab_per_cell(kind):
+    # one read-only block per level-l x-cell, 2^l = max(2, K), whose rows
+    # all view one slab: a row stride of 0 when a cell has several rows
+    field = quadratic_sums(band_limited(kind, 5))
+    cells = max(2, len(field.row_profiles))
+    rows = 32 // cells
+    count = 0
+    for i, (sl, block) in enumerate(field.iter_sequence_blocks()):
+        assert sl == slice(i * rows, (i + 1) * rows) and block.shape == (rows, 32, 33)
+        assert not block.flags.writeable and (rows == 1 or block.strides[0] == 0)
+        for xi, ix in enumerate(range(sl.start, sl.stop)):
+            for iy in range(32):
+                assert np.array_equal(block[xi, iy], field.sequence_at(ix, iy))
+        count += 1
+    assert count == cells
+
+
+@pytest.mark.parametrize("bits", range(1, 7))
+@pytest.mark.parametrize("kind", SPEC_KINDS)
+def test_diagonal_field_of_every_kind_matches_per_n_synthesis(kind, bits):
+    # the streamed x-cells against one truncated synthesis per order n
+    f = band_limited(kind, bits)
+    cube, brute = oracles.materialize(quadratic_sums(f)), oracles.diagonal_sums_brute(f)
+    for n in range(f.size + 1):
+        assert np.abs(cube[n] - brute[n]).max() <= 1e-10
 
 
 def test_legacy_modes_build_the_same_field():
