@@ -90,28 +90,27 @@ def bmo_sequence_norm(xi) -> float:
 
 def bmo_of_diagonal_sums(field: DiagonalSumField) -> DyadicGrid2D:
     """At each grid point, the BMO norm of the sequence n -> S_nn(x, y),
-    n = 0..2^bits - 1.
+    n = 0..2^bits - 1, on the field's level-l cells, 2^l = max(2, K).
 
-    A field block repeats one slab over the rows of a level-l x-cell,
-    2^l = max(2, K), so one batched oscillation pyramid with the
-    Chan-Golub-LeVeque merge, `_max_mean_square_oscillation`, reduces each
-    slab once.  S_nn = S_KK for n >= K, the field's band (a power of two, at
-    most N), so the pyramid reads each sequence up to n = K and continues it
-    as S_KK up to N: O(2^l N (K + log N)) arithmetic (K = N: about 2 N^3
-    (interval, point) pairs) and one slab of memory.  The norm is
+    Every S_nn is constant on those cells, so one batched oscillation pyramid
+    with the Chan-Golub-LeVeque merge, `_max_mean_square_oscillation`,
+    reduces the 2^l sequences of each x-cell's slab.  S_nn = S_KK for n >= K,
+    so the pyramid reads each sequence up to n = K and continues it as S_KK
+    up to N: O(4^l (K + log N)) arithmetic (K = N: about 2 N^3 (interval,
+    point) pairs), one slab and the 4^l results in memory.  The norm is
     1-homogeneous, so it runs on `_pow2_scaled` profiles and the result is
     scaled back: squares of huge or tiny amplitudes neither overflow nor
     underflow, and in-range results keep every bit.
     """
     if field.size < 2:
         raise UsageError("diagonal field must cover at least 2 indices")
-    n, k = field.size, len(field.row_profiles)
+    n, (k, cells) = field.size, field.row_profiles.shape
     exponent, profiles = _pow2_scaled(field.row_profiles, field.col_profiles)
     scaled = DiagonalSumField(field.bits, *profiles)
-    out = np.empty((n, n))
-    for sl, block in scaled.iter_sequence_blocks():
-        out[sl] = _max_mean_square_oscillation(block[0, :, :k], block[0, :, k], n)
-    return DyadicGrid2D(field.bits, np.ldexp(np.sqrt(out), exponent))
+    out = np.empty((cells, cells))
+    for i, (_, block) in enumerate(scaled.iter_sequence_blocks()):
+        out[i] = _max_mean_square_oscillation(block[0, :, 0, :k], block[0, :, 0, k], n)
+    return DyadicGrid2D.from_cells(field.bits, np.ldexp(np.sqrt(out, out=out), exponent, out=out))
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,7 @@ def materialize(field: DiagonalSumField) -> np.ndarray:
     """The (N+1, N, N) cube values[n] = S_nn, stacked from the field's blocks."""
     out = np.empty((field.size + 1, field.size, field.size))
     for sl, block in field.iter_sequence_blocks():
-        out[:, sl, :] = np.moveaxis(block, -1, 0)
+        out[:, sl, :] = np.moveaxis(block.reshape(len(block), field.size, -1), -1, 0)
     return out
 
 

@@ -100,11 +100,17 @@ def _check_bmo_band() -> tuple[bool, str]:
     return gap == 0.0, f"stopped at band {len(field.row_profiles)} vs all 128 orders, gap {gap:.3g}"
 
 
-def _check_profile_band() -> tuple[bool, str]:
-    f = generate_function("random-spectrum:support=5,dim=2@B=7")
-    field, full = quadratic_sums(f), oracles.full_profile_field(f)
-    gap = float(np.abs(oracles.materialize(field) - oracles.materialize(full)).max())
-    return gap == 0.0, f"band-{len(field.row_profiles)} profiles vs 128-row tables, gap {gap:.3g}"
+def _check_bmo_cells() -> tuple[bool, str]:
+    equal = 0  # the K = N route streams one x-row per cell of the 128 x 128 grid
+    for spec in ("spike:level=2,target=10", "random-step:level=3,dim=2", "random-spectrum:support=5,dim=2",
+                 "indicator-rect:0,0.5,0.25,0.75"):
+        f = generate_function(f"{spec}@B=7")
+        field, full = quadratic_sums(f), oracles.full_profile_field(f)
+        fast = bmo_of_diagonal_sums(field)
+        equal += (len(fast.cells) <= field.row_profiles.shape[1]  # 2^l = max(2, K)
+                  and np.array_equal(fast.samples.view(np.int64), bmo_of_diagonal_sums(full).samples.view(np.int64))
+                  and np.array_equal(oracles.materialize(field), oracles.materialize(full)))
+    return equal == 4, f"band-K profiles vs 128-row tables: {equal} of 4 equal, BMO int64-equal on the 2^l cells"
 
 
 def _check_schipp_v() -> tuple[bool, str]:
@@ -165,7 +171,7 @@ CHECKS = [
     ("bmo-sequence", _check_bmo),
     ("bmo-diagonal", _check_bmo_diagonal),
     ("bmo-support", _check_bmo_band),
-    ("profile-support", _check_profile_band),
+    ("bmo-cells", _check_bmo_cells),
     ("schipp-v", _check_schipp_v),
     ("dyadic-maximal", _check_dyadic_maximal),
     ("grid-cells", _check_grid_cells),

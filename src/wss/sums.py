@@ -10,9 +10,9 @@ S_nn to S_{n+1,n+1} adds spectral row n (k <= n) and spectral column n
 each step is the rank-two update w_v(x) u[v, y] + v[v, x] w_v(y), so the full
 field costs O(2^{3B}) and a single point's sequence costs O(2^B).  f_hat lives
 on the K x K band `_analysis` returns, so every step from n = K is 0 and
-S_nn = S_KK.  Only the (K, 2^B) profiles are stored; the field streams
-(x, y, n) blocks of whole per-point sequences, one slab per level-l x-cell,
-2^l = max(2, K), never the (2^B + 1) x 2^B x 2^B cube.
+S_nn = S_KK.  Only the (K, 2^l) profiles on the level-l cells are stored,
+2^l = max(2, K); the field streams (x, y, n) blocks of whole per-point
+sequences, one (2^l, 2^B + 1) slab per x-cell, never the 2^B x 2^B cube.
 Every partial sum and profile is one truncated synthesis,
 `wss.transform._synthesis`; the sums of (S_l f)^2 over the dyadic blocks
 of orders at every point come from one Paley prefix scan, `_paley_scan`.
@@ -112,11 +112,10 @@ def rectangular_partial_sum(f: DyadicGrid2D, m: int, n: int) -> DyadicGrid2D:
 @dataclass
 class DiagonalSumField:
     """All quadratic partial sums S_nn(x, y; f), n = 0..2^bits, kept as the
-    (K, N) row and column profiles, K the band: S_nn = S_KK for n >= K.
-
-    `iter_sequence_blocks` yields a block of x-rows per dyadic x-cell in
-    (x, y, n) order, so each grid point's whole sequence n -> S_nn(x, y) is
-    contiguous; `sequence_at` gives one point.
+    (K, 2^l) row and column profiles on the level-l cells, 2^l = max(2, K),
+    K the band: S_nn = S_KK for n >= K, and every w_m, m < K, is constant on
+    those cells.  `iter_sequence_blocks` yields one block per x-cell, each
+    point's sequence contiguous; `sequence_at` gives one point.
     """
 
     bits: int
@@ -135,48 +134,42 @@ class DiagonalSumField:
         """The sequence n -> S_nn(x, y) at one grid point, length 2^bits + 1."""
         if not (0 <= ix < self.size and 0 <= iy < self.size):
             raise UsageError(f"grid point ({ix}, {iy}) outside the {self.bits}-bit grid")
-        k = len(self.row_profiles)  # the Walsh matrix is symmetric: row x holds w_m(x)
+        k, cells = self.row_profiles.shape  # the Walsh matrix is symmetric: row x holds w_m(x)
         wx, wy = walsh_row(ix, self.bits)[:k], walsh_row(iy, self.bits)[:k]
+        u, v = self.row_profiles[:, iy * cells >> self.bits], self.col_profiles[:, ix * cells >> self.bits]
         seq = np.zeros(self.size + 1)
-        np.cumsum(wx * self.row_profiles[:, iy] + self.col_profiles[:, ix] * wy, out=seq[1:k + 1])
+        np.cumsum(wx * u + v * wy, out=seq[1:k + 1])
         seq[k + 1:] = seq[k]
         return seq
 
     def iter_sequence_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
-        """Yield (x-slice, block) with block[xi, y, n] = S_nn(x, y), n = 0..2^bits.
-
-        One block per level-l x-cell, in row order, l = max(1, log2 K): below
-        the band K every w_m(x) and both profiles are constant on the level-l
-        cells, so the cell's rows share one (N, N + 1) slab of sequences.  Its
-        rank-two steps are formed once on the 2^l y-cells from the band's Walsh
-        matrix and the coarse profiles, summed along n into the slab, copied
-        along y, and from n = K on continued as S_KK.  A block is the slab
-        broadcast over the cell's rows (row stride 0 when a cell has more than
-        one row), read-only, and valid only until the next block is yielded.
+        """Yield (x-slice, block) with block[xi, j, yi, n] = S_nn(x, y) at
+        y = j c + yi, n = 0..2^bits: one block per level-l x-cell of c = N >> l
+        rows, in row order.  The cell's rank-two steps are formed once on the
+        2^l y-cells, summed along n into one (2^l, N + 1) slab and from n = K
+        on continued as S_KK; the block is that slab broadcast over the c rows
+        of the x- and y-cells, read-only, and valid until the next block.
         """
-        n, k = self.size, len(self.row_profiles)
-        level = max(1, (k - 1).bit_length())
-        rows = n >> level
-        # row i of the symmetric Walsh matrix holds w_m on cell i, m < K <= 2^level
-        w = walsh_matrix_f64(level)[:, :k]
-        u, v = self.row_profiles[:, ::rows].T, self.col_profiles[:, ::rows].T
+        n, (k, cells) = self.size, self.row_profiles.shape
+        rows = n // cells
+        # row i of the symmetric Walsh matrix holds w_m on cell i, m < K <= 2^l
+        w = walsh_matrix_f64(cells.bit_length() - 1)[:, :k]
+        u, v = self.row_profiles.T, self.col_profiles.T
         steps, cross = np.empty(w.shape), np.empty(w.shape)  # scratch reused by every cell
-        slab = np.zeros((n, n + 1))  # column 0 stays 0
-        cells = slab[:, 1:k + 1].reshape((1 << level, rows, k), copy=False)  # a view or an error
-        for i in range(1 << level):
+        slab = np.zeros((cells, n + 1))  # column 0 stays 0
+        for i in range(cells):
             np.multiply(w[i], u, out=steps)
             np.multiply(v[i], w, out=cross)
             steps += cross
-            np.cumsum(steps, axis=-1, out=cells[:, 0])
-            cells[:, 1:] = cells[:, :1]
+            np.cumsum(steps, axis=-1, out=slab[:, 1:k + 1])
             slab[:, k + 1:] = slab[:, k, None]
-            yield slice(i * rows, (i + 1) * rows), np.broadcast_to(slab, (rows, n, n + 1))
+            yield slice(i * rows, (i + 1) * rows), np.broadcast_to(slab[:, None], (rows, cells, rows, n + 1))
 
 
 def quadratic_sums(f: DyadicGrid2D, mode: str = "auto") -> DiagonalSumField:
     """Build the streamed diagonal-sum field of f from its row and column
     profiles: the O(N^2) level scan, the band's analysis zero-padded to
-    K x K (K its larger side), then O(K N log N) synthesis.
+    K x K (K its larger side), then O(K 2^l l) synthesis on the level-l cells.
 
     `mode` ("auto", "full" or "streaming") is accepted for callers written
     when the cube could be materialized; every value builds the same field.
@@ -187,6 +180,7 @@ def quadratic_sums(f: DyadicGrid2D, mode: str = "auto") -> DiagonalSumField:
     corner = _zero_padded(band, max(band.shape))
     # Row profiles synthesize the lower triangle (k <= v) of each spectral row
     # along y; column profiles synthesize the strict upper triangle along x.
-    row_profiles = _synthesis(np.tril(corner), f.bits, (None, f.size))
-    col_profiles = _synthesis(np.triu(corner, 1).T, f.bits, (None, f.size))
+    level = max(1, (len(corner) - 1).bit_length())
+    row_profiles = _synthesis(np.tril(corner), level, (None, 1 << level))
+    col_profiles = _synthesis(np.triu(corner, 1).T, level, (None, 1 << level))
     return DiagonalSumField(f.bits, row_profiles, col_profiles)

@@ -37,18 +37,24 @@ lambda = 0.1,0.2,0.5,1,2
 """
 
 
-def test_run_writes_report_and_is_thread_invariant(tmp_path, capsys):
+# two B = 12 sections on their 4 x 4 and 8 x 8 cells
+B12_CONFIG = "".join(f"[{name}]\nexperiment = theorem1\nspec = {spec}@B=12\nlambda = 0.5,1,2,4,8,16\n\n"
+                     for name, spec in (("spike", "spike:level=2,target=10"), ("step", "random-step:level=3,dim=2")))
+
+
+@pytest.mark.parametrize("config, threads", [(CONFIG, 4), (B12_CONFIG, 2)], ids=["demo", "b12"])
+def test_run_writes_report_and_is_thread_invariant(tmp_path, capsys, config, threads):
     cfg = tmp_path / "exp.ini"
-    cfg.write_text(CONFIG)
+    cfg.write_text(config)
     assert main(["run", str(cfg), "--out", str(tmp_path / "a"), "--seed", "3"]) == 0
     assert main([
-        "run", str(cfg), "--out", str(tmp_path / "b"), "--seed", "3", "--threads", "4",
+        "run", str(cfg), "--out", str(tmp_path / "b"), "--seed", "3", "--threads", str(threads),
     ]) == 0
     a = (tmp_path / "a" / "report.csv").read_bytes()
     b = (tmp_path / "b" / "report.csv").read_bytes()
     assert a == b
     out = capsys.readouterr().out
-    assert "t1:" in out and "weak:" in out
+    assert all(f"{name}:" in out for name in re.findall(r"^\[(\w+)\]", config, re.M))
 
 
 def test_gen_dump_round_trip(tmp_path):

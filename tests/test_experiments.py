@@ -54,6 +54,19 @@ def test_theorem1_rejects_1d_specs():
         run_theorem1("indicator-rect:0,1,0,1@B=3", [1.0, 1.0])
 
 
+@pytest.mark.parametrize("spec, level", [("spike:level=2,target=10", 2), ("random-step:level=3,dim=2", 3),
+                                         ("indicator-rect:0,0.5,0.25,0.75", 2),
+                                         ("random-spectrum:support=5,dim=2", 3), ("walsh-tensor:3,6", 3)])
+def test_theorem1_rows_are_the_same_at_every_depth_past_the_input_level(spec, level):
+    # f on level-L cells: S_nn = S_KK from K = 2^L on, and depths past L + 1
+    # add only tail blocks and root merges that cannot raise the BMO, so a
+    # kernel that reads B where it should not changes some row
+    lambdas = [2.0 ** e for e in range(-6, 7)]
+    rows = {bits: [(p, k.hex(), v.hex()) for p, k, v in run_theorem1(f"{spec}@B={bits}", lambdas, seed=5).rows]
+            for bits in range(level + 1, 13)}
+    assert all(r == rows[level + 1] for r in rows.values())
+
+
 def test_theorem2_zero_function_and_probes():
     rep = run_theorem2("indicator-rect:0,0,0,0@B=4", 1.0, [2, 4, 8])
     assert rep.value("exceptional_measure") == 0.0
@@ -88,8 +101,8 @@ def test_theorem2_materializes_no_walsh_matrix():
 
 
 def test_theorem2_holds_no_grid_of_samples():
-    # f on its 4 x 4 cells, the 4 x 4 band, two (4, 2^12) profile tables and
-    # one probe sequence: about 0.003 of one 2^24 grid measured, so any
+    # f on its 4 x 4 cells, the 4 x 4 band, two (4, 4) profile tables and
+    # one probe sequence: about 0.0014 of one 2^24 grid measured, so any
     # array of samples fails the bound
     spec = "random-spectrum:support=4,dim=2@B=12"
 

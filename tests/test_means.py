@@ -166,13 +166,13 @@ def test_bmo_of_diagonal_sums_scale_equivariant():
 
 @pytest.mark.parametrize("spec", ["spike:level=2,target=10@B=5", "random-step:level=3,dim=2@B=5", "random"])
 def test_bmo_of_diagonal_sums_streaming_agrees(spec):
-    # each point's sequence is reduced on its own, so reducing one row per
-    # x-cell equals reducing every streamed row
+    # each point's sequence is reduced on its own, so reducing one sequence
+    # per level-l cell equals reducing every streamed point's
     f = random_grid_2d(5, seed=24) if spec == "random" else generate_function(spec, 24)
     field = quadratic_sums(f)
     k = len(field.row_profiles)
     rows = np.concatenate([_max_mean_square_oscillation(block[..., :k], block[..., k], field.size)
-                           for _, block in field.iter_sequence_blocks()])
+                           .reshape(len(block), field.size) for _, block in field.iter_sequence_blocks()])
     assert np.array_equal(bmo_of_diagonal_sums(field).samples, np.sqrt(rows))
 
 
@@ -197,25 +197,34 @@ def test_bmo_stopped_at_the_support_equals_all_orders(kind, bits):
     assert np.array_equal(bmo_of_diagonal_sums(field).samples, full)
 
 
+def test_bmo_of_diagonal_sums_stays_on_the_cells():
+    # one (4, 2^10 + 1) slab and the 4 x 4 results, about 70 KB: a single
+    # N x N array at B = 10 is 8 MiB
+    f = generate_function("spike:level=2,target=10@B=10")
+    field = quadratic_sums(f)
+    assert traced_peak_ratio(lambda _: bmo_of_diagonal_sums(field), f) * f.samples.nbytes < 1 << 20
+
+
 def _streamed_rows(field):
     """(x, its (N, N + 1) sequences) for each x-row of the field's stream, in
-    stream order; a row is valid until the stream moves to its next block."""
+    stream order: block[xi, j, yi] is the point (x, j c + yi), c its rows."""
     for sl, block in field.iter_sequence_blocks():
-        yield from zip(range(sl.start, sl.stop), block, strict=True)
+        yield from zip(range(sl.start, sl.stop), block.reshape(len(block), field.size, -1), strict=True)
 
 
 @pytest.mark.parametrize("bits", range(1, 8))
 @pytest.mark.parametrize("kind", ["spike", "random-step", "walsh-tensor", "indicator-rect",
                                   "random-spectrum", "zero", "random"])
 def test_k_row_field_equals_the_full_table_field(kind, bits):
-    # (K, N) profiles from the K x K band against (N, N) tables, band N,
-    # whose rows from K on are exact zeros: every read agrees bit for bit
+    # (K, 2^l) profiles on the level-l cells from the K x K band against
+    # (N, N) tables, band N, whose rows from K on are exact zeros: every
+    # read agrees bit for bit
     f = band_limited(kind, bits)
     field, full = quadratic_sums(f), oracles.full_profile_field(f)
     n, k = f.size, len(field.row_profiles)
     assert len(full.row_profiles) == len(full.col_profiles) == n
     assert k == {"zero": 1, "random": n}.get(kind, k) and k & (k - 1) == 0
-    assert field.row_profiles.shape == field.col_profiles.shape == (k, n)
+    assert field.row_profiles.shape == field.col_profiles.shape == (k, max(2, k))
     assert not full.row_profiles[k:].any() and not full.col_profiles[k:].any()
     # each point's sequence against the full-table field's materialized cube
     sequences = [[field.sequence_at(ix, iy) for iy in range(n)] for ix in range(n)]

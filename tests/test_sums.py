@@ -138,7 +138,9 @@ def test_streaming_matches_full():
     full = oracles.materialize(lazy)
     got = np.empty_like(full)
     for sl, block in lazy.iter_sequence_blocks():
-        got[:, sl, :] = block.transpose(2, 0, 1)
+        rows, cells = block.shape[:2]  # block[xi, j, yi] is the point (sl.start + xi, j rows + yi)
+        for xi, j, yi in np.ndindex(rows, cells, rows):
+            got[:, sl.start + xi, j * rows + yi] = block[xi, j, yi]
     assert np.abs(got - full).max() <= 1e-12
     seq = lazy.sequence_at(3, 12)
     assert np.abs(seq - full[:, 3, 12]).max() <= 1e-12
@@ -154,10 +156,11 @@ def test_sequence_blocks_past_the_support_equal_each_point_sequence(spec):
     assert len(field.row_profiles) == {"random": 16}.get(spec, 4)
     covered = 0
     for sl, block in field.iter_sequence_blocks():
-        assert sl.start == covered and block.shape == (sl.stop - sl.start, 16, 17)
+        rows = sl.stop - sl.start
+        assert sl.start == covered and block.shape == (rows, 16 // rows, rows, 17)
         for xi, ix in enumerate(range(sl.start, sl.stop)):
             for iy in range(16):
-                assert np.array_equal(block[xi, iy], field.sequence_at(ix, iy))
+                assert np.array_equal(block[xi, iy // rows, iy % rows], field.sequence_at(ix, iy))
         covered = sl.stop
     assert covered == 16
     zero = quadratic_sums(DyadicGrid2D(4, np.zeros((16, 16))))
@@ -171,29 +174,32 @@ def test_sequence_blocks_reuse_one_buffer(spec, rows):
     blocks = field.iter_sequence_blocks()
     (_, first), (sl, second) = next(blocks), next(blocks)
     assert np.shares_memory(first, second)  # the first block is now overwritten
-    assert sl == slice(rows, 2 * rows) and np.array_equal(second[-1, 3], field.sequence_at(2 * rows - 1, 3))
+    assert sl == slice(rows, 2 * rows)
+    assert np.array_equal(second[-1, 3 // rows, 3 % rows], field.sequence_at(2 * rows - 1, 3))
     # every block, the last included, is the same slab, column 0 still zero
     *_, (_, last) = blocks
-    assert last.shape == (rows, 16, 17) and np.shares_memory(last, second) and not last[..., 0].any()
-    assert np.array_equal(last[-1, 9], field.sequence_at(15, 9))
+    assert last.shape == (rows, 16 // rows, rows, 17) and np.shares_memory(last, second)
+    assert not last[..., 0].any() and np.array_equal(last[-1, 9 // rows, 9 % rows], field.sequence_at(15, 9))
     with pytest.raises(ValueError):
-        last[0, 0, 0] = 1.0
+        last[0, 0, 0, 0] = 1.0
 
 
 @pytest.mark.parametrize("kind", SPEC_KINDS + ("zero", "random"))
 def test_sequence_blocks_one_slab_per_cell(kind):
-    # one read-only block per level-l x-cell, 2^l = max(2, K), whose rows
-    # all view one slab: a row stride of 0 when a cell has several rows
+    # one read-only block per level-l x-cell, 2^l = max(2, K), that views
+    # one (2^l, N + 1) slab: strides of 0 over the rows of the x- and y-cells
     field = quadratic_sums(band_limited(kind, 5))
     cells = max(2, len(field.row_profiles))
     rows = 32 // cells
+    assert field.row_profiles.shape == field.col_profiles.shape == (len(field.row_profiles), cells)
     count = 0
     for i, (sl, block) in enumerate(field.iter_sequence_blocks()):
-        assert sl == slice(i * rows, (i + 1) * rows) and block.shape == (rows, 32, 33)
-        assert not block.flags.writeable and (rows == 1 or block.strides[0] == 0)
+        assert sl == slice(i * rows, (i + 1) * rows) and block.shape == (rows, cells, rows, 33)
+        assert not block.flags.writeable and block.strides[1::2] == (8 * 33, 8)
+        assert rows == 1 or block.strides[0::2] == (0, 0)
         for xi, ix in enumerate(range(sl.start, sl.stop)):
             for iy in range(32):
-                assert np.array_equal(block[xi, iy], field.sequence_at(ix, iy))
+                assert np.array_equal(block[xi, iy // rows, iy % rows], field.sequence_at(ix, iy))
         count += 1
     assert count == cells
 
