@@ -12,10 +12,11 @@ import numpy as np
 from wss.experiments import run_weak_type_suite, write_reports_csv
 
 
-def family(operator: str, bits: int, count: int) -> list[str]:
+def family(operator: str, bits: int) -> str:
+    """The suite's spec: a random step function, on 2^min(B, 4) cells a side in 2D."""
     dim = 1 if operator in ("V", "Sch-ratio") else 2
     level = bits if dim == 1 else min(bits, 4)
-    return [f"random-step:level={level},dim={dim}@B={bits}"] * count
+    return f"random-step:level={level},dim={dim}@B={bits}"
 
 
 def main():
@@ -35,7 +36,8 @@ def main():
             needs_lambda = operator in ("M", "V", "V1", "V2")
             rep = run_weak_type_suite(
                 operator,
-                family(operator, bits, args.count),
+                family(operator, bits),
+                args.count,
                 lam if needs_lambda else None,
                 seed=args.seed,
             )

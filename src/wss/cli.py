@@ -16,10 +16,11 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DataError, UsageError
 from .experiments import SummabilityReport, load_config, run_configured, write_reports_csv
 from .generators import FunctionSpec, generate_function
-from .transform import DyadicGrid1D
 
 
 def _cmd_run(args) -> int:
@@ -39,8 +40,8 @@ def _cmd_run(args) -> int:
         reports = [run_configured(cfg, args.seed) for cfg in configs]
     else:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            futures = [pool.submit(run_configured, cfg, args.seed) for cfg in configs]
-            reports = [fut.result() for fut in futures]
+            # the first failure cancels the sections still queued
+            reports = list(pool.map(run_configured, configs, [args.seed] * len(configs)))
     target = out_dir / "report.csv"
     try:
         write_reports_csv(reports, target)
@@ -56,13 +57,9 @@ def _cmd_gen(args) -> int:
     spec = FunctionSpec.parse(args.spec)
     grid = generate_function(spec, args.seed)
     report = SummabilityReport("gen", spec.text, spec.bits, args.seed)
-    if isinstance(grid, DyadicGrid1D):
-        for i, v in enumerate(grid.samples):
-            report.add("grid1d", i, v)
-    else:
-        for i, row in enumerate(grid.samples):
-            for j, v in enumerate(row):
-                report.add(f"grid2d:row={i}", j, v)
+    samples = grid.samples
+    for *row, j in np.ndindex(samples.shape):
+        report.add(f"grid2d:row={row[0]}" if row else "grid1d", j, samples[(*row, j)])
     try:
         write_reports_csv([report], args.out)
     except OSError as exc:

@@ -37,8 +37,9 @@ from .transform import BLOCK_BYTES, DyadicGrid1D, _analysis, _pow2_scaled, _zero
 
 CSV_FIELDS = ("experiment", "spec", "B", "seed", "param", "lambda_or_m", "value")
 
-WEAK_TYPE_OPERATORS = ("M", "M1", "M2", "V", "V1", "V2", "Sch-ratio")
-_OPERATOR_DIMS = {"M": 2, "M2": 2, "V": 1, "Sch-ratio": 1}  # M1, V1 and V2 take either
+# weak_type operator: the dimension of its function spec (None: either)
+_OPERATOR_DIMS = {"M": 2, "M1": None, "M2": 2, "V": 1, "V1": None, "V2": None, "Sch-ratio": 1}
+MAX_COUNT = 4096  # instances in one weak_type section
 
 
 def _fmt(x: float) -> str:
@@ -71,6 +72,8 @@ class SummabilityReport:
 
     def validate(self) -> None:
         """Structural invariants every report must satisfy."""
+        if len({(p, k) for (p, k, _) in self.rows}) < len(self.rows):
+            raise UsageError(f"report {self.experiment!r} repeats a (param, key) row")
         for param, key, value in self.rows:
             if not np.isfinite(value):
                 raise DataError(f"{param} at {_fmt(key)} overflowed float64")
@@ -142,14 +145,12 @@ def run_theorem1(
     for alpha in (0, 1, 2):
         report.add("entropy", alpha, entropy_functional(f, alpha))
     denom = 1.0 + report.value("entropy", 2)
-    best = 0.0
-    for lam in grid:
-        mu = superlevel_measure(bmo, lam)
-        report.add("measure", lam, mu)
-        best = max(best, lam * mu / denom)
-    for lam, mu in zip(*report.series("measure")):
-        report.add("normalized", lam, lam * mu / denom)
-    report.add("empirical_constant", 0.0, best)
+    measures = [superlevel_measure(bmo, lam) for lam in grid]
+    normalized = [lam * mu / denom for lam, mu in zip(grid, measures)]
+    for param, values in (("measure", measures), ("normalized", normalized)):
+        for lam, value in zip(grid, values):
+            report.add(param, lam, value)
+    report.add("empirical_constant", 0.0, max(normalized))
     report.validate()
     return report
 
@@ -173,8 +174,8 @@ def default_probes(spec: FunctionSpec) -> tuple[list[tuple[float, float]], float
 
 
 def _theorem2_args(spec, a, m_grid, probes):
-    """`run_theorem2`'s arguments, checked: (spec, Phi, m grid, probes,
-    excluded measure)."""
+    """`run_theorem2`'s arguments, checked: (spec, Phi, m grid, probe of each
+    row label, excluded measure)."""
     phi, spec = PhiFunction.exp_minus_one(a), _spec(spec, 2, "theorem2 experiment")
     ms, excluded = _m_grid(m_grid, 1 << spec.bits), 0.0
     if probes is None:
@@ -184,7 +185,10 @@ def _theorem2_args(spec, a, m_grid, probes):
     for x, y in probes:
         if not (0.0 <= x < 1.0 and 0.0 <= y < 1.0):
             raise UsageError(f"probe ({x}, {y}) outside the unit square")
-    return spec, phi, ms, probes, excluded
+    labels = {f"phi_mean:window=B:probe={x:g};{y:g}": (x, y) for x, y in probes}
+    if len(labels) < len(probes):  # their rows would coincide
+        raise UsageError("probes must differ in their labels x;y (printed with %g)")
+    return spec, phi, ms, labels, excluded
 
 
 def run_theorem2(
@@ -201,10 +205,9 @@ def run_theorem2(
     shift = f.bits - (len(f.cells).bit_length() - 1)  # grid point i lies in cell i >> shift
     report = SummabilityReport("theorem2", spec.text, spec.bits, seed)
     report.add("exceptional_measure", 0.0, excluded)
-    for x, y in probes:
+    for label, (x, y) in probes.items():
         ix, iy = int(x * f.size), int(y * f.size)
         seq = fld.sequence_at(ix, iy)
-        label = f"phi_mean:window=B:probe={x:g};{y:g}"
         for m in ms:
             report.add(label, m, phi_mean_sequence(seq, f.cells[ix >> shift, iy >> shift], m, phi))
     report.validate()
@@ -326,61 +329,55 @@ def _weak_type_instance(operator: str, spec: FunctionSpec, seed: int,
     f = generate_function(spec, seed)
     if operator == "Sch-ratio":
         return "sch_ratio", sch_ratio_max(f), None
+    # the M family against 1 + E1, the V family against E0 (the L1 norm, 0 for f = 0)
+    gauge = 1.0 + entropy_functional(f, 1) if operator[0] == "M" else entropy_functional(f, 0)
+    denom = gauge or np.finfo(np.float64).tiny
+    # built here, not at import, so a tracer that rebinds these names sees every call
+    op = {"M": dyadic_maximal, "M1": hybrid_maximal_1, "M2": hybrid_maximal_2,
+          "V": schipp_v_max, "V1": hybrid_v_1, "V2": hybrid_v_2}[operator](f)
     if operator in ("M1", "M2"):
-        denom = 1.0 + entropy_functional(f, 1)
-        op = hybrid_maximal_1(f) if operator == "M1" else hybrid_maximal_2(f)
         exponent, (scaled,) = _pow2_scaled(op.cells, inplace=True)  # op is ours
         return "integral_ratio", float(np.ldexp(scaled.mean(), exponent)) / denom, None
-    if operator == "M":
-        denom = 1.0 + entropy_functional(f, 1)
-        op = dyadic_maximal(f)
-    elif operator == "V":
-        denom = entropy_functional(f, 0)
-        op = schipp_v_max(f)
-    else:
-        denom = entropy_functional(f, 0)
-        op = hybrid_v_1(f) if operator == "V1" else hybrid_v_2(f)
-    if denom == 0.0:
-        denom = np.finfo(np.float64).tiny
     normalized = np.array([lam * superlevel_measure(op, lam) / denom for lam in grid])
     return "empirical_constant", float(normalized.max()), normalized
 
 
-def _weak_type_args(operator, specs, lambda_grid) -> tuple[list[FunctionSpec], np.ndarray | None]:
-    """`run_weak_type_suite`'s arguments, checked: (specs, lambda grid or None)."""
-    if operator not in WEAK_TYPE_OPERATORS:
-        raise UsageError(f"unknown operator {operator!r} (expected one of {WEAK_TYPE_OPERATORS})")
-    if not specs:
-        raise UsageError("weak-type suite needs at least one function spec")
-    parsed = [_spec(s, _OPERATOR_DIMS.get(operator), f"operator {operator}") for s in specs]
+def _weak_type_args(operator, spec, count, lambda_grid) -> tuple[FunctionSpec, np.ndarray | None]:
+    """`run_weak_type_suite`'s arguments, checked: (spec, lambda grid or None)."""
+    if operator not in _OPERATOR_DIMS:
+        raise UsageError(f"unknown operator {operator!r} (expected one of {tuple(_OPERATOR_DIMS)})")
+    if not 1 <= count <= MAX_COUNT:
+        raise UsageError(f"weak-type count must be within [1, {MAX_COUNT}], got {count}")
+    spec = _spec(spec, _OPERATOR_DIMS[operator], f"operator {operator}")
     grid = None if lambda_grid is None else _lambda_grid(lambda_grid)
     if grid is None and operator not in ("M1", "M2", "Sch-ratio"):
         raise UsageError(f"operator {operator} needs a lambda grid")
-    return parsed, grid
+    return spec, grid
 
 
 def run_weak_type_suite(
     operator: str,
-    specs: list[FunctionSpec | str],
+    spec: FunctionSpec | str,
+    count: int = 1,
     lambda_grid=None,
     seed: int = 0,
 ) -> SummabilityReport:
     """Empirical-constant sweep for a maximal/Schipp operator over a family.
 
     Weak-type operators (M, V, V1, V2) record lambda mu{T f > lambda} against
-    their gauges (1 + entropy for M, the L1 norm for the V family); M1/M2
-    record the integral ratio; Sch-ratio records the pointwise strong-sum to
-    V-operator ratio.  Instance i runs on its own (`_weak_type_instance`),
-    on the function of spec i at seed + i, and keeps only its row.
+    their gauges (1 + E1 for the M family, the L1 norm E0 for the V family);
+    M1/M2 record the integral ratio; Sch-ratio records the pointwise
+    strong-sum to V-operator ratio.  Instance i = 0..count-1 runs on its own
+    (`_weak_type_instance`), on the function of `spec` at seed + i, and keeps
+    only its row.
     """
-    parsed, grid = _weak_type_args(operator, specs, lambda_grid)
+    spec, grid = _weak_type_args(operator, spec, count, lambda_grid)
     report = SummabilityReport(
-        "weak_type", parsed[0].text if len(parsed) == 1 else f"{parsed[0].text}#x{len(parsed)}",
-        parsed[0].bits, seed,
+        "weak_type", spec.text if count == 1 else f"{spec.text}#x{count}", spec.bits, seed,
     )
     suite_best = 0.0
     sweep_max = None
-    for i, spec in enumerate(parsed):
+    for i in range(count):
         param, value, normalized = _weak_type_instance(operator, spec, seed + i, grid)
         report.add(param, i, value)
         suite_best = max(suite_best, value)
@@ -406,7 +403,6 @@ _KINDS = {"theorem1": ("spec lambda mode", _theorem1_args),
           "theorem2": ("spec a m probes", _theorem2_args),
           "rodin": ("spec phi m eps", _rodin_args),
           "weak_type": ("spec operator count lambda", _weak_type_args)}
-MAX_COUNT = 4096  # instances in one weak_type section
 
 
 @dataclass
@@ -454,10 +450,7 @@ class ExperimentConfig:
         else:
             lambdas = self.numbers("lambda") if "lambda" in self.options else None
             count = self.number("count", "1", int)
-            if count > MAX_COUNT:  # before a list of that length is made
-                raise UsageError(f"count must be at most {MAX_COUNT}, got {count} in section {self.name!r}")
-            specs = [spec] * count
-            runner, args = run_weak_type_suite, (self.get("operator"), specs, lambdas)
+            runner, args = run_weak_type_suite, (self.get("operator"), spec, count, lambdas)
         checked(*args)  # every range the values fix, before any section runs
         self.call = functools.partial(runner, *args)
 

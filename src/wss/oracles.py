@@ -10,11 +10,10 @@ import math
 
 import numpy as np
 
-from .dyadic import walsh_matrix_f64
 from .errors import UsageError
 from .means import _max_mean_square_oscillation
 from .sums import DiagonalSumField, all_partial_sums_1d, partial_sum_1d, rectangular_partial_sum
-from .transform import DyadicGrid1D, DyadicGrid2D, _synthesis, naive_wht_2d, wht_2d
+from .transform import DyadicGrid1D, DyadicGrid2D, _synthesis, wht_2d
 
 
 def cell_averages_1d(f: DyadicGrid1D, level: int) -> np.ndarray:
@@ -58,13 +57,6 @@ def bmo_sequence_brute(values) -> float:
             best = max(best, math.sqrt(dev / width))
         width *= 2
     return best
-
-
-def rectangular_sum_brute(f: DyadicGrid2D, m: int, n: int) -> np.ndarray:
-    """Definitional synthesis from naive coefficients."""
-    c = naive_wht_2d(f).samples
-    w = walsh_matrix_f64(f.bits)
-    return np.einsum("mn,mx,ny->xy", c[:m, :n], w[:m], w[:n], optimize=False)
 
 
 def diagonal_sums_brute(f: DyadicGrid2D) -> np.ndarray:

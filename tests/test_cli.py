@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wss.cli import main
+from wss.errors import UsageError
 from wss.experiments import MAX_COUNT, load_config
 from wss.generators import generate_function
 from wss.sums import partial_sum_1d
@@ -57,6 +59,27 @@ def test_run_writes_report_and_is_thread_invariant(tmp_path, capsys, config, thr
     assert all(f"{name}:" in out for name in re.findall(r"^\[(\w+)\]", config, re.M))
 
 
+def test_a_failed_section_cancels_the_queued_ones(tmp_path, capsys, monkeypatch):
+    # at --threads 2, section 1 fails at once while sections 0 and 2 run: the
+    # sections still queued when its error is read never start
+    cfg = tmp_path / "six.ini"
+    cfg.write_text("".join(f"[s{i}]\nexperiment = theorem1\nspec = spike:level=2,target=10@B=4\nlambda = 1\n\n"
+                           for i in range(6)))
+    started = []
+
+    def run(section, seed):
+        started.append(section.name)
+        if section.name == "s1":
+            raise UsageError("section s1 failed")
+        time.sleep(0.2)
+
+    monkeypatch.setattr("wss.cli.run_configured", run)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--threads", "2"]) == 2
+    assert capsys.readouterr().err == "error: section s1 failed\n"
+    assert "s1" in started and len(started) < 6
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
 def test_gen_dump_round_trip(tmp_path):
     target = tmp_path / "grid.csv"
     assert main(["gen", "walsh-tensor:3,6@B=3", "--dump", "--out", str(target)]) == 0
@@ -68,6 +91,14 @@ def test_gen_dump_round_trip(tmp_path):
         i = int(row["param"].split("=", 1)[1])
         j = int(row["lambda_or_m"])
         assert float(row["value"]) == grid.samples[i, j]
+
+
+def test_gen_dump_of_a_1d_grid(tmp_path):
+    spec, target = "random-step:level=3,dim=1@B=4", tmp_path / "grid.csv"
+    assert main(["gen", spec, "--dump", "--seed", "2", "--out", str(target)]) == 0
+    with open(target, newline="") as handle:
+        rows = [(row["param"], int(row["lambda_or_m"]), float(row["value"])) for row in csv.DictReader(handle)]
+    assert rows == [("grid1d", j, v) for j, v in enumerate(generate_function(spec, 2).samples)]
 
 
 def test_gen_requires_dump(capsys):
@@ -260,6 +291,7 @@ def test_a_bad_value_in_a_later_section_exits_2_before_any_section(tmp_path, cap
     "experiment = theorem2\nspec = indicator-rect:0,0.5,0,0.5@B=4\nm = 4,99",
     "experiment = theorem2\nspec = indicator-rect:0,0.5,0,0.5@B=4\nm = 4\na = 0",
     "experiment = theorem2\nspec = indicator-rect:0,0.5,0,0.5@B=4\nm = 4\nprobes = 0.25,1.5",
+    "experiment = theorem2\nspec = indicator-rect:0,0.5,0,0.5@B=4\nm = 4\nprobes = 0.1,0.1,0.1000001,0.1",
     "experiment = theorem2\nspec = random-step:level=2,dim=1@B=4\nm = 4",
     "experiment = theorem1\nspec = spike:level=2,target=10@B=4\nlambda = 0.5,0.1",
     "experiment = rodin\nspec = random-step:level=3,dim=1@B=4\nm = 4,99",
@@ -282,7 +314,7 @@ def test_a_bad_value_in_a_later_section_exits_2_before_any_section(tmp_path, cap
         "spike:target=10@B=4",
         "random-step:level=1,level=3,dim=2@B=4",
     )),
-], ids=["theorem2-m", "theorem2-a", "theorem2-probe", "theorem2-dim", "theorem1-lambda", "rodin-m",
+], ids=["theorem2-m", "theorem2-a", "theorem2-probe", "theorem2-probe-label", "theorem2-dim", "theorem1-lambda", "rodin-m",
         "rodin-eps", "operator", "weak-lambda", "weak-no-lambda", "weak-count", "section-seed",
         "spec-level", "spec-support-0", "spec-support-2^B+1", "spec-amp", "spec-target", "spec-seed",
         "spec-2d-bits", "spec-walsh-2^B", "spec-walsh-negative", "spec-no-level", "spec-repeated-key"])
@@ -303,7 +335,7 @@ def test_a_bad_range_in_a_later_section_exits_2_before_any_section(tmp_path, cap
 
 @pytest.mark.parametrize("count", [10**30, MAX_COUNT + 1])
 def test_a_weak_type_count_past_the_cap_exits_2_at_load(tmp_path, capsys, monkeypatch, count):
-    # checked before the section's list of `count` specs is made
+    # checked at load, before any section runs
     cfg = tmp_path / "count.ini"
     cfg.write_text(f"[weak]\nexperiment = weak_type\noperator = M1\n"
                    f"spec = random-step:level=3,dim=2@B=4\ncount = {count}\n")
@@ -311,10 +343,10 @@ def test_a_weak_type_count_past_the_cap_exits_2_at_load(tmp_path, capsys, monkey
     monkeypatch.setattr("wss.cli.run_configured", lambda *a: ran.append(a))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: count must be at most {MAX_COUNT}, got {count} in section 'weak'\n" and not ran
+    assert err == f"error: weak-type count must be within [1, {MAX_COUNT}], got {count}\n" and not ran
     cfg.write_text(cfg.read_text().replace(f"count = {count}", f"count = {MAX_COUNT}"))
     (section,) = load_config(str(cfg))
-    assert len(section.call.args[1]) == MAX_COUNT
+    assert section.call.args[2] == MAX_COUNT
 
 
 def test_run_does_not_import_the_oracles():

@@ -261,34 +261,38 @@ def test_rodin_stream_with_grid_rows_past_the_block_budget():
 
 
 def test_weak_type_constant_function():
-    rep = run_weak_type_suite("M", ["indicator-rect:0,1,0,1@B=4"], LAMBDAS)
+    rep = run_weak_type_suite("M", "indicator-rect:0,1,0,1@B=4", lambda_grid=LAMBDAS)
     lams, vals = rep.series("normalized_max")
     np.testing.assert_allclose(vals, np.where(lams < 1.0, lams, 0.0))
     assert rep.value("suite_max") <= 1.0
 
 
 def test_weak_type_zero_function():
-    rep = run_weak_type_suite("V", ["indicator-rect:0,0@B=5"], LAMBDAS)
+    rep = run_weak_type_suite("V", "indicator-rect:0,0@B=5", lambda_grid=LAMBDAS)
     assert rep.value("suite_max") == 0.0
 
 
 def test_weak_type_validation():
     with pytest.raises(UsageError):
-        run_weak_type_suite("W", ["indicator-rect:0,1,0,1@B=3"], LAMBDAS)
+        run_weak_type_suite("W", "indicator-rect:0,1,0,1@B=3", lambda_grid=LAMBDAS)
+    for count in (0, experiments.MAX_COUNT + 1):
+        with pytest.raises(UsageError, match="count must be within"):
+            run_weak_type_suite("M", "indicator-rect:0,1,0,1@B=3", count, LAMBDAS)
     with pytest.raises(UsageError):
-        run_weak_type_suite("M", [], LAMBDAS)
+        run_weak_type_suite("V", "indicator-rect:0,1,0,1@B=3", lambda_grid=LAMBDAS)  # needs 1D
     with pytest.raises(UsageError):
-        run_weak_type_suite("V", ["indicator-rect:0,1,0,1@B=3"], LAMBDAS)  # needs 1D
-    with pytest.raises(UsageError):
-        run_weak_type_suite("M", ["indicator-rect:0,1,0,1@B=3"], None)
+        run_weak_type_suite("M", "indicator-rect:0,1,0,1@B=3", lambda_grid=None)
 
 
 @pytest.mark.parametrize("call", [
     lambda: run_theorem2("indicator-rect:0,0.5,0,0.5@B=4", 1.0, [4, 99]),
     lambda: run_theorem2("indicator-rect:0,0.5,0,0.5@B=4", 1.0, [4], [(0.25, 1.5)]),
+    lambda: run_theorem2("indicator-rect:0,0.5,0,0.5@B=4", 1.0, [4], [(0.1, 0.1), (0.1000001, 0.1)]),
+    lambda: run_theorem2("indicator-rect:0,0.5,0,0.5@B=4", 1.0, [4], [(0.25, 0.5), (0.25, 0.5)]),
     lambda: run_rodin_1d("random-step:level=3,dim=1@B=4", PhiFunction.exp_minus_one(1.0), [4, 99]),
-    lambda: run_weak_type_suite("V", ["random-step:level=3,dim=1@B=4"]),
-], ids=["theorem2-m", "theorem2-probe", "rodin-m", "V-no-lambda"])
+    lambda: run_weak_type_suite("V", "random-step:level=3,dim=1@B=4"),
+], ids=["theorem2-m", "theorem2-probe", "theorem2-probe-label", "theorem2-probe-repeat", "rodin-m",
+        "V-no-lambda"])
 def test_runners_check_every_argument_before_generation(monkeypatch, call):
     def refuse(*args):
         raise AssertionError("generate_function called")
@@ -298,11 +302,27 @@ def test_runners_check_every_argument_before_generation(monkeypatch, call):
         call()
 
 
+@pytest.mark.parametrize("operator, spec", [
+    ("M", "random-step:level=3,dim=2@B=4"), ("M1", "random-step:level=3,dim=1@B=5"),
+    ("M2", "random-step:level=3,dim=2@B=4"), ("V", "random-step:level=4,dim=1@B=5"),
+    ("V1", "random-step:level=3,dim=2@B=4"), ("V2", "random-step:level=3,dim=1@B=5"),
+    ("Sch-ratio", "random-step:level=4,dim=1@B=5")])
+def test_weak_type_instance_i_is_the_single_run_at_seed_plus_i(operator, spec):
+    lambdas = None if operator in ("M1", "M2", "Sch-ratio") else LAMBDAS
+    suite = run_weak_type_suite(operator, spec, 3, lambdas, seed=9)
+    singles = [run_weak_type_suite(operator, spec, 1, lambdas, seed=9 + i) for i in range(3)]
+    assert suite.spec == f"{spec}#x3" and singles[0].spec == spec
+    (param,) = {p for p, _, _ in singles[0].rows if p not in ("normalized_max", "suite_max")}
+    assert suite.series(param)[0].tolist() == [0.0, 1.0, 2.0]
+    assert suite.series(param)[1].tolist() == [single.value(param, 0) for single in singles]
+    assert suite.value("suite_max") == max(single.value("suite_max") for single in singles)
+
+
 def test_weak_type_integral_ratios():
-    rep = run_weak_type_suite("M1", ["random-step:level=3,dim=2@B=4"] * 3, seed=5)
+    rep = run_weak_type_suite("M1", "random-step:level=3,dim=2@B=4", 3, seed=5)
     _, vals = rep.series("integral_ratio")
     assert len(vals) == 3 and np.all(vals > 0)
-    rep2 = run_weak_type_suite("Sch-ratio", ["random-step:level=4,dim=1@B=5"] * 3, seed=6)
+    rep2 = run_weak_type_suite("Sch-ratio", "random-step:level=4,dim=1@B=5", 3, seed=6)
     _, ratios = rep2.series("sch_ratio")
     assert np.all(np.isfinite(ratios)) and rep2.value("suite_max") == ratios.max()
 
@@ -321,7 +341,7 @@ def test_weak_type_instances_do_not_overlap(operator, spec):
     lambdas = None if operator in ("M1", "M2", "Sch-ratio") else LAMBDAS
 
     def run(_):
-        return run_weak_type_suite(operator, [spec] * 2, lambdas, seed=11)
+        return run_weak_type_suite(operator, spec, 2, lambdas, seed=11)
 
     assert traced_peak_ratio(run, generate_function(spec, 11)) <= 0.01
 
@@ -342,9 +362,9 @@ def test_weak_type_constants_stable_across_bits():
         maxima = []
         for bits in (5, 6, 7):
             level = min(bits, 4) if dim == 2 else bits
-            specs = [f"random-step:level={level},dim={dim}@B={bits}"] * 10
+            spec = f"random-step:level={level},dim={dim}@B={bits}"
             rep = run_weak_type_suite(
-                operator, specs, lam if operator in ("M", "V") else None, seed=17
+                operator, spec, 10, lam if operator in ("M", "V") else None, seed=17
             )
             maxima.append(rep.value("suite_max"))
         assert max(maxima) / min(maxima) <= 2.0, (operator, maxima)
@@ -360,6 +380,13 @@ def test_report_invariant_validation():
     rep2.add("measure", 1.0, 1.5)  # outside [0, 1]
     with pytest.raises(UsageError):
         rep2.validate()
+    rep3 = SummabilityReport("x", "spec", 3, 0)
+    rep3.add("mean_max", 4, 0.5)
+    rep3.add("mean_max", 8, 0.5)
+    rep3.validate()
+    rep3.add("mean_max", 4, 0.25)  # a second row at (mean_max, 4)
+    with pytest.raises(UsageError, match="repeats a"):
+        rep3.validate()
 
 
 def test_csv_format_stability(tmp_path):

@@ -1,5 +1,8 @@
 """The README's "Library layout" table names only code that exists, its
-function-spec table is `generators.KINDS`, and its config example runs."""
+function-spec table is `generators.KINDS`, its operator table is
+`experiments._OPERATOR_DIMS`, and its config example runs with each kind's
+keys."""
+import configparser
 import importlib
 import re
 from pathlib import Path
@@ -38,6 +41,33 @@ def test_config_example_runs(tmp_path, capsys):
     (tmp_path / "example.ini").write_text(example)
     assert main(["run", str(tmp_path / "example.ini"), "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "report.csv").read_text().count("\n") > 4
+
+
+def test_config_example_gives_each_kind_its_keys():
+    from wss.experiments import _KINDS
+
+    text = README.read_text()
+    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
+    parser.read_string(text.split("```ini\n", 1)[1].split("```", 1)[0])
+    shown = {}
+    for name in parser.sections():
+        shown.setdefault(parser[name]["experiment"], []).append(set(parser[name]) - {"experiment", "seed"})
+    expected = {kind: [set(keys.split()) - {"mode"}] for kind, (keys, _) in _KINDS.items()}
+    assert shown == expected
+    assert "theorem1 also accepts `mode`" in text  # the one key the example leaves out
+
+
+def test_operator_table_is_the_operator_dims():
+    from wss.experiments import _OPERATOR_DIMS
+
+    text = README.read_text().split("## Weak-type operators", 1)[1]
+    table = text.split("| operator | dim | computes | cost |\n", 1)[1].split("\n\n", 1)[0]
+    dims = {"1": 1, "2": 2, "1 or 2": None}
+    readme = {}
+    for line in table.splitlines()[1:]:
+        operators, dim = [cell.strip() for cell in line.strip().strip("|").split("|")][:2]
+        readme.update({op: dims[dim] for op in re.findall(r"`([^`]+)`", operators)})
+    assert readme == _OPERATOR_DIMS
 
 
 def test_function_spec_table_is_the_schema():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import SPEC_KINDS, band_limited
 from wss import oracles
-from wss.dyadic import walsh_row
+from wss.dyadic import walsh_matrix_f64, walsh_row
 from wss.errors import DataError, UsageError
 from wss.generators import generate_function, random_grid_1d, random_grid_2d
 from wss.sums import (
@@ -17,7 +17,7 @@ from wss.sums import (
     quadratic_sums,
     rectangular_partial_sum,
 )
-from wss.transform import DyadicGrid1D, DyadicGrid2D, _analysis, _pow2_scaled, _zero_padded
+from wss.transform import DyadicGrid1D, DyadicGrid2D, _analysis, _pow2_scaled, _zero_padded, naive_wht_2d
 
 
 def test_partial_sum_order_one_is_mean():
@@ -92,9 +92,11 @@ def test_rectangular_martingale_2d():
 
 
 def test_rectangular_against_definitional_synthesis():
+    # S_mn f = sum_{k<m, l<n} c_kl w_k(x) w_l(y), from the naive coefficients
     f = random_grid_2d(3, seed=8)
+    c, w = naive_wht_2d(f).samples, walsh_matrix_f64(f.bits)
     for m, n in ((0, 5), (3, 3), (8, 1), (5, 7)):
-        brute = oracles.rectangular_sum_brute(f, m, n)
+        brute = np.einsum("mn,mx,ny->xy", c[:m, :n], w[:m], w[:n], optimize=False)
         fast = rectangular_partial_sum(f, m, n).samples
         assert np.abs(fast - brute).max() <= 1e-12
 
