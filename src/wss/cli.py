@@ -16,10 +16,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from .errors import DataError, UsageError
-from .experiments import SummabilityReport, load_config, run_configured, write_reports_csv
+from .experiments import _fmt, load_config, run_configured, write_csv, write_reports_csv
 from .generators import FunctionSpec, generate_function
 
 
@@ -29,8 +27,6 @@ def _cmd_run(args) -> int:
         raise UsageError(f"no experiment sections in {args.config!r}")
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     out_dir = Path(args.out)
     try:  # before any section runs, so a bad --out costs nothing
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -55,13 +51,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_gen(args) -> int:
     spec = FunctionSpec.parse(args.spec)
-    grid = generate_function(spec, args.seed)
-    report = SummabilityReport("gen", spec.text, spec.bits, args.seed)
-    samples = grid.samples
-    for *row, j in np.ndindex(samples.shape):
-        report.add(f"grid2d:row={row[0]}" if row else "grid1d", j, samples[(*row, j)])
-    try:
-        write_reports_csv([report], args.out)
+    samples = generate_function(spec, args.seed).samples
+    head = ["gen", spec.text, str(spec.bits), str(args.seed)]
+    lines = [("grid1d", samples)] if samples.ndim == 1 else (
+        (f"grid2d:row={i}", row) for i, row in enumerate(samples))
+    rows = (head + [param, _fmt(j), _fmt(v)] for param, line in lines for j, v in enumerate(line))
+    try:  # each row is written as it is formatted: no list of the grid's rows
+        write_csv(rows, args.out)
     except OSError as exc:
         raise UsageError(f"cannot write {args.out!r}: {exc.strerror}") from exc
     return 0
@@ -93,6 +89,8 @@ def main(argv=None) -> int:
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # run and gen, before anything is read or generated
+            raise UsageError(f"--seed must be nonnegative, got {args.seed}")
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "selftest":

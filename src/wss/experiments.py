@@ -12,14 +12,13 @@ import configparser
 import contextlib
 import csv
 import functools
-import itertools
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .dyadic import walsh_row
+from .dyadic import walsh_matrix, walsh_row
 from .errors import DataError, UsageError
 from .generators import FunctionSpec, generate_function, parse_number
 from .maximal import (
@@ -32,7 +31,7 @@ from .maximal import (
     superlevel_measure,
 )
 from .means import PhiFunction, bmo_of_diagonal_sums, entropy_functional, phi_mean_sequence
-from .sums import _prefix_sums, dyadic_square_sums, quadratic_sums
+from .sums import dyadic_square_sums, quadratic_sums
 from .transform import BLOCK_BYTES, DyadicGrid1D, _analysis, _pow2_scaled, _zero_padded
 
 CSV_FIELDS = ("experiment", "spec", "B", "seed", "param", "lambda_or_m", "value")
@@ -87,19 +86,22 @@ class SummabilityReport:
                 if param.startswith("measure") and np.any(np.diff(vals) > 0):
                     raise UsageError(f"{param} superlevel sweep is not nonincreasing")
 
-    def csv_rows(self) -> list[list[str]]:
+    def csv_rows(self) -> Iterator[list[str]]:
         head = [self.experiment, self.spec, str(self.bits), str(self.seed)]
-        return [head + [param, _fmt(key), _fmt(value)] for param, key, value in self.rows]
+        return (head + [param, _fmt(key), _fmt(value)] for param, key, value in self.rows)
 
 
-def write_reports_csv(reports: list[SummabilityReport], path=None) -> None:
-    """The header and every report's rows, to the file at `path` (stdout if None)."""
+def write_csv(rows, path=None) -> None:
+    """The header and `rows`, each written as it comes, to the file at `path` (stdout if None)."""
     target = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
     with target as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_FIELDS)
-        for report in reports:
-            writer.writerows(report.csv_rows())
+        writer.writerows(rows)
+
+
+def write_reports_csv(reports: list[SummabilityReport], path=None) -> None:
+    write_csv((row for report in reports for row in report.csv_rows()), path)
 
 
 def _spec(spec: FunctionSpec | str, dims: int | None, what: str) -> FunctionSpec:
@@ -217,45 +219,46 @@ def run_theorem2(
 def iter_rodin_means(f: DyadicGrid1D, phi: PhiFunction, ms) -> Iterator[tuple[int, DyadicGrid1D]]:
     """Yield (m, the grid of (1/m) sum_{k=1..m} Phi(|S_k f - f|)) for m in `ms`.
 
-    Paley blocks: for a = j 2^s and r = 1..2^s, S_{a+r} f = S_a f + w_a P_r,
-    where P_r = sum_{i<r} c_{a+i} w_i lives on level-s cells, so
-    |S_{a+r} f - f| = |P_r + w_a (S_a f - f)|.  A block holds 2^s N values
-    within BLOCK_BYTES (1 <= s <= B) and the last one ends at max(ms).  The
-    band of f_hat from `_analysis`, zero-padded to a whole block, is [0, 2^M),
-    M = max(s, L) for f on level-L cells: f, every S_a f and the band's w_a
-    live on the level-M cells, so the stream runs there, elementwise as on
-    the grid, and each mean is a grid of those cells.  Past the band
-    every P_r is 0, so a block there evaluates Phi once, on |S_a f - f|: Phi
-    runs on the orders of the blocks inside the band and once per block
-    after, the running sums take O(2^M max(ms)) adds, and memory is
-    O(2^(s+M)).  Overflow fails at its first block.
+    The stream runs on f's own 2^l cells, l = max(1, L) for f on level-L
+    cells: f, its band [0, K = 2^l) from `_analysis` and every S_k f and w_k,
+    k <= K, live there, and each mean is a grid of those cells.  The band is
+    walked in Paley blocks of 2^s orders, s = ceil(l / 2) within BLOCK_BYTES
+    (1 <= s <= l): for a = j 2^s and i < 2^s, w_{a+i} = w_a w_i with w_i on
+    the level-s cells, so a block's terms c_{a+i} w_{a+i} are one sign table
+    and one sequential cumsum from S_a f gives its S_{a+r} f, the same bits
+    at any width.  Past the band f_hat is 0 and S_k f = S_K f, so a larger m
+    takes the closed form (A_K + (m - K) t) / m, A_K the sum of the first K
+    terms and t = Phi(|S_K f - f|).  Phi runs once per block and once past
+    the band: O(2^l (K + len(ms))) time and O(2^(s+l)) memory whatever B is.
+    A mean that leaves float64 fails at its m.
     """
-    ms = _m_grid(ms, f.size)
-    s = min(f.bits, max(1, (BLOCK_BYTES // (8 * f.size)).bit_length() - 1))
-    width, c, i = 1 << s, _analysis(f.cells, f.bits, (0,)), 0
-    c = _zero_padded(c, max(len(c), width))
-    level = len(c).bit_length() - 1  # M
-    target = np.repeat(f.cells, len(c) // len(f.cells)).reshape(width, -1)  # (level-s cell, offset)
-    start, total = np.zeros_like(target), np.zeros_like(target)
-    for a in range(0, ms[-1], width):
-        if a < len(c):
-            prefix = _prefix_sums(c[a:a + width], s)[1:, :, None]  # P_r, r = 1..2^s
-            sign = walsh_row(a, level).reshape(width, -1)
-            dev = prefix + sign * (start - target)  # w_a (S_{a+r} f - f)
-            start = start + sign * prefix[-1]
-            terms = phi(np.abs(dev, out=dev))
-        else:
-            terms = itertools.repeat(phi(np.abs(start - target)), width)
-        done = []
-        for k, term in enumerate(terms, a + 1):  # row by row beats an axis-0 cumsum
-            total += term
-            if i < len(ms) and ms[i] == k:
-                done.append((k, total.reshape(-1) / k))
-                i += 1
-        if not np.isfinite(total).all():
-            raise DataError(f"rodin Phi-mean overflowed float64 by k = {a + width}; "
-                            "lower the phi parameter")
-        yield from ((k, type(f).from_cells(f.bits, means)) for k, means in done)  # finite now
+    def checked(m, means):
+        if not np.isfinite(means).all():
+            raise DataError(f"rodin Phi-mean overflowed float64 at m = {m}; lower the phi parameter")
+        return m, type(f).from_cells(f.bits, means.reshape(-1))
+
+    ms, level, i = _m_grid(ms, f.size), max(1, len(f.cells).bit_length() - 1), 0
+    band, s = 1 << level, max(1, min((level + 1) // 2, (BLOCK_BYTES >> (level + 3)).bit_length() - 1))
+    width, c = 1 << s, _zero_padded(_analysis(f.cells, f.bits, (0,)), band)
+    target = np.resize(f.cells, band).reshape(width, -1)  # (level-s cell, offset); 2 cells for a constant
+    sums, total = np.zeros((width + 1,) + target.shape), np.zeros_like(target)  # sums[r]: S_{a+r} f
+    for a in range(0, min(ms[-1], band), width):
+        signs = walsh_matrix(s)[:, :, None] * walsh_row(a, level).reshape(width, -1)  # w_{a+i}
+        np.multiply(c[a:a + width, None, None], signs, out=sums[1:])
+        np.cumsum(sums, axis=0, out=sums)
+        terms, sums[0], done = phi(np.abs(sums[1:] - target)), sums[-1], []
+        with np.errstate(over="ignore"):  # a sum past float64 is inf, and fails at its m
+            for k, term in enumerate(terms, a + 1):  # row by row beats an axis-0 cumsum
+                total += term
+                if i < len(ms) and ms[i] == k:
+                    done.append((k, total / k))
+                    i += 1
+        yield from (checked(k, means) for k, means in done)
+    t = phi(np.abs(sums[0] - target)) if i < len(ms) else None
+    for m in ms[i:]:
+        with np.errstate(over="ignore"):
+            means = (total + (m - band) * t) / m
+        yield checked(m, means)
 
 
 def _rodin_args(spec, phi, m_grid, eps) -> tuple[FunctionSpec, list[int]]:

@@ -163,9 +163,8 @@ def schipp_v_max(f: DyadicGrid) -> DyadicGrid:
 
 
 def hybrid_v_1(f: DyadicGrid) -> DyadicGrid:
-    """V_1: the 1D operator V applied in x to each slice f(., y)."""
-    transposed = type(f).from_cells(f.bits, np.ascontiguousarray(f.cells.T))
-    return type(f).from_cells(f.bits, schipp_v_max(transposed).cells.T)
+    """V_1: the 1D operator V applied in x to each slice f(., y), on transposed views."""
+    return type(f).from_cells(f.bits, schipp_v_max(type(f).from_cells(f.bits, f.cells.T)).cells.T)
 
 
 def hybrid_v_2(f: DyadicGrid) -> DyadicGrid:

@@ -122,10 +122,10 @@ class DyadicGrid2D(DyadicGrid):
 def _pow2_scaled(*arrays: np.ndarray, inplace: bool = False) -> tuple[int, list[np.ndarray]]:
     """(e, [a 2^-e for a in arrays]), e putting the largest magnitude in
     [1/2, 1) (at e = 0 the arrays themselves, to be read only; `inplace`
-    scales the caller's own arrays): exact, so sums and squares stay in range
-    and results scaled back keep every bit."""
+    scales the caller's own arrays; else C-contiguous copies): exact, so sums
+    and squares stay in range and results scaled back keep every bit."""
     e = int(np.frexp(max(max(a.max(), -a.min()) for a in arrays))[1])
-    return e, [np.ldexp(a, -e, out=a if inplace else None) if e else a for a in arrays]
+    return e, [np.ldexp(a, -e, out=a if inplace else None, order="C") if e else a for a in arrays]
 
 
 def _fwht(values: np.ndarray, axis: int, spare: np.ndarray | None = None) -> None:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak_ratio
 from wss.cli import main
 from wss.errors import UsageError
 from wss.experiments import MAX_COUNT, load_config
@@ -101,6 +102,31 @@ def test_gen_dump_of_a_1d_grid(tmp_path):
     assert rows == [("grid1d", j, v) for j, v in enumerate(generate_function(spec, 2).samples)]
 
 
+def test_gen_dump_writes_each_row_as_it_is_formatted(tmp_path):
+    # the grid's 2^18 samples and the row in hand, no list of rows: about
+    # 1.2 grids measured, where one report row per sample peaked at 46
+    spec, target = "spike:level=2,target=10@B=9", tmp_path / "grid.csv"
+
+    def run(_):
+        assert main(["gen", spec, "--dump", "--out", str(target)]) == 0
+
+    assert traced_peak_ratio(run, generate_function(spec)) <= 2.0
+    with open(target, newline="") as handle:
+        assert sum(1 for _ in handle) == 1 + (1 << 18)
+
+
+@pytest.mark.parametrize("spec", ["spike:level=1,target=2@B=2", "random-step:level=2,dim=1@B=4"])
+def test_gen_negative_seed_exits_2_before_generation(tmp_path, capsys, monkeypatch, spec):
+    def refuse(*args):
+        raise AssertionError("generate_function called")
+
+    monkeypatch.setattr("wss.cli.generate_function", refuse)
+    target = tmp_path / "g.csv"
+    assert main(["gen", spec, "--dump", "--seed", "-3", "--out", str(target)]) == 2
+    assert capsys.readouterr().err == "error: --seed must be nonnegative, got -3\n"
+    assert not target.exists()
+
+
 def test_gen_requires_dump(capsys):
     assert main(["gen", "walsh-tensor:3@B=3"]) == 2
     assert "--dump" in capsys.readouterr().err
@@ -185,9 +211,11 @@ def test_rodin_runs_past_the_old_table_cap(tmp_path):
         "phi = power:400\nm = 4,8\n",
         "[s]\nexperiment = rodin\nspec = random-step:level=3,dim=1,amp=1000@B=14\n"
         "phi = exp_minus_one:1\nm = 4,8\n",
+        "[s]\nexperiment = rodin\nspec = random-step:level=3,dim=1,amp=1.5e154@B=6\n"
+        "phi = power:2\nm = 4,8\n",
         "[s]\nexperiment = theorem2\nspec = random-step:level=2,dim=2,amp=1000@B=5\nm = 4,8\n",
     ],
-    ids=["rodin-exp", "rodin-power", "rodin-past-old-cap", "theorem2"],
+    ids=["rodin-exp", "rodin-power", "rodin-past-old-cap", "rodin-finite-terms", "theorem2"],
 )
 def test_overflowed_phi_means_exit_2(tmp_path, capsys, text):
     cfg = tmp_path / "huge.ini"

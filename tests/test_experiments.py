@@ -1,3 +1,4 @@
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import traced_peak_ratio
 from wss import experiments, oracles
 from wss.dyadic import walsh_matrix, walsh_matrix_f64
-from wss.errors import UsageError
+from wss.errors import DataError, UsageError
 from wss.experiments import (
     ExperimentConfig,
     SummabilityReport,
@@ -167,9 +168,9 @@ def _assert_stream_matches_table(f, phi, ms):
 
 @pytest.mark.parametrize("bits", range(1, 11), ids=lambda b: f"B={b}")
 def test_rodin_stream_matches_table(bits):
-    # Every m in 1..N, so m = 1, the block edges w - 1, w, w + 1, and N.  Up
-    # to B = 9 the default block is the whole table (s clipped to B); at
-    # B = 10 four blocks of 2^8 orders are chained.
+    # Every m in 1..N, so m = 1, the block edges w - 1, w, w + 1, and N.  A
+    # random grid is its own level-B cells, band N: blocks of 2^ceil(B/2)
+    # orders, so at B = 10 thirty-two blocks of 2^5 orders are chained.
     f = random_grid_1d(bits, seed=1500 + bits)
     _assert_stream_matches_table(f, PhiFunction.exp_minus_one(1.0), range(1, f.size + 1))
 
@@ -178,57 +179,68 @@ def test_rodin_stream_matches_table(bits):
 @given(st.integers(1, 8), st.integers(0, 8), st.integers(1, 8), st.integers(0, 10_000),
        st.booleans(), st.data())
 def test_rodin_stream_matches_table_at_any_block_width(bits, level, s, seed, power, data):
-    level, s = min(level, bits), min(s, bits)
+    level = min(level, bits)
+    cells = max(1, level)  # the stream's level: a constant f runs on 2 cells
+    s = min(s, (cells + 1) // 2)  # the widths the stream takes: 1 <= s <= ceil(l / 2)
     f = generate_function(f"random-step:level={level},dim=1@B={bits}", seed)
     phi = PhiFunction.power(2.0) if power else PhiFunction.exp_minus_one(1.0)
     ms = sorted(data.draw(st.sets(st.integers(1, f.size), min_size=1)))
-    with mock.patch.object(experiments, "BLOCK_BYTES", 8 << (bits + s)):  # blocks of 2^s
+    with mock.patch.object(experiments, "BLOCK_BYTES", 8 << (cells + s)):  # blocks of 2^s
         _assert_stream_matches_table(f, phi, ms)
 
 
 @pytest.mark.parametrize("bits", range(1, 11), ids=lambda b: f"B={b}")
 def test_rodin_stream_on_the_cells_of_every_level_and_block_width(bits):
-    # level L <= B and blocks of 2^s, 1 <= s <= B: the stream runs on the
-    # level-max(s, L) cells and its means match the table at every m
+    # level L <= B and blocks of 2^s, 1 <= s <= ceil(l / 2), l = max(1, L):
+    # the stream runs on the level-l cells, its means match the table at
+    # every m, and one sequential cumsum makes them the same bits at every width
     phi = PhiFunction.exp_minus_one(1.0)
     for level in range(bits + 1):
         f = generate_function(f"random-step:level={level},dim=1@B={bits}", 40 + level)
         ms = range(1, f.size + 1)
         table = oracles.rodin_means_brute(f, phi, ms)
-        for s in range(1, bits + 1):
-            with mock.patch.object(experiments, "BLOCK_BYTES", 8 << (bits + s)):
+        cells = max(1, level)
+        first = None
+        for s in range(1, (cells + 1) // 2 + 1):
+            with mock.patch.object(experiments, "BLOCK_BYTES", 8 << (cells + s)):
                 stream = np.array([means.samples for _, means in iter_rodin_means(f, phi, ms)])
             # assert_allclose's test at rtol 1e-12, without its report on a 2^20 array
             assert np.all(np.abs(stream - table) <= 1e-12 * np.abs(table)), (level, 1 << s)
+            first = stream if first is None else first
+            assert np.array_equal(stream.view(np.int64), first.view(np.int64)), (level, 1 << s)
 
 
-@pytest.mark.parametrize("s", [1, 2, 3, 8], ids=lambda s: f"width={1 << s}")
-def test_rodin_stream_past_the_support(s):
+@pytest.mark.parametrize("s, band", [(1, 8), (2, 8), (2, 64), (3, 64)],
+                         ids=["width=2-band=8", "width=4-band=8", "width=4-band=64", "width=8-band=64"])
+def test_rodin_stream_past_the_support(s, band):
     # f_hat of w_5 + w_2 ends at order 5 and w_5 lives on level-3 cells, so
-    # the band is 8: the first four blocks of 2 orders (the fourth all exact
-    # zeros), the first two blocks of 4, the first block of 8, or the only
-    # block of 256.
-    f = generate_function("walsh-tensor:5+2@B=10")
+    # the band is 8: four blocks of 2 orders (the fourth all exact zeros) or
+    # two blocks of 4.  With w_32 (level 6) added f_hat ends at 32 and the
+    # band is 64: sixteen blocks of 4 or eight of 8, the later ones all exact
+    # zeros.  Every larger m is the closed form.
+    f = generate_function("walsh-tensor:5+2@B=10" if band == 8 else "walsh-tensor:5+2+32@B=10")
+    assert len(f.cells) == band
     phi = PhiFunction.exp_minus_one(1.0)
-    ms = [1, 4, 5, 6, 7, 8, 9, 12, 13, 100, 256, 1024]
-    with mock.patch.object(experiments, "BLOCK_BYTES", 8 << (f.bits + s)):
+    ms = [1, 4, 5, 6, 7, 8, 9, 12, 13, 32, 33, 34, 64, 65, 100, 256, 1024]
+    with mock.patch.object(experiments, "BLOCK_BYTES", 8 * band << s):  # blocks of 2^s
         _assert_stream_matches_table(f, phi, ms)
 
 
-def test_rodin_stream_evaluates_phi_once_per_block_past_the_support():
+def test_rodin_stream_evaluates_phi_once_per_in_band_block_and_once_past_the_band():
     calls = []
 
     def counted(t):
         calls.append(t.size)
         return np.expm1(t)
 
-    f = generate_function("walsh-tensor:5@B=10")  # support 6, inside the second block
-    with mock.patch.object(experiments, "BLOCK_BYTES", 8 << (f.bits + 2)):  # blocks of 4
-        stream = np.array([means.samples for _, means in iter_rodin_means(f, counted, [3, 6, 7, 1024])])
-    cells = 8  # w_5 lives on the level-3 cells, finer than a block's level 2
-    assert calls == [4 * cells] * 2 + [cells] * 254
-    np.testing.assert_allclose(stream, oracles.rodin_means_brute(f, np.expm1, [3, 6, 7, 1024]),
-                               rtol=1e-12)
+    f = generate_function("walsh-tensor:5@B=10")  # support 6, inside the second block of 4
+    cells = 8  # w_5 lives on the level-3 cells: band 8, blocks of 2^ceil(3/2) = 4 by default
+    for ms, want in (([3, 6, 7, 1024], [4 * cells] * 2 + [cells]), ([3, 6], [4 * cells] * 2),
+                     ([3, 9, 10, 1024], [4 * cells] * 2 + [cells])):
+        calls.clear()
+        stream = np.array([means.samples for _, means in iter_rodin_means(f, counted, ms)])
+        assert calls == want, ms
+        np.testing.assert_allclose(stream, oracles.rodin_means_brute(f, np.expm1, ms), rtol=1e-12)
 
 
 def test_rodin_stream_keys_its_skip_on_the_band():
@@ -240,15 +252,18 @@ def test_rodin_stream_keys_its_skip_on_the_band():
 
     f = generate_function("walsh-tensor:5+2@B=10")  # f_hat ends at 5; band 8
     ms = [1, 5, 6, 7, 8, 9, 1024]
-    with mock.patch.object(experiments, "BLOCK_BYTES", 8 << (f.bits + 1)):  # blocks of 2
+    with mock.patch.object(experiments, "BLOCK_BYTES", 8 << (3 + 1)):  # blocks of 2 on 8 cells
         stream = np.array([means.samples for _, means in iter_rodin_means(f, counted, ms)])
-    # blocks 0, 2, 4 and 6 (below the band) take the prefix route, on the 8 level-3 cells
-    assert calls == [2 * 8] * 4 + [8] * 508
+    # blocks 0, 2, 4 and 6 (below the band; orders 6 and 7 exact zeros) take
+    # the sign-table route on the 8 level-3 cells, and m = 9 and 1024 one
+    # closed form past it
+    assert calls == [2 * 8] * 4 + [8]
     np.testing.assert_allclose(stream, oracles.rodin_means_brute(f, np.expm1, ms), rtol=1e-12)
 
 
 def test_rodin_stream_with_grid_rows_past_the_block_budget():
-    # At B = 19 one grid row alone is 4 MiB, over BLOCK_BYTES: blocks of 2 orders.
+    # At B = 19 one grid row alone is 4 MiB, over BLOCK_BYTES; the stream
+    # runs on the level-4 step's 16 cells in blocks of 4 orders whatever B is.
     from wss.sums import partial_sum_1d
 
     spec = "random-step:level=4,dim=1@B=19"
@@ -258,6 +273,35 @@ def test_rodin_stream_with_grid_rows_past_the_block_budget():
     rep = run_rodin_1d(spec, phi, [1, 3], seed=5)
     assert rep.value("mean_max", 1) == pytest.approx(terms[0].max(), rel=1e-12)
     assert rep.value("mean_max", 3) == pytest.approx((sum(terms) / 3).max(), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_rodin_rows_are_the_same_at_every_depth(seed):
+    # f is the same level-6 step at every B, and the stream runs on its 64
+    # cells in blocks its level sets (8 of 8 orders, Phi on 8 x 64 values
+    # each, then once past the band), so every row keeps its bits from B = 6
+    # to 24; m = 100 is past the band, so it needs B >= 7
+    phi, first = PhiFunction.exp_minus_one(1.0), None
+    for bits in range(6, 25):
+        ms = [m for m in (4, 16, 64, 100) if m <= 1 << bits]
+        spec = f"random-step:level=6,dim=1@B={bits}"
+        rep = run_rodin_1d(spec, phi, ms, seed=seed)
+        first = first if first and len(first) == len(rep.rows) else rep.rows
+        assert [(p, k) for p, k, _ in rep.rows] == [(p, k) for p, k, _ in first]
+        assert [v for _, _, v in rep.rows] == [v for _, _, v in first], bits
+        calls = []
+        list(iter_rodin_means(generate_function(spec, seed), lambda t: calls.append(t.size) or phi(t), ms))
+        assert calls == [8 * 64] * 8 + [64] * (bits > 6), bits
+
+
+def test_rodin_closed_form_overflow_names_its_order():
+    # band 2 with every term 1e307: A_2 is finite, and m * 1e307 passes
+    # float64 first at m = 18, inside np.errstate, so no RuntimeWarning
+    f = generate_function("walsh-tensor:1@B=6")
+    stream = iter_rodin_means(f, lambda t: np.full(np.shape(t), 1e307), [2, 3, 17, 18, 64])
+    assert [m for m, _ in itertools.islice(stream, 3)] == [2, 3, 17]
+    with pytest.raises(DataError, match="overflowed float64 at m = 18"):
+        next(stream)
 
 
 def test_weak_type_constant_function():

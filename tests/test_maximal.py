@@ -324,6 +324,14 @@ def test_maximal_pyramids_hold_one_working_copy(op, bound):
     assert traced_peak_ratio(op, random_grid_2d(9, seed=24, amp=4.0)) <= bound
 
 
+def test_v1_runs_on_a_transposed_view_and_peaks_as_v2():
+    # no transposed copy in or out: both peak at about 5.50 grids at B=10
+    # (5.50125 and 5.50116), where a transposed copy of f took V1 to 6.50
+    f = random_grid_2d(10, seed=24, amp=4.0)
+    v1, v2 = traced_peak_ratio(hybrid_v_1, f), traced_peak_ratio(hybrid_v_2, f)
+    assert v1 <= 5.51 and v1 <= v2 + 0.001
+
+
 @pytest.mark.parametrize("op", [hybrid_maximal_1, hybrid_maximal_2])
 def test_one_axis_pyramids_hold_the_result_and_one_block(op):
     # a B=10 grid is four blocks: the result plus one slab's coarser levels (1.25 grids)
