@@ -11,9 +11,9 @@ not depend on --threads.
 from __future__ import annotations
 
 import argparse
+import gc
 import signal
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .errors import DataError, UsageError
@@ -35,6 +35,7 @@ def _cmd_run(args) -> int:
     if args.threads == 1:
         reports = [run_configured(cfg, args.seed) for cfg in configs]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # and logging: a one-thread run loads neither
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             # the first failure cancels the sections still queued
             reports = list(pool.map(run_configured, configs, [args.seed] * len(configs)))
@@ -84,9 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if argv is None and hasattr(signal, "SIGPIPE"):
-        # die quietly when piped into head etc.
-        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    if argv is None:  # run as a program: the exit-time collections skip what the imports made
+        gc.freeze()
+        if hasattr(signal, "SIGPIPE"):  # die quietly when piped into head etc.
+            signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "seed", 0) < 0:  # run and gen, before anything is read or generated

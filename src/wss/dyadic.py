@@ -10,7 +10,7 @@ module is integer-exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -53,17 +53,16 @@ def bit_reverse_permutation(bits: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class DyadicPoint:
-    """Grid point x = idx * 2**-bits of the unit interval."""
+class DyadicPoint(namedtuple("DyadicPoint", "idx bits")):
+    """Grid point x = idx * 2**-bits of the unit interval, an immutable pair."""
 
-    idx: int
-    bits: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        validate_bits(self.bits)
-        if not 0 <= self.idx < (1 << self.bits):
-            raise UsageError(f"index {self.idx} outside [0, 2^{self.bits})")
+    def __new__(cls, idx: int, bits: int):
+        validate_bits(bits)
+        if not 0 <= idx < (1 << bits):
+            raise UsageError(f"index {idx} outside [0, 2^{bits})")
+        return super().__new__(cls, idx, bits)
 
     @property
     def value(self) -> float:
@@ -120,10 +119,10 @@ def walsh_matrix(bits: int) -> np.ndarray:
     validate_bits(bits)
     if bits > MAX_MATRIX_BITS:
         raise UsageError(f"refusing to materialize a 2^{bits} square Walsh matrix")
-    rev = bit_reverse_permutation(bits)
-    ks = np.arange(1 << bits, dtype=np.int64)
-    parity = (np.bitwise_count(ks[:, None] & rev[None, :]) & 1).astype(np.int8)
-    w = (1 - 2 * parity).astype(np.int8)
+    rev = bit_reverse_permutation(bits).astype(np.uint16)  # indices below 2^13 fit 16 bits
+    ks = np.arange(1 << bits, dtype=np.uint16)
+    parity = (np.bitwise_count(ks[:, None] & rev) & 1).view(np.int8)
+    w = 1 - 2 * parity
     w.setflags(write=False)
     return w
 

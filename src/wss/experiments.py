@@ -13,8 +13,7 @@ import contextlib
 import csv
 import functools
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -45,15 +44,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass
 class SummabilityReport:
     """One experiment's outcome: identification plus (param, key, value) rows."""
 
-    experiment: str
-    spec: str
-    bits: int
-    seed: int
-    rows: list[tuple[str, float, float]] = field(default_factory=list)
+    def __init__(self, experiment: str, spec: str, bits: int, seed: int,
+                 rows: list[tuple[str, float, float]] | None = None):
+        self.experiment, self.spec, self.bits, self.seed = experiment, spec, bits, seed
+        self.rows = [] if rows is None else rows
 
     def add(self, param: str, key: float, value: float) -> None:
         self.rows.append((param, float(key), float(value)))
@@ -280,9 +277,11 @@ def run_rodin_1d(
     """1D Phi-mean trajectories of |S_k - f| and their exceedance measures.
 
     For each m in the grid (1 <= m <= 2^B) the mean is
-    (1/m) sum_{k=1..m} Phi(|S_k f - f|)(x) on the 2^B grid, streamed in Paley
-    blocks by the identity S_{a+r} f = S_a f + w_a P_r (`iter_rodin_means`);
-    the report holds its maximum over x and `superlevel_measure` at eps.
+    (1/m) sum_{k=1..m} Phi(|S_k f - f|)(x) on f's own 2^l cells, streamed by
+    `iter_rodin_means` in Paley blocks of 2^s orders across the band K = 2^l;
+    every m past the band is closed as (A_K + (m - K) t) / m, with A_K the
+    sum of the first K terms and t = Phi(|S_K f - f|).  The report holds its
+    maximum over x and `superlevel_measure` at eps.
     Rodin's theorem only says the mean tends to 0 a.e. as m -> oo: it gives
     no rate, so no finite m has a theoretical bound on the exceedance.
     """
@@ -408,7 +407,6 @@ _KINDS = {"theorem1": ("spec lambda mode", _theorem1_args),
           "weak_type": ("spec operator count lambda", _weak_type_args)}
 
 
-@dataclass
 class ExperimentConfig:
     """One config section: experiment, seed and the keys its kind reads.
 
@@ -417,12 +415,8 @@ class ExperimentConfig:
     runs: `call(seed=...)` runs the section, and `seed` is None where the
     run's default seed applies."""
 
-    name: str
-    options: dict[str, str]
-    call: Callable = field(init=False, repr=False)
-    seed: int | None = field(init=False)
-
-    def __post_init__(self):
+    def __init__(self, name: str, options: dict[str, str]):
+        self.name, self.options = name, options
         kind = self.get("experiment")
         if kind not in _KINDS:
             raise UsageError(f"unknown experiment kind {kind!r} in section {self.name!r}")

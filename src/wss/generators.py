@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -91,8 +90,7 @@ def portable_uniforms(seed: int, count: int) -> np.ndarray:
     return (raw >> np.uint64(11)) * 2.0**-53
 
 
-@dataclass(frozen=True)
-class FunctionSpec:
+class FunctionSpec(NamedTuple):
     """Parsed and checked form of a generator token; `text` keeps the original
     spelling.  `positional` holds indicator-rect's 2 or 4 corners as floats, or
     walsh-tensor's index groups as int tuples ("3,6" one 2D group, "3+9" two

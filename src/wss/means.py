@@ -8,7 +8,7 @@ window B.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,8 +113,7 @@ def bmo_of_diagonal_sums(field: DiagonalSumField) -> DyadicGrid2D:
     return DyadicGrid2D.from_cells(field.bits, np.ldexp(np.sqrt(out, out=out), exponent, out=out))
 
 
-@dataclass(frozen=True)
-class PhiFunction:
+class PhiFunction(NamedTuple):
     """Increasing continuous gauge with Phi(0) = 0, used for Phi-means:
     power(p) for t^p or exp_minus_one(a) for exp(a t) - 1."""
 

@@ -19,7 +19,6 @@ of orders at every point come from one Paley prefix scan, `_paley_scan`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -109,7 +108,6 @@ def rectangular_partial_sum(f: DyadicGrid2D, m: int, n: int) -> DyadicGrid2D:
     return type(f)(f.bits, _synthesis(_analysis(f.cells, f.bits, (0, 1)), f.bits, (m, n)))
 
 
-@dataclass
 class DiagonalSumField:
     """All quadratic partial sums S_nn(x, y; f), n = 0..2^bits, kept as the
     (K, 2^l) row and column profiles on the level-l cells, 2^l = max(2, K),
@@ -118,9 +116,8 @@ class DiagonalSumField:
     point's sequence contiguous; `sequence_at` gives one point.
     """
 
-    bits: int
-    row_profiles: np.ndarray = field(repr=False)
-    col_profiles: np.ndarray = field(repr=False)
+    def __init__(self, bits: int, row_profiles: np.ndarray, col_profiles: np.ndarray):
+        self.bits, self.row_profiles, self.col_profiles = bits, row_profiles, col_profiles
 
     # The cube is never materialized; perfbench's tracer still reads both names.
     values = None

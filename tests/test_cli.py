@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import io
 import os
 import re
@@ -377,15 +378,61 @@ def test_a_weak_type_count_past_the_cap_exits_2_at_load(tmp_path, capsys, monkey
     assert section.call.args[2] == MAX_COUNT
 
 
+def _python(*args, cwd=None):
+    """A fresh interpreter on this checkout's wss."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path), cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_run_does_not_import_the_oracles():
     # `wss run` never reaches the selftest battery, so importing the CLI
-    # leaves it and its brute-force oracles unloaded
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", "import sys, wss.cli; print(*sys.modules)"],
-                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60)
+    # leaves it and its brute-force oracles unloaded; nor does it load the
+    # thread pool (and its logging) or dataclasses, which only cost start-up
+    done = _python("-c", "import sys, wss.cli; print(*sys.modules)")
     assert done.returncode == 0, done.stderr
     loaded = done.stdout.split()
     assert "wss.cli" in loaded and "wss.selftest" not in loaded and "wss.oracles" not in loaded
+    assert not {"dataclasses", "concurrent.futures", "logging"} & set(loaded)
+
+
+def test_the_thread_pool_loads_only_past_one_thread(tmp_path):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(CONFIG)
+    code = (
+        "import sys; from wss.cli import main\n"
+        "for threads in ('1', '2'):\n"
+        "    assert main(['run', sys.argv[1], '--out', threads, '--threads', threads]) == 0\n"
+        "    print('concurrent.futures' in sys.modules)\n")
+    done = _python("-c", code, str(cfg), cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert [line for line in done.stdout.splitlines() if line in ("True", "False")] == ["False", "True"]
+    assert (tmp_path / "1" / "report.csv").read_bytes() == (tmp_path / "2" / "report.csv").read_bytes()
+
+
+def test_main_called_in_process_freezes_nothing(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(CONFIG)
+    before = gc.get_freeze_count()
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert main(["run", str(tmp_path / "missing.ini")]) == 2
+    assert gc.get_freeze_count() == before
+
+
+def test_wss_run_as_a_program_writes_the_in_process_report(tmp_path, capsys):
+    # the program path freezes the import-time objects before it runs
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(CONFIG)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "in"), "--seed", "5"]) == 0
+    done = _python("-m", "wss.cli", "run", str(cfg), "--out", str(tmp_path / "child"), "--seed", "5")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith(f"wrote {tmp_path / 'child' / 'report.csv'}\n") and not done.stderr
+    assert (tmp_path / "child" / "report.csv").read_bytes() == (tmp_path / "in" / "report.csv").read_bytes()
+
+    cfg.write_text("experiment = theorem1\n")  # no section header
+    done = _python("-m", "wss.cli", "run", str(cfg), "--out", str(tmp_path / "bad"))
+    assert done.returncode == 2 and not done.stdout
+    assert re.fullmatch(r"error: config file .* is malformed: .*\n", done.stderr), done.stderr
 
 
 def test_a_negative_seed_flag_exits_2_before_any_section(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,30 @@ def test_bit_reverse_permutation_involution():
 def test_walsh_row_matches_pointwise():
     row = walsh_row(11, 5)
     assert np.array_equal(row, [walsh(11, DyadicPoint(i, 5)) for i in range(32)])
+
+
+@pytest.mark.parametrize("bits", range(1, 11))
+def test_walsh_matrix_matches_the_int64_parity_table_and_pointwise(bits):
+    n = 1 << bits
+    rev = bit_reverse_permutation(bits)
+    ks = np.arange(n, dtype=np.int64)
+    old = (1 - 2 * (np.bitwise_count(ks[:, None] & rev[None, :]) & 1)).astype(np.int8)
+    w = walsh_matrix(bits)
+    assert w.dtype == np.int8 and not w.flags.writeable and np.array_equal(w, old)
+    rows = range(n) if bits <= 6 else sorted({0, 1, 3, n // 2, n // 2 + 1, n - 2, n - 1, 0x155 % n})
+    for k in rows:
+        assert w[k].tolist() == [walsh(k, DyadicPoint(i, bits)) for i in range(n)], k
+
+
+def test_a_cold_walsh_matrix_builds_no_wide_parity_table():
+    # the uint16 route: about 27 KB for the 4 KB matrix at bits 6, where an
+    # int64 parity table took about 101 KB
+    walsh_matrix.cache_clear()
+    bit_reverse_permutation.cache_clear()
+    tracemalloc.start()
+    try:
+        walsh_matrix(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40_000, peak
