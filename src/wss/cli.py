@@ -11,13 +11,15 @@ not depend on --threads.
 from __future__ import annotations
 
 import argparse
+import csv
 import gc
+import io
 import signal
 import sys
 from pathlib import Path
 
 from .errors import DataError, UsageError
-from .experiments import _fmt, load_config, run_configured, write_csv, write_reports_csv
+from .experiments import load_config, run_configured, write_csv, write_reports_csv
 from .generators import FunctionSpec, generate_function
 
 
@@ -50,15 +52,23 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _dump_lines(f, prefix: str):
+    """The dump's rows after the header, one string per grid row."""
+    cells = f.cells.reshape(-1, len(f.cells))  # 1D: one row of cells, param grid1d
+    width = f.size // cells.shape[1]
+    line = "".join(f"\0{j},%.17g\n" for j in range(f.size))  # `_fmt`'s format; \0: each row's lead
+    for r, row in enumerate(cells):
+        body = line % tuple(v for v in row.tolist() for _ in range(width))  # once for the rows it spans
+        for param in ["grid1d"] if f.dims == 1 else (f"grid2d:row={r * width + i}" for i in range(width)):
+            yield body.replace("\0", f"{prefix}{param},")
+
+
 def _cmd_gen(args) -> int:
     spec = FunctionSpec.parse(args.spec)
-    samples = generate_function(spec, args.seed).samples
-    head = ["gen", spec.text, str(spec.bits), str(args.seed)]
-    lines = [("grid1d", samples)] if samples.ndim == 1 else (
-        (f"grid2d:row={i}", row) for i, row in enumerate(samples))
-    rows = (head + [param, _fmt(j), _fmt(v)] for param, line in lines for j, v in enumerate(line))
-    try:  # each row is written as it is formatted: no list of the grid's rows
-        write_csv(rows, args.out)
+    prefix = io.StringIO()  # only the spec may need quoting: no later field holds a comma or quote
+    csv.writer(prefix, lineterminator="").writerow(["gen", spec.text, spec.bits, args.seed, ""])
+    try:  # each grid row is written as it is made: no list of the grid's rows
+        write_csv((), args.out, _dump_lines(generate_function(spec, args.seed), prefix.getvalue()))
     except OSError as exc:
         raise UsageError(f"cannot write {args.out!r}: {exc.strerror}") from exc
     return 0

@@ -3,13 +3,11 @@
 A point x of [0, 1) is stored as a grid index ``idx`` with x = idx * 2**-bits.
 The binary digits of x (most significant first) are the expansion coefficients
 x_0, x_1, ..., so digit k of x is bit (bits-1-k) of ``idx``.  Dyadic addition
-is XOR on indices, Rademacher functions read single expansion digits, and
-Walsh functions (Paley order) are popcount parities.  Everything in this
-module is integer-exact.
+is XOR on indices and Walsh functions (Paley order) are popcount parities.
+Everything in this module is integer-exact.
 """
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from functools import lru_cache
 
@@ -64,39 +62,10 @@ class DyadicPoint(namedtuple("DyadicPoint", "idx bits")):
             raise UsageError(f"index {idx} outside [0, 2^{bits})")
         return super().__new__(cls, idx, bits)
 
-    @property
-    def value(self) -> float:
-        return self.idx / float(1 << self.bits)
-
-    @classmethod
-    def from_float(cls, x: float, bits: int) -> "DyadicPoint":
-        validate_bits(bits)
-        if not 0.0 <= x < 1.0:
-            raise UsageError(f"point {x} outside [0, 1)")
-        return cls(int(math.floor(x * (1 << bits))), bits)
-
-    def expansion_bit(self, k: int) -> int:
-        """Digit x_k of the dyadic expansion x = sum_k x_k 2^-(k+1)."""
-        if not 0 <= k < self.bits:
-            raise UsageError(f"expansion digit {k} not resolved at {self.bits} bits")
-        return (self.idx >> (self.bits - 1 - k)) & 1
-
-
-def rademacher(n: int, x: DyadicPoint) -> int:
-    """r_n(x) = +1 if digit x_n is 0, -1 if it is 1.  Requires n < bits."""
-    if not 0 <= n < x.bits:
-        raise UsageError(
-            f"rademacher index {n} is not constant on cells of a {x.bits}-bit grid"
-        )
-    return 1 - 2 * x.expansion_bit(n)
-
 
 def walsh(k: int, x: DyadicPoint) -> int:
-    """Walsh function w_k(x) in Paley order.
-
-    w_0 = 1 and w_k = prod r_{n_i} over the set bits n_i of k, which reduces
-    to the parity of popcount(k & reversed_index).
-    """
+    """Walsh function w_k(x) in Paley order: w_0 = 1 and w_k = prod r_n over the
+    set bits n of k, r_n(x) = 1 - 2 x_n, the parity of popcount(k & reversed_index)."""
     if not 0 <= k < (1 << x.bits):
         raise UsageError(f"walsh index {k} outside [0, 2^{x.bits})")
     masked = k & bit_reverse_int(x.idx, x.bits)

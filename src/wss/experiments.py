@@ -88,13 +88,14 @@ class SummabilityReport:
         return (head + [param, _fmt(key), _fmt(value)] for param, key, value in self.rows)
 
 
-def write_csv(rows, path=None) -> None:
-    """The header and `rows`, each written as it comes, to the file at `path` (stdout if None)."""
+def write_csv(rows, path=None, lines=()) -> None:
+    """The header, `rows` and preformatted `lines`, each written as it comes, to `path` (stdout if None)."""
     target = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
     with target as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_FIELDS)
         writer.writerows(rows)
+        handle.writelines(lines)
 
 
 def write_reports_csv(reports: list[SummabilityReport], path=None) -> None:

@@ -161,6 +161,11 @@ class FunctionSpec(NamedTuple):
                     positional.append(parse_number(item))
                 except UsageError:
                     raise SpecParseError(text, cursor, f"bad number {item!r}") from None
+                if len(positional) % 2:  # a pair's first corner
+                    pair_at = cursor
+                elif not 0 <= positional[-2] <= positional[-1] <= 1:
+                    pair = text[pair_at:cursor + len(item)]
+                    raise SpecParseError(text, pair_at, f"corner pair {pair!r} is not 0 <= a <= b <= 1")
             cursor += len(item) + 1
         if kind == "walsh-tensor" and {len(g) for g in positional} not in ({1}, {2}):
             raise SpecParseError(text, len(kind), "walsh-tensor groups must be all 1D or all 2D")

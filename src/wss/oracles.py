@@ -10,10 +10,11 @@ import math
 
 import numpy as np
 
+from .dyadic import walsh_matrix_f64
 from .errors import UsageError
 from .means import _max_mean_square_oscillation
-from .sums import DiagonalSumField, all_partial_sums_1d, partial_sum_1d, rectangular_partial_sum
-from .transform import DyadicGrid1D, DyadicGrid2D, _synthesis, wht_2d
+from .sums import DiagonalSumField, all_partial_sums_1d, partial_sum_1d
+from .transform import DyadicGrid1D, DyadicGrid2D, _synthesis, naive_wht_2d, wht_2d
 
 
 def cell_averages_1d(f: DyadicGrid1D, level: int) -> np.ndarray:
@@ -60,11 +61,10 @@ def bmo_sequence_brute(values) -> float:
 
 
 def diagonal_sums_brute(f: DyadicGrid2D) -> np.ndarray:
-    """Per-n truncate-and-synthesize oracle for the quadratic sums."""
-    out = np.empty((f.size + 1, f.size, f.size))
-    for n in range(f.size + 1):
-        out[n] = rectangular_partial_sum(f, n, n).samples
-    return out
+    """Per-n definitional quadratic sums, no butterfly: S_nn = W_n^T C_nn W_n,
+    C from `naive_wht_2d` and W_n the first n rows of the Walsh matrix."""
+    c, w = naive_wht_2d(f).samples, walsh_matrix_f64(f.bits)
+    return np.stack([w[:n].T @ c[:n, :n] @ w[:n] for n in range(f.size + 1)])
 
 
 def materialize(field: DiagonalSumField) -> np.ndarray:

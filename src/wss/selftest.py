@@ -70,7 +70,7 @@ def _check_quadratic_sums() -> tuple[bool, str]:
     for f in (random_grid_2d(4, seed=404), generate_function("spike:level=2,target=10@B=5")):
         fast = oracles.materialize(quadratic_sums(f))
         gap = max(gap, float(np.abs(fast - oracles.diagonal_sums_brute(f)).max()))
-    return gap <= 1e-10, f"incremental vs per-n synthesis gap {gap:.3g}, level-2 spike included"
+    return gap <= 1e-10, f"incremental vs per-n Walsh-matrix synthesis gap {gap:.3g}, level-2 spike included"
 
 
 def _check_bmo() -> tuple[bool, str]:
@@ -86,7 +86,7 @@ def _check_bmo_diagonal() -> tuple[bool, str]:
     gap = 0.0
     for f in (random_grid_2d(4, seed=808), generate_function("random-step:level=2,dim=2@B=4", 808)):
         fast = bmo_of_diagonal_sums(quadratic_sums(f)).samples
-        cube = oracles.diagonal_sums_brute(f)[: f.size]  # per-n synthesis, not the stream
+        cube = oracles.diagonal_sums_brute(f)[: f.size]  # per-n Walsh-matrix synthesis, not the stream
         brute = np.array([[oracles.bmo_sequence_brute(cube[:, ix, iy]) for iy in range(f.size)]
                           for ix in range(f.size)])
         gap = max(gap, float(np.abs(fast - brute).max() / brute.max()))

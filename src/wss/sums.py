@@ -35,14 +35,9 @@ def partial_sum_1d(f: DyadicGrid1D, n: int) -> DyadicGrid1D:
 
 def all_partial_sums_1d(f: DyadicGrid1D) -> np.ndarray:
     """Array of shape (2^bits + 1, 2^bits): row l holds S_l f on the grid."""
-    return _prefix_sums(_zero_padded(_analysis(f.cells, f.bits, (0,)), f.size), f.bits)
-
-
-def _prefix_sums(c: np.ndarray, bits: int) -> np.ndarray:
-    """Rows l = 0..2^bits of sum_{i<l} c[i] w_i on the level-`bits` cells."""
-    terms = c[:, None] * walsh_matrix(bits)  # c * (+-1) is exact in float64
-    out = np.zeros((terms.shape[0] + 1, terms.shape[1]))
-    np.cumsum(terms, axis=0, out=out[1:])
+    c = _zero_padded(_analysis(f.cells, f.bits, (0,)), f.size)
+    out = np.zeros((f.size + 1, f.size))
+    np.cumsum(c[:, None] * walsh_matrix(f.bits), axis=0, out=out[1:])  # c * (+-1) is exact in float64
     return out
 
 

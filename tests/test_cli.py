@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 from conftest import traced_peak_ratio
 from wss.cli import main
 from wss.errors import UsageError
-from wss.experiments import MAX_COUNT, load_config
-from wss.generators import generate_function
+from wss.experiments import CSV_FIELDS, MAX_COUNT, _fmt, load_config
+from wss.generators import FunctionSpec, generate_function
 from wss.sums import partial_sum_1d
+from wss.transform import DyadicGrid2D
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -104,14 +105,15 @@ def test_gen_dump_of_a_1d_grid(tmp_path):
 
 
 def test_gen_dump_writes_each_row_as_it_is_formatted(tmp_path):
-    # the grid's 2^18 samples and the row in hand, no list of rows: about
-    # 1.2 grids measured, where one report row per sample peaked at 46
+    # the grid's 4 x 4 cells and the row in hand, no list of rows and no
+    # 2^18 samples: about 0.12 grids measured, where one csv row per sample
+    # read 1.2 and one report row per sample 46
     spec, target = "spike:level=2,target=10@B=9", tmp_path / "grid.csv"
 
     def run(_):
         assert main(["gen", spec, "--dump", "--out", str(target)]) == 0
 
-    assert traced_peak_ratio(run, generate_function(spec)) <= 2.0
+    assert traced_peak_ratio(run, generate_function(spec)) <= 0.5
     with open(target, newline="") as handle:
         assert sum(1 for _ in handle) == 1 + (1 << 18)
 
@@ -393,7 +395,25 @@ def test_run_does_not_import_the_oracles():
     assert done.returncode == 0, done.stderr
     loaded = done.stdout.split()
     assert "wss.cli" in loaded and "wss.selftest" not in loaded and "wss.oracles" not in loaded
-    assert not {"dataclasses", "concurrent.futures", "logging"} & set(loaded)
+    assert not {"dataclasses", "concurrent.futures", "logging", "numpy.random"} & set(loaded)
+
+
+@pytest.mark.parametrize("section, loads", [
+    ("experiment = theorem1\nspec = spike:level=2,target=10@B=4\nlambda = 1,2\n\n"
+     "[ind]\nexperiment = theorem2\nspec = indicator-rect:0,0.5,0,0.5@B=4\nm = 4,8\n\n"
+     "[walsh]\nexperiment = rodin\nspec = walsh-tensor:3+9@B=5\nm = 4,16\n", False),
+    ("experiment = theorem1\nspec = random-step:level=2,dim=2@B=4\nlambda = 1,2\n", True),
+], ids=["spike-indicator-walsh", "random-step"])
+def test_numpy_random_loads_only_for_a_random_spec(tmp_path, section, loads):
+    # numpy.random costs 13-19 ms of start-up, and only the random kinds draw from it
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[s]\n" + section)
+    code = ("import sys; from wss.cli import main\n"
+            "assert main(['run', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print('numpy.random' in sys.modules)\n")
+    done = _python("-c", code, str(cfg), str(tmp_path / "out"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == str(loads)
 
 
 def test_the_thread_pool_loads_only_past_one_thread(tmp_path):
@@ -609,6 +629,41 @@ def test_gen_dump_to_stdout_equals_the_file(tmp_path, capsys):
         assert capsys.readouterr().out == (tmp_path / "g.csv").read_text()
 
 
+def _per_sample_dump(spec, seed, grid):
+    """The dump as it was once written: one csv row, two `_fmt` calls, per sample."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_FIELDS)
+    samples, head = grid.samples, ["gen", spec, str(FunctionSpec.parse(spec).bits), str(seed)]
+    lines = [("grid1d", samples)] if samples.ndim == 1 else (
+        (f"grid2d:row={i}", row) for i, row in enumerate(samples))
+    writer.writerows(head + [param, _fmt(j), _fmt(v)] for param, line in lines for j, v in enumerate(line))
+    return out.getvalue()
+
+
+# the last spec is dumped from a grid holding -0.0 and 0.0 side by side
+NEGATIVE_ZERO = DyadicGrid2D.from_cells(3, [[-0.0, 1.5], [0.0, -1e-300]])
+
+
+@pytest.mark.parametrize("spec, grid", [
+    ("random-step:level=6,dim=1@B=6", None),  # 1D, full resolution
+    ("random-step:level=2,dim=2,amp=1e200@B=5", None),  # 2D, coarse step
+    ("spike:level=2,target=10@B=6", None),
+    ("walsh-tensor:3@B=4", None),  # a prefix with no comma to quote
+    ("walsh-tensor:1,2@B=3", NEGATIVE_ZERO),
+], ids=["1d-full", "2d-step", "spike", "unquoted", "negative-zero"])
+def test_gen_dump_bytes_match_the_per_sample_writer(tmp_path, capsys, monkeypatch, spec, grid):
+    if grid is not None:
+        monkeypatch.setattr("wss.cli.generate_function", lambda *args: grid)
+    expected = _per_sample_dump(spec, 5, grid or generate_function(spec, 5))
+    assert main(["gen", spec, "--dump", "--seed", "5", "--out", str(tmp_path / "g.csv")]) == 0
+    with open(tmp_path / "g.csv", newline="") as handle:
+        assert handle.read() == expected
+    capsys.readouterr()
+    assert main(["gen", spec, "--dump", "--seed", "5"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_run_out_that_is_a_file_exits_2_before_any_section(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(CONFIG)
@@ -663,7 +718,8 @@ def _spec(draw, bits, dims):
         "random-step": f"{level},dim={dims},amp={draw(st.sampled_from(['1', '1e200', '-3']))}",
         "random-spectrum": f"support={draw(st.integers(1, size))},dim={dims}",
         "spike": f"{level},target={draw(st.floats(0.1, 100.0))!r}",
-        "indicator-rect": ",".join(repr(draw(st.floats(0.0, 1.0))) for _ in range(2 * dims)),
+        "indicator-rect": ",".join(repr(corner) for _ in range(dims)  # each pair in order
+                                   for corner in sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))),
         "walsh-tensor": draw(st.lists(index, min_size=dims, max_size=dims).map(",".join)),
     }[kind]
     return f"{kind}:{params}@B={bits}"

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wss.dyadic import DyadicPoint, bit_reverse_permutation, rademacher, walsh, walsh_matrix, walsh_row
+from wss.dyadic import DyadicPoint, bit_reverse_permutation, walsh, walsh_matrix, walsh_row
 from wss.errors import UsageError
 
 
@@ -17,21 +17,10 @@ def test_group_laws_exhaustive_small():
     assert np.array_equal((x[..., None] ^ y[..., None]) ^ z, x[..., None] ^ (y[..., None] ^ z))
 
 
-def test_rademacher_values():
-    assert rademacher(0, DyadicPoint.from_float(0.3, 4)) == 1
-    assert rademacher(0, DyadicPoint.from_float(0.5, 4)) == -1
-    assert rademacher(1, DyadicPoint.from_float(0.25, 4)) == -1
-
-
-def test_rademacher_out_of_range():
-    with pytest.raises(UsageError):
-        rademacher(4, DyadicPoint(0, 4))
-
-
 def test_walsh_examples():
     for idx in range(8):
         assert walsh(0, DyadicPoint(idx, 3)) == 1
-    assert walsh(3, DyadicPoint.from_float(0.25, 3)) == -1
+    assert walsh(3, DyadicPoint(2, 3)) == -1  # x = 1/4
     for idx in range(8):
         assert walsh(5, DyadicPoint(idx, 3)) ** 2 == 1
     with pytest.raises(UsageError):
@@ -39,14 +28,15 @@ def test_walsh_examples():
 
 
 def test_walsh_products_of_rademachers():
-    # w_k = prod of r_n over set bits n of k, exhaustive at 5 bits.
+    # w_k = prod of r_n over set bits n of k, exhaustive at 5 bits, where
+    # r_n(x) = 1 - 2 x_n reads digit x_n, bit (4 - n) of the index
     for k in range(32):
         for idx in range(32):
             p = DyadicPoint(idx, 5)
             expected = 1
             for n in range(5):
                 if k >> n & 1:
-                    expected *= rademacher(n, p)
+                    expected *= 1 - 2 * (idx >> (4 - n) & 1)
             assert walsh(k, p) == expected
 
 

@@ -114,6 +114,32 @@ def test_walsh_groups_and_corner_counts_are_settled_at_parse(text, pos, message)
     assert err.value.pos == pos
 
 
+@pytest.mark.parametrize(
+    "text, pair",
+    [
+        ("indicator-rect:0.5,0.25@B=2", "0.5,0.25"),  # reversed
+        ("indicator-rect:1.5,2@B=2", "1.5,2"),  # above 1
+        ("indicator-rect:-1,2@B=2", "-1,2"),  # negative
+        ("indicator-rect:0,1.0000001@B=3", "0,1.0000001"),
+        ("indicator-rect:0,1,0.5,0.25@B=2", "0.5,0.25"),  # one reversed side of a rectangle
+        ("indicator-rect:0.25,0.75,-0.5,-0.25@B=4", "-0.5,-0.25"),
+        ("indicator-rect:0.5,0.25,0,1@B=2", "0.5,0.25"),
+    ],
+)
+def test_corner_pairs_not_in_the_unit_interval_in_order_are_rejected(text, pair):
+    with pytest.raises(SpecParseError, match=re.escape(repr(pair))) as err:
+        FunctionSpec.parse(text)
+    assert err.value.pos == text.index(pair, text.index(":"))
+
+
+@pytest.mark.parametrize("text, ones", [
+    ("indicator-rect:0,0@B=5", 0), ("indicator-rect:1,1@B=2", 0), ("indicator-rect:-0,1@B=2", 4),
+    ("indicator-rect:0,1,0,1@B=3", 64), ("indicator-rect:0.5,0.5,0,1@B=2", 0),
+])
+def test_empty_and_whole_corner_pairs_still_generate(text, ones):
+    assert generate_function(text).samples.sum() == ones
+
+
 def test_walsh_groups_are_held_as_int_tuples():
     spec = FunctionSpec.parse("walsh-tensor:3+9@B=5")
     assert spec.positional == ((3,), (9,)) and spec.options == () and spec.dims == 1

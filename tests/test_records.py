@@ -51,8 +51,6 @@ def test_dyadic_point_checks_its_range_when_made(idx, bits):
 def test_dyadic_point_fields_and_methods():
     p = DyadicPoint(5, 4)
     assert (p.idx, p.bits) == tuple(p) == (5, 4)
-    assert p.value == 5 / 16 and DyadicPoint.from_float(5 / 16, 4) == p
-    assert [p.expansion_bit(k) for k in range(4)] == [0, 1, 0, 1]
 
 
 def test_mutable_records_keep_their_positional_constructors():
