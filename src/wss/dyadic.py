@@ -30,23 +30,20 @@ def validate_bits(bits: int, *, dims: int = 1) -> int:
     return int(bits)
 
 
-def bit_reverse_int(idx: int, bits: int) -> int:
-    """Reverse the low `bits` bits of a nonnegative integer."""
-    out = 0
+def bit_reverse_int(idx, bits: int):
+    """Reverse the low `bits` bits of a nonnegative int, or of each entry of
+    an int array (a new array of its dtype)."""
+    out = idx & 0
     for _ in range(bits):
         out = (out << 1) | (idx & 1)
-        idx >>= 1
+        idx = idx >> 1
     return out
 
 
 @lru_cache(maxsize=32)
 def bit_reverse_permutation(bits: int) -> np.ndarray:
-    """Permutation array p with p[i] = bit_reverse_int(i, bits)."""
-    idx = np.arange(1 << bits, dtype=np.int64)
-    out = np.zeros_like(idx)
-    for _ in range(bits):
-        out = (out << 1) | (idx & 1)
-        idx = idx >> 1
+    """Read-only int64 array p with p[i] = bit_reverse_int(i, bits)."""
+    out = bit_reverse_int(np.arange(1 << bits, dtype=np.int64), bits)
     out.setflags(write=False)
     return out
 

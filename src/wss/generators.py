@@ -109,6 +109,9 @@ class FunctionSpec(NamedTuple):
     @classmethod
     def parse(cls, text: str) -> "FunctionSpec":
         """The spec `text` says, once every value is in range (`KINDS`)."""
+        stray = next((i for i, c in enumerate(text) if not "!" <= c <= "~" or c == "_"), -1)
+        if stray >= 0:  # int() and float() would strip whitespace, read '_' and non-ASCII digits
+            raise SpecParseError(text, stray, f"stray {text[stray]!r}: a spec is one printable ASCII token, no '_'")
         if "@" not in text:
             raise SpecParseError(text, len(text), "missing @B=<bits> suffix")
         body, _, tail = text.partition("@")

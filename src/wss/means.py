@@ -29,44 +29,27 @@ def _max_mean_square_oscillation(a: np.ndarray, tail: np.ndarray | None = None,
 
         s = s_L + s_R,    P = P_L + P_R + (s_L - s_R)^2 / h,
 
-    the merged block's mean square deviation being P / 4h.  Single terms
-    (deviation 0) are skipped.  There is no centring pass: the relative
-    rounding error is about eps max|a| over the result, so rows should start
-    near 0.  Every scale is a power of two: dyadic rationals stay exact.
+    the merged block's mean square deviation being P / 4h (at h = 1, P is
+    the squared gap).  There is no centring pass: the relative rounding error
+    is about eps max|a| over the result, so rows should start near 0.  Every
+    scale is a power of two: dyadic rationals stay exact.
 
     With `tail` (one value per leading index) the sequence goes on as `tail`
-    up to `length` terms, a power of two.  A tail block of length h has P = 0
-    and s = h * tail, both exact, so each level above a's length is one merge
-    of the root block, with the same operations as on the whole sequence.
+    up to `length` terms, a power of two: once one block is left, each level
+    of the same loop merges that root with a tail block, s = h * tail and
+    P = 0, both exact: the same operations as on the whole sequence.
     """
-    if a.shape[-1] == 1:
-        total, spread, best, h = a[..., 0], 0.0, np.zeros(a.shape[:-1]), 1
-    else:
-        left, right = a[..., 0::2], a[..., 1::2]
-        total = left + right
-        spread = left - right
-        spread *= spread
-        best = spread.max(axis=-1) * 0.25
-        h = 2
-        while total.shape[-1] > 1:
-            left, right = total[..., 0::2], total[..., 1::2]
-            gap = left - right
-            gap *= gap
-            gap *= 1.0 / h
-            spread = spread[..., 0::2] + spread[..., 1::2]
-            spread += gap
-            total = left + right
-            best = np.maximum(best, spread.max(axis=-1) * (0.25 / h))
-            h *= 2
-        total, spread = total[..., 0], spread[..., 0]
-    while h < length:
-        right = h * tail
-        gap = total - right
+    total, spread, best, h = a, 0.0, np.zeros(a.shape[:-1]), 1
+    while total.shape[-1] > 1 or h < length:
+        pairs = total.shape[-1] > 1  # else the root and a tail block
+        left, right = (total[..., 0::2], total[..., 1::2]) if pairs else (total, h * tail[..., None])
+        gap = left - right
         gap *= gap
-        gap *= 1.0 / h
-        spread = spread + gap
-        total = total + right
-        best = np.maximum(best, spread * (0.25 / h))
+        if h > 1:
+            gap *= 1.0 / h
+            gap += spread[..., 0::2] + spread[..., 1::2] if pairs else spread
+        total, spread = left + right, gap
+        best = np.maximum(best, spread.max(axis=-1) * (0.25 / h))
         h *= 2
     return best
 

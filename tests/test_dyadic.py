@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wss.dyadic import DyadicPoint, bit_reverse_permutation, walsh, walsh_matrix, walsh_row
+from wss.dyadic import DyadicPoint, bit_reverse_int, bit_reverse_permutation, walsh, walsh_matrix, walsh_row
 from wss.errors import UsageError
 
 
@@ -63,6 +63,14 @@ def test_bit_reverse_permutation_involution():
     for bits in (1, 3, 6):
         perm = bit_reverse_permutation(bits)
         assert np.array_equal(perm[perm], np.arange(1 << bits))
+    # the table is bit_reverse_int's one loop run on an int64 array
+    for bits in range(14):
+        perm = bit_reverse_permutation(bits)
+        assert perm.dtype == np.int64 and not perm.flags.writeable
+        assert np.array_equal(bit_reverse_int(np.arange(1 << bits, dtype=np.int64), bits), perm)
+    for i, bits in [(0, 0), (1, 1), (6, 3), (0b1011, 4), (12345, 14)]:
+        rev = bit_reverse_int(i, bits)
+        assert type(rev) is int and rev == int(format(i, f"0{bits}b")[::-1], 2)
 
 
 def test_walsh_row_matches_pointwise():

@@ -36,22 +36,31 @@ def test_parse_round_trip_fields():
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, pos",
     [
-        "indicator-rect:0,0.5,0,0.5",  # missing @B
-        "indicator-rect:0,0.5@bits=4",  # bad suffix
-        "mystery:1@B=4",  # unknown kind
-        "walsh-tensor@B=4",  # missing params
-        "indicator-rect:0,,1@B=4",  # empty param
-        "indicator-rect:zero,1@B=3",  # bad number
-        "spike:level=@B=4",  # bad key=value
-        "spike:level=2,target=1@B=x",  # bad bit depth
+        ("indicator-rect:0,0.5,0,0.5", 26),  # missing @B
+        ("indicator-rect:0,0.5@bits=4", 21),  # bad suffix
+        ("mystery:1@B=4", 0),  # unknown kind
+        ("walsh-tensor@B=4", 12),  # missing params
+        ("indicator-rect:0,,1@B=4", 17),  # empty param
+        ("indicator-rect:zero,1@B=3", 15),  # bad number
+        ("spike:level=@B=4", 6),  # bad key=value
+        ("spike:level=2,target=1@B=x", 25),  # bad bit depth
+        # a spec is one token: int() and float() would strip the whitespace
+        # and read '_' and non-ASCII digits
+        ("walsh-tensor: 3@B=3", 13),
+        ("spike:level= 1,target=2@B= 3", 12),
+        ("walsh-tensor:3\n@B=3", 14),
+        ("spike:level=1_0,target=2@B=12", 13),  # would read as level 10
+        ("walsh-tensor:\u0663@B=3", 13),  # ARABIC-INDIC DIGIT THREE
+        ("random-step:level=2,amp=1_0.5,dim=1@B=4", 25),
+        ("spike:level=1,target=2@B=3\t", 26),
     ],
 )
-def test_parse_errors_carry_position(text):
+def test_parse_errors_carry_position(text, pos):
     with pytest.raises(SpecParseError) as err:
         FunctionSpec.parse(text)
-    assert "position" in str(err.value)
+    assert err.value.pos == pos and f"position {pos}:" in str(err.value)
 
 
 @pytest.mark.parametrize(

@@ -31,6 +31,7 @@ def constant_field(bits, c):
 
 def test_bmo_sequence_examples():
     assert bmo_sequence_norm([3.25] * 16) == 0.0
+    assert bmo_sequence_norm([2.5]) == 0.0
     assert bmo_sequence_norm([0.0, 1.0]) == 0.5
     assert bmo_sequence_norm([0.0, 1.0] * 4) == 0.5
 
@@ -54,15 +55,21 @@ def test_oscillation_kernel_batched_equals_brute_exactly():
 
 def test_oscillation_kernel_constant_tail_equals_the_whole_sequence():
     # a head of 2^h terms, then its next term repeated up to 2^L: bit for bit
-    # the kernel over the whole sequence, for random (inexact) values too
+    # the kernel over the whole sequence, for random (inexact) values too;
+    # for dyadic rationals also the brute oracle, which returns the norm, so
+    # the kernel's mean square is compared through its root as above
     rng = np.random.default_rng(31)
-    for log_len in range(1, 8):
-        for head in range(log_len + 1):
-            rows = rng.normal(size=(3, 2, (1 << head) + 1))
-            whole = np.concatenate(
-                [rows[..., :-1], np.repeat(rows[..., -1:], (1 << log_len) - (1 << head), -1)], -1)
-            got = _max_mean_square_oscillation(rows[..., :-1], rows[..., -1], 1 << log_len)
-            assert np.array_equal(got, _max_mean_square_oscillation(whole))
+    for log_len in range(8):
+        for head in range(min(log_len, 6) + 1):
+            size = (1 << head) + 1
+            exact = np.stack([dyadic_rationals(1000 * log_len + 10 * head + i, size) for i in range(4)])
+            for rows in (rng.normal(size=(3, 2, size)), exact.reshape(2, 2, size)):
+                whole = np.concatenate(
+                    [rows[..., :-1], np.repeat(rows[..., -1:], (1 << log_len) - (1 << head), -1)], -1)
+                got = _max_mean_square_oscillation(rows[..., :-1], rows[..., -1], 1 << log_len)
+                assert np.array_equal(got, _max_mean_square_oscillation(whole))
+            want = [oracles.bmo_sequence_brute(row) for row in whole.reshape(4, -1)]
+            assert np.sqrt(got).ravel().tolist() == want, (log_len, head)
 
 
 @settings(max_examples=60, deadline=None)
