@@ -20,15 +20,13 @@ from pathlib import Path
 
 from .errors import DataError, UsageError
 from .experiments import load_config, run_configured, write_csv, write_reports_csv
-from .generators import FunctionSpec, generate_function
+from .generators import FunctionSpec, generate_function, parse_number
 
 
 def _cmd_run(args) -> int:
     configs = load_config(args.config)
     if not configs:
         raise UsageError(f"no experiment sections in {args.config!r}")
-    if args.threads < 1:
-        raise UsageError("--threads must be >= 1")
     out_dir = Path(args.out)
     try:  # before any section runs, so a bad --out costs nothing
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -81,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run experiments from a config file")
     p_run.add_argument("config", help="INI config: one section per experiment")
     p_run.add_argument("--out", default="wss-out", help="output directory (default wss-out)")
-    p_run.add_argument("--threads", type=int, default=1, help="worker threads")
-    p_run.add_argument("--seed", type=int, default=0, help="default seed for sections without one")
+    p_run.add_argument("--threads", default="1", help="worker threads")
+    p_run.add_argument("--seed", default="0", help="default seed for sections without one")
 
     sub.add_parser("selftest", help="run the built-in oracle suites")
 
@@ -90,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("spec", help="function spec, e.g. walsh-tensor:3,6@B=4")
     p_gen.add_argument("--dump", action="store_true", help="write the grid as CSV")
     p_gen.add_argument("--out", default=None, help="CSV path (default stdout)")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", default="0")
     return parser
 
 
@@ -101,8 +99,12 @@ def main(argv=None) -> int:
             signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "seed", 0) < 0:  # run and gen, before anything is read or generated
+        args.seed = parse_number(getattr(args, "seed", "0"), int, "--seed")  # run's and gen's, before all else
+        args.threads = parse_number(getattr(args, "threads", "1"), int, "--threads")
+        if args.seed < 0:
             raise UsageError(f"--seed must be nonnegative, got {args.seed}")
+        if args.threads < 1:
+            raise UsageError("--threads must be >= 1")
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "selftest":

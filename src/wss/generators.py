@@ -71,9 +71,10 @@ class SpecParseError(UsageError):
 
 
 def parse_number(text: str, kind: type = float, what: str = "value"):
-    """`text` as a finite int or float; anything else is a UsageError naming `what`."""
+    """`text` as a finite int or float; anything else is a UsageError naming `what`.
+    The one number reader: it refuses '_' and non-ASCII, which int() would read ("1_0" as 10)."""
     try:
-        value = kind(text)
+        value = kind(text) if text.isascii() and "_" not in text else None
     except ValueError:
         value = None
     if value is None or kind is float and not math.isfinite(value):  # an int is finite
@@ -109,6 +110,13 @@ class FunctionSpec(NamedTuple):
     @classmethod
     def parse(cls, text: str) -> "FunctionSpec":
         """The spec `text` says, once every value is in range (`KINDS`)."""
+
+        def at(pos: int, check: Callable, *args, **kwargs):  # check's UsageError placed at `pos`
+            try:
+                return check(*args, **kwargs)
+            except UsageError as exc:
+                raise SpecParseError(text, pos, str(exc)) from None
+
         stray = next((i for i, c in enumerate(text) if not "!" <= c <= "~" or c == "_"), -1)
         if stray >= 0:  # int() and float() would strip whitespace, read '_' and non-ASCII digits
             raise SpecParseError(text, stray, f"stray {text[stray]!r}: a spec is one printable ASCII token, no '_'")
@@ -117,10 +125,7 @@ class FunctionSpec(NamedTuple):
         body, _, tail = text.partition("@")
         if not tail.startswith("B="):
             raise SpecParseError(text, len(body) + 1, "suffix must be B=<bits>")
-        try:
-            bits = int(tail[2:])
-        except ValueError:
-            raise SpecParseError(text, len(body) + 3, f"bad bit depth {tail[2:]!r}") from None
+        bits = at(len(body) + 3, parse_number, tail[2:], int, "bit depth")
         kind, sep, params = body.partition(":")
         if kind not in KINDS:
             raise SpecParseError(text, 0, f"unknown kind {kind!r} (expected one of {tuple(KINDS)})")
@@ -140,30 +145,21 @@ class FunctionSpec(NamedTuple):
                     raise SpecParseError(text, cursor, f"unknown key {key!r} for {kind} (keys: {names})")
                 if key in given:
                     raise SpecParseError(text, cursor, f"repeated key {key!r}")
-                try:
-                    given[key] = parse_number(value, keys[key].type, f"option {key}"), cursor
-                except UsageError as exc:
-                    raise SpecParseError(text, cursor, str(exc)) from None
+                given[key] = at(cursor, parse_number, value, keys[key].type, f"option {key}"), cursor
             elif keys:  # a kind with option keys reads no positional item
                 raise SpecParseError(text, cursor, f"{kind} takes key=value items only, got {item!r}")
             elif kind == "walsh-tensor":  # "," extends the last index group, "+" starts one
-                at = cursor
+                start = cursor
                 for j, token in enumerate(item.split("+")):
-                    try:
-                        index = int(token)
-                    except ValueError:
-                        raise SpecParseError(text, at, f"bad walsh index {token!r}") from None
+                    index = at(start, parse_number, token, int, "walsh index")
                     if not (0 <= index and index.bit_length() <= bits):  # 2^B is never formed
-                        raise SpecParseError(text, at, f"walsh index {index} outside [0, 2^{bits})")
+                        raise SpecParseError(text, start, f"walsh index {index} outside [0, 2^{bits})")
                     if j or not positional:
                         positional.append(())
                     positional[-1] += (index,)
-                    at += len(token) + 1
+                    start += len(token) + 1
             else:
-                try:
-                    positional.append(parse_number(item))
-                except UsageError:
-                    raise SpecParseError(text, cursor, f"bad number {item!r}") from None
+                positional.append(at(cursor, parse_number, item, float, "corner"))
                 if len(positional) % 2:  # a pair's first corner
                     pair_at = cursor
                 elif not 0 <= positional[-2] <= positional[-1] <= 1:
@@ -177,10 +173,7 @@ class FunctionSpec(NamedTuple):
         # the dimension: half the corners, the groups' width, else the dim option (a spike's is 2)
         dims = len(positional[0]) if kind == "walsh-tensor" else len(positional) // 2 or given.get("dim", (2,))[0]
         if dims in (1, 2):  # else the dim option's own range check names it
-            try:
-                validate_bits(bits, dims=dims)
-            except UsageError as exc:
-                raise SpecParseError(text, len(body) + 3, str(exc)) from None
+            at(len(body) + 3, validate_bits, bits, dims=dims)
         values = {}
         for key, option in keys.items():
             value, pos = given.get(key, (option.default, len(body)))
@@ -190,10 +183,7 @@ class FunctionSpec(NamedTuple):
                 raise SpecParseError(text, pos, option.message.format(kind=kind, v=value, B=bits))
             values[key] = value
         if kind == "spike":  # the one range two keys fix
-            try:
-                spike_height(values["level"], values["target"])
-            except UsageError as exc:
-                raise SpecParseError(text, given["target"][1], str(exc)) from None
+            at(given["target"][1], spike_height, values["level"], values["target"])
         return cls(kind, bits, dims, tuple(positional), tuple(values.items()), text)
 
 
@@ -234,7 +224,9 @@ def spike_height(level: int, target: float) -> float:
 
     The left side vanishes at h = 1 and increases without bound, so the root
     exists and is unique; iteration stops when the equation residual is
-    below 1e-9.
+    below 1e-9 times min(1, target), so a target below 1 is met to 1e-9
+    relative.  A target that no float64 h meets to 1e-6 relative (too large,
+    or too small for the spacing of floats near 1) is a UsageError.
     """
     if target <= 0:
         raise UsageError(f"spike target must be positive, got {target}")
@@ -248,15 +240,19 @@ def spike_height(level: int, target: float) -> float:
         hi *= 2.0
         if hi > 1e300:
             raise UsageError("spike target unreachable in float64")
+    tolerance = 1e-9 * min(1.0, target)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if residual(mid) < 0:
             lo = mid
         else:
             hi = mid
-        if abs(residual(mid)) < 1e-9:
+        if abs(residual(mid)) < tolerance:
             return mid
-    return 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    if abs(residual(mid)) > 1e-6 * target:
+        raise UsageError("spike target unreachable in float64")
+    return mid
 
 
 def _spike(spec: FunctionSpec, seed: int) -> np.ndarray:

@@ -235,10 +235,38 @@ THEOREM2 = "[s]\nexperiment = theorem2\nspec = indicator-rect:0,0.5,0,0.5@B=4\nm
 RODIN = "[s]\nexperiment = rodin\nspec = random-step:level=3,dim=1@B=5\nm = 4,8\n"
 WEAK = "[s]\nexperiment = weak_type\noperator = V\nspec = random-step:level=3,dim=1@B=5\n"
 
+# spellings int() and float() would stretch to read: "1_0" as 10, Arabic-Indic "16" as 16
+STRETCHED = {"underscore": "1_0", "exponent-underscore": "1e1_0",
+             "arabic-indic": "\u0661\u0666", "arabic-indic-fraction": "\u0663.5"}
+# each config key that reads a number: its section with the number as {}, and what the number must be
+INTEGER, FINITE = "an integer", "a finite number"
+NUMBER_KEYS = {
+    "m": (THEOREM2.replace("m = 4,8", "m = 4,{}"), INTEGER),
+    "lambda": ("[s]\nexperiment = theorem1\nspec = spike:level=2,target=10@B=4\nlambda = 0.5,{}\n", FINITE),
+    "a": (THEOREM2 + "a = {}\n", FINITE),
+    "eps": (RODIN + "eps = {}\n", FINITE),
+    "count": (WEAK + "lambda = 0.5,1\ncount = {}\n", INTEGER),
+    "seed": (THEOREM2 + "seed = {}\n", INTEGER),
+    "probes": (THEOREM2 + "probes = 0.25,{}\n", FINITE),
+    "phi": (RODIN + "phi = power:{}\n", FINITE),
+}
+STRETCHED_IDS = [f"{key}-{name}" for key in NUMBER_KEYS for name in STRETCHED]
+
+
+def _stretched_error(key: str, text: str) -> str:
+    """The one line a stretched number under `key` in section 's' exits with."""
+    what = f"phi parameter of 'power:{text}'" if key == "phi" else f"{key!r} in section 's'"
+    return f"error: {what} must be {NUMBER_KEYS[key][1]}, got {text!r}\n"
+
+
+# (config, the error line that names its key and text) for every key and spelling
+STRETCHED_CONFIGS = [(section.format(text), _stretched_error(key, text))
+                     for key, (section, _) in NUMBER_KEYS.items() for text in STRETCHED.values()]
+
 
 @pytest.mark.parametrize(
-    "text",
-    [
+    "text, error",
+    [*((text, None) for text in [
         "[s]\nexperiment = theorem1\nspec = spike:level=2,target=10@B=4\nlambda = 0.5,abc\n",
         THEOREM2.replace("m = 4,8", "m = 4,x"),
         THEOREM2.replace("m = 4,8", "m = 4.7"),
@@ -255,19 +283,23 @@ WEAK = "[s]\nexperiment = weak_type\noperator = V\nspec = random-step:level=3,di
         WEAK.replace("level=3,dim=1", "level=3,dim=1,amp=big") + "lambda = 0.5\n",
         "[s\nexperiment = theorem1\n",
         THEOREM2 + "[broken\nm = 4\n",
-    ],
+    ]), *STRETCHED_CONFIGS],
     ids=[
         "lambda", "m-word", "m-fraction", "a", "probes", "seed-word", "spec-nan",
         "seed-negative", "eps", "phi", "spec-seed", "spec-level", "count", "spec-amp",
-        "header-first", "header-later",
+        "header-first", "header-later", *STRETCHED_IDS,
     ],
 )
-def test_config_grammar_errors_exit_2(tmp_path, capsys, text):
+def test_config_grammar_errors_exit_2(tmp_path, capsys, monkeypatch, text, error):
     cfg = tmp_path / "bad.ini"
-    cfg.write_text(text)
+    cfg.write_text(text, encoding="utf-8")
+    ran = []
+    monkeypatch.setattr("wss.cli.run_configured", lambda *a: ran.append(a))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not ran and not (tmp_path / "out").exists()
+    assert error is None or err == error  # a stretched number: its key and text, in the one reader's words
 
 
 @pytest.mark.parametrize(
@@ -345,17 +377,19 @@ def test_a_bad_value_in_a_later_section_exits_2_before_any_section(tmp_path, cap
         "spike:target=10@B=4",
         "random-step:level=1,level=3,dim=2@B=4",
     )),
+    *(config.split("\n", 1)[1].rstrip("\n") for config, _ in STRETCHED_CONFIGS),
 ], ids=["theorem2-m", "theorem2-a", "theorem2-probe", "theorem2-probe-label", "theorem2-dim", "theorem1-lambda", "rodin-m",
         "rodin-eps", "operator", "weak-lambda", "weak-no-lambda", "weak-count", "section-seed",
         "spec-level", "spec-support-0", "spec-support-2^B+1", "spec-amp", "spec-target", "spec-seed",
-        "spec-2d-bits", "spec-walsh-2^B", "spec-walsh-negative", "spec-no-level", "spec-repeated-key"])
+        "spec-2d-bits", "spec-walsh-2^B", "spec-walsh-negative", "spec-no-level", "spec-repeated-key",
+        *STRETCHED_IDS])
 def test_a_bad_range_in_a_later_section_exits_2_before_any_section(tmp_path, capsys, monkeypatch, late):
     # the runners' own argument checks and the spec parse, which checks every
     # range of the spec, run at load, so the valid theorem1 section does not
     # run first and the output directory is never made
     cfg = tmp_path / "late.ini"
     cfg.write_text("[ok]\nexperiment = theorem1\nspec = random-step:level=8,dim=2@B=8\nlambda = 1\n\n"
-                   f"[late]\n{late}\n")
+                   f"[late]\n{late}\n", encoding="utf-8")
     ran = []
     monkeypatch.setattr("wss.cli.run_configured", lambda *a: ran.append(a))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -463,6 +497,32 @@ def test_a_negative_seed_flag_exits_2_before_any_section(tmp_path, capsys, monke
     assert main(["run", str(cfg), "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "error: --seed must be nonnegative, got -1\n" and not ran
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", [*STRETCHED.values(), "x"], ids=[*STRETCHED.keys(), "word"])
+@pytest.mark.parametrize("flag", ["--seed", "--threads"])
+def test_a_bad_run_flag_exits_2_before_any_section(tmp_path, capsys, monkeypatch, flag, text):
+    # argparse's type=int read "1_0" as 10, accepted an Arabic-Indic "1" and
+    # answered a word with its usage block
+    cfg = tmp_path / "flag.ini"
+    cfg.write_text("[ok]\nexperiment = theorem1\nspec = random-step:level=3,dim=2@B=4\nlambda = 1\n")
+    ran = []
+    monkeypatch.setattr("wss.cli.run_configured", lambda *a: ran.append(a))
+    assert main(["run", str(cfg), flag, text, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be an integer, got {text!r}\n" and not ran
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", [*STRETCHED.values(), "x"], ids=[*STRETCHED.keys(), "word"])
+def test_a_bad_gen_seed_exits_2_before_generation(tmp_path, capsys, monkeypatch, text):
+    def refuse(*args):
+        raise AssertionError("generate_function called")
+
+    monkeypatch.setattr("wss.cli.generate_function", refuse)
+    target = tmp_path / "g.csv"
+    assert main(["gen", "random-step:level=2,dim=1@B=4", "--dump", "--seed", text, "--out", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: --seed must be an integer, got {text!r}\n"
+    assert not target.exists()
 
 
 def test_shipped_configs_pass_the_key_check():

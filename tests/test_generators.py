@@ -12,6 +12,7 @@ from wss.generators import (
     FunctionSpec,
     SpecParseError,
     generate_function,
+    parse_number,
     portable_uniforms,
     random_grid_1d,
     random_grid_2d,
@@ -63,6 +64,21 @@ def test_parse_errors_carry_position(text, pos):
     assert err.value.pos == pos and f"position {pos}:" in str(err.value)
 
 
+@pytest.mark.parametrize("text", ["1_0", "1e1_0", "\u0661\u0666", "\u0663.5", "1\u00a0"])
+@pytest.mark.parametrize("kind", [int, float])
+def test_parse_number_refuses_what_int_and_float_would_stretch_to_read(text, kind):
+    # int() reads "1_0" as 10 and Arabic-Indic "16" as 16; the one reader refuses both
+    noun = "an integer" if kind is int else "a finite number"
+    with pytest.raises(UsageError, match=re.escape(f"'m' in section 's' must be {noun}, got {text!r}")):
+        parse_number(text, kind, "'m' in section 's'")
+
+
+def test_parse_number_keeps_what_it_read_before():
+    # ASCII spaces around a config list item stay allowed
+    assert parse_number(" 16 ", int) == 16 and type(parse_number("+3", int)) is int
+    assert parse_number("1e3") == 1000.0 and parse_number("-0.25 ") == -0.25
+
+
 @pytest.mark.parametrize(
     "text, key",
     [
@@ -101,14 +117,18 @@ def test_stray_positional_items_are_rejected_at_their_position(text, item):
 @pytest.mark.parametrize(
     "text, pos, message",
     [
-        ("walsh-tensor:nan@B=4", 13, "bad walsh index 'nan'"),
-        ("walsh-tensor:3,x@B=4", 15, "bad walsh index 'x'"),
-        ("walsh-tensor:3,3.5@B=4", 15, "bad walsh index '3.5'"),
-        ("walsh-tensor:1+2.5@B=4", 15, "bad walsh index '2.5'"),
-        ("walsh-tensor:1,2+3,x@B=4", 19, "bad walsh index 'x'"),
-        ("walsh-tensor:3+@B=4", 15, "bad walsh index ''"),
-        ("walsh-tensor:+3@B=4", 13, "bad walsh index ''"),
+        ("walsh-tensor:nan@B=4", 13, "walsh index must be an integer, got 'nan'"),
+        ("walsh-tensor:3,x@B=4", 15, "walsh index must be an integer, got 'x'"),
+        ("walsh-tensor:3,3.5@B=4", 15, "walsh index must be an integer, got '3.5'"),
+        ("walsh-tensor:1+2.5@B=4", 15, "walsh index must be an integer, got '2.5'"),
+        ("walsh-tensor:1,2+3,x@B=4", 19, "walsh index must be an integer, got 'x'"),
+        ("walsh-tensor:3+@B=4", 15, "walsh index must be an integer, got ''"),
+        ("walsh-tensor:+3@B=4", 13, "walsh index must be an integer, got ''"),
         ("walsh-tensor:3+seed=1@B=4", 13, "unknown key '3+seed'"),
+        ("indicator-rect:zero,1@B=3", 15, "corner must be a finite number, got 'zero'"),
+        ("indicator-rect:0,inf@B=3", 17, "corner must be a finite number, got 'inf'"),
+        ("spike:level=2,target=1@B=x", 25, "bit depth must be an integer, got 'x'"),
+        ("spike:level=2,target=1@B=4.0", 25, "bit depth must be an integer, got '4.0'"),
         ("walsh-tensor:3,6+1@B=4", 12, "all 1D or all 2D"),
         ("walsh-tensor:1,2,3@B=4", 12, "all 1D or all 2D"),
         ("indicator-rect:0,0.5,0.2@B=4", 14, "2 or 4 corners"),
@@ -117,7 +137,7 @@ def test_stray_positional_items_are_rejected_at_their_position(text, item):
     ],
 )
 def test_walsh_groups_and_corner_counts_are_settled_at_parse(text, pos, message):
-    # a bad index names its own token; nothing about them is left for `dims` or generation
+    # a bad number names its own token; nothing about the groups or corners is left for `dims` or generation
     with pytest.raises(SpecParseError, match=re.escape(message)) as err:
         FunctionSpec.parse(text)
     assert err.value.pos == pos
@@ -181,6 +201,9 @@ def test_dims_names_the_dim_option(kind, dim):
         ("spike:level=1,target=-1@B=4", "target=", "spike target must be positive, got -1.0"),
         ("spike:level=7,target=1@B=6", "level=", "spike level 7 outside [0, 6]"),
         ("spike:level=0,target=1e306@B=6", "target=", "spike target unreachable in float64"),
+        # near h = 1 floats are 2.2e-16 apart: no height meets these to 1e-6 relative
+        ("spike:level=0,target=1e-300@B=6", "target=", "spike target unreachable in float64"),
+        ("spike:level=2,target=1e-30@B=6", "target=", "spike target unreachable in float64"),
         ("spike:target=10@B=6", "@", "missing required key 'level' for spike"),
         ("random-spectrum:dim=1@B=6", "@", "missing required key 'support' for random-spectrum"),
         ("random-step:level=1,dim=2@B=13", "13", "bit depth 13 outside [1, 12] for 2D grids"),
@@ -344,6 +367,16 @@ def test_spike_hits_entropy_target():
         assert abs(h * np.log(h) ** 2 * 4.0**-2 - target) < 1e-9
         f = generate_function(f"spike:level=2,target={target}@B=6")
         assert entropy_functional(f, 2.0) == pytest.approx(target, abs=1e-9)
+    # below 1 the stop is relative: an absolute 1e-9 left E2 at 9.3e-10 for
+    # a target of 1e-20, and 930 times a target of 1e-12
+    for target in (0.5, 1e-3, 1e-9, 1e-12):
+        f = generate_function(f"spike:level=2,target={target!r}@B=6")
+        assert entropy_functional(f, 2.0) == pytest.approx(target, rel=1e-9, abs=0)
+    # and every target >= 1 keeps its absolute-stop height bit for bit
+    for level, target, height in [(0, 1.0, 2.020747358677909), (2, 10.0, 18.67394786584191),
+                                  (5, 3.0, 129.75832961290143), (12, 1e6, 28915534136.747253),
+                                  (0, 1e300, 2.1770896766597165e294)]:
+        assert spike_height(level, target) == height
     with pytest.raises(UsageError):
         spike_height(2, -1.0)
 
