@@ -6,21 +6,29 @@ should be stable across bit depths; print the table and optionally dump the
 full reports as CSV.
 """
 import argparse
+import sys
 
 import numpy as np
 
+from wss.errors import UsageError
 from wss.experiments import run_theorem1, write_reports_csv
+from wss.generators import parse_number
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--bits", type=int, nargs="+", default=[5, 6, 7])
-    ap.add_argument("--targets", type=float, nargs="+", default=[1.0, 10.0, 100.0])
-    ap.add_argument("--level", type=int, default=2, help="spike block level")
-    ap.add_argument("--lambdas", type=int, default=49, help="points in the geometric lambda grid")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--bits", nargs="+", default=["5", "6", "7"])
+    ap.add_argument("--targets", nargs="+", default=["1", "10", "100"])
+    ap.add_argument("--level", default="2", help="spike block level")
+    ap.add_argument("--lambdas", default="49", help="points in the geometric lambda grid")
+    ap.add_argument("--seed", default="0")
     ap.add_argument("--out", default=None, help="write all reports to this CSV file")
     args = ap.parse_args()
+    # wss's one number reader, which refuses "1_0" and non-ASCII digits
+    args.bits = [parse_number(b, int, "--bits") for b in args.bits]
+    args.targets = [parse_number(t, float, "--targets") for t in args.targets]
+    for flag in ("level", "lambdas", "seed"):
+        setattr(args, flag, parse_number(getattr(args, flag), int, f"--{flag}"))
 
     lam = np.geomspace(1e-2, 1e4, args.lambdas).tolist()
     reports = []
@@ -42,4 +50,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except UsageError as exc:  # a flag parse_number refuses, or a value a runner checks out of range
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -6,20 +6,26 @@ per-probe trajectories and the fitted decay exponent of the resolved case
 (expected -1: finitely many deviating summands give a C/m tail).
 """
 import argparse
+import sys
 
 import numpy as np
 
+from wss.errors import UsageError
 from wss.experiments import run_theorem2, write_reports_csv
+from wss.generators import parse_number
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--bits", type=int, default=7)
-    ap.add_argument("--a", type=float, default=1.0, help="exponential rate")
-    ap.add_argument("--support", type=int, default=8, help="spectral support of the resolved input")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--bits", default="7")
+    ap.add_argument("--a", default="1", help="exponential rate")
+    ap.add_argument("--support", default="8", help="spectral support of the resolved input")
+    ap.add_argument("--seed", default="0")
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
+    # wss's one number reader, which refuses "1_0" and non-ASCII digits
+    for flag, kind in (("bits", int), ("a", float), ("support", int), ("seed", int)):
+        setattr(args, flag, parse_number(getattr(args, flag), kind, f"--{flag}"))
 
     ms = [1 << k for k in range(2, args.bits + 1)]
     quadrant = run_theorem2(
@@ -48,4 +54,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except UsageError as exc:  # a flag parse_number refuses, or a value a runner checks out of range
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -6,10 +6,13 @@ depth and prints the per-depth maxima of the normalized superlevel sweeps
 (or integral/pointwise ratios for M1/M2 and Sch-ratio).
 """
 import argparse
+import sys
 
 import numpy as np
 
+from wss.errors import UsageError
 from wss.experiments import run_weak_type_suite, write_reports_csv
+from wss.generators import parse_number
 
 
 def family(operator: str, bits: int) -> str:
@@ -22,11 +25,15 @@ def family(operator: str, bits: int) -> str:
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--operators", nargs="+", default=["M", "M1", "V", "Sch-ratio"])
-    ap.add_argument("--bits", type=int, nargs="+", default=[5, 6, 7])
-    ap.add_argument("--count", type=int, default=25, help="functions per suite")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--bits", nargs="+", default=["5", "6", "7"])
+    ap.add_argument("--count", default="25", help="functions per suite")
+    ap.add_argument("--seed", default="0")
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
+    # wss's one number reader, which refuses "1_0" and non-ASCII digits
+    args.bits = [parse_number(b, int, "--bits") for b in args.bits]
+    for flag in ("count", "seed"):
+        setattr(args, flag, parse_number(getattr(args, flag), int, f"--{flag}"))
 
     lam = np.geomspace(1e-3, 1e2, 26).tolist()
     reports = []
@@ -53,4 +60,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except UsageError as exc:  # a flag parse_number refuses, or a value a runner checks out of range
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

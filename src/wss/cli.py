@@ -92,12 +92,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined(argv: list[str]) -> list[str]:
+    """`argv` with --seed and --threads (or a prefix argparse expands to one)
+    joined to the argument after them, so that a value such as -1_0, which
+    argparse would take for an option, reaches `parse_number`."""
+    out = []
+    for arg in argv:
+        if out and len(out[-1]) > 2 and any(flag.startswith(out[-1]) for flag in ("--seed", "--threads")):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     if argv is None:  # run as a program: the exit-time collections skip what the imports made
         gc.freeze()
         if hasattr(signal, "SIGPIPE"):  # die quietly when piped into head etc.
             signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
     try:
         args.seed = parse_number(getattr(args, "seed", "0"), int, "--seed")  # run's and gen's, before all else
         args.threads = parse_number(getattr(args, "threads", "1"), int, "--threads")

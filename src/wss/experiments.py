@@ -19,7 +19,7 @@ import numpy as np
 
 from .dyadic import walsh_matrix, walsh_row
 from .errors import DataError, UsageError
-from .generators import FunctionSpec, generate_function, parse_number
+from .generators import REQUIRED, FunctionSpec, generate_function, parse_number
 from .maximal import (
     dyadic_maximal,
     hybrid_maximal_1,
@@ -131,11 +131,7 @@ def _theorem1_args(spec, lambda_grid) -> tuple[FunctionSpec, np.ndarray]:
     return _spec(spec, 2, "theorem1 experiment"), _lambda_grid(lambda_grid)
 
 
-def run_theorem1(
-    spec: FunctionSpec | str,
-    lambda_grid,
-    seed: int = 0,
-) -> SummabilityReport:
+def run_theorem1(spec: FunctionSpec | str, lambda_grid, seed: int = 0) -> SummabilityReport:
     """Superlevel sweep of the pointwise BMO norm of the diagonal sums,
     normalized by 1 + the alpha=2 entropy functional of the input."""
     spec, grid = _theorem1_args(spec, lambda_grid)
@@ -191,13 +187,8 @@ def _theorem2_args(spec, a, m_grid, probes):
     return spec, phi, ms, labels, excluded
 
 
-def run_theorem2(
-    spec: FunctionSpec | str,
-    a: float,
-    m_grid,
-    probes: list[tuple[float, float]] | None = None,
-    seed: int = 0,
-) -> SummabilityReport:
+def run_theorem2(spec: FunctionSpec | str, a: float, m_grid,
+                 probes: list[tuple[float, float]] | None = None, seed: int = 0) -> SummabilityReport:
     """Trajectories m -> (1/m) sum_{n<=m} (exp(a |S_nn - f|) - 1) at probe points."""
     spec, phi, ms, probes, excluded = _theorem2_args(spec, a, m_grid, probes)
     f = generate_function(spec, seed)
@@ -268,13 +259,8 @@ def _rodin_args(spec, phi, m_grid, eps) -> tuple[FunctionSpec, list[int]]:
     return spec, _m_grid(m_grid, 1 << spec.bits)
 
 
-def run_rodin_1d(
-    spec: FunctionSpec | str,
-    phi: PhiFunction,
-    m_grid,
-    eps: float = 0.01,
-    seed: int = 0,
-) -> SummabilityReport:
+def run_rodin_1d(spec: FunctionSpec | str, phi: PhiFunction, m_grid, eps: float = 0.01,
+                 seed: int = 0) -> SummabilityReport:
     """1D Phi-mean trajectories of |S_k - f| and their exceedance measures.
 
     For each m in the grid (1 <= m <= 2^B) the mean is
@@ -358,13 +344,8 @@ def _weak_type_args(operator, spec, count, lambda_grid) -> tuple[FunctionSpec, n
     return spec, grid
 
 
-def run_weak_type_suite(
-    operator: str,
-    spec: FunctionSpec | str,
-    count: int = 1,
-    lambda_grid=None,
-    seed: int = 0,
-) -> SummabilityReport:
+def run_weak_type_suite(operator: str, spec: FunctionSpec | str, count: int = 1, lambda_grid=None,
+                        seed: int = 0) -> SummabilityReport:
     """Empirical-constant sweep for a maximal/Schipp operator over a family.
 
     Weak-type operators (M, V, V1, V2) record lambda mu{T f > lambda} against
@@ -398,74 +379,90 @@ def run_weak_type_suite(
 # Config-file driven execution (plain INI: one section per experiment id).
 
 
-# kind: the keys its sections read and its runner's argument checks (the
-# runners are read as module names when a section is made, so a tracer that
-# rebinds them sees every run); theorem1's `mode` selects nothing, and it
-# goes with ROADMAP item 1
-_KINDS = {"theorem1": ("spec lambda mode", _theorem1_args),
-          "theorem2": ("spec a m probes", _theorem2_args),
-          "rodin": ("spec phi m eps", _rodin_args),
-          "weak_type": ("spec operator count lambda", _weak_type_args)}
+def _numbers(text: str, what: str, kind: type = float) -> list:
+    """The comma-separated numbers of `text`; empty items are skipped."""
+    return [parse_number(tok, kind, what) for tok in text.split(",") if tok]
+
+
+def _pairs(text: str, what: str) -> list[tuple[float, float]]:
+    values = _numbers(text, what)
+    if len(values) % 2:
+        raise UsageError("probes must be x,y pairs")
+    return list(zip(values[0::2], values[1::2]))
+
+
+def _phi(text: str, what: str) -> PhiFunction:
+    tag, _, param = text.partition(":")
+    if tag not in ("exp_minus_one", "power"):
+        raise UsageError(f"unknown phi spec {text!r} (expected exp_minus_one:<a> or power:<p>)")
+    return getattr(PhiFunction, tag)(parse_number(param or "1", what=f"phi parameter of {text!r}"))
+
+
+# one reader per value shape: (text, what=) -> value, `what` naming the key and section
+READERS = {
+    "int": functools.partial(parse_number, kind=int), "float": parse_number,
+    "int list": functools.partial(_numbers, kind=int), "float list": _numbers,
+    "x,y pairs": _pairs, "phi": _phi, "text": lambda text, what: text,
+    "spec": lambda text, what: FunctionSpec.parse(text),
+}
+
+# kind: (its runner's name, read when a section is made so that a tracer which
+# rebinds it sees every run; the runner's argument checks; its key rows).  A row
+# is (key, the runner parameter it feeds, its reader, the text read when the key
+# is absent: REQUIRED, or None for a None argument).  theorem1's `mode` has no
+# reader: it selects nothing, and it goes with ROADMAP item 1.
+SECTIONS = {
+    "theorem1": ("run_theorem1", _theorem1_args, (
+        ("spec", "spec", "spec", REQUIRED), ("lambda", "lambda_grid", "float list", REQUIRED),
+        ("mode", None, None, None))),
+    "theorem2": ("run_theorem2", _theorem2_args, (
+        ("spec", "spec", "spec", REQUIRED), ("a", "a", "float", "1"),
+        ("m", "m_grid", "int list", REQUIRED), ("probes", "probes", "x,y pairs", None))),
+    "rodin": ("run_rodin_1d", _rodin_args, (
+        ("spec", "spec", "spec", REQUIRED), ("phi", "phi", "phi", "exp_minus_one:1"),
+        ("m", "m_grid", "int list", REQUIRED), ("eps", "eps", "float", "0.01"))),
+    "weak_type": ("run_weak_type_suite", _weak_type_args, (
+        ("spec", "spec", "spec", REQUIRED), ("operator", "operator", "text", REQUIRED),
+        ("count", "count", "int", "1"), ("lambda", "lambda_grid", "float list", None))),
+}
 
 
 class ExperimentConfig:
     """One config section: experiment, seed and the keys its kind reads.
 
-    Every value is parsed, and checked by the runner's own argument checks,
-    when the section is made, so a bad one stops a run before any section
-    runs: `call(seed=...)` runs the section, and `seed` is None where the
-    run's default seed applies."""
+    Every value is read by its row of `SECTIONS` and checked by the runner's
+    argument checks when the section is made, so a bad one stops a run before
+    any section runs.  `call(seed=...)` runs the section; `seed` is None where
+    the run's default seed applies."""
 
     def __init__(self, name: str, options: dict[str, str]):
         self.name, self.options = name, options
         kind = self.get("experiment")
-        if kind not in _KINDS:
+        if kind not in SECTIONS:
             raise UsageError(f"unknown experiment kind {kind!r} in section {self.name!r}")
-        keys, checked = _KINDS[kind]
-        keys = ["experiment", "seed", *keys.split()]
+        runner, checked, rows = SECTIONS[kind]
+        keys = ["experiment", "seed", *(row[0] for row in rows)]
         for key in self.options:  # a misspelled key would leave its default in force
             if key not in keys:
                 raise UsageError(f"unknown key {key!r} in section {self.name!r}: "
                                  f"a {kind} section takes {', '.join(keys)}")
-        self.seed = self.number("seed", kind=int) if "seed" in self.options else None
+        self.seed = self.read("seed", "int", None)
         if self.seed is not None and self.seed < 0:
             raise UsageError(f"seed must be nonnegative, got {self.seed} in section {self.name!r}")
-        spec = FunctionSpec.parse(self.get("spec"))
-        if kind == "theorem1":
-            runner, args = run_theorem1, (spec, self.numbers("lambda"))
-        elif kind == "theorem2":
-            probes = None
-            if "probes" in self.options:
-                vals = self.numbers("probes")
-                if len(vals) % 2:
-                    raise UsageError("probes must be x,y pairs")
-                probes = list(zip(vals[0::2], vals[1::2]))
-            a, ms = self.number("a", "1"), self.numbers("m", kind=int)
-            runner, args = run_theorem2, (spec, a, ms, probes)
-        elif kind == "rodin":
-            phi, ms = _parse_phi(self.options.get("phi", "exp_minus_one:1")), self.numbers("m", kind=int)
-            runner, args = run_rodin_1d, (spec, phi, ms, self.number("eps", "0.01"))
-        else:
-            lambdas = self.numbers("lambda") if "lambda" in self.options else None
-            count = self.number("count", "1", int)
-            runner, args = run_weak_type_suite, (self.get("operator"), spec, count, lambdas)
-        checked(*args)  # every range the values fix, before any section runs
-        self.call = functools.partial(runner, *args)
+        args = {param: self.read(key, reader, default) for key, param, reader, default in rows if reader}
+        checked(**args)  # every range the values fix, before any section runs
+        self.call = functools.partial(globals()[runner], **args)
 
-    def get(self, key: str, default: str | None = None) -> str:
+    def get(self, key: str, default=REQUIRED):
         value = self.options.get(key, default)
-        if value is None:
+        if value is REQUIRED:
             raise UsageError(f"experiment {self.name!r} is missing required key {key!r}")
         return value
 
-    def numbers(self, key: str, default: str | None = None, kind: type = float) -> list:
-        """The comma-separated numbers under `key`; empty items are skipped."""
-        what = f"{key!r} in section {self.name!r}"
-        return [parse_number(tok, kind, what) for tok in self.get(key, default).split(",") if tok]
-
-    def number(self, key: str, default: str | None = None, kind: type = float):
-        """The single number under `key`."""
-        return parse_number(self.get(key, default), kind, f"{key!r} in section {self.name!r}")
+    def read(self, key: str, reader: str, default):
+        """The value under `key` (or `default`) read as `reader`; None stays None."""
+        text = self.get(key, default)
+        return None if text is None else READERS[reader](text, what=f"{key!r} in section {self.name!r}")
 
 
 def load_config(path) -> list[ExperimentConfig]:
@@ -478,16 +475,6 @@ def load_config(path) -> list[ExperimentConfig]:
     if not read:
         raise UsageError(f"config file {path!r} not found or empty")
     return [ExperimentConfig(name, dict(parser.items(name))) for name in parser.sections()]
-
-
-def _parse_phi(text: str) -> PhiFunction:
-    tag, _, param = text.partition(":")
-    what = f"phi parameter of {text!r}"
-    if tag == "exp_minus_one":
-        return PhiFunction.exp_minus_one(parse_number(param or "1", what=what))
-    if tag == "power":
-        return PhiFunction.power(parse_number(param or "1", what=what))
-    raise UsageError(f"unknown phi spec {text!r} (expected exp_minus_one:<a> or power:<p>)")
 
 
 def run_configured(cfg: ExperimentConfig, default_seed: int = 0) -> SummabilityReport:

@@ -145,17 +145,6 @@ def _schipp_v_values(cells: np.ndarray, orders) -> np.ndarray:
     return np.ldexp(best, exponent, out=best)
 
 
-def schipp_v(f: DyadicGrid, n: int) -> DyadicGrid:
-    """Schipp operator V_n: quadratic average of shifted smooth partial sums.
-
-    The 2^(j-1) weights are taken literally (the j = 0 term carries 1/2) and
-    the shift points are e_j = 2^-(j+1).
-    """
-    if not 1 <= n <= f.bits:
-        raise UsageError(f"operator order {n} outside [1, {f.bits}]")
-    return type(f).from_cells(f.bits, _schipp_v_values(f.cells, (n,)))
-
-
 def schipp_v_max(f: DyadicGrid) -> DyadicGrid:
     """V f = sup over n = 1..bits of V_n f along the last axis of the cells:
     the 1D operator on a 1D grid, V in y for every fixed x on a 2D grid."""

@@ -411,7 +411,7 @@ def test_a_weak_type_count_past_the_cap_exits_2_at_load(tmp_path, capsys, monkey
     assert err == f"error: weak-type count must be within [1, {MAX_COUNT}], got {count}\n" and not ran
     cfg.write_text(cfg.read_text().replace(f"count = {count}", f"count = {MAX_COUNT}"))
     (section,) = load_config(str(cfg))
-    assert section.call.args[2] == MAX_COUNT
+    assert section.call.keywords["count"] == MAX_COUNT
 
 
 def _python(*args, cwd=None):
@@ -499,7 +499,11 @@ def test_a_negative_seed_flag_exits_2_before_any_section(tmp_path, capsys, monke
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("text", [*STRETCHED.values(), "x"], ids=[*STRETCHED.keys(), "word"])
+# "-1_0" and "-x" as their own argument: argparse took them for options and printed its usage block
+BAD_FLAG_VALUES = {**STRETCHED, "word": "x", "negative-underscore": "-1_0", "dash-word": "-x"}
+
+
+@pytest.mark.parametrize("text", BAD_FLAG_VALUES.values(), ids=BAD_FLAG_VALUES.keys())
 @pytest.mark.parametrize("flag", ["--seed", "--threads"])
 def test_a_bad_run_flag_exits_2_before_any_section(tmp_path, capsys, monkeypatch, flag, text):
     # argparse's type=int read "1_0" as 10, accepted an Arabic-Indic "1" and
@@ -513,7 +517,7 @@ def test_a_bad_run_flag_exits_2_before_any_section(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("text", [*STRETCHED.values(), "x"], ids=[*STRETCHED.keys(), "word"])
+@pytest.mark.parametrize("text", BAD_FLAG_VALUES.values(), ids=BAD_FLAG_VALUES.keys())
 def test_a_bad_gen_seed_exits_2_before_generation(tmp_path, capsys, monkeypatch, text):
     def refuse(*args):
         raise AssertionError("generate_function called")
@@ -523,6 +527,18 @@ def test_a_bad_gen_seed_exits_2_before_generation(tmp_path, capsys, monkeypatch,
     assert main(["gen", "random-step:level=2,dim=1@B=4", "--dump", "--seed", text, "--out", str(target)]) == 2
     assert capsys.readouterr().err == f"error: --seed must be an integer, got {text!r}\n"
     assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [["--se", "-1_0"], ["--th", "-1_0"], ["--seed=-1_0"], ["--threads", "-1_0"]])
+def test_a_flag_value_after_a_dash_reaches_the_number_reader_as_a_program(tmp_path, argv):
+    # spelled as argparse accepts the flag: whole, abbreviated or joined by "="
+    cfg = tmp_path / "flag.ini"
+    cfg.write_text("[ok]\nexperiment = theorem1\nspec = random-step:level=3,dim=2@B=4\nlambda = 1\n")
+    done = _python("-m", "wss.cli", "run", str(cfg), *argv, "--out", str(tmp_path / "out"))
+    flag = "--seed" if argv[0].startswith("--s") else "--threads"
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: {flag} must be an integer, got '-1_0'\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_shipped_configs_pass_the_key_check():

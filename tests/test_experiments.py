@@ -1,3 +1,4 @@
+import inspect
 import itertools
 from unittest import mock
 
@@ -471,6 +472,69 @@ def test_config_loading_and_dispatch(tmp_path):
         run_configured(ExperimentConfig("bad", {}))
     with pytest.raises(UsageError):
         load_config(tmp_path / "missing.ini")
+
+
+# each kind: a section with every key set, as config text and as the runner's
+# Python arguments; each optional key is set away from its default
+SECTION_CASES = {
+    "theorem1": ({"spec": "spike:level=2,target=10@B=5", "lambda": "0.5,1,2", "mode": "auto"},
+                 {"spec": "spike:level=2,target=10@B=5", "lambda_grid": [0.5, 1.0, 2.0]}),
+    "theorem2": ({"spec": "indicator-rect:0,0.5,0,0.5@B=5", "a": "0.5", "m": "2,4,8", "probes": "0.25,0.25,0.75,0.5"},
+                 {"spec": "indicator-rect:0,0.5,0,0.5@B=5", "a": 0.5, "m_grid": [2, 4, 8],
+                  "probes": [(0.25, 0.25), (0.75, 0.5)]}),
+    "rodin": ({"spec": "random-step:level=3,dim=1@B=6", "phi": "power:2", "m": "2,8,64", "eps": "0.05"},
+              {"spec": "random-step:level=3,dim=1@B=6", "phi": PhiFunction.power(2.0), "m_grid": [2, 8, 64],
+               "eps": 0.05}),
+    "weak_type": ({"spec": "random-step:level=2,dim=2@B=4", "operator": "M1", "count": "3", "lambda": "0.5,1"},
+                  {"spec": "random-step:level=2,dim=2@B=4", "operator": "M1", "count": 3, "lambda_grid": [0.5, 1.0]}),
+}
+# the defaults of the keys whose runner parameter has none, as the README documents them
+DOCUMENTED = {"a": 1.0, "phi": PhiFunction.exp_minus_one(1.0)}
+OPTIONAL_ROWS = [(kind, row) for kind, (_, _, rows) in experiments.SECTIONS.items()
+                 for row in rows if row[2] and row[3] is not experiments.REQUIRED]
+
+
+def test_every_optional_key_has_a_case():
+    assert sorted(f"{kind}.{row[0]}" for kind, row in OPTIONAL_ROWS) == [
+        "rodin.eps", "rodin.phi", "theorem2.a", "theorem2.probes", "weak_type.count", "weak_type.lambda"]
+    assert set(SECTION_CASES) == set(experiments.SECTIONS)
+
+
+@pytest.mark.parametrize("kind, row", OPTIONAL_ROWS, ids=[f"{kind}-{row[0]}" for kind, row in OPTIONAL_ROWS])
+def test_a_section_without_an_optional_key_runs_the_runners_default(tmp_path, kind, row):
+    # pins each table default to its runner's: the section's report is the
+    # runner's, called without that argument, byte for byte
+    key, param = row[:2]
+    options, kwargs = (dict(case) for case in SECTION_CASES[kind])
+    del options[key], kwargs[param]
+    runner = getattr(experiments, experiments.SECTIONS[kind][0])
+    if inspect.signature(runner).parameters[param].default is inspect.Parameter.empty:
+        kwargs[param] = DOCUMENTED[param]
+    write_reports_csv([run_configured(ExperimentConfig(kind, {"experiment": kind, **options}), 7)],
+                      tmp_path / "section.csv")
+    write_reports_csv([runner(**kwargs, seed=7)], tmp_path / "runner.csv")
+    assert (tmp_path / "section.csv").read_bytes() == (tmp_path / "runner.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", SECTION_CASES)
+def test_a_full_section_is_the_runner_on_its_arguments(tmp_path, kind):
+    options, kwargs = SECTION_CASES[kind]
+    section = ExperimentConfig(kind, {"experiment": kind, **options})
+    assert set(section.call.keywords) == set(kwargs)  # theorem1's `mode` feeds nothing
+    write_reports_csv([run_configured(section, 7)], tmp_path / "section.csv")
+    write_reports_csv([getattr(experiments, experiments.SECTIONS[kind][0])(**kwargs, seed=7)],
+                      tmp_path / "runner.csv")
+    assert (tmp_path / "section.csv").read_bytes() == (tmp_path / "runner.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", SECTION_CASES)
+def test_a_runner_rebound_after_import_is_the_one_a_section_calls(monkeypatch, kind):
+    # a tracer rebinds module names: the table holds the runner's name, not the function
+    name = experiments.SECTIONS[kind][0]
+    runner, calls = getattr(experiments, name), []
+    monkeypatch.setattr(experiments, name, lambda *args, **kwargs: calls.append(kwargs) or runner(*args, **kwargs))
+    report = run_configured(ExperimentConfig(kind, {"experiment": kind, **SECTION_CASES[kind][0]}), 5)
+    assert len(calls) == 1 and calls[0]["seed"] == 5 and report.experiment == kind
 
 
 @pytest.mark.parametrize("shift", [600, -600])

@@ -17,7 +17,6 @@ from wss.maximal import (
     hybrid_maximal_2,
     hybrid_v_1,
     hybrid_v_2,
-    schipp_v,
     schipp_v_max,
     superlevel_measure,
 )
@@ -28,8 +27,8 @@ def test_operator_outputs_are_nonnegative():
     f, g = random_grid_2d(4, seed=8), random_grid_1d(5, seed=9)
     for op in (dyadic_maximal, hybrid_maximal_1, hybrid_maximal_2, hybrid_v_1, hybrid_v_2, schipp_v_max):
         assert op(f).samples.min() >= 0.0
-    for out in (hybrid_maximal_1(g), schipp_v_max(g), schipp_v(g, 3)):
-        assert out.samples.min() >= 0.0
+    for out in (hybrid_maximal_1(g).samples, schipp_v_max(g).samples, _schipp_v_values(g.cells, (3,))):
+        assert out.min() >= 0.0
 
 
 # --- dyadic maximal ----------------------------------------------------------
@@ -113,34 +112,26 @@ def test_hybrid_reduces_to_1d_on_tensor():
 
 def test_schipp_v_constant_closed_form():
     f = DyadicGrid1D(4, np.ones(16))
-    out = schipp_v(f, 1).values
+    out = _schipp_v_values(f.cells, (1,))
     assert np.abs(out - 8.0**-0.5).max() <= 1e-15
 
 
 def test_schipp_v_zero():
     f = DyadicGrid1D(4, np.zeros(16))
     for n in (1, 2, 4):
-        assert np.abs(schipp_v(f, n).values).max() == 0.0
+        assert np.abs(_schipp_v_values(f.cells, (n,))).max() == 0.0
 
 
 def test_schipp_v_matches_brute():
     f = random_grid_1d(6, seed=11)
     for n in (1, 3, 6):
-        gap = np.abs(schipp_v(f, n).values - oracles.schipp_v_brute(f, n)).max()
+        gap = np.abs(_schipp_v_values(f.cells, (n,)) - oracles.schipp_v_brute(f, n)).max()
         assert gap <= 1e-12
-
-
-def test_schipp_v_range_errors():
-    f = random_grid_1d(4, seed=12)
-    with pytest.raises(UsageError):
-        schipp_v(f, 0)
-    with pytest.raises(UsageError):
-        schipp_v(f, 5)
 
 
 def test_schipp_v_max_is_exhaustive_sup():
     f = random_grid_1d(5, seed=13)
-    stacked = np.stack([schipp_v(f, n).values for n in range(1, 6)])
+    stacked = np.stack([_schipp_v_values(f.cells, (n,)) for n in range(1, 6)])
     assert np.abs(schipp_v_max(f).values - stacked.max(axis=0)).max() == 0.0
 
 
@@ -246,8 +237,8 @@ def test_schipp_v_translation_covariance():
     for a_idx in (1, 7, 22):
         shifted = DyadicGrid1D(5, f.samples[np.arange(32) ^ a_idx])
         for n in (1, 3, 5):
-            lhs = schipp_v(shifted, n).values
-            rhs = schipp_v(f, n).values[np.arange(32) ^ a_idx]
+            lhs = _schipp_v_values(shifted.cells, (n,))
+            rhs = _schipp_v_values(f.cells, (n,))[np.arange(32) ^ a_idx]
             assert np.abs(lhs - rhs).max() <= 1e-12
 
 
@@ -312,8 +303,9 @@ def test_operators_never_write_their_input(amp):
     before, before_1d = f.samples.copy(), g.samples.copy()
     for op in (dyadic_maximal, hybrid_maximal_1, hybrid_maximal_2, hybrid_v_1, hybrid_v_2, schipp_v_max):
         assert not np.shares_memory(op(f).samples, f.samples)
-    for out in (hybrid_maximal_1(g), schipp_v_max(g), schipp_v(g, 4), schipp_v(g, 7)):
-        assert not np.shares_memory(out.samples, g.samples)
+    for out in (hybrid_maximal_1(g).samples, schipp_v_max(g).samples,
+                _schipp_v_values(g.cells, (4,)), _schipp_v_values(g.cells, (7,))):
+        assert not np.shares_memory(out, g.samples)
     assert np.array_equal(f.samples, before) and np.array_equal(g.samples, before_1d)
 
 

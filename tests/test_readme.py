@@ -1,7 +1,7 @@
 """The README's "Library layout" table names only code that exists, its
-function-spec table is `generators.KINDS`, its operator table is
-`experiments._OPERATOR_DIMS`, and its config example runs with each kind's
-keys."""
+function-spec table is `generators.KINDS`, its config key table is
+`experiments.SECTIONS`, its operator table is `experiments._OPERATOR_DIMS`,
+and its config example runs with each kind's keys."""
 import configparser
 import importlib
 import re
@@ -44,7 +44,7 @@ def test_config_example_runs(tmp_path, capsys):
 
 
 def test_config_example_gives_each_kind_its_keys():
-    from wss.experiments import _KINDS
+    from wss.experiments import SECTIONS
 
     text = README.read_text()
     parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
@@ -52,7 +52,7 @@ def test_config_example_gives_each_kind_its_keys():
     shown = {}
     for name in parser.sections():
         shown.setdefault(parser[name]["experiment"], []).append(set(parser[name]) - {"experiment", "seed"})
-    expected = {kind: [set(keys.split()) - {"mode"}] for kind, (keys, _) in _KINDS.items()}
+    expected = {kind: [{row[0] for row in rows} - {"mode"}] for kind, (_, _, rows) in SECTIONS.items()}
     assert shown == expected
     assert "theorem1 also accepts `mode`" in text  # the one key the example leaves out
 
@@ -84,4 +84,20 @@ def test_function_spec_table_is_the_schema():
             keys[key] = (type_, default if default in named.values() else float(default))
     schema = {kind: {key: (option.type.__name__, named.get(option.default, option.default))
                      for key, option in keys.items()} for kind, keys in KINDS.items()}
+    assert readme == schema
+
+
+def test_config_key_table_is_the_sections_table():
+    from wss.experiments import SECTIONS
+    from wss.generators import REQUIRED
+
+    named = {REQUIRED: "required", None: "none"}  # the defaults the table spells out
+    text = README.read_text().split("One table, `wss.experiments.SECTIONS`", 1)[1]
+    table = text.split("| kind | key | read as | default |\n", 1)[1].split("\n\n", 1)[0]
+    readme = {}
+    for line in table.splitlines()[1:]:
+        kind, key, reader, default = [cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+        readme.setdefault(kind, []).append((key, None if reader == "not read" else reader, default))
+    schema = {kind: [(key, reader, named.get(default, default)) for key, _, reader, default in rows]
+              for kind, (_, _, rows) in SECTIONS.items()}
     assert readme == schema

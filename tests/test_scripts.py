@@ -21,10 +21,32 @@ ROOT = Path(__file__).resolve().parents[1]
     ids=["theorem1", "theorem2", "weak-type"],
 )
 def test_study_script_runs(argv):
+    done = _script(argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["theorem1_stability.py", "--targets", "1", "1e1_0"], "--targets must be a finite number, got '1e1_0'"),
+        (["theorem2_decay.py", "--bits", "4", "--support", "4", "--seed", "1_0"],
+         "--seed must be an integer, got '1_0'"),
+        (["weak_type_constants.py", "--bits", "4", "\u0665"], "--bits must be an integer, got '\u0665'"),
+        (["weak_type_constants.py", "--bits", "4", "--count", "0"], "weak-type count must be within [1, 4096], got 0"),
+    ],
+    ids=["theorem1", "theorem2", "weak-type", "weak-type-runner-check"],
+)
+def test_study_script_reads_its_numbers_with_the_one_reader(argv, error):
+    # argparse's type=int/float read "1_0" as 10 and an Arabic-Indic digit as its
+    # value, and a runner's UsageError ended the script with a traceback
+    done = _script(argv)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {error}\n")
+
+
+def _script(argv):
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
                           env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip()

@@ -17,7 +17,6 @@ from wss.maximal import (
     hybrid_maximal_2,
     hybrid_v_1,
     hybrid_v_2,
-    schipp_v,
     schipp_v_max,
 )
 from wss.means import entropy_functional
@@ -565,7 +564,7 @@ def test_cells_tell_signed_zeros_apart_and_reject_malformed_input():
 def test_every_transform_sum_and_operator_returns_its_inputs_class():
     f1, f2 = random_grid_1d(4, seed=1), random_grid_2d(3, seed=2)
     outs1 = [wht_1d(f1), naive_wht_1d(f1), inverse_wht_1d(f1),
-             partial_sum_1d(f1, 5), hybrid_maximal_1(f1), schipp_v(f1, 2), schipp_v_max(f1)]
+             partial_sum_1d(f1, 5), hybrid_maximal_1(f1), schipp_v_max(f1)]
     outs2 = [wht_2d(f2), naive_wht_2d(f2), inverse_wht_2d(f2), rectangular_partial_sum(f2, 3, 5),
              dyadic_maximal(f2), hybrid_maximal_1(f2), hybrid_maximal_2(f2),
              hybrid_v_1(f2), hybrid_v_2(f2), schipp_v_max(f2)]
