@@ -15,8 +15,13 @@ from wss.experiments import run_theorem1, write_reports_csv
 from wss.generators import parse_number
 
 
+class Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's own faults (a value such as -1_0 taken for a flag) as one line
+        raise UsageError(message)
+
+
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = Parser(description=__doc__)
     ap.add_argument("--bits", nargs="+", default=["5", "6", "7"])
     ap.add_argument("--targets", nargs="+", default=["1", "10", "100"])
     ap.add_argument("--level", default="2", help="spike block level")
@@ -52,6 +57,6 @@ def main():
 if __name__ == "__main__":
     try:
         main()
-    except UsageError as exc:  # a flag parse_number refuses, or a value a runner checks out of range
+    except UsageError as exc:  # a bad flag, a number parse_number refuses, or a value out of range
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)

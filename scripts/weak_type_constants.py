@@ -11,20 +11,25 @@ import sys
 import numpy as np
 
 from wss.errors import UsageError
-from wss.experiments import run_weak_type_suite, write_reports_csv
+from wss.experiments import OPERATORS, run_weak_type_suite, write_reports_csv
 from wss.generators import parse_number
 
 
 def family(operator: str, bits: int) -> str:
     """The suite's spec: a random step function, on 2^min(B, 4) cells a side in 2D."""
-    dim = 1 if operator in ("V", "Sch-ratio") else 2
+    dim = OPERATORS[operator][1] or 2
     level = bits if dim == 1 else min(bits, 4)
     return f"random-step:level={level},dim={dim}@B={bits}"
 
 
+class Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's own faults (a value such as -1_0 taken for a flag) as one line
+        raise UsageError(message)
+
+
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--operators", nargs="+", default=["M", "M1", "V", "Sch-ratio"])
+    ap = Parser(description=__doc__)
+    ap.add_argument("--operators", nargs="+", default=["M", "M1", "V", "Sch-ratio"], choices=OPERATORS)
     ap.add_argument("--bits", nargs="+", default=["5", "6", "7"])
     ap.add_argument("--count", default="25", help="functions per suite")
     ap.add_argument("--seed", default="0")
@@ -40,14 +45,9 @@ def main():
     for operator in args.operators:
         maxima = []
         for bits in args.bits:
-            needs_lambda = operator in ("M", "V", "V1", "V2")
-            rep = run_weak_type_suite(
-                operator,
-                family(operator, bits),
-                args.count,
-                lam if needs_lambda else None,
-                seed=args.seed,
-            )
+            sweep = OPERATORS[operator][2] == "empirical_constant"  # the one row that takes a lambda grid
+            rep = run_weak_type_suite(operator, family(operator, bits), args.count, lam if sweep else None,
+                                      seed=args.seed)
             reports.append(rep)
             maxima.append(rep.value("suite_max"))
         cells = " | ".join(f"B={b}: {m:.4f}" for b, m in zip(args.bits, maxima))
@@ -62,6 +62,6 @@ def main():
 if __name__ == "__main__":
     try:
         main()
-    except UsageError as exc:  # a flag parse_number refuses, or a value a runner checks out of range
+    except UsageError as exc:  # a bad flag, a number parse_number refuses, or a value out of range
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)

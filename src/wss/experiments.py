@@ -35,8 +35,13 @@ from .transform import BLOCK_BYTES, DyadicGrid1D, _analysis, _pow2_scaled, _zero
 
 CSV_FIELDS = ("experiment", "spec", "B", "seed", "param", "lambda_or_m", "value")
 
-# weak_type operator: the dimension of its function spec (None: either)
-_OPERATOR_DIMS = {"M": 2, "M1": None, "M2": 2, "V": 1, "V1": None, "V2": None, "Sch-ratio": 1}
+# weak_type operator: (its function's name, looked up when an instance runs so that a
+# tracer which rebinds it sees every call; its spec's dimension, None: either; its row
+# param).  `empirical_constant` is the superlevel sweep, the one row with a lambda grid.
+OPERATORS = {"M": ("dyadic_maximal", 2, "empirical_constant"), "M1": ("hybrid_maximal_1", None, "integral_ratio"),
+             "M2": ("hybrid_maximal_2", 2, "integral_ratio"), "V": ("schipp_v_max", 1, "empirical_constant"),
+             "V1": ("hybrid_v_1", None, "empirical_constant"), "V2": ("hybrid_v_2", None, "empirical_constant"),
+             "Sch-ratio": ("sch_ratio_max", 1, "sch_ratio")}
 MAX_COUNT = 4096  # instances in one weak_type section
 
 
@@ -315,33 +320,32 @@ def _weak_type_instance(operator: str, spec: FunctionSpec, seed: int,
     family and Sch-ratio), not O(4^B) or O(2^B).  The gauge is taken before
     the operator, so its copy of |f| is gone before the operator's arrays
     exist, and every grid dies at return: no instance overlaps the next."""
+    name, _, row = OPERATORS[operator]
     f = generate_function(spec, seed)
-    if operator == "Sch-ratio":
-        return "sch_ratio", sch_ratio_max(f), None
+    if row == "sch_ratio":
+        return row, globals()[name](f), None
     # the M family against 1 + E1, the V family against E0 (the L1 norm, 0 for f = 0)
     gauge = 1.0 + entropy_functional(f, 1) if operator[0] == "M" else entropy_functional(f, 0)
     denom = gauge or np.finfo(np.float64).tiny
-    # built here, not at import, so a tracer that rebinds these names sees every call
-    op = {"M": dyadic_maximal, "M1": hybrid_maximal_1, "M2": hybrid_maximal_2,
-          "V": schipp_v_max, "V1": hybrid_v_1, "V2": hybrid_v_2}[operator](f)
-    if operator in ("M1", "M2"):
+    op = globals()[name](f)
+    if row == "integral_ratio":
         exponent, (scaled,) = _pow2_scaled(op.cells, inplace=True)  # op is ours
-        return "integral_ratio", float(np.ldexp(scaled.mean(), exponent)) / denom, None
+        return row, float(np.ldexp(scaled.mean(), exponent)) / denom, None
     normalized = np.array([lam * superlevel_measure(op, lam) / denom for lam in grid])
-    return "empirical_constant", float(normalized.max()), normalized
+    return row, float(normalized.max()), normalized
 
 
 def _weak_type_args(operator, spec, count, lambda_grid) -> tuple[FunctionSpec, np.ndarray | None]:
     """`run_weak_type_suite`'s arguments, checked: (spec, lambda grid or None)."""
-    if operator not in _OPERATOR_DIMS:
-        raise UsageError(f"unknown operator {operator!r} (expected one of {tuple(_OPERATOR_DIMS)})")
+    if operator not in OPERATORS:
+        raise UsageError(f"unknown operator {operator!r} (expected one of {tuple(OPERATORS)})")
     if not 1 <= count <= MAX_COUNT:
         raise UsageError(f"weak-type count must be within [1, {MAX_COUNT}], got {count}")
-    spec = _spec(spec, _OPERATOR_DIMS[operator], f"operator {operator}")
-    grid = None if lambda_grid is None else _lambda_grid(lambda_grid)
-    if grid is None and operator not in ("M1", "M2", "Sch-ratio"):
-        raise UsageError(f"operator {operator} needs a lambda grid")
-    return spec, grid
+    _, dims, row = OPERATORS[operator]
+    spec = _spec(spec, dims, f"operator {operator}")
+    if (lambda_grid is None) == (row == "empirical_constant"):  # a sweep needs a grid, and no other row reads one
+        raise UsageError(f"operator {operator} {'needs a' if lambda_grid is None else 'takes no'} lambda grid")
+    return spec, None if lambda_grid is None else _lambda_grid(lambda_grid)
 
 
 def run_weak_type_suite(operator: str, spec: FunctionSpec | str, count: int = 1, lambda_grid=None,
@@ -359,15 +363,14 @@ def run_weak_type_suite(operator: str, spec: FunctionSpec | str, count: int = 1,
     report = SummabilityReport(
         "weak_type", spec.text if count == 1 else f"{spec.text}#x{count}", spec.bits, seed,
     )
-    suite_best = 0.0
-    sweep_max = None
+    suite_best, sweep_max = 0.0, None if grid is None else np.zeros(len(grid))  # a sweep is >= +0.0
     for i in range(count):
         param, value, normalized = _weak_type_instance(operator, spec, seed + i, grid)
         report.add(param, i, value)
         suite_best = max(suite_best, value)
-        if normalized is not None:
-            sweep_max = normalized if sweep_max is None else np.maximum(sweep_max, normalized)
-    if sweep_max is not None:
+        if grid is not None:
+            sweep_max = np.maximum(sweep_max, normalized)
+    if grid is not None:
         for lam, val in zip(grid, sweep_max):
             report.add("normalized_max", lam, val)
     report.add("suite_max", 0.0, suite_best)

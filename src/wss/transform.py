@@ -256,11 +256,6 @@ def wht_1d(f: DyadicGrid) -> DyadicGrid:
     return type(f)(f.bits, _zero_padded(_analysis(f.cells, f.bits, (0,)), f.size))
 
 
-def inverse_wht_1d(c: DyadicGrid) -> DyadicGrid:
-    """Synthesis f(x) = sum_k coeffs[k] w_k(x); exact inverse of wht_1d."""
-    return type(c)(c.bits, _synthesis(c.samples, c.bits, (1 << c.bits,)))
-
-
 def naive_wht_1d(f: DyadicGrid) -> DyadicGrid:
     """Definitional analysis oracle: direct double sum, ascending index."""
     w = walsh_matrix_f64(f.bits)
@@ -271,11 +266,6 @@ def naive_wht_1d(f: DyadicGrid) -> DyadicGrid:
 def wht_2d(f: DyadicGrid) -> DyadicGrid:
     """Fast 2D analysis: 1D pass along x (axis 0), then along y (axis 1)."""
     return type(f)(f.bits, _zero_padded(_analysis(f.cells, f.bits, (0, 1)), f.size))
-
-
-def inverse_wht_2d(c: DyadicGrid) -> DyadicGrid:
-    """2D synthesis; column pass (axis 1) then row pass (axis 0)."""
-    return type(c)(c.bits, _synthesis(c.samples, c.bits, (1 << c.bits,) * 2))
 
 
 def naive_wht_2d(f: DyadicGrid) -> DyadicGrid:

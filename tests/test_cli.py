@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import traced_peak_ratio
 from wss.cli import main
 from wss.errors import UsageError
-from wss.experiments import CSV_FIELDS, MAX_COUNT, _fmt, load_config
+from wss.experiments import CSV_FIELDS, MAX_COUNT, OPERATORS, _fmt, load_config
 from wss.generators import FunctionSpec, generate_function
 from wss.sums import partial_sum_1d
 from wss.transform import DyadicGrid2D
@@ -395,6 +395,22 @@ def test_a_bad_range_in_a_later_section_exits_2_before_any_section(tmp_path, cap
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and not ran
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("operator", [op for op, (_, _, row) in OPERATORS.items() if row != "empirical_constant"])
+@pytest.mark.parametrize("first", [True, False], ids=["first", "later"])
+def test_a_lambda_grid_an_operator_would_ignore_exits_2_at_load(tmp_path, capsys, monkeypatch, operator, first):
+    # M1, M2 and Sch-ratio read no grid: one given is refused before any section runs
+    weak = (f"[weak]\nexperiment = weak_type\noperator = {operator}\n"
+            f"spec = random-step:level=3,dim={OPERATORS[operator][1] or 2}@B=4\nlambda = 0.5,1\n\n")
+    ok = "[ok]\nexperiment = theorem1\nspec = random-step:level=3,dim=2@B=4\nlambda = 1\n\n"
+    cfg = tmp_path / "grid.ini"
+    cfg.write_text(weak + ok if first else ok + weak)
+    ran = []
+    monkeypatch.setattr("wss.cli.run_configured", lambda *a: ran.append(a))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: operator {operator} takes no lambda grid\n" and not ran
     assert not (tmp_path / "out").exists()
 
 
@@ -819,10 +835,10 @@ def _section(draw, name):
         keys.update(spec=_spec(bits, 1), m=ms, eps=st.floats(1e-4, 1.0).map(repr),
                     phi=st.sampled_from(["exp_minus_one:1", "power:2", "power:0.5"]))
     else:
-        operator = draw(st.sampled_from(["M", "M1", "M2", "V", "V1", "V2", "Sch-ratio"]))
-        keys.update(operator=st.just(operator), count=st.integers(1, 3).map(str),
-                    spec=_spec(bits, 1 if operator in ("V", "Sch-ratio") else 2),
-                    **{"lambda": lambdas})
+        operator = draw(st.sampled_from(list(OPERATORS)))
+        _, dims, row = OPERATORS[operator]
+        keys.update(operator=st.just(operator), count=st.integers(1, 3).map(str), spec=_spec(bits, dims or 2),
+                    **({"lambda": lambdas} if row == "empirical_constant" else {}))
     lines = [[key, draw(value)] for key, value in keys.items()]
     for edit, at, junk in draw(st.lists(
             st.tuples(st.sampled_from(["value", "token", "drop", "line"]),

@@ -32,6 +32,11 @@ from wss.transform import DyadicGrid1D
 LAMBDAS = [0.25, 0.5, 1.0, 2.0, 4.0]
 
 
+def _grid(operator, lambdas=LAMBDAS):
+    """`lambdas` for an operator whose row is the superlevel sweep, else None."""
+    return lambdas if experiments.OPERATORS[operator][2] == "empirical_constant" else None
+
+
 def test_theorem1_constant_function_step_measures():
     # f = 1 everywhere: every diagonal sequence is (0, 1, 1, ...), the BMO
     # field is 1/2, and the sweep is a 0/1 step at lambda = 1/2.
@@ -325,8 +330,10 @@ def test_weak_type_validation():
             run_weak_type_suite("M", "indicator-rect:0,1,0,1@B=3", count, LAMBDAS)
     with pytest.raises(UsageError):
         run_weak_type_suite("V", "indicator-rect:0,1,0,1@B=3", lambda_grid=LAMBDAS)  # needs 1D
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^operator M needs a lambda grid$"):
         run_weak_type_suite("M", "indicator-rect:0,1,0,1@B=3", lambda_grid=None)
+    with pytest.raises(UsageError, match="^operator M1 takes no lambda grid$"):  # refused, not dropped
+        run_weak_type_suite("M1", "indicator-rect:0,1,0,1@B=3", lambda_grid=LAMBDAS)
 
 
 @pytest.mark.parametrize("call", [
@@ -336,8 +343,11 @@ def test_weak_type_validation():
     lambda: run_theorem2("indicator-rect:0,0.5,0,0.5@B=4", 1.0, [4], [(0.25, 0.5), (0.25, 0.5)]),
     lambda: run_rodin_1d("random-step:level=3,dim=1@B=4", PhiFunction.exp_minus_one(1.0), [4, 99]),
     lambda: run_weak_type_suite("V", "random-step:level=3,dim=1@B=4"),
+    lambda: run_weak_type_suite("M1", "random-step:level=3,dim=2@B=4", 1, [0.5, 1]),
+    lambda: run_weak_type_suite("M2", "random-step:level=3,dim=2@B=4", 1, [0.5, 1]),
+    lambda: run_weak_type_suite("Sch-ratio", "random-step:level=3,dim=1@B=4", 1, [0.5, 1]),
 ], ids=["theorem2-m", "theorem2-probe", "theorem2-probe-label", "theorem2-probe-repeat", "rodin-m",
-        "V-no-lambda"])
+        "V-no-lambda", "M1-lambda", "M2-lambda", "Sch-ratio-lambda"])
 def test_runners_check_every_argument_before_generation(monkeypatch, call):
     def refuse(*args):
         raise AssertionError("generate_function called")
@@ -353,11 +363,13 @@ def test_runners_check_every_argument_before_generation(monkeypatch, call):
     ("V1", "random-step:level=3,dim=2@B=4"), ("V2", "random-step:level=3,dim=1@B=5"),
     ("Sch-ratio", "random-step:level=4,dim=1@B=5")])
 def test_weak_type_instance_i_is_the_single_run_at_seed_plus_i(operator, spec):
-    lambdas = None if operator in ("M1", "M2", "Sch-ratio") else LAMBDAS
+    lambdas = _grid(operator)
     suite = run_weak_type_suite(operator, spec, 3, lambdas, seed=9)
     singles = [run_weak_type_suite(operator, spec, 1, lambdas, seed=9 + i) for i in range(3)]
     assert suite.spec == f"{spec}#x3" and singles[0].spec == spec
     (param,) = {p for p, _, _ in singles[0].rows if p not in ("normalized_max", "suite_max")}
+    assert param == experiments.OPERATORS[operator][2]  # the table's row, and a sweep only on that row
+    assert suite.series("normalized_max")[0].tolist() == (lambdas or [])
     assert suite.series(param)[0].tolist() == [0.0, 1.0, 2.0]
     assert suite.series(param)[1].tolist() == [single.value(param, 0) for single in singles]
     assert suite.value("suite_max") == max(single.value("suite_max") for single in singles)
@@ -383,7 +395,7 @@ def test_weak_type_instances_do_not_overlap(operator, spec):
     # measured (V1, Sch-ratio), so a bound of 0.01 grids leaves a margin of
     # about 3x and fails on any grid of samples; the next instance's f comes
     # after the last one's arrays are gone
-    lambdas = None if operator in ("M1", "M2", "Sch-ratio") else LAMBDAS
+    lambdas = _grid(operator)
 
     def run(_):
         return run_weak_type_suite(operator, spec, 2, lambdas, seed=11)
@@ -408,9 +420,7 @@ def test_weak_type_constants_stable_across_bits():
         for bits in (5, 6, 7):
             level = min(bits, 4) if dim == 2 else bits
             spec = f"random-step:level={level},dim={dim}@B={bits}"
-            rep = run_weak_type_suite(
-                operator, spec, 10, lam if operator in ("M", "V") else None, seed=17
-            )
+            rep = run_weak_type_suite(operator, spec, 10, _grid(operator, lam), seed=17)
             maxima.append(rep.value("suite_max"))
         assert max(maxima) / min(maxima) <= 2.0, (operator, maxima)
 
@@ -485,8 +495,8 @@ SECTION_CASES = {
     "rodin": ({"spec": "random-step:level=3,dim=1@B=6", "phi": "power:2", "m": "2,8,64", "eps": "0.05"},
               {"spec": "random-step:level=3,dim=1@B=6", "phi": PhiFunction.power(2.0), "m_grid": [2, 8, 64],
                "eps": 0.05}),
-    "weak_type": ({"spec": "random-step:level=2,dim=2@B=4", "operator": "M1", "count": "3", "lambda": "0.5,1"},
-                  {"spec": "random-step:level=2,dim=2@B=4", "operator": "M1", "count": 3, "lambda_grid": [0.5, 1.0]}),
+    "weak_type": ({"spec": "random-step:level=2,dim=2@B=4", "operator": "V1", "count": "3", "lambda": "0.5,1"},
+                  {"spec": "random-step:level=2,dim=2@B=4", "operator": "V1", "count": 3, "lambda_grid": [0.5, 1.0]}),
 }
 # the defaults of the keys whose runner parameter has none, as the README documents them
 DOCUMENTED = {"a": 1.0, "phi": PhiFunction.exp_minus_one(1.0)}
@@ -507,6 +517,8 @@ def test_a_section_without_an_optional_key_runs_the_runners_default(tmp_path, ki
     key, param = row[:2]
     options, kwargs = (dict(case) for case in SECTION_CASES[kind])
     del options[key], kwargs[param]
+    if (kind, key) == ("weak_type", "lambda"):  # V1's sweep needs its grid: without one, run M1's ratio
+        options["operator"] = kwargs["operator"] = "M1"
     runner = getattr(experiments, experiments.SECTIONS[kind][0])
     if inspect.signature(runner).parameters[param].default is inspect.Parameter.empty:
         kwargs[param] = DOCUMENTED[param]

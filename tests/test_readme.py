@@ -1,6 +1,6 @@
 """The README's "Library layout" table names only code that exists, its
 function-spec table is `generators.KINDS`, its config key table is
-`experiments.SECTIONS`, its operator table is `experiments._OPERATOR_DIMS`,
+`experiments.SECTIONS`, its operator table is `experiments.OPERATORS`,
 and its config example runs with each kind's keys."""
 import configparser
 import importlib
@@ -57,17 +57,17 @@ def test_config_example_gives_each_kind_its_keys():
     assert "theorem1 also accepts `mode`" in text  # the one key the example leaves out
 
 
-def test_operator_table_is_the_operator_dims():
-    from wss.experiments import _OPERATOR_DIMS
+def test_operator_table_is_the_operators_table():
+    from wss.experiments import OPERATORS
 
     text = README.read_text().split("## Weak-type operators", 1)[1]
-    table = text.split("| operator | dim | computes | cost |\n", 1)[1].split("\n\n", 1)[0]
+    table = text.split("| operator | dim | row | computes | cost |\n", 1)[1].split("\n\n", 1)[0]
     dims = {"1": 1, "2": 2, "1 or 2": None}
     readme = {}
     for line in table.splitlines()[1:]:
-        operators, dim = [cell.strip() for cell in line.strip().strip("|").split("|")][:2]
-        readme.update({op: dims[dim] for op in re.findall(r"`([^`]+)`", operators)})
-    assert readme == _OPERATOR_DIMS
+        operators, dim, row = [cell.strip() for cell in line.strip().strip("|").split("|")][:3]
+        readme.update({op: (dims[dim], row.strip("`")) for op in re.findall(r"`([^`]+)`", operators)})
+    assert readme == {op: (dims, row) for op, (_, dims, row) in OPERATORS.items()}
 
 
 def test_function_spec_table_is_the_schema():

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from wss.experiments import OPERATORS
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -15,8 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         ["theorem1_stability.py", "--bits", "4", "--targets", "1", "--lambdas", "5"],
         ["theorem2_decay.py", "--bits", "4"],
-        ["weak_type_constants.py", "--operators", "M", "M1", "M2", "V", "V1", "V2",
-         "Sch-ratio", "--bits", "4", "--count", "2"],
+        ["weak_type_constants.py", "--operators", *OPERATORS, "--bits", "4", "--count", "2"],
     ],
     ids=["theorem1", "theorem2", "weak-type"],
 )
@@ -42,6 +43,23 @@ def test_study_script_reads_its_numbers_with_the_one_reader(argv, error):
     # value, and a runner's UsageError ended the script with a traceback
     done = _script(argv)
     assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["theorem1_stability.py", "--targets", "-1_0"], "argument --targets: expected at least one argument"),
+        (["theorem2_decay.py", "--bits", "-1_0"], "argument --bits: expected one argument"),
+        (["weak_type_constants.py", "--bits", "4", "--count", "-1_0"], "argument --count: expected one argument"),
+        (["weak_type_constants.py", "--operators", "Q"], "argument --operators: invalid choice: 'Q'"),
+    ],
+    ids=["theorem1-nargs", "theorem2", "weak-type", "weak-type-operator"],
+)
+def test_study_script_flag_that_argparse_refuses_is_one_error_line(argv, error):
+    # argparse takes a value such as -1_0 for a flag; its usage block is not printed
+    done = _script(argv)
+    assert (done.returncode, done.stdout, done.stderr.count("\n")) == (2, "", 1)
+    assert done.stderr.startswith(f"error: {error}")
 
 
 def _script(argv):

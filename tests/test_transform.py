@@ -27,8 +27,6 @@ from wss.transform import (
     DyadicGrid2D,
     _analysis,
     _synthesis,
-    inverse_wht_1d,
-    inverse_wht_2d,
     naive_wht_1d,
     naive_wht_2d,
     wht_1d,
@@ -70,15 +68,15 @@ def test_naive_unit_examples_roles_swapped():
 
 def test_round_trip_identity():
     f = random_grid_1d(10, seed=7)
-    back = inverse_wht_1d(wht_1d(f))
-    assert np.abs(back.samples - f.samples).max() <= 1e-12
+    back = _synthesis(wht_1d(f).samples, f.bits, (f.size,))
+    assert np.abs(back - f.samples).max() <= 1e-12
 
 
 def test_synthesis_of_single_character():
-    g = inverse_wht_1d(DyadicGrid1D(3, unit(8, 5)))
-    np.testing.assert_array_equal(g.samples, walsh_row(5, 3).astype(float))
-    const = inverse_wht_1d(DyadicGrid1D(3, unit(8, 0)))
-    np.testing.assert_array_equal(const.samples, np.ones(8))
+    g = _synthesis(unit(8, 5), 3, (8,))
+    np.testing.assert_array_equal(g, walsh_row(5, 3).astype(float))
+    const = _synthesis(unit(8, 0), 3, (8,))
+    np.testing.assert_array_equal(const, np.ones(8))
 
 
 def test_tensor_character_2d():
@@ -95,8 +93,8 @@ def test_fast_matches_naive_2d():
     f = random_grid_2d(6, seed=9)
     gap = np.abs(wht_2d(f).coeffs - naive_wht_2d(f).coeffs).max()
     assert gap <= 1e-12
-    back = inverse_wht_2d(wht_2d(f))
-    assert np.abs(back.samples - f.samples).max() <= 1e-12
+    back = _synthesis(wht_2d(f).samples, f.bits, (f.size,) * 2)
+    assert np.abs(back - f.samples).max() <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -150,9 +148,13 @@ def test_non_finite_input_rejected():
         DyadicGrid2D(2, np.full((4, 4), np.inf))
 
 
-@pytest.mark.parametrize("transform, grid", [(wht_1d, DyadicGrid1D), (inverse_wht_1d, DyadicGrid1D),
-                                             (wht_2d, DyadicGrid2D), (inverse_wht_2d, DyadicGrid2D)],
-                         ids=["wht_1d", "inverse_wht_1d", "wht_2d", "inverse_wht_2d"])
+def _full_synthesis(c):
+    return _synthesis(c.samples, c.bits, (c.size,) * c.dims)
+
+
+@pytest.mark.parametrize("transform, grid", [(wht_1d, DyadicGrid1D), (_full_synthesis, DyadicGrid1D),
+                                             (wht_2d, DyadicGrid2D), (_full_synthesis, DyadicGrid2D)],
+                         ids=["wht_1d", "synthesis_1d", "wht_2d", "synthesis_2d"])
 def test_butterfly_overflow_is_a_data_error(transform, grid):
     # finite samples whose Walsh sums leave float64: a DataError naming the
     # overflow, not a numpy warning (pytest makes RuntimeWarnings errors)
@@ -178,7 +180,7 @@ def test_fast_matches_naive_on_arbitrary_data(values):
     scale = max(1.0, float(np.abs(f.samples).max()))
     gap = np.abs(wht_1d(f).coeffs - naive_wht_1d(f).coeffs).max()
     assert gap <= 1e-12 * scale
-    back = inverse_wht_1d(wht_1d(f)).samples
+    back = _synthesis(wht_1d(f).samples, f.bits, (f.size,))
     assert np.abs(back - f.samples).max() <= 1e-12 * scale
 
 
@@ -448,8 +450,8 @@ def test_transforms_leave_their_inputs_untouched():
     rectangular_partial_sum(f2, 5, 9)
     assert np.array_equal(f1.samples, before1) and np.array_equal(f2.samples, before2)
     coeffs1, coeffs2 = c1.coeffs.copy(), c2.coeffs.copy()
-    inverse_wht_1d(c1)
-    inverse_wht_2d(c2)
+    _full_synthesis(c1)
+    _full_synthesis(c2)
     assert np.array_equal(c1.coeffs, coeffs1) and np.array_equal(c2.coeffs, coeffs2)
     field = quadratic_sums(f2)
     rows, cols = field.row_profiles.copy(), field.col_profiles.copy()
@@ -563,9 +565,8 @@ def test_cells_tell_signed_zeros_apart_and_reject_malformed_input():
 
 def test_every_transform_sum_and_operator_returns_its_inputs_class():
     f1, f2 = random_grid_1d(4, seed=1), random_grid_2d(3, seed=2)
-    outs1 = [wht_1d(f1), naive_wht_1d(f1), inverse_wht_1d(f1),
-             partial_sum_1d(f1, 5), hybrid_maximal_1(f1), schipp_v_max(f1)]
-    outs2 = [wht_2d(f2), naive_wht_2d(f2), inverse_wht_2d(f2), rectangular_partial_sum(f2, 3, 5),
+    outs1 = [wht_1d(f1), naive_wht_1d(f1), partial_sum_1d(f1, 5), hybrid_maximal_1(f1), schipp_v_max(f1)]
+    outs2 = [wht_2d(f2), naive_wht_2d(f2), rectangular_partial_sum(f2, 3, 5),
              dyadic_maximal(f2), hybrid_maximal_1(f2), hybrid_maximal_2(f2),
              hybrid_v_1(f2), hybrid_v_2(f2), schipp_v_max(f2)]
     for grid, outs in ((f1, outs1), (f2, outs2)):
