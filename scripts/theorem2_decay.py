@@ -5,33 +5,20 @@ Runs the quadrant indicator and a spectrum-resolved random input, prints the
 per-probe trajectories and the fitted decay exponent of the resolved case
 (expected -1: finitely many deviating summands give a C/m tail).
 """
-import argparse
-import sys
-
 import numpy as np
 
-from wss.errors import UsageError
+from wss.cli import Parser
 from wss.experiments import run_theorem2, write_reports_csv
-from wss.generators import parse_number
+
+PARSER = Parser(description=__doc__)
+PARSER.add_argument("--bits", kind=int, default="7")
+PARSER.add_argument("--a", kind=float, default="1", help="exponential rate")
+PARSER.add_argument("--support", kind=int, default="8", help="spectral support of the resolved input")
+PARSER.add_argument("--seed", kind=int, default="0")
+PARSER.add_argument("--out", default=None)
 
 
-class Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse's own faults (a value such as -1_0 taken for a flag) as one line
-        raise UsageError(message)
-
-
-def main():
-    ap = Parser(description=__doc__)
-    ap.add_argument("--bits", default="7")
-    ap.add_argument("--a", default="1", help="exponential rate")
-    ap.add_argument("--support", default="8", help="spectral support of the resolved input")
-    ap.add_argument("--seed", default="0")
-    ap.add_argument("--out", default=None)
-    args = ap.parse_args()
-    # wss's one number reader, which refuses "1_0" and non-ASCII digits
-    for flag, kind in (("bits", int), ("a", float), ("support", int), ("seed", int)):
-        setattr(args, flag, parse_number(getattr(args, flag), kind, f"--{flag}"))
-
+def main(args):
     ms = [1 << k for k in range(2, args.bits + 1)]
     quadrant = run_theorem2(
         f"indicator-rect:0,0.5,0,0.5@B={args.bits}", args.a, ms,
@@ -59,8 +46,4 @@ def main():
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except UsageError as exc:  # a bad flag, a number parse_number refuses, or a value out of range
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(2)
+    raise SystemExit(PARSER.run(main))

@@ -5,14 +5,10 @@ For each requested operator, runs a suite of random step functions per bit
 depth and prints the per-depth maxima of the normalized superlevel sweeps
 (or integral/pointwise ratios for M1/M2 and Sch-ratio).
 """
-import argparse
-import sys
-
 import numpy as np
 
-from wss.errors import UsageError
+from wss.cli import Parser
 from wss.experiments import OPERATORS, run_weak_type_suite, write_reports_csv
-from wss.generators import parse_number
 
 
 def family(operator: str, bits: int) -> str:
@@ -22,37 +18,27 @@ def family(operator: str, bits: int) -> str:
     return f"random-step:level={level},dim={dim}@B={bits}"
 
 
-class Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse's own faults (a value such as -1_0 taken for a flag) as one line
-        raise UsageError(message)
+PARSER = Parser(description=__doc__)
+PARSER.add_argument("--operators", nargs="+", default=["M", "M1", "V", "Sch-ratio"], choices=OPERATORS)
+PARSER.add_argument("--bits", nargs="+", kind=int, default=["5", "6", "7"])
+PARSER.add_argument("--count", kind=int, default="25", help="functions per suite")
+PARSER.add_argument("--seed", kind=int, default="0")
+PARSER.add_argument("--out", default=None)
 
 
-def main():
-    ap = Parser(description=__doc__)
-    ap.add_argument("--operators", nargs="+", default=["M", "M1", "V", "Sch-ratio"], choices=OPERATORS)
-    ap.add_argument("--bits", nargs="+", default=["5", "6", "7"])
-    ap.add_argument("--count", default="25", help="functions per suite")
-    ap.add_argument("--seed", default="0")
-    ap.add_argument("--out", default=None)
-    args = ap.parse_args()
-    # wss's one number reader, which refuses "1_0" and non-ASCII digits
-    args.bits = [parse_number(b, int, "--bits") for b in args.bits]
-    for flag in ("count", "seed"):
-        setattr(args, flag, parse_number(getattr(args, flag), int, f"--{flag}"))
-
+def main(args):
     lam = np.geomspace(1e-3, 1e2, 26).tolist()
-    reports = []
-    for operator in args.operators:
-        maxima = []
-        for bits in args.bits:
-            sweep = OPERATORS[operator][2] == "empirical_constant"  # the one row that takes a lambda grid
-            rep = run_weak_type_suite(operator, family(operator, bits), args.count, lam if sweep else None,
-                                      seed=args.seed)
-            reports.append(rep)
-            maxima.append(rep.value("suite_max"))
+    # the one row that takes a lambda grid
+    grid = {op: lam if row == "empirical_constant" else None for op, (_, _, row) in OPERATORS.items()}
+    # every suite runs before the table prints, so a fault leaves stdout empty
+    table = [[run_weak_type_suite(operator, family(operator, bits), args.count, grid[operator], seed=args.seed)
+              for bits in args.bits] for operator in args.operators]
+    for operator, row in zip(args.operators, table):
+        maxima = [rep.value("suite_max") for rep in row]
         cells = " | ".join(f"B={b}: {m:.4f}" for b, m in zip(args.bits, maxima))
         drift = max(maxima) / min(maxima) if min(maxima) > 0 else float("inf")
         print(f"{operator:>9}: {cells} | drift x{drift:.3f}")
+    reports = [rep for row in table for rep in row]
 
     if args.out:
         write_reports_csv(reports, args.out)
@@ -60,8 +46,4 @@ def main():
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except UsageError as exc:  # a bad flag, a number parse_number refuses, or a value out of range
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(2)
+    raise SystemExit(PARSER.run(main))

@@ -14,9 +14,14 @@ import argparse
 import csv
 import gc
 import io
+import os
+import re
 import signal
 import sys
 from pathlib import Path
+
+if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():  # before numpy loads: no wss
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # path calls BLAS, whose idle worker spins through ~90 ms of CPU
 
 from .errors import DataError, UsageError
 from .experiments import load_config, run_configured, write_csv, write_reports_csv
@@ -72,15 +77,58 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="wss", description=__doc__.strip().splitlines()[0])
+class Parser(argparse.ArgumentParser):
+    """The one front end of `wss` and the study scripts.  `add_argument(..., kind=int)` (or
+    float) makes a number flag, its value or each of an `nargs` list read by `parse_number`;
+    the argument after one is its value even when argparse alone would take it for an option
+    (`--seed -1_0`); argparse's own faults raise `UsageError`, with no usage block."""
+
+    def __init__(self, *args, **kwargs):
+        self.numbers = {}  # flag -> (dest, int or float)
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *flags, kind=None, **kwargs):
+        action = super().add_argument(*flags, **kwargs)
+        if kind:
+            self.numbers[flags[0]] = action.dest, kind
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []  # a subcommand's parser joins and reads its own flags
+        for arg in sys.argv[1:] if args is None else args:
+            if (arg[:1] == "-" and not re.fullmatch(r"-\d+|-\d*\.\d+", arg)  # argparse reads -5 as a value
+                    and joined and len(joined[-1]) > 2 and any(flag.startswith(joined[-1]) for flag in self.numbers)):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        namespace, extras = super().parse_known_args(joined, namespace)
+        for flag, (dest, kind) in self.numbers.items():
+            texts = getattr(namespace, dest)
+            values = [parse_number(text, kind, flag) for text in ([texts] if isinstance(texts, str) else texts)]
+            setattr(namespace, dest, values if isinstance(texts, list) else values[0])
+        return namespace, extras
+
+    def error(self, message):
+        raise UsageError(message)
+
+    def run(self, command, argv=None) -> int:
+        """`command(args)` on `argv`; a UsageError or DataError is one `error:` line and code 2."""
+        try:
+            return command(self.parse_args(argv)) or 0
+        except (UsageError, DataError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+
+
+def build_parser() -> Parser:
+    parser = Parser(prog="wss", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run experiments from a config file")
     p_run.add_argument("config", help="INI config: one section per experiment")
     p_run.add_argument("--out", default="wss-out", help="output directory (default wss-out)")
-    p_run.add_argument("--threads", default="1", help="worker threads")
-    p_run.add_argument("--seed", default="0", help="default seed for sections without one")
+    p_run.add_argument("--threads", kind=int, default="1", help="worker threads")
+    p_run.add_argument("--seed", kind=int, default="0", help="default seed for sections without one")
 
     sub.add_parser("selftest", help="run the built-in oracle suites")
 
@@ -88,21 +136,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("spec", help="function spec, e.g. walsh-tensor:3,6@B=4")
     p_gen.add_argument("--dump", action="store_true", help="write the grid as CSV")
     p_gen.add_argument("--out", default=None, help="CSV path (default stdout)")
-    p_gen.add_argument("--seed", default="0")
+    p_gen.add_argument("--seed", kind=int, default="0")
     return parser
 
 
-def _joined(argv: list[str]) -> list[str]:
-    """`argv` with --seed and --threads (or a prefix argparse expands to one)
-    joined to the argument after them, so that a value such as -1_0, which
-    argparse would take for an option, reaches `parse_number`."""
-    out = []
-    for arg in argv:
-        if out and len(out[-1]) > 2 and any(flag.startswith(out[-1]) for flag in ("--seed", "--threads")):
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
+def _command(args) -> int:
+    if getattr(args, "seed", 0) < 0:  # run's and gen's, before anything is read or generated
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
+    if getattr(args, "threads", 1) < 1:
+        raise UsageError("--threads must be >= 1")
+    if args.command == "selftest":
+        from .selftest import run_selftest  # its oracles stay out of `wss run`
+        return run_selftest()
+    if args.command == "gen" and not args.dump:
+        print("nothing to do: pass --dump to write the grid", file=sys.stderr)
+        return 2
+    return _cmd_run(args) if args.command == "run" else _cmd_gen(args)
 
 
 def main(argv=None) -> int:
@@ -110,28 +159,7 @@ def main(argv=None) -> int:
         gc.freeze()
         if hasattr(signal, "SIGPIPE"):  # die quietly when piped into head etc.
             signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    args = build_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
-    try:
-        args.seed = parse_number(getattr(args, "seed", "0"), int, "--seed")  # run's and gen's, before all else
-        args.threads = parse_number(getattr(args, "threads", "1"), int, "--threads")
-        if args.seed < 0:
-            raise UsageError(f"--seed must be nonnegative, got {args.seed}")
-        if args.threads < 1:
-            raise UsageError("--threads must be >= 1")
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "selftest":
-            from .selftest import run_selftest  # its oracles stay out of `wss run`
-            return run_selftest()
-        if args.command == "gen":
-            if not args.dump:
-                print("nothing to do: pass --dump to write the grid", file=sys.stderr)
-                return 2
-            return _cmd_gen(args)
-    except (UsageError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    raise AssertionError("unreachable")
+    return build_parser().run(_command, argv)
 
 
 if __name__ == "__main__":
