@@ -5,9 +5,10 @@ For each entropy target the empirical constant max_lambda lambda * mu / (1 + E2)
 should be stable across bit depths; print the table and optionally dump the
 full reports as CSV.
 """
+from wss.cli import Parser  # first: it caps OpenBLAS at one thread before numpy loads
+
 import numpy as np
 
-from wss.cli import Parser
 from wss.errors import UsageError
 from wss.experiments import run_theorem1, write_reports_csv
 

@@ -5,9 +5,10 @@ Runs the quadrant indicator and a spectrum-resolved random input, prints the
 per-probe trajectories and the fitted decay exponent of the resolved case
 (expected -1: finitely many deviating summands give a C/m tail).
 """
+from wss.cli import Parser  # first: it caps OpenBLAS at one thread before numpy loads
+
 import numpy as np
 
-from wss.cli import Parser
 from wss.experiments import run_theorem2, write_reports_csv
 
 PARSER = Parser(description=__doc__)

@@ -5,9 +5,10 @@ For each requested operator, runs a suite of random step functions per bit
 depth and prints the per-depth maxima of the normalized superlevel sweeps
 (or integral/pointwise ratios for M1/M2 and Sch-ratio).
 """
+from wss.cli import Parser  # first: it caps OpenBLAS at one thread before numpy loads
+
 import numpy as np
 
-from wss.cli import Parser
 from wss.experiments import OPERATORS, run_weak_type_suite, write_reports_csv
 
 

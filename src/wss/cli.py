@@ -80,12 +80,15 @@ def _cmd_gen(args) -> int:
 class Parser(argparse.ArgumentParser):
     """The one front end of `wss` and the study scripts.  `add_argument(..., kind=int)` (or
     float) makes a number flag, its value or each of an `nargs` list read by `parse_number`;
-    the argument after one is its value even when argparse alone would take it for an option
-    (`--seed -1_0`); argparse's own faults raise `UsageError`, with no usage block."""
+    an argument that reads as a negative number is a value anywhere (`--targets 1 -1_0`), and
+    the argument after a number flag is its value even when argparse alone would take it for an
+    option (`--seed -x`); argparse's own faults raise `UsageError`, with no usage block."""
 
     def __init__(self, *args, **kwargs):
         self.numbers = {}  # flag -> (dest, int or float)
         super().__init__(*args, **kwargs)
+        # the pattern argparse tells a value from a flag by, widened from -5 and -.5 to -1_0, -1e3 and -inf
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def add_argument(self, *flags, kind=None, **kwargs):
         action = super().add_argument(*flags, **kwargs)
@@ -96,7 +99,7 @@ class Parser(argparse.ArgumentParser):
     def parse_known_args(self, args=None, namespace=None):
         joined = []  # a subcommand's parser joins and reads its own flags
         for arg in sys.argv[1:] if args is None else args:
-            if (arg[:1] == "-" and not re.fullmatch(r"-\d+|-\d*\.\d+", arg)  # argparse reads -5 as a value
+            if (arg[:1] == "-" and not self._negative_number_matcher.match(arg)  # argparse reads it as a value
                     and joined and len(joined[-1]) > 2 and any(flag.startswith(joined[-1]) for flag in self.numbers)):
                 joined[-1] += "=" + arg
             else:

@@ -17,7 +17,8 @@ function costs O(4^L), not O(4^B), to make (indicator-rect also reads its
 edges at 2^B points); random-spectrum synthesizes at the level of its
 support, (support - 1).bit_length().
 Randomness comes from a pinned portable generator: the raw 64-bit PCG64
-stream seeded directly, mapped to [0, 1) doubles by taking the top 53 bits.
+stream (`pcg64_raw`, bit for bit numpy's `PCG64(seed).random_raw`, with no
+import of numpy's random package), mapped to [0, 1) doubles by taking the top 53 bits.
 Identical (spec, seed) always reproduce the same grid.
 """
 from __future__ import annotations
@@ -83,12 +84,87 @@ def parse_number(text: str, kind: type = float, what: str = "value"):
     return value
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
+
+
+def _hashmix(const: int, mult: int) -> Callable[[int], int]:
+    """SeedSequence's 32-bit hash: each call xors in the running constant, steps it by `mult`,
+    multiplies by the new one and folds the high half down."""
+    def mix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return mix
+
+
+def _pcg64_seed(seed: int) -> tuple[int, int]:
+    """PCG64's (state, increment) as numpy seeds them: the four 64-bit words of
+    `SeedSequence(seed).generate_state(4, uint64)`, then `pcg_setseq_128_srandom_r`."""
+    words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]  # low first; [0] for 0
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in (words + [0] * 3)[:4]]
+    for src in range(4):  # every pool word into every other, so late words reach early ones
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:  # a seed past 128 bits
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    output_hash = _hashmix(0x8B51F9DD, 0x58F38DED)
+    halves = [output_hash(pool[i % 4]) for i in range(8)]
+    w0, w1, w2, w3 = (halves[2 * i] | halves[2 * i + 1] << 32 for i in range(4))  # little-endian pairs
+    inc = ((w2 << 64 | w3) << 1 | 1) & _M128
+    return ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _M128, inc
+
+
+def pcg64_raw(seed: int, count: int) -> np.ndarray:
+    """The first `count` uint64 outputs of numpy's `PCG64(seed)`: O'Neill's PCG XSL-RR 128/64
+    (each output steps s <- s M + inc mod 2^128, then gives rotr64(hi ^ lo, hi >> 58)).
+
+    L ~ sqrt(16 count) lanes run side by side: lane j gives outputs j, j + L, j + 2L, ...,
+    so each vector step is the L-fold jump s <- s A + C of every lane and the (K, L)
+    table of K steps is the stream in order.  The starts, A and C are Python ints; a
+    step is uint64 arithmetic on the lanes' high and low words.  A draw costs several
+    times numpy's, but numpy's random package, 10-12 ms and 6 MB to import, is not loaded."""
+    state, inc = _pcg64_seed(seed)
+    lanes = max(1, math.isqrt(16 * count))
+    a, c, starts = 1, 0, []  # after the loop, (a, c) = (A, C): the jump of L steps
+    for _ in range(lanes):
+        state = (state * _PCG_MULT + inc) & _M128
+        starts.append(state)
+        a, c = a * _PCG_MULT & _M128, (c * _PCG_MULT + inc) & _M128
+    hi = np.array([s >> 64 for s in starts], dtype=np.uint64)
+    lo = np.array([s & _M64 for s in starts], dtype=np.uint64)
+    a_hi, a_lo, c_hi, c_lo, b_hi, b_lo, mask, s32, s58, s63, one = (
+        np.uint64(v) for v in (a >> 64, a & _M64, c >> 64, c & _M64, a >> 32 & _M32, a & _M32, _M32, 32, 58, 63, 1))
+    out = np.empty((-(-count // lanes), lanes), dtype=np.uint64)
+    for k in range(len(out)):
+        if k:  # s <- s A + C mod 2^128 in 64-bit words; the high word of lo a_lo from four 32-bit products
+            x_lo, x_hi = lo & mask, lo >> s32
+            t = x_lo * b_lo
+            u = x_hi * b_lo + (t >> s32)
+            w = x_lo * b_hi + (u & mask)
+            hi = hi * a_lo + lo * a_hi + x_hi * b_hi + (u >> s32) + (w >> s32) + c_hi
+            lo = lo * a_lo + c_lo
+            hi += lo < c_lo  # the low word's carry
+        x, rot = hi ^ lo, hi >> s58
+        out[k] = x >> rot | x << (s63 - rot) << one  # rotr by rot; a shift by 64 is not defined
+    return out.ravel()[:count]
+
+
 def portable_uniforms(seed: int, count: int) -> np.ndarray:
     """count doubles in [0, 1): top 53 bits of the raw PCG64(seed) stream."""
     if seed < 0:
         raise UsageError(f"seed must be nonnegative, got {seed}")
-    raw = np.random.PCG64(int(seed)).random_raw(int(count))
-    return (raw >> np.uint64(11)) * 2.0**-53
+    return (pcg64_raw(int(seed), int(count)) >> np.uint64(11)) * 2.0**-53
 
 
 class FunctionSpec(NamedTuple):

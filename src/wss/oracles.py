@@ -143,3 +143,10 @@ def schipp_v_brute(f: DyadicGrid1D, n: int) -> np.ndarray:
                 inner += 2.0 ** (j - 1) * g[(idx ^ t) ^ shifts[j]]
         acc += inner * inner
     return np.sqrt(acc * 2.0 ** (-n) / size)
+
+
+def pcg64_raw_numpy(seed: int, count: int) -> np.ndarray:
+    """numpy's own PCG64 stream, the reference `generators.pcg64_raw` is held to; imported
+    here, as numpy.random costs every run that loads it 10-12 ms and about 6 MB."""
+    import numpy.random
+    return numpy.random.PCG64(seed).random_raw(count)

@@ -10,7 +10,7 @@ import numpy as np
 from . import maximal, oracles
 from .dyadic import walsh_matrix
 from .experiments import iter_rodin_means
-from .generators import generate_function, random_grid_1d, random_grid_2d
+from .generators import generate_function, pcg64_raw, random_grid_1d, random_grid_2d
 from .maximal import dyadic_maximal, hybrid_maximal_1, hybrid_maximal_2
 from .means import PhiFunction, bmo_of_diagonal_sums, bmo_sequence_norm, entropy_functional
 from .sums import dyadic_square_sums, partial_sum_1d, quadratic_sums
@@ -66,8 +66,7 @@ def _check_quadratic_sums() -> tuple[bool, str]:
 
 
 def _check_bmo() -> tuple[bool, str]:
-    rng = np.random.PCG64(505)
-    raw = rng.random_raw(64)
+    raw = pcg64_raw(505, 64)
     xi = ((raw >> np.uint64(52)).astype(np.int64) - 2048) / 64.0  # dyadic rationals
     fast = bmo_sequence_norm(xi)
     brute = oracles.bmo_sequence_brute(xi)

@@ -448,22 +448,24 @@ def test_run_does_not_import_the_oracles():
     assert not {"dataclasses", "concurrent.futures", "logging", "numpy.random"} & set(loaded)
 
 
-@pytest.mark.parametrize("section, loads", [
-    ("experiment = theorem1\nspec = spike:level=2,target=10@B=4\nlambda = 1,2\n\n"
-     "[ind]\nexperiment = theorem2\nspec = indicator-rect:0,0.5,0,0.5@B=4\nm = 4,8\n\n"
-     "[walsh]\nexperiment = rodin\nspec = walsh-tensor:3+9@B=5\nm = 4,16\n", False),
-    ("experiment = theorem1\nspec = random-step:level=2,dim=2@B=4\nlambda = 1,2\n", True),
-], ids=["spike-indicator-walsh", "random-step"])
-def test_numpy_random_loads_only_for_a_random_spec(tmp_path, section, loads):
-    # numpy.random costs 13-19 ms of start-up, and only the random kinds draw from it
+@pytest.mark.parametrize("section", [
+    "experiment = theorem1\nspec = spike:level=2,target=10@B=4\nlambda = 1,2\n\n"
+    "[ind]\nexperiment = theorem2\nspec = indicator-rect:0,0.5,0,0.5@B=4\nm = 4,8\n\n"
+    "[walsh]\nexperiment = rodin\nspec = walsh-tensor:3+9@B=5\nm = 4,16\n",
+    "experiment = theorem1\nspec = random-step:level=2,dim=2@B=4\nlambda = 1,2\n",
+    "experiment = theorem2\nspec = random-spectrum:support=5,dim=2@B=4\nm = 4,8\n",
+], ids=["spike-indicator-walsh", "random-step", "random-spectrum"])
+def test_run_never_loads_numpy_random(tmp_path, section):
+    # wss draws its PCG64 stream itself: numpy.random, and the secrets, hashlib and
+    # OpenSSL it pulls in, cost 10-12 ms and about 6 MB of every run that loads them
     cfg = tmp_path / "exp.ini"
     cfg.write_text("[s]\n" + section)
     code = ("import sys; from wss.cli import main\n"
             "assert main(['run', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
-            "print('numpy.random' in sys.modules)\n")
+            "print(*sorted({'numpy.random', 'secrets', '_hashlib'} & set(sys.modules)))\n")
     done = _python("-c", code, str(cfg), str(tmp_path / "out"))
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == str(loads)
+    assert done.stdout.splitlines()[-1] == ""
 
 
 def test_the_thread_pool_loads_only_past_one_thread(tmp_path):

@@ -13,12 +13,14 @@ from wss.generators import (
     SpecParseError,
     generate_function,
     parse_number,
+    pcg64_raw,
     portable_uniforms,
     random_grid_1d,
     random_grid_2d,
     spike_height,
 )
 from wss.means import entropy_functional
+from wss.oracles import pcg64_raw_numpy
 from wss.transform import DyadicGrid1D, DyadicGrid2D, _synthesis, wht_1d, wht_2d
 
 
@@ -389,6 +391,15 @@ def test_portable_uniforms_pinned():
     assert u[0] == pytest.approx(0.22733602246716966, abs=0)
     v = portable_uniforms(12345, 3)
     np.testing.assert_array_equal(u, v)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 3])
+def test_pcg64_raw_is_numpys_stream_bit_for_bit(seed):
+    # one to seven 32-bit seed words: 2^200 + 3 has more than the pool's four
+    for count in [0, 1, 2, 3, 63, 64, 65, 4097, 100003, 500000]:
+        got, want = pcg64_raw(seed, count), pcg64_raw_numpy(seed, count)
+        assert got.dtype == want.dtype == np.uint64 and got.shape == (count,)
+        assert np.array_equal(got, want), (seed, count)
 
 
 def test_generate_function_validates_bits():

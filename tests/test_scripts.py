@@ -96,13 +96,16 @@ def test_every_script_runs_through_the_front_end(name):
 @pytest.mark.parametrize("text", ["1_0", "-1_0", "\u0661"], ids=["underscore", "negative-underscore", "arabic-indic"])
 @pytest.mark.parametrize("name", SCRIPTS)
 def test_every_number_flag_of_every_script_gives_wss_seed_message(name, text, capsys):
-    # the message `wss run --seed` gives, with "a finite number" for a float flag
+    # the message `wss run --seed` gives, with "a finite number" for a float flag, also for a
+    # list flag's later value (`--targets 1 -1_0` once named no flag: "unrecognized arguments")
     script = _load(name)
-    assert script["PARSER"].numbers
-    for flag, (_, kind) in script["PARSER"].numbers.items():
-        assert script["PARSER"].run(script["main"], [flag, text]) == 2
+    parser = script["PARSER"]
+    assert parser.numbers
+    for flag, (dest, kind) in parser.numbers.items():
         noun = "an integer" if kind is int else "a finite number"
-        assert capsys.readouterr() == ("", f"error: {flag} must be {noun}, got {text!r}\n")
+        for argv in [[flag, text]] + [[flag, "1", text]] * isinstance(parser.get_default(dest), list):
+            assert parser.run(script["main"], argv) == 2
+            assert capsys.readouterr() == ("", f"error: {flag} must be {noun}, got {text!r}\n")
 
 
 @pytest.mark.parametrize("argv", [["run"], ["run", "exp.ini", "--no-such-flag"], []],
@@ -126,6 +129,17 @@ def test_importing_the_cli_starts_no_blas_worker(setting, threads):
     done = subprocess.run([sys.executable, "-c", "import os, wss.cli; print(len(os.listdir('/proc/self/task')))"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stdout) == (0, f"{threads}\n"), done.stderr
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_loading_a_script_starts_no_blas_worker(name):
+    # a script that imports numpy before wss.cli sets the cap too late (2 threads)
+    env = {key: value for key, value in _env().items() if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    code = "import os, runpy, sys; runpy.run_path(sys.argv[1], run_name='probe'); print(len(os.listdir('/proc/self/task')))"
+    done = subprocess.run([sys.executable, "-c", code, str(ROOT / "scripts" / name)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "1\n"), done.stderr
 
 
 def _load(name):
