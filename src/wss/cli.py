@@ -15,7 +15,6 @@ import csv
 import gc
 import io
 import os
-import re
 import signal
 import sys
 from pathlib import Path
@@ -78,37 +77,32 @@ def _cmd_gen(args) -> int:
 
 
 class Parser(argparse.ArgumentParser):
-    """The one front end of `wss` and the study scripts.  `add_argument(..., kind=int)` (or
-    float) makes a number flag, its value or each of an `nargs` list read by `parse_number`;
-    an argument that reads as a negative number is a value anywhere (`--targets 1 -1_0`), and
-    the argument after a number flag is its value even when argparse alone would take it for an
-    option (`--seed -x`); argparse's own faults raise `UsageError`, with no usage block."""
+    """The front end of `wss`.  `add_argument(..., integer=True)` makes an integer flag, its value
+    read by `parse_number`; the argument after one is its value even when argparse alone would
+    take it for an option (`--seed -x`); argparse's own faults raise `UsageError`, with no
+    usage block."""
 
     def __init__(self, *args, **kwargs):
-        self.numbers = {}  # flag -> (dest, int or float)
+        self.integers = {}  # flag -> dest
         super().__init__(*args, **kwargs)
-        # the pattern argparse tells a value from a flag by, widened from -5 and -.5 to -1_0, -1e3 and -inf
-        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
-    def add_argument(self, *flags, kind=None, **kwargs):
+    def add_argument(self, *flags, integer=False, **kwargs):
         action = super().add_argument(*flags, **kwargs)
-        if kind:
-            self.numbers[flags[0]] = action.dest, kind
+        if integer:
+            self.integers[flags[0]] = action.dest
         return action
 
     def parse_known_args(self, args=None, namespace=None):
         joined = []  # a subcommand's parser joins and reads its own flags
         for arg in sys.argv[1:] if args is None else args:
-            if (arg[:1] == "-" and not self._negative_number_matcher.match(arg)  # argparse reads it as a value
-                    and joined and len(joined[-1]) > 2 and any(flag.startswith(joined[-1]) for flag in self.numbers)):
+            if arg[:1] == "-" and joined and len(joined[-1]) > 2 and any(
+                    flag.startswith(joined[-1]) for flag in self.integers):
                 joined[-1] += "=" + arg
             else:
                 joined.append(arg)
         namespace, extras = super().parse_known_args(joined, namespace)
-        for flag, (dest, kind) in self.numbers.items():
-            texts = getattr(namespace, dest)
-            values = [parse_number(text, kind, flag) for text in ([texts] if isinstance(texts, str) else texts)]
-            setattr(namespace, dest, values if isinstance(texts, list) else values[0])
+        for flag, dest in self.integers.items():
+            setattr(namespace, dest, parse_number(getattr(namespace, dest), int, flag))
         return namespace, extras
 
     def error(self, message):
@@ -130,8 +124,8 @@ def build_parser() -> Parser:
     p_run = sub.add_parser("run", help="run experiments from a config file")
     p_run.add_argument("config", help="INI config: one section per experiment")
     p_run.add_argument("--out", default="wss-out", help="output directory (default wss-out)")
-    p_run.add_argument("--threads", kind=int, default="1", help="worker threads")
-    p_run.add_argument("--seed", kind=int, default="0", help="default seed for sections without one")
+    p_run.add_argument("--threads", integer=True, default="1", help="worker threads")
+    p_run.add_argument("--seed", integer=True, default="0", help="default seed for sections without one")
 
     sub.add_parser("selftest", help="run the built-in oracle suites")
 
@@ -139,7 +133,7 @@ def build_parser() -> Parser:
     p_gen.add_argument("spec", help="function spec, e.g. walsh-tensor:3,6@B=4")
     p_gen.add_argument("--dump", action="store_true", help="write the grid as CSV")
     p_gen.add_argument("--out", default=None, help="CSV path (default stdout)")
-    p_gen.add_argument("--seed", kind=int, default="0")
+    p_gen.add_argument("--seed", integer=True, default="0")
     return parser
 
 

@@ -559,11 +559,40 @@ def test_a_flag_value_after_a_dash_reaches_the_number_reader_as_a_program(tmp_pa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [["run"], ["run", "exp.ini", "--no-such-flag"], []],
+                         ids=["no-config", "unknown-flag", "no-command"])
+def test_a_wss_argparse_fault_is_one_error_line(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
+@pytest.mark.parametrize("setting, threads", [(None, 1), ("2", 2)], ids=["default", "user-set"])
+def test_importing_the_cli_starts_no_blas_worker(setting, threads):
+    # no wss path calls BLAS, and OpenBLAS's idle worker spins; a user's setting stands
+    if threads > 1 and (os.cpu_count() or 1) < 2:
+        pytest.skip("OpenBLAS starts no worker on a 1-core host")
+    if threads > 1 and "openblas" not in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]:
+        pytest.skip("numpy is not built on OpenBLAS")
+    env = {key: value for key, value in _env().items() if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update({"OPENBLAS_NUM_THREADS": setting} if setting else {})
+    done = subprocess.run([sys.executable, "-c", "import os, wss.cli; print(len(os.listdir('/proc/self/task')))"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, f"{threads}\n"), done.stderr
+
+
+def _env():
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+
+
 def test_shipped_configs_pass_the_key_check():
     from wss.experiments import load_config
 
-    paths = [ROOT / "configs" / "demo.ini", *sorted((ROOT / "perfbench" / "workloads").glob("*.ini"))]
-    assert len(paths) == 4
+    paths = sorted(ROOT.glob("configs/**/*.ini")) + sorted((ROOT / "perfbench" / "workloads").glob("*.ini"))
+    assert len(paths) >= 7
     for path in paths:
         assert load_config(path)
 

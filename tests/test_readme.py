@@ -1,11 +1,15 @@
 """The README's "Library layout" table names only code that exists, its
 function-spec table is `generators.KINDS`, its config key table is
 `experiments.SECTIONS`, its operator table is `experiments.OPERATORS`,
-and its config example runs with each kind's keys."""
+its config example runs with each kind's keys, and its study tables are
+the study reports."""
 import configparser
+import csv
 import importlib
 import re
 from pathlib import Path
+
+import pytest
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
@@ -101,3 +105,25 @@ def test_config_key_table_is_the_sections_table():
     schema = {kind: [(key, reader, named.get(default, default)) for key, _, reader, default in rows]
               for kind, (_, _, rows) in SECTIONS.items()}
     assert readme == schema
+
+
+def _table(text, header):
+    """The rows of the Markdown table under `header`, as lists of cells."""
+    table = text.split(header + "\n", 1)[1].split("\n\n", 1)[0]
+    return [[cell.strip() for cell in line.strip().strip("|").split("|")] for line in table.splitlines()[1:]]
+
+
+@pytest.mark.parametrize("config, row, header, name", [
+    ("theorem1-spike.ini", "empirical_constant", "| target | B=5 | B=6 | B=7 |", "target-{}-B{}"),
+    ("weak-type-levels.ini", "suite_max", "| operator | B=5 | B=6 | B=7 |", "{}-B{}"),
+], ids=["theorem1", "weak-type"])
+def test_study_tables_are_the_study_reports(tmp_path, capsys, config, row, header, name):
+    from wss.cli import main
+
+    text = README.read_text().split("## Studies", 1)[1]
+    assert main(["run", str(README.parent / "configs" / "studies" / config), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "report.csv", newline="") as handle:
+        report = {r["experiment"]: r["value"] for r in csv.DictReader(handle) if r["param"] == row}
+    readme = {name.format(cells[0], bits): cells[i] for cells in _table(text, header)
+              for i, bits in enumerate((5, 6, 7), 1)}
+    assert readme == {section: f"{float(value):.4f}" for section, value in report.items()}
