@@ -39,3 +39,54 @@ def test_resolved_phi_means_decay_as_one_over_m_past_the_support(tmp_path, capsy
         assert len(tail) >= 2
         scaled = np.array([m * value for m, value in tail])
         np.testing.assert_allclose(scaled, scaled[0], rtol=1e-12, err_msg=param)
+
+
+def _sections(name):
+    """The sections of study `name`, each as a config of its own: [(section, text)]."""
+    blocks = (STUDIES / name).read_text().split("\n[")[1:]  # [0] is the header comment
+    return [(block.split("]", 1)[0], "[" + block) for block in blocks]
+
+
+def _rows(path):
+    """A report's rows after the header, grouped by section: {section: [row, ...]}."""
+    rows = {}
+    with open(path, newline="") as handle:
+        for row in list(csv.reader(handle))[1:]:
+            rows.setdefault(row[0], []).append(row)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def study_rows(tmp_path_factory):
+    """`_rows` of a study's report, each study run once at its defaults."""
+    cache = {}
+
+    def rows(name):
+        if name not in cache:
+            cache[name] = _rows(_report(tmp_path_factory.mktemp("study"), name))
+        return cache[name]
+    return rows
+
+
+@pytest.mark.parametrize("name, section, text", [
+    pytest.param(path.name, section, text, id=f"{path.stem}:{section}")
+    for path in sorted(STUDIES.glob("*.ini")) for section, text in _sections(path.name)])
+def test_a_study_section_run_alone_writes_its_rows_in_the_study(tmp_path, capsys, study_rows, name, section, text):
+    # a section copied out of its study reruns that one cell: no section reads another's state
+    config = tmp_path / "alone.ini"
+    config.write_text(text)
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert _rows(tmp_path / "out" / "report.csv") == {section: study_rows(name)[section]}
+
+
+@pytest.mark.parametrize("name, family", [
+    *(("theorem1-spike.ini", f"target-{target}") for target in (1, 10, 100)),
+    *(("weak-type-levels.ini", operator) for operator in ("M", "M1")),
+], ids=lambda value: value.removesuffix(".ini"))
+def test_a_b_sweep_that_its_header_calls_constant_repeats_every_row(study_rows, name, family):
+    # the spike is one level-2 step at every B, and M and M1 see 2^min(B, 4) cells a side:
+    # every row after the spec and B columns is the B = 5 row, not only the constant read
+    rows = study_rows(name)
+    first = [row[3:] for row in rows[f"{family}-B5"]]
+    for bits in (6, 7):
+        assert [row[3:] for row in rows[f"{family}-B{bits}"]] == first, f"{family}-B{bits}"
