@@ -2,7 +2,7 @@
 
   wss run <config> [--out DIR] [--threads N] [--seed S]   run configured experiments
   wss selftest                                            run the oracle battery
-  wss gen <spec> --dump [--out FILE] [--seed S]           write one grid as CSV
+  wss gen <spec> [--out FILE] [--seed S]                  write one grid as CSV
 
 Experiment scheduling may use a thread pool, but report assembly is fixed in
 config order and every kernel has a fixed reduction tree, so output bytes do
@@ -76,45 +76,27 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+INTEGER_FLAGS = ("--seed", "--threads")  # run's and gen's, read by `parse_number`
+
+
+def _joined(argv) -> list:
+    """`argv` with the argument after an integer flag, whole or abbreviated, joined to it by `=`:
+    `--seed -x` reaches `parse_number`, where argparse alone would take `-x` for an option."""
+    joined = []
+    for arg in argv:
+        if arg[:1] == "-" and joined and len(joined[-1]) > 2 and any(
+                flag.startswith(joined[-1]) for flag in INTEGER_FLAGS):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 class Parser(argparse.ArgumentParser):
-    """The front end of `wss`.  `add_argument(..., integer=True)` makes an integer flag, its value
-    read by `parse_number`; the argument after one is its value even when argparse alone would
-    take it for an option (`--seed -x`); argparse's own faults raise `UsageError`, with no
-    usage block."""
-
-    def __init__(self, *args, **kwargs):
-        self.integers = {}  # flag -> dest
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *flags, integer=False, **kwargs):
-        action = super().add_argument(*flags, **kwargs)
-        if integer:
-            self.integers[flags[0]] = action.dest
-        return action
-
-    def parse_known_args(self, args=None, namespace=None):
-        joined = []  # a subcommand's parser joins and reads its own flags
-        for arg in sys.argv[1:] if args is None else args:
-            if arg[:1] == "-" and joined and len(joined[-1]) > 2 and any(
-                    flag.startswith(joined[-1]) for flag in self.integers):
-                joined[-1] += "=" + arg
-            else:
-                joined.append(arg)
-        namespace, extras = super().parse_known_args(joined, namespace)
-        for flag, dest in self.integers.items():
-            setattr(namespace, dest, parse_number(getattr(namespace, dest), int, flag))
-        return namespace, extras
+    """The front end of `wss`: argparse's own faults raise `UsageError`, with no usage block."""
 
     def error(self, message):
         raise UsageError(message)
-
-    def run(self, command, argv=None) -> int:
-        """`command(args)` on `argv`; a UsageError or DataError is one `error:` line and code 2."""
-        try:
-            return command(self.parse_args(argv)) or 0
-        except (UsageError, DataError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
 
 
 def build_parser() -> Parser:
@@ -124,30 +106,29 @@ def build_parser() -> Parser:
     p_run = sub.add_parser("run", help="run experiments from a config file")
     p_run.add_argument("config", help="INI config: one section per experiment")
     p_run.add_argument("--out", default="wss-out", help="output directory (default wss-out)")
-    p_run.add_argument("--threads", integer=True, default="1", help="worker threads")
-    p_run.add_argument("--seed", integer=True, default="0", help="default seed for sections without one")
+    p_run.add_argument("--threads", default="1", help="worker threads")
+    p_run.add_argument("--seed", default="0", help="default seed for sections without one")
 
     sub.add_parser("selftest", help="run the built-in oracle suites")
 
     p_gen = sub.add_parser("gen", help="generate a grid from a function spec")
     p_gen.add_argument("spec", help="function spec, e.g. walsh-tensor:3,6@B=4")
-    p_gen.add_argument("--dump", action="store_true", help="write the grid as CSV")
     p_gen.add_argument("--out", default=None, help="CSV path (default stdout)")
-    p_gen.add_argument("--seed", integer=True, default="0")
+    p_gen.add_argument("--seed", default="0")
     return parser
 
 
 def _command(args) -> int:
-    if getattr(args, "seed", 0) < 0:  # run's and gen's, before anything is read or generated
+    for flag in INTEGER_FLAGS:  # run's and gen's, before anything is read or generated
+        if hasattr(args, flag[2:]):
+            setattr(args, flag[2:], parse_number(getattr(args, flag[2:]), int, flag))
+    if getattr(args, "seed", 0) < 0:
         raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     if getattr(args, "threads", 1) < 1:
         raise UsageError("--threads must be >= 1")
     if args.command == "selftest":
         from .selftest import run_selftest  # its oracles stay out of `wss run`
         return run_selftest()
-    if args.command == "gen" and not args.dump:
-        print("nothing to do: pass --dump to write the grid", file=sys.stderr)
-        return 2
     return _cmd_run(args) if args.command == "run" else _cmd_gen(args)
 
 
@@ -156,7 +137,11 @@ def main(argv=None) -> int:
         gc.freeze()
         if hasattr(signal, "SIGPIPE"):  # die quietly when piped into head etc.
             signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    return build_parser().run(_command, argv)
+    try:
+        return _command(build_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv)))
+    except (UsageError, DataError) as exc:  # one `error:` line and code 2
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

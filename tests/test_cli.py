@@ -85,7 +85,7 @@ def test_a_failed_section_cancels_the_queued_ones(tmp_path, capsys, monkeypatch)
 
 def test_gen_dump_round_trip(tmp_path):
     target = tmp_path / "grid.csv"
-    assert main(["gen", "walsh-tensor:3,6@B=3", "--dump", "--out", str(target)]) == 0
+    assert main(["gen", "walsh-tensor:3,6@B=3", "--out", str(target)]) == 0
     with open(target, newline="") as handle:
         rows = list(csv.DictReader(handle))
     assert len(rows) == 64
@@ -98,7 +98,7 @@ def test_gen_dump_round_trip(tmp_path):
 
 def test_gen_dump_of_a_1d_grid(tmp_path):
     spec, target = "random-step:level=3,dim=1@B=4", tmp_path / "grid.csv"
-    assert main(["gen", spec, "--dump", "--seed", "2", "--out", str(target)]) == 0
+    assert main(["gen", spec, "--seed", "2", "--out", str(target)]) == 0
     with open(target, newline="") as handle:
         rows = [(row["param"], int(row["lambda_or_m"]), float(row["value"])) for row in csv.DictReader(handle)]
     assert rows == [("grid1d", j, v) for j, v in enumerate(generate_function(spec, 2).samples)]
@@ -111,7 +111,7 @@ def test_gen_dump_writes_each_row_as_it_is_formatted(tmp_path):
     spec, target = "spike:level=2,target=10@B=9", tmp_path / "grid.csv"
 
     def run(_):
-        assert main(["gen", spec, "--dump", "--out", str(target)]) == 0
+        assert main(["gen", spec, "--out", str(target)]) == 0
 
     assert traced_peak_ratio(run, generate_function(spec)) <= 0.5
     with open(target, newline="") as handle:
@@ -125,19 +125,25 @@ def test_gen_negative_seed_exits_2_before_generation(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr("wss.cli.generate_function", refuse)
     target = tmp_path / "g.csv"
-    assert main(["gen", spec, "--dump", "--seed", "-3", "--out", str(target)]) == 2
+    assert main(["gen", spec, "--seed", "-3", "--out", str(target)]) == 2
     assert capsys.readouterr().err == "error: --seed must be nonnegative, got -3\n"
     assert not target.exists()
 
 
-def test_gen_requires_dump(capsys):
-    assert main(["gen", "walsh-tensor:3@B=3"]) == 2
-    assert "--dump" in capsys.readouterr().err
+def test_gen_writes_the_grid_and_refuses_dump(tmp_path, capsys):
+    # gen writes the grid; --dump is no option of it
+    target = tmp_path / "g.csv"
+    assert main(["gen", "walsh-tensor:3@B=3", "--out", str(target)]) == 0
+    with open(target, newline="") as handle:
+        rows = [(row["param"], int(row["lambda_or_m"]), float(row["value"])) for row in csv.DictReader(handle)]
+    assert rows == [("grid1d", j, v) for j, v in enumerate([1, 1, -1, -1, -1, -1, 1, 1])]  # w_3 on 8 points
+    assert main(["gen", "walsh-tensor:3@B=3", "--dump"]) == 2
+    assert capsys.readouterr() == ("", "error: unrecognized arguments: --dump\n")
 
 
 def test_gen_1d_dump(tmp_path):
     target = tmp_path / "g1.csv"
-    assert main(["gen", "indicator-rect:0,0.5@B=3", "--dump", "--out", str(target)]) == 0
+    assert main(["gen", "indicator-rect:0,0.5@B=3", "--out", str(target)]) == 0
     with open(target, newline="") as handle:
         rows = list(csv.DictReader(handle))
     values = np.array([float(r["value"]) for r in rows])
@@ -145,7 +151,7 @@ def test_gen_1d_dump(tmp_path):
 
 
 def test_bad_spec_reports_usage_error(capsys):
-    assert main(["gen", "walsh-tensor:99@B=3", "--dump"]) == 2
+    assert main(["gen", "walsh-tensor:99@B=3"]) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -542,7 +548,7 @@ def test_a_bad_gen_seed_exits_2_before_generation(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr("wss.cli.generate_function", refuse)
     target = tmp_path / "g.csv"
-    assert main(["gen", "random-step:level=2,dim=1@B=4", "--dump", "--seed", text, "--out", str(target)]) == 2
+    assert main(["gen", "random-step:level=2,dim=1@B=4", "--seed", text, "--out", str(target)]) == 2
     assert capsys.readouterr().err == f"error: --seed must be an integer, got {text!r}\n"
     assert not target.exists()
 
@@ -559,8 +565,12 @@ def test_a_flag_value_after_a_dash_reaches_the_number_reader_as_a_program(tmp_pa
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv", [["run"], ["run", "exp.ini", "--no-such-flag"], []],
-                         ids=["no-config", "unknown-flag", "no-command"])
+@pytest.mark.parametrize("argv", [["run"], ["run", "exp.ini", "--no-such-flag"], [],
+                                  ["gen", "walsh-tensor:3@B=3", "--threads", "2"],
+                                  ["gen", "walsh-tensor:3@B=3", "--threads", "-1_0"], ["selftest", "--seed", "1"],
+                                  ["--seed", "-1_0", "run", "x.ini"], ["run", "x.ini", "--seed", "x", "--bogus"]],
+                         ids=["no-config", "unknown-flag", "no-command", "gen-threads", "gen-threads-dash",
+                              "selftest-seed", "seed-before-command", "bad-seed-and-unknown-flag"])
 def test_a_wss_argparse_fault_is_one_error_line(argv, capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -580,6 +590,20 @@ def test_importing_the_cli_starts_no_blas_worker(setting, threads):
     done = subprocess.run([sys.executable, "-c", "import os, wss.cli; print(len(os.listdir('/proc/self/task')))"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stdout) == (0, f"{threads}\n"), done.stderr
+
+
+def test_importing_the_library_leaves_blas_alone():
+    # the cap is the command's: a program that imports wss keeps numpy's own
+    # BLAS threads, and perfbench's set-up child among them
+    env = {key: value for key, value in _env().items() if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    code = ("import os, {}; task = '/proc/self/task'; "
+            "print('OPENBLAS_NUM_THREADS' in os.environ, len(os.listdir(task)) if os.path.isdir(task) else None)")
+    library, numpy_only = (subprocess.run([sys.executable, "-c", code.format(module)], env=env, capture_output=True,
+                                          text=True, timeout=120) for module in ("wss.experiments", "numpy"))
+    assert library.returncode == 0 and library.stdout.startswith("False "), library.stderr
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("counts threads in /proc")
+    assert library.stdout == numpy_only.stdout, numpy_only.stderr
 
 
 def _env():
@@ -737,7 +761,7 @@ def test_bad_spec_exits_2_with_one_error_line(tmp_path, capsys, spec, message):
         warnings.simplefilter("error")  # a numpy overflow warning would be a leak
         assert _run_quietly(tmp_path, text) == 2
         run_err = capsys.readouterr().err
-        assert main(["gen", gen_spec, "--dump", "--out", str(tmp_path / "g.csv")]) == 2
+        assert main(["gen", gen_spec, "--out", str(tmp_path / "g.csv")]) == 2
         gen_err = capsys.readouterr().err
     for err in (run_err, gen_err):
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
@@ -746,9 +770,9 @@ def test_bad_spec_exits_2_with_one_error_line(tmp_path, capsys, spec, message):
 
 def test_gen_dump_to_stdout_equals_the_file(tmp_path, capsys):
     for spec in ("walsh-tensor:3,6@B=3", "indicator-rect:0,0.5@B=3"):
-        assert main(["gen", spec, "--dump", "--seed", "4", "--out", str(tmp_path / "g.csv")]) == 0
+        assert main(["gen", spec, "--seed", "4", "--out", str(tmp_path / "g.csv")]) == 0
         capsys.readouterr()
-        assert main(["gen", spec, "--dump", "--seed", "4"]) == 0
+        assert main(["gen", spec, "--seed", "4"]) == 0
         assert capsys.readouterr().out == (tmp_path / "g.csv").read_text()
 
 
@@ -779,11 +803,11 @@ def test_gen_dump_bytes_match_the_per_sample_writer(tmp_path, capsys, monkeypatc
     if grid is not None:
         monkeypatch.setattr("wss.cli.generate_function", lambda *args: grid)
     expected = _per_sample_dump(spec, 5, grid or generate_function(spec, 5))
-    assert main(["gen", spec, "--dump", "--seed", "5", "--out", str(tmp_path / "g.csv")]) == 0
+    assert main(["gen", spec, "--seed", "5", "--out", str(tmp_path / "g.csv")]) == 0
     with open(tmp_path / "g.csv", newline="") as handle:
         assert handle.read() == expected
     capsys.readouterr()
-    assert main(["gen", spec, "--dump", "--seed", "5"]) == 0
+    assert main(["gen", spec, "--seed", "5"]) == 0
     assert capsys.readouterr().out == expected
 
 
@@ -810,7 +834,7 @@ def test_run_out_with_report_path_taken_exits_2(tmp_path, capsys):
 
 def test_gen_out_in_a_missing_directory_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "dir" / "x.csv"
-    assert main(["gen", "walsh-tensor:3,6@B=3", "--dump", "--out", str(target)]) == 2
+    assert main(["gen", "walsh-tensor:3,6@B=3", "--out", str(target)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not target.parent.exists()
