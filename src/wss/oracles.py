@@ -1,8 +1,11 @@
-"""Brute-force reference implementations.
+"""Brute-force reference implementations, backing the test suite and `wss selftest`.
 
-These deliberately follow the defining formulas with plain loops (or one
-definitional reduction) and stay independent of the fast paths they check.
-They back both the test suite and `wss selftest`.
+These run no fast kernel: `cell_averages_1d/2d` (E_n f), `bmo_sequence_brute`, `entropy_brute`,
+`diagonal_sums_brute` (`naive_wht_2d`), and `dyadic_maximal_brute` and `schipp_v_brute` (E_n f).
+`full_profile_field`, `materialize` and `bmo_of_all_diagonal_orders` share the fast field and
+pyramid, as the `bmo-support` and `bmo-cells` checks are bit-exact. `rodin_means_brute` and
+`dyadic_square_sums_brute` read `all_partial_sums_1d`, as their stream tests compare at rtol
+only and a definitional table leaves a rounding residue where S_k f = f.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ import numpy as np
 from .dyadic import walsh_matrix_f64
 from .errors import UsageError
 from .means import _max_mean_square_oscillation
-from .sums import DiagonalSumField, all_partial_sums_1d, partial_sum_1d
+from .sums import DiagonalSumField, all_partial_sums_1d
 from .transform import DyadicGrid1D, DyadicGrid2D, _synthesis, naive_wht_2d, wht_2d
 
 
@@ -30,10 +33,8 @@ def cell_averages_2d(f: DyadicGrid2D, xlevel: int, ylevel: int) -> np.ndarray:
     """Averages over I_xlevel(x) x I_ylevel(y) cells, expanded to the grid."""
     if not (0 <= xlevel <= f.bits and 0 <= ylevel <= f.bits):
         raise UsageError(f"levels ({xlevel}, {ylevel}) outside [0, {f.bits}]")
-    wx = 1 << (f.bits - xlevel)
-    wy = 1 << (f.bits - ylevel)
-    blocks = f.samples.reshape(1 << xlevel, wx, 1 << ylevel, wy)
-    means = blocks.mean(axis=(1, 3))
+    wx, wy = 1 << (f.bits - xlevel), 1 << (f.bits - ylevel)
+    means = f.samples.reshape(1 << xlevel, wx, 1 << ylevel, wy).mean(axis=(1, 3))
     return np.repeat(np.repeat(means, wx, axis=0), wy, axis=1)
 
 
@@ -106,19 +107,9 @@ def rodin_means_brute(f: DyadicGrid1D, phi, ms) -> np.ndarray:
 
 
 def dyadic_maximal_brute(f: DyadicGrid2D) -> np.ndarray:
-    """Pointwise sup over n of square-cell averages, by explicit slicing."""
-    size = f.size
-    a = np.abs(f.samples)
-    out = np.zeros((size, size))
-    for n in range(f.bits + 1):
-        width = 1 << (f.bits - n)
-        for bx in range(1 << n):
-            for by in range(1 << n):
-                block = a[bx * width : (bx + 1) * width, by * width : (by + 1) * width]
-                avg = block.mean()
-                patch = out[bx * width : (bx + 1) * width, by * width : (by + 1) * width]
-                np.maximum(patch, avg, out=patch)
-    return out
+    """Pointwise sup over n = 0..bits of E_n |f|, the level-n square-cell averages."""
+    a = DyadicGrid2D(f.bits, np.abs(f.samples))
+    return np.max([cell_averages_2d(a, n, n) for n in range(f.bits + 1)], axis=0)
 
 
 def entropy_brute(f, alpha: float) -> float:
@@ -128,11 +119,11 @@ def entropy_brute(f, alpha: float) -> float:
 
 
 def schipp_v_brute(f: DyadicGrid1D, n: int) -> np.ndarray:
-    """V_n by direct summation over every t grid point."""
+    """V_n by direct summation over every t grid point, g = S_{2^n} f read as E_n f."""
     if not 1 <= n <= f.bits:
         raise UsageError(f"operator order {n} outside [1, {f.bits}]")
     size = f.size
-    g = partial_sum_1d(f, 1 << n).samples
+    g = cell_averages_1d(f, n)
     idx = np.arange(size)
     shifts = [1 << (f.bits - 1 - j) for j in range(n)]
     acc = np.zeros(size)

@@ -13,9 +13,11 @@ on the K x K band `_analysis` returns, so every step from n = K is 0 and
 S_nn = S_KK.  Only the (K, 2^l) profiles on the level-l cells are stored,
 2^l = max(2, K); the field streams (x, y, n) blocks of whole per-point
 sequences, one (2^l, 2^B + 1) slab per x-cell, never the 2^B x 2^B cube.
-Every partial sum and profile is one truncated synthesis,
-`wss.transform._synthesis`; the sums of (S_l f)^2 over the dyadic blocks
-of orders at every point come from one Paley prefix scan, `_paley_scan`.
+Each single partial sum and the profiles are one truncated synthesis,
+`wss.transform._synthesis`, of `_analysis`'s band; `all_partial_sums_1d`,
+every order at once, is `_analysis` followed by a Walsh-matrix prefix sum;
+the sums of (S_l f)^2 over the dyadic blocks of orders at every point come
+from one Paley prefix scan, `_paley_scan`.
 """
 from __future__ import annotations
 

@@ -10,6 +10,7 @@ from conftest import dyadic_rationals, traced_peak_ratio
 from wss import maximal, oracles
 from wss.errors import UsageError
 from wss.generators import generate_function, portable_uniforms, random_grid_1d, random_grid_2d
+from wss.means import bmo_sequence_norm, entropy_functional
 from wss.maximal import (
     _schipp_v_values,
     dyadic_maximal,
@@ -20,6 +21,7 @@ from wss.maximal import (
     schipp_v_max,
     superlevel_measure,
 )
+from wss.sums import partial_sum_1d, quadratic_sums, rectangular_partial_sum
 from wss.transform import DyadicGrid, DyadicGrid1D, DyadicGrid2D, _pow2_scaled
 
 
@@ -127,6 +129,27 @@ def test_schipp_v_matches_brute():
     for n in (1, 3, 6):
         gap = np.abs(_schipp_v_values(f.cells, (n,)) - oracles.schipp_v_brute(f, n)).max()
         assert gap <= 1e-12
+
+
+def test_the_definitional_oracles_run_without_the_butterfly():
+    # fast results first; then every oracle that claims independence must run
+    # with `_fwht` raising, and match at the tolerance its own test uses
+    f1, f2 = random_grid_1d(6, seed=11), random_grid_2d(4, seed=7)
+    g, xi = random_grid_2d(5, seed=19, amp=4.0), dyadic_rationals(5, 64)
+    sums1 = [partial_sum_1d(f1, 1 << level).samples for level in range(7)]
+    sums2 = {(j, k): rectangular_partial_sum(f2, 1 << j, 1 << k).samples for j in range(5) for k in range(5)}
+    cube, bmo = oracles.materialize(quadratic_sums(f2)), bmo_sequence_norm(xi)
+    m, v = dyadic_maximal(f2).values, {n: _schipp_v_values(f1.cells, (n,)) for n in (1, 3, 6)}
+    gauge = {a: entropy_functional(g, a) for a in (0, 0.5, 1, 2)}
+    with mock.patch("wss.transform._fwht", side_effect=AssertionError("the butterfly ran")):
+        assert max(np.abs(s - oracles.cell_averages_1d(f1, level)).max() for level, s in enumerate(sums1)) <= 1e-12
+        assert max(np.abs(s - oracles.cell_averages_2d(f2, *jk)).max() for jk, s in sums2.items()) <= 1e-12
+        assert oracles.bmo_sequence_brute(xi) == bmo
+        assert np.abs(cube - oracles.diagonal_sums_brute(f2)).max() <= 1e-10
+        assert np.abs(m - oracles.dyadic_maximal_brute(f2)).max() <= 1e-13
+        assert max(np.abs(v[n] - oracles.schipp_v_brute(f1, n)).max() for n in v) <= 1e-12
+        for a, fast in gauge.items():
+            assert fast == pytest.approx(oracles.entropy_brute(g, a), rel=1e-12)
 
 
 def test_schipp_v_max_is_exhaustive_sup():
